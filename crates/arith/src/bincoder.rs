@@ -51,10 +51,26 @@ pub(crate) fn recip_table() -> &'static [u64] {
     })
 }
 
-/// `⌊n / d⌋` by reciprocal multiplication (see [`recip_table`]).
-#[inline]
-pub(crate) fn div_by_recip(n: u64, recip: u64) -> u64 {
-    ((u128::from(n) * u128::from(recip)) >> 64) as u64
+/// `⌊a·b / 2⁶⁴⌋`, the high word of the full product: with `b` a
+/// [`recip_table`] entry, `⌊a / d⌋` by reciprocal multiplication.
+#[inline(always)]
+pub(crate) fn mulhi(a: u64, b: u64) -> u64 {
+    ((u128::from(a) * u128::from(b)) >> 64) as u64
+}
+
+/// `P(0) = c0/total` pre-scaled for [`Interval::step`]: `c0·⌈2⁶⁴/total⌉`,
+/// from `c0` and the `total` entry of [`recip_table`].
+///
+/// The product fits a `u64` because `c0 < total` for every coded decision
+/// (`(total−1)·⌈2⁶⁴/total⌉ < 2⁶⁴ + total − ⌈2⁶⁴/total⌉ ≤ 2⁶⁴`), and
+/// `mulhi(range, c0·m)` is the same integer as `mulhi(range·c0, m)` — both
+/// are `⌊range·c0·m / 2⁶⁴⌋` — so the split stays the exact
+/// `⌊range·c0/total⌋` of [`recip_table`]. What changes is where the
+/// multiply sits: `c0·m` depends on the model alone, so it runs off the
+/// chain of dependent `low`/`high` updates, leaving one multiply on it.
+#[inline(always)]
+pub(crate) fn scale(c0: u32, recip: u64) -> u64 {
+    u64::from(c0) * recip
 }
 
 /// The low `count` bits set, without branching on `count == 0`. Shift
@@ -62,6 +78,170 @@ pub(crate) fn div_by_recip(n: u64, recip: u64) -> u64 {
 #[inline]
 pub(crate) fn mask64(count: u32) -> u64 {
     (1u64.wrapping_shl(count)).wrapping_sub(1)
+}
+
+/// Longest release, in bits, [`Step::release`] hands the sink as one
+/// `write_bits` word: settled bits plus the follow bits they release.
+const MAX_RELEASE: u64 = 48;
+
+/// The coder's interval registers `[low, high]`, and the kernel every
+/// coded decision runs through: [`BinaryEncoder`], [`BinaryDecoder`] and
+/// the lane mux all call [`step`](Self::step), so the split and
+/// renormalisation arithmetic exists once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interval {
+    low: u32,
+    high: u32,
+}
+
+/// What one [`Interval::step`] shifted out of the registers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    /// The coded outcome.
+    bit: bool,
+    /// `n`: the top bits `low` and `high` shared after the split, which
+    /// are settled.
+    settled: u32,
+    /// `s = n + k`: all bits shifted out, the settled bits and then `k`
+    /// follow-bit (E3) steps.
+    shifted: u32,
+    /// The settled bits, right-aligned (0 when `n == 0`).
+    bits: u64,
+}
+
+impl Interval {
+    /// The whole code range, where every stream starts.
+    pub(crate) const FULL: Self = Self {
+        low: 0,
+        high: u32::MAX,
+    };
+
+    /// Codes one decision: splits the interval at `P(0) = c0/total`
+    /// (`f` from [`scale`]), keeps the side of the bit `outcome` picks,
+    /// and renormalises.
+    ///
+    /// `outcome` receives the split, the first code value of the `1`
+    /// side: the encoder ignores it and returns its bit, the decoder
+    /// compares its code value against it.
+    ///
+    /// **Outcome select.** The new bounds are picked with a mask made from
+    /// the bit, not with `if`: the bit is data the branch predictor cannot
+    /// learn, and the `if` form, although written to become conditional
+    /// moves, compiled to a branch on it (`test`/`je` in the release
+    /// build's per-decision `BinaryEncoder::encode`).
+    ///
+    /// **One-step renormalisation.** The classic loop shifts out settled
+    /// top bits (`low` and `high` agree) and E3 straddles (`low = 01…`,
+    /// `high = 10…`), one bit per turn. The two cannot interleave: all
+    /// shared top bits go first, and once the first differing bit
+    /// (`low` 0, `high` 1) is on top, an E3 step needs the next bit to be
+    /// `low` 1 over `high` 0 — a run that ends at the first position
+    /// where that fails. So with `n = lzcnt(low ^ high)` settled bits,
+    ///
+    /// ```text
+    /// s = leading_ones((low & !high) | (!(low ^ high) >> 1) | HALF) − 1
+    /// ```
+    ///
+    /// counts both at once: the second and third terms cover the `n`
+    /// shared bits and the differing bit below them (`n + 1` ones), the
+    /// first term continues the run through the `k` E3 positions. Every
+    /// turn of the loop shifts both registers left by one, fills `high`
+    /// with a 1, and an E3 turn also deletes the bit below the top, so
+    /// after all `s` turns `low' = (low << s) & !HALF` and
+    /// `high' = HALF | (high << s) | (2^s − 1)` — one shift pair instead
+    /// of a settled shift followed by a dependent E3 shift. The
+    /// `#[cfg(test)]` `oracle` module keeps that two-step form verbatim,
+    /// and a property test pins this kernel to it.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, f: u64, outcome: impl FnOnce(u32) -> bool) -> Step {
+        let Self { low, high } = *self;
+        // ⌊range·c0/total⌋ < range, so `low < split ≤ high`: both sides
+        // are non-empty and the arithmetic stays in 32 bits.
+        let split = low + mulhi(u64::from(high - low) + 1, f) as u32;
+        let bit = outcome(split);
+        let one = u32::from(bit).wrapping_neg();
+        let low = (split & one) | (low & !one);
+        let high = (high & one) | ((split - 1) & !one);
+
+        let n = (low ^ high).leading_zeros(); // ≤ 31: low < high
+        let s = ((low & !high) | (!(low ^ high) >> 1) | HALF).leading_ones() - 1;
+        self.low = (low << s) & !HALF;
+        self.high = HALF | (high << s) | ((1 << s) - 1);
+        Step {
+            bit,
+            settled: n,
+            shifted: s,
+            bits: u64::from(low) >> (32 - n),
+        }
+    }
+
+    /// Flushes an encoder's interval: `pending + 2` bits that pin the
+    /// final code value inside it, after which the decoder's zero-padded
+    /// reads cannot leave it.
+    pub(crate) fn flush<S: BitSink>(self, pending: u64, sink: &mut S) {
+        let bit = self.low >= QUARTER;
+        sink.write_bit(bit);
+        sink.write_run(!bit, pending + 1);
+        // One more bit keeps the value strictly inside [low, high] even
+        // when the decoder pads with zeros.
+        sink.write_bit(true);
+    }
+}
+
+impl Step {
+    /// The encoder's side of a step: writes the settled bits to `sink`,
+    /// with the follow bits banked in `pending` released behind the first
+    /// of them, and banks this step's `k` follow bits.
+    ///
+    /// The release is one `write_bits` word, `bits + (2^p − 1)·2^(n−1)`:
+    /// adding `p` ones at the first settled bit's place writes the first
+    /// bit `f`, then `p` copies of `!f`, then the other `n − 1` settled
+    /// bits (a carry out of the ones when `f = 1` leaves a 1 over `p`
+    /// zeros). With no settled bits `p` is 0, so the call writes nothing
+    /// and the bank is kept. Whether bits settle is as patternless as the
+    /// outcome, so `p` is taken by shifts, not by a mask of `n != 0`: such
+    /// a mask is folded back into a select, which compiled to a branch on
+    /// `n == 0`. A bank too long for one word is the one compare, on the
+    /// release count, taken about never.
+    #[inline(always)]
+    pub(crate) fn release<S: BitSink>(self, pending: &mut u64, sink: &mut S) {
+        let n = self.settled;
+        // The bank survives only a step that settles nothing: shifted out
+        // by 2·32 bits when `n > 0` (n ≤ 31), by 0 when `n == 0`.
+        let t = (n + 31) & 32;
+        let kept = (*pending >> t) >> t;
+        let follow = *pending - kept;
+        let count = follow + u64::from(n);
+        if count > MAX_RELEASE {
+            release_long(sink, self.bits, n, follow);
+        } else {
+            let ones = mask64(follow as u32).wrapping_shl(n.wrapping_sub(1));
+            sink.write_bits(self.bits + ones, count as u32);
+        }
+        *pending = kept + u64::from(self.shifted - n);
+    }
+
+    /// The decoder's side of a step: the code value shifted like the
+    /// registers, taking `fresh`, the next `s` input bits.
+    ///
+    /// The settled shift keeps `value`'s top bit (it lies between `low`
+    /// and `high`, so it shares their settled bits and the differing bit
+    /// then lands on top); the E3 steps delete the bit below it.
+    #[inline(always)]
+    pub(crate) fn shift_in(self, value: u32, fresh: u32) -> u32 {
+        ((value << self.settled) & HALF) | (((value << self.shifted) | fresh) & !HALF)
+    }
+}
+
+/// Cold tail of [`Step::release`]: an E3 run banked more follow bits than
+/// one word holds.
+#[cold]
+#[inline(never)]
+fn release_long<S: BitSink>(sink: &mut S, bits: u64, n: u32, follow: u64) {
+    let first = bits >> (n - 1) == 1;
+    sink.write_bit(first);
+    sink.write_run(!first, follow);
+    sink.write_bits(bits & mask64(n - 1), n - 1);
 }
 
 /// A pixel's worth of pre-classified binary decisions, built by the model
@@ -221,9 +401,9 @@ pub trait DecisionEncoder {
     ///
     /// The default simply replays the batch through
     /// [`encode`](Self::encode) one decision at a time — bit-identical to
-    /// the fast implementations by construction, and the reference the
-    /// differential tests pin them against. Implementations override this
-    /// to amortise renormalisation and output flushes across the batch.
+    /// the buffering implementations by construction, and the reference the
+    /// differential tests pin them against. The lane mux overrides this to
+    /// append the packed words to its stripe buffer in one copy.
     #[inline]
     fn encode_batch(&mut self, batch: &DecisionBatch) {
         self.note_deterministic(batch.deterministic_len());
@@ -346,8 +526,8 @@ pub trait DecisionDecoder {
 /// ```
 #[derive(Debug)]
 pub struct BinaryEncoder<S = BitWriter> {
-    low: u32,
-    high: u32,
+    interval: Interval,
+    /// Banked E3 follow bits awaiting the next settled bit.
     pending: u64,
     writer: S,
     decisions: u64,
@@ -359,24 +539,13 @@ impl<S: BitSink> BinaryEncoder<S> {
     /// Wraps a bit sink in a fresh encoder covering the full interval.
     pub fn new(writer: S) -> Self {
         Self {
-            low: 0,
-            high: u32::MAX,
+            interval: Interval::FULL,
             pending: 0,
             writer,
             decisions: 0,
             coded: 0,
             recip: recip_table(),
         }
-    }
-
-    #[inline]
-    fn emit(&mut self, bit: bool) {
-        self.writer.write_bit(bit);
-        // Carry/underflow resolution: pending bits are the complement.
-        for _ in 0..self.pending {
-            self.writer.write_bit(!bit);
-        }
-        self.pending = 0;
     }
 
     /// Encodes one binary decision with `P(bit = 0) = c0 / total`.
@@ -434,176 +603,9 @@ impl<S: BitSink> BinaryEncoder<S> {
         );
         self.decisions += 1;
         self.coded += 1;
-
-        let range = u64::from(self.high) - u64::from(self.low) + 1;
-        // First code value of the `1` sub-interval (may be high + 1 when
-        // the `1` side is empty, hence the 64-bit arithmetic). The divide
-        // runs through the reciprocal ROM — bit-exact, see [`recip_table`].
-        let split =
-            u64::from(self.low) + div_by_recip(range * u64::from(c0), self.recip[total as usize]);
-        // Value selects, not branches: the outcome bit is data the branch
-        // predictor cannot learn, so this must compile to conditional
-        // moves.
-        self.low = if bit { split as u32 } else { self.low };
-        self.high = if bit { self.high } else { (split - 1) as u32 };
-
-        // Renormalisation, straight-line and branch-free. The classic loop
-        // interleaves two kinds of step, but they cannot actually
-        // alternate: all top bits shared by `low` and `high` are settled
-        // and emit first (an E3 straddle needs the top bits to *differ*),
-        // and once the maximal run of E3 straddles is absorbed the top
-        // bits still differ and no further straddle holds. So: one bulk
-        // emit, one bulk E3, done — bit-for-bit what the loop produces
-        // (the shift-without-subtract is the same discard of the emitted
-        // top bit).
-        //
-        // Branch-freedom matters more than the op count here: whether a
-        // decision settles bits (`n > 0`, roughly half of them, patternless)
-        // is exactly what a branch predictor cannot learn, and one flush
-        // costs more than this whole function.
-        let n = (self.low ^ self.high).leading_zeros(); // ≤ 31: low < high
-        let bits = u64::from(self.low) >> (32 - n);
-        if (n > 0) & (u64::from(n) + self.pending > 48) {
-            // Cold: an E3 run has banked more follow bits than the packed
-            // release below can address. Non-short-circuit `&` keeps this
-            // a single near-never-taken branch rather than a branch on the
-            // patternless `n > 0`.
-            let first = (bits >> (n - 1)) & 1 == 1;
-            self.emit(first);
-            if n > 1 {
-                self.writer
-                    .write_bits(bits & ((1u64 << (n - 1)) - 1), n - 1);
-            }
-        } else {
-            // Packed release: the first settled bit, then `pending`
-            // complements of it, then the remaining settled bits verbatim
-            // — assembled as one `write_bits` word. When n == 0 the
-            // `keep` mask zeroes the pattern and length and preserves
-            // `pending`, so the same straight-line code is a no-op.
-            // (Shift amounts are masked: with n == 0 they go out of range
-            // but their results are discarded by `keep`.)
-            let keep = u64::from(n == 0).wrapping_neg(); // n==0 ? !0 : 0
-            let first = bits.wrapping_shr(n.wrapping_sub(1)) & 1;
-            let comps = ((first ^ 1).wrapping_neg() & mask64(self.pending as u32))
-                .wrapping_shl(n.wrapping_sub(1));
-            let head = first.wrapping_shl((self.pending as u32).wrapping_add(n).wrapping_sub(1));
-            let body = bits & (1u64.wrapping_shl(n.wrapping_sub(1))).wrapping_sub(1);
-            self.writer.write_bits(
-                (head | comps | body) & !keep,
-                ((self.pending + u64::from(n)) & !keep) as u32,
-            );
-            self.pending &= keep;
-        }
-        self.low = (u64::from(self.low) << n) as u32;
-        self.high = ((u64::from(self.high) << n) | ((1u64 << n) - 1)) as u32;
-
-        // Bulk E3: `low = 01…`, `high = 10…` straddle the midpoint for
-        // exactly k more steps, where k counts how long low keeps leading
-        // 1s (below its top 0) and high keeps leading 0s (below its top
-        // 1). Each step deletes bit 30 — the straddling bit — from every
-        // register and records one pending complement. At k == 0 every
-        // line below is the identity (low's top bit is 0 and high's is 1
-        // after the emit shift), so again no branch.
-        let k = (self.low << 1)
-            .leading_ones()
-            .min((self.high << 1).leading_zeros());
-        self.pending += u64::from(k);
-        self.low = (self.low << k) & !HALF;
-        self.high = HALF | ((self.high << k) & !HALF) | (1u32.wrapping_shl(k)).wrapping_sub(1);
-    }
-
-    /// Encodes a pre-classified batch of decisions, byte-identical to
-    /// replaying it through [`encode`](Self::encode) decision by decision.
-    ///
-    /// This is the single-coder analogue of the lane lockstep loop in
-    /// `lanes.rs`: the interval registers and the pending-bit counter live
-    /// in locals across the whole batch, and every packed bit release is
-    /// staged into a local 64-bit accumulator, so the sink's `write_bits`
-    /// runs once per spill / batch instead of once per decision. The cold
-    /// long-follow-run branch (> 48 banked bits) drains the accumulator
-    /// first and then falls back to the plain writer path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batched `total` is zero or exceeds 2^16.
-    pub fn encode_batch(&mut self, batch: &DecisionBatch) {
-        self.decisions += batch.decisions();
-        self.coded += batch.coded_len() as u64;
-        let mut low = self.low;
-        let mut high = self.high;
-        let mut pending = self.pending;
-        let mut acc = 0u64;
-        let mut nacc = 0u32;
-        for &packed in batch.coded() {
-            let total = (packed & 0x1_FFFF) as u32;
-            let c0 = ((packed >> 17) & 0x1_FFFF) as u32;
-            let bit = packed >> 34 != 0;
-            assert!(total > 0 && total <= MAX_TOTAL, "invalid total {total}");
-            debug_assert!(c0 > 0 && c0 < total);
-
-            let range = u64::from(high) - u64::from(low) + 1;
-            let split =
-                u64::from(low) + div_by_recip(range * u64::from(c0), self.recip[total as usize]);
-            low = if bit { split as u32 } else { low };
-            high = if bit { high } else { (split - 1) as u32 };
-
-            // Renormalisation, identical in structure to `encode_coded`;
-            // see the commentary there. Only the destination of the packed
-            // release differs: the local accumulator instead of the sink.
-            let n = (low ^ high).leading_zeros();
-            let bits = u64::from(low) >> (32 - n);
-            if (n > 0) & (u64::from(n) + pending > 48) {
-                // Cold: drain the accumulator so the sink sees the bits in
-                // order, then release the long follow run directly.
-                if nacc > 0 {
-                    self.writer.write_bits(acc, nacc);
-                    acc = 0;
-                    nacc = 0;
-                }
-                let first = (bits >> (n - 1)) & 1 == 1;
-                self.writer.write_bit(first);
-                for _ in 0..pending {
-                    self.writer.write_bit(!first);
-                }
-                pending = 0;
-                if n > 1 {
-                    self.writer
-                        .write_bits(bits & ((1u64 << (n - 1)) - 1), n - 1);
-                }
-            } else {
-                let keep = u64::from(n == 0).wrapping_neg();
-                let first = bits.wrapping_shr(n.wrapping_sub(1)) & 1;
-                let comps = ((first ^ 1).wrapping_neg() & mask64(pending as u32))
-                    .wrapping_shl(n.wrapping_sub(1));
-                let head = first.wrapping_shl((pending as u32).wrapping_add(n).wrapping_sub(1));
-                let body = bits & (1u64.wrapping_shl(n.wrapping_sub(1))).wrapping_sub(1);
-                let word = (head | comps | body) & !keep;
-                let count = ((pending + u64::from(n)) & !keep) as u32;
-                // Stage into the accumulator; each release is ≤ 48 bits,
-                // so one spill always makes room.
-                if count > 64 - nacc {
-                    self.writer.write_bits(acc, nacc);
-                    acc = 0;
-                    nacc = 0;
-                }
-                acc = (acc << count) | word;
-                nacc += count;
-                pending &= keep;
-            }
-            low = (u64::from(low) << n) as u32;
-            high = ((u64::from(high) << n) | ((1u64 << n) - 1)) as u32;
-
-            let k = (low << 1).leading_ones().min((high << 1).leading_zeros());
-            pending += u64::from(k);
-            low = (low << k) & !HALF;
-            high = HALF | ((high << k) & !HALF) | (1u32.wrapping_shl(k)).wrapping_sub(1);
-        }
-        if nacc > 0 {
-            self.writer.write_bits(acc, nacc);
-        }
-        self.low = low;
-        self.high = high;
-        self.pending = pending;
+        self.interval
+            .step(scale(c0, self.recip[total as usize]), |_| bit)
+            .release(&mut self.pending, &mut self.writer);
     }
 
     /// Number of decisions encoded so far.
@@ -641,12 +643,7 @@ impl<S: BitSink> BinaryEncoder<S> {
     /// Emits `pending + 2` bits that pin the final code value inside the
     /// interval, after which the decoder's zero-padded reads cannot leave it.
     pub fn finish(mut self) -> S {
-        self.pending += 1;
-        let bit = self.low >= QUARTER;
-        self.emit(bit);
-        // One more bit keeps the value strictly inside [low, high] even
-        // when the decoder pads with zeros.
-        self.writer.write_bit(true);
+        self.interval.flush(self.pending, &mut self.writer);
         self.writer
     }
 }
@@ -659,9 +656,8 @@ impl<S: BitSink> DecisionEncoder for BinaryEncoder<S> {
 
     /// Immediate encoder: decisions are cheapest coded as the descent
     /// produces them (see the trait doc for why materialised batches are
-    /// layout-sensitive here). [`encode_batch`](Self::encode_batch) stays
-    /// available — and byte-identical — for callers that already hold a
-    /// batch.
+    /// layout-sensitive here). A batch handed to it anyway takes the
+    /// trait's per-decision replay.
     #[inline]
     fn prefers_batch(&self) -> bool {
         false
@@ -681,11 +677,6 @@ impl<S: BitSink> DecisionEncoder for BinaryEncoder<S> {
     fn note_deterministic(&mut self, n: u64) {
         self.decisions += n;
     }
-
-    #[inline]
-    fn encode_batch(&mut self, batch: &DecisionBatch) {
-        BinaryEncoder::encode_batch(self, batch);
-    }
 }
 
 /// Decoding half of the binary arithmetic coder.
@@ -697,8 +688,7 @@ impl<S: BitSink> DecisionEncoder for BinaryEncoder<S> {
 /// incrementally from `std::io::Read`.
 #[derive(Debug)]
 pub struct BinaryDecoder<S> {
-    low: u32,
-    high: u32,
+    interval: Interval,
     value: u32,
     reader: S,
     decisions: u64,
@@ -711,8 +701,7 @@ impl<S: BitSource> BinaryDecoder<S> {
     pub fn new(mut reader: S) -> Self {
         let value = reader.read_bits(32) as u32;
         Self {
-            low: 0,
-            high: u32::MAX,
+            interval: Interval::FULL,
             value,
             reader,
             decisions: 0,
@@ -769,47 +758,20 @@ impl<S: BitSource> BinaryDecoder<S> {
         );
         self.decisions += 1;
         self.coded += 1;
-
-        let range = u64::from(self.high) - u64::from(self.low) + 1;
-        let split =
-            u64::from(self.low) + div_by_recip(range * u64::from(c0), self.recip[total as usize]);
-        let bit = u64::from(self.value) >= split;
-        self.low = if bit { split as u32 } else { self.low };
-        self.high = if bit { self.high } else { (split - 1) as u32 };
-
-        // Renormalisation, mirroring the encoder's straight-line
-        // branch-free form (one settled-bits shift, then one bulk E3 batch
-        // — see the encoder for why the two steps cannot alternate). The
-        // invariant `low ≤ value ≤ high` holds for *any* input bits (each
-        // decision moves the boundary `value` is already on the right side
-        // of), so `value` shares the settled top bits and the wrapping
-        // shift below discards exactly what the classic subtract-then-shift
-        // would.
-        let n = (self.low ^ self.high).leading_zeros(); // ≤ 31: low < high
-        self.low = (u64::from(self.low) << n) as u32;
-        self.high = ((u64::from(self.high) << n) | ((1u64 << n) - 1)) as u32;
-
-        // Bulk E3: each straddle step deletes bit 30 from low/high/value
-        // (value sits between them, so its top two bits are 01 or 10 and
-        // the subtract-then-shift is the same bit-delete) and shifts one
-        // fresh input bit into value's low end. At k == 0 every line is
-        // the identity (low's top bit is 0, high's is 1, and value keeps
-        // both of its halves), so no branch is needed. `k` depends only on
-        // the post-shift bounds, never on the input bits, so both refills
-        // (n settled-shift bits, then k E3 bits — consecutive in the
-        // stream) merge into one `read_bits(n + k)` call, halving the
-        // refill overhead on this hot path. n + k ≤ 62.
-        let k = (self.low << 1)
-            .leading_ones()
-            .min((self.high << 1).leading_zeros());
-        let fresh = self.reader.read_bits(n + k);
-        let fresh_n = (fresh >> k) as u32;
-        let fresh_k = (fresh & mask64(k)) as u32;
-        self.value = ((u64::from(self.value) << n) as u32) | fresh_n;
-        self.low = (self.low << k) & !HALF;
-        self.high = HALF | ((self.high << k) & !HALF) | (1u32.wrapping_shl(k)).wrapping_sub(1);
-        self.value = (self.value & HALF) | ((self.value << k) & !HALF) | fresh_k;
-        bit
+        let value = self.value;
+        let step = self
+            .interval
+            .step(scale(c0, self.recip[total as usize]), |split| {
+                value >= split
+            });
+        // `s` does not depend on the input bits, so the settled and the E3
+        // refills (consecutive in the stream) are one `read_bits` call.
+        // The invariant `low ≤ value ≤ high` holds for *any* input bits
+        // (each decision moves the boundary `value` is already on the
+        // right side of), so the shift keeps it.
+        let fresh = self.reader.read_bits(step.shifted) as u32;
+        self.value = step.shift_in(value, fresh);
+        step.bit
     }
 
     /// Number of decisions decoded so far.
@@ -831,6 +793,12 @@ impl<S: BitSource> BinaryDecoder<S> {
     /// Consumes the decoder, returning the underlying reader.
     pub fn into_reader(self) -> S {
         self.reader
+    }
+
+    /// The registers `(low, high, value)`, for the differential tests.
+    #[cfg(test)]
+    pub(crate) fn registers(&self) -> (u32, u32, u32) {
+        (self.interval.low, self.interval.high, self.value)
     }
 }
 
@@ -858,6 +826,174 @@ impl<S: BitSource> DecisionDecoder for BinaryDecoder<S> {
     #[inline]
     fn decode_nondeterministic(&mut self, c0: u32, total: u32) -> bool {
         self.decode_coded(c0, total)
+    }
+}
+
+/// The interval arithmetic as it stood before [`Interval::step`], kept
+/// verbatim as the differential oracle the kernel is pinned against: the
+/// split as `mulhi(range·c0, ⌈2⁶⁴/total⌉)`, the outcome select written as
+/// `if`, and renormalisation in two steps — a settled-bits shift, then a
+/// bulk E3 shift.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{mask64, mulhi, recip_table, HALF, MAX_TOTAL, QUARTER};
+    use cbic_bitio::{BitReader, BitWriter};
+
+    /// The encoder of the two-step arithmetic, over a [`BitWriter`].
+    pub(crate) struct OracleEncoder {
+        low: u32,
+        high: u32,
+        pending: u64,
+        writer: BitWriter,
+        recip: &'static [u64],
+    }
+
+    impl OracleEncoder {
+        pub(crate) fn new() -> Self {
+            Self {
+                low: 0,
+                high: u32::MAX,
+                pending: 0,
+                writer: BitWriter::new(),
+                recip: recip_table(),
+            }
+        }
+
+        /// The registers `(low, high, pending)`.
+        pub(crate) fn registers(&self) -> (u32, u32, u64) {
+            (self.low, self.high, self.pending)
+        }
+
+        fn emit(&mut self, bit: bool) {
+            self.writer.write_bit(bit);
+            for _ in 0..self.pending {
+                self.writer.write_bit(!bit);
+            }
+            self.pending = 0;
+        }
+
+        pub(crate) fn encode(&mut self, bit: bool, c0: u32, total: u32) {
+            assert!(total > 0 && total <= MAX_TOTAL, "invalid total {total}");
+            assert!(c0 <= total, "c0 {c0} exceeds total {total}");
+            if if bit { c0 == 0 } else { c0 == total } {
+                return;
+            }
+            self.encode_coded(bit, c0, total);
+        }
+
+        fn encode_coded(&mut self, bit: bool, c0: u32, total: u32) {
+            let range = u64::from(self.high) - u64::from(self.low) + 1;
+            let split =
+                u64::from(self.low) + mulhi(range * u64::from(c0), self.recip[total as usize]);
+            self.low = if bit { split as u32 } else { self.low };
+            self.high = if bit { self.high } else { (split - 1) as u32 };
+
+            let n = (self.low ^ self.high).leading_zeros();
+            let bits = u64::from(self.low) >> (32 - n);
+            if (n > 0) & (u64::from(n) + self.pending > 48) {
+                let first = (bits >> (n - 1)) & 1 == 1;
+                self.emit(first);
+                if n > 1 {
+                    self.writer
+                        .write_bits(bits & ((1u64 << (n - 1)) - 1), n - 1);
+                }
+            } else {
+                let keep = u64::from(n == 0).wrapping_neg();
+                let first = bits.wrapping_shr(n.wrapping_sub(1)) & 1;
+                let comps = ((first ^ 1).wrapping_neg() & mask64(self.pending as u32))
+                    .wrapping_shl(n.wrapping_sub(1));
+                let head =
+                    first.wrapping_shl((self.pending as u32).wrapping_add(n).wrapping_sub(1));
+                let body = bits & (1u64.wrapping_shl(n.wrapping_sub(1))).wrapping_sub(1);
+                self.writer.write_bits(
+                    (head | comps | body) & !keep,
+                    ((self.pending + u64::from(n)) & !keep) as u32,
+                );
+                self.pending &= keep;
+            }
+            self.low = (u64::from(self.low) << n) as u32;
+            self.high = ((u64::from(self.high) << n) | ((1u64 << n) - 1)) as u32;
+
+            let k = (self.low << 1)
+                .leading_ones()
+                .min((self.high << 1).leading_zeros());
+            self.pending += u64::from(k);
+            self.low = (self.low << k) & !HALF;
+            self.high = HALF | ((self.high << k) & !HALF) | (1u32.wrapping_shl(k)).wrapping_sub(1);
+        }
+
+        pub(crate) fn finish(mut self) -> Vec<u8> {
+            self.pending += 1;
+            let bit = self.low >= QUARTER;
+            self.emit(bit);
+            self.writer.write_bit(true);
+            self.writer.into_bytes()
+        }
+    }
+
+    /// The decoder of the two-step arithmetic, over a [`BitReader`].
+    pub(crate) struct OracleDecoder<'a> {
+        low: u32,
+        high: u32,
+        value: u32,
+        reader: BitReader<'a>,
+        recip: &'static [u64],
+    }
+
+    impl<'a> OracleDecoder<'a> {
+        pub(crate) fn new(bytes: &'a [u8]) -> Self {
+            let mut reader = BitReader::new(bytes);
+            let value = reader.read_bits(32) as u32;
+            Self {
+                low: 0,
+                high: u32::MAX,
+                value,
+                reader,
+                recip: recip_table(),
+            }
+        }
+
+        /// The registers `(low, high, value)`.
+        pub(crate) fn registers(&self) -> (u32, u32, u32) {
+            (self.low, self.high, self.value)
+        }
+
+        pub(crate) fn decode(&mut self, c0: u32, total: u32) -> bool {
+            assert!(total > 0 && total <= MAX_TOTAL, "invalid total {total}");
+            assert!(c0 <= total, "c0 {c0} exceeds total {total}");
+            if c0 == 0 {
+                return true;
+            }
+            if c0 == total {
+                return false;
+            }
+            self.decode_coded(c0, total)
+        }
+
+        fn decode_coded(&mut self, c0: u32, total: u32) -> bool {
+            let range = u64::from(self.high) - u64::from(self.low) + 1;
+            let split =
+                u64::from(self.low) + mulhi(range * u64::from(c0), self.recip[total as usize]);
+            let bit = u64::from(self.value) >= split;
+            self.low = if bit { split as u32 } else { self.low };
+            self.high = if bit { self.high } else { (split - 1) as u32 };
+
+            let n = (self.low ^ self.high).leading_zeros();
+            self.low = (u64::from(self.low) << n) as u32;
+            self.high = ((u64::from(self.high) << n) | ((1u64 << n) - 1)) as u32;
+
+            let k = (self.low << 1)
+                .leading_ones()
+                .min((self.high << 1).leading_zeros());
+            let fresh = self.reader.read_bits(n + k);
+            let fresh_n = (fresh >> k) as u32;
+            let fresh_k = (fresh & mask64(k)) as u32;
+            self.value = ((u64::from(self.value) << n) as u32) | fresh_n;
+            self.low = (self.low << k) & !HALF;
+            self.high = HALF | ((self.high << k) & !HALF) | (1u32.wrapping_shl(k)).wrapping_sub(1);
+            self.value = (self.value & HALF) | ((self.value << k) & !HALF) | fresh_k;
+            bit
+        }
     }
 }
 
@@ -976,55 +1112,19 @@ mod tests {
             for c0 in [0, 1, total / 2, total / 2 + 1, total - 1, total] {
                 for &range in &ranges {
                     let n = range * c0;
-                    assert_eq!(
-                        div_by_recip(n, recip[total as usize]),
-                        n / total,
-                        "n {n}, total {total}"
-                    );
+                    let m = recip[total as usize];
+                    assert_eq!(mulhi(n, m), n / total, "n {n}, total {total}");
+                    // The kernel's pre-scaled form, for every coded c0.
+                    if c0 < total {
+                        assert_eq!(
+                            mulhi(range, scale(c0 as u32, m)),
+                            n / total,
+                            "range {range}, c0 {c0}, total {total}"
+                        );
+                    }
                 }
             }
         }
-    }
-
-    /// The fused batch path must be byte-identical to per-decision replay
-    /// (the trait's default), across accumulator offsets, deterministic
-    /// gaps, and long E3 follow runs that take the cold branch.
-    #[test]
-    fn encode_batch_matches_per_decision_replay() {
-        let mut seq: Vec<(bool, u32, u32)> = Vec::new();
-        for i in 0u32..4000 {
-            // A mix that exercises near-certain runs (E3 banking), coin
-            // flips, and occasional improbable bits.
-            let (bit, c0, total) = match i % 7 {
-                0..=3 => (false, 65_535, 65_536),
-                4 => (i % 2 == 0, 1, 2),
-                5 => (true, 1, 65_536),
-                _ => (i % 3 == 0, 2, 5),
-            };
-            seq.push((bit, c0, total));
-        }
-        let mut fast = BinaryEncoder::new(BitWriter::new());
-        let mut slow = BinaryEncoder::new(BitWriter::new());
-        let mut batch = DecisionBatch::new();
-        for chunk in seq.chunks(11) {
-            batch.clear();
-            batch.skip_deterministic(2);
-            for &(bit, c0, total) in chunk {
-                batch.push_coded(bit, c0, total);
-            }
-            fast.encode_batch(&batch);
-            for &(bit, c0, total) in chunk {
-                slow.encode(bit, c0, total);
-            }
-            slow.note_deterministic(2);
-        }
-        assert_eq!(fast.decisions(), slow.decisions());
-        assert_eq!(fast.coded_decisions(), seq.len() as u64);
-        assert_eq!(
-            fast.finish().into_bytes(),
-            slow.finish().into_bytes(),
-            "batched renormalisation changed the stream"
-        );
     }
 
     #[test]

@@ -66,10 +66,10 @@
 //! ```
 
 use crate::bincoder::{
-    div_by_recip, mask64, recip_table, BinaryDecoder, DecisionBatch, DecisionDecoder,
-    DecisionEncoder, HALF, MAX_TOTAL, QUARTER,
+    recip_table, scale, BinaryDecoder, DecisionBatch, DecisionDecoder, DecisionEncoder, Interval,
+    MAX_TOTAL,
 };
-use cbic_bitio::BitSource;
+use cbic_bitio::{BitSink, BitSource};
 
 /// Upper bound on the lane count accepted by [`LaneEncoder`] and
 /// [`LaneDecoder`] (and encodable in a container's lane byte).
@@ -86,56 +86,75 @@ pub const MAX_LANES: usize = 32;
 const BATCH_TARGET: usize = 1024;
 
 /// One lane's complete coder state: the [`BinaryEncoder`](crate::BinaryEncoder)
-/// interval registers fused with the
-/// [`BitWriter`](cbic_bitio::BitWriter) accumulator, as plain scalars so a
-/// drain loop can hoist the whole thing into locals. The algorithm is a
-/// field-for-field mirror of `BinaryEncoder::encode_coded` over a
-/// `BitWriter` (see `bincoder.rs` for the renormalization derivation);
+/// interval registers and follow-bit bank fused with a
+/// [`BitWriter`](cbic_bitio::BitWriter)-style accumulator, as plain scalars
+/// so a drain loop can hoist the whole thing into locals. Every decision
+/// runs the coder's own interval kernel over them;
 /// [`bit_identical_to_per_lane_binary_encoders`](tests) pins the
 /// equivalence.
 #[derive(Debug, Clone, Copy)]
 struct LaneRegs {
-    low: u32,
-    high: u32,
+    interval: Interval,
     /// Banked E3 follow bits awaiting the next settled bit.
     pending: u64,
-    /// Bit accumulator, right-aligned in the low `nacc` bits.
+    acc: LaneAcc,
+}
+
+/// A lane's bit accumulator, right-aligned in the low `nacc` bits of
+/// `acc`, and the bits it has taken so far (excluding flush padding).
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneAcc {
     acc: u64,
     nacc: u32,
-    /// Bits emitted into this lane so far (excluding flush padding).
     bits: u64,
 }
 
 impl Default for LaneRegs {
     fn default() -> Self {
         Self {
-            low: 0,
-            high: u32::MAX,
+            interval: Interval::FULL,
             pending: 0,
-            acc: 0,
-            nacc: 0,
-            bits: 0,
+            acc: LaneAcc::default(),
         }
     }
 }
 
-/// Mirror of `BitWriter::write_bits` on the fused lane state.
-#[inline(always)]
-fn push_bits(r: &mut LaneRegs, out: &mut Vec<u8>, value: u64, count: u32) {
-    debug_assert!(count <= 64 && (count == 64 || value >> count == 0));
-    r.bits += u64::from(count);
-    if count < 64 - r.nacc {
-        r.acc = (r.acc << count) | value;
-        r.nacc += count;
-    } else {
-        push_bits_spill(r, out, value, count);
+/// A lane's accumulator and substream, as the [`BitSink`] the interval
+/// kernel releases bits into.
+struct LaneSink<'a> {
+    acc: &'a mut LaneAcc,
+    out: &'a mut Vec<u8>,
+}
+
+impl BitSink for LaneSink<'_> {
+    #[inline(always)]
+    fn write_bit(&mut self, bit: bool) {
+        self.write_bits(u64::from(bit), 1);
+    }
+
+    fn bits_written(&self) -> u64 {
+        self.acc.bits
+    }
+
+    /// Mirror of `BitWriter::write_bits` on the fused lane state.
+    #[inline(always)]
+    fn write_bits(&mut self, value: u64, count: u32) {
+        debug_assert!(count <= 64 && (count == 64 || value >> count == 0));
+        let r = &mut *self.acc;
+        r.bits += u64::from(count);
+        if count < 64 - r.nacc {
+            r.acc = (r.acc << count) | value;
+            r.nacc += count;
+        } else {
+            spill(r, self.out, value, count);
+        }
     }
 }
 
-/// Cold tail of [`push_bits`]: the append crosses the 64-bit accumulator
-/// boundary (~once per 64 emitted bits).
+/// Cold tail of [`LaneSink::write_bits`]: the append crosses the 64-bit
+/// accumulator boundary (~once per 64 emitted bits).
 #[cold]
-fn push_bits_spill(r: &mut LaneRegs, out: &mut Vec<u8>, value: u64, count: u32) {
+fn spill(r: &mut LaneAcc, out: &mut Vec<u8>, value: u64, count: u32) {
     let space = 64 - r.nacc;
     let spill = count - space;
     let filled = if space == 64 {
@@ -152,22 +171,8 @@ fn push_bits_spill(r: &mut LaneRegs, out: &mut Vec<u8>, value: u64, count: u32) 
     };
 }
 
-/// `count` copies of `bit` (the cold carry-resolution run).
-fn push_run(r: &mut LaneRegs, out: &mut Vec<u8>, bit: bool, count: u64) {
-    let pattern = if bit { u64::MAX } else { 0 };
-    let mut rem = count;
-    while rem >= 64 {
-        push_bits(r, out, pattern, 64);
-        rem -= 64;
-    }
-    if rem > 0 {
-        push_bits(r, out, pattern >> (64 - rem), rem as u32);
-    }
-}
-
-/// One coded decision through one lane — the body of
-/// `BinaryEncoder::encode_coded` (see there for the branch-free
-/// renormalization derivation) inlined over [`LaneRegs`].
+/// One coded decision through one lane: the interval kernel over
+/// [`LaneRegs`].
 // Deliberately out of line: the drain loop calls this N times per chunk,
 // and N inlined copies of the body blow past the register file — one
 // shared body with the lane state passed by pointer measures faster at
@@ -180,51 +185,12 @@ fn lane_step(r: &mut LaneRegs, out: &mut Vec<u8>, packed: u64, recip: &[u64]) {
     // Re-established from the pack in `encode` (asserted there); lets LLVM
     // elide the `recip` bounds check in this hot loop.
     assert!(total > 0 && total <= MAX_TOTAL, "invalid total {total}");
-
-    let range = u64::from(r.high) - u64::from(r.low) + 1;
-    let split = u64::from(r.low) + div_by_recip(range * u64::from(c0), recip[total as usize]);
-    r.low = if bit { split as u32 } else { r.low };
-    r.high = if bit { r.high } else { (split - 1) as u32 };
-
-    let n = (r.low ^ r.high).leading_zeros(); // ≤ 31: low < high
-    let bits = u64::from(r.low) >> (32 - n);
-    if (n > 0) & (u64::from(n) + r.pending > 48) {
-        // Cold: an E3 run banked more follow bits than the packed release
-        // can address.
-        let first = (bits >> (n - 1)) & 1 == 1;
-        push_bits(r, out, u64::from(first), 1);
-        let pending = r.pending;
-        r.pending = 0;
-        push_run(r, out, !first, pending);
-        if n > 1 {
-            push_bits(r, out, bits & ((1u64 << (n - 1)) - 1), n - 1);
-        }
-    } else {
-        // Packed release: first settled bit, `pending` complements, then
-        // the remaining settled bits, as one append. No-op when n == 0.
-        let keep = u64::from(n == 0).wrapping_neg();
-        let first = bits.wrapping_shr(n.wrapping_sub(1)) & 1;
-        let comps =
-            ((first ^ 1).wrapping_neg() & mask64(r.pending as u32)).wrapping_shl(n.wrapping_sub(1));
-        let head = first.wrapping_shl((r.pending as u32).wrapping_add(n).wrapping_sub(1));
-        let body = bits & (1u64.wrapping_shl(n.wrapping_sub(1))).wrapping_sub(1);
-        push_bits(
-            r,
-            out,
-            (head | comps | body) & !keep,
-            ((r.pending + u64::from(n)) & !keep) as u32,
-        );
-        r.pending &= keep;
-    }
-    r.low = (u64::from(r.low) << n) as u32;
-    r.high = ((u64::from(r.high) << n) | ((1u64 << n) - 1)) as u32;
-
-    let k = (r.low << 1)
-        .leading_ones()
-        .min((r.high << 1).leading_zeros());
-    r.pending += u64::from(k);
-    r.low = (r.low << k) & !HALF;
-    r.high = HALF | ((r.high << k) & !HALF) | (1u32.wrapping_shl(k)).wrapping_sub(1);
+    let step = r.interval.step(scale(c0, recip[total as usize]), |_| bit);
+    let mut sink = LaneSink {
+        acc: &mut r.acc,
+        out,
+    };
+    step.release(&mut r.pending, &mut sink);
 }
 
 /// Flush one lane: `BinaryEncoder::finish` + `BitWriter::into_bytes`.
@@ -232,24 +198,24 @@ fn lane_step(r: &mut LaneRegs, out: &mut Vec<u8>, packed: u64, recip: &[u64]) {
 /// (coded + flush tail, excluding the byte-align padding — the same
 /// pre-padding count a single coder's transport reports after `finish`).
 fn lane_finish(mut r: LaneRegs, mut out: Vec<u8>) -> (Vec<u8>, u64) {
-    r.pending += 1;
-    let bit = r.low >= QUARTER;
-    push_bits(&mut r, &mut out, u64::from(bit), 1);
-    let pending = r.pending;
-    push_run(&mut r, &mut out, !bit, pending);
-    push_bits(&mut r, &mut out, 1, 1);
+    let mut sink = LaneSink {
+        acc: &mut r.acc,
+        out: &mut out,
+    };
+    r.interval.flush(r.pending, &mut sink);
     // Align to a byte boundary and flush the accumulator (padding is not
     // counted in `bits`, mirroring `BitWriter::align_to_byte`).
-    let tail = r.nacc % 8;
+    let a = &mut r.acc;
+    let tail = a.nacc % 8;
     if tail > 0 {
-        r.acc <<= 8 - tail;
-        r.nacc += 8 - tail;
+        a.acc <<= 8 - tail;
+        a.nacc += 8 - tail;
     }
-    while r.nacc > 0 {
-        r.nacc -= 8;
-        out.push((r.acc >> r.nacc) as u8);
+    while a.nacc > 0 {
+        a.nacc -= 8;
+        out.push((a.acc >> a.nacc) as u8);
     }
-    (out, r.bits)
+    (out, a.bits)
 }
 
 /// Deals coded decisions round-robin across `N` independent coder lanes,
@@ -308,7 +274,7 @@ impl LaneEncoder {
     /// rounds, or the decisions that follow would land on the wrong lanes).
     pub fn bits_written(&mut self) -> u64 {
         self.drain();
-        self.regs.iter().map(|r| r.bits).sum()
+        self.regs.iter().map(|r| r.acc.bits).sum()
     }
 
     /// Total bits already coded into the lanes, *excluding* decisions
@@ -316,7 +282,7 @@ impl LaneEncoder {
     /// counterpart of [`bits_written`](Self::bits_written) for mid-stream
     /// progress reporting.
     pub fn bits_flushed(&self) -> u64 {
-        self.regs.iter().map(|r| r.bits).sum()
+        self.regs.iter().map(|r| r.acc.bits).sum()
     }
 
     /// Codes the buffered decisions through the lanes in lockstep batches

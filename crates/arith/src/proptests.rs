@@ -2,32 +2,13 @@
 
 use proptest::prelude::*;
 
+use crate::bincoder::oracle::{OracleDecoder, OracleEncoder};
+use crate::bincoder::{mulhi, recip_table, HALF};
 use crate::{
-    AdaptiveBit, BinaryDecoder, BinaryEncoder, DecisionBatch, DecisionEncoder, EstimatorConfig,
-    LaneDecoder, LaneEncoder, SymbolCoder, TreeModel,
+    AdaptiveBit, BinaryDecoder, BinaryEncoder, DecisionEncoder, EstimatorConfig, LaneDecoder,
+    LaneEncoder, SymbolCoder, TreeModel,
 };
 use cbic_bitio::{BitReader, BitWriter};
-
-/// Forwards per-decision calls to the wrapped encoder but deliberately does
-/// **not** override [`DecisionEncoder::encode_batch`], so batches go through
-/// the trait's default per-decision replay — turning any encoder into its
-/// own batching reference.
-struct PerDecision<E>(E);
-
-impl<E: DecisionEncoder> DecisionEncoder for PerDecision<E> {
-    fn encode(&mut self, bit: bool, c0: u32, total: u32) {
-        self.0.encode(bit, c0, total);
-    }
-    fn decisions(&self) -> u64 {
-        self.0.decisions()
-    }
-    fn coded_decisions(&self) -> u64 {
-        self.0.coded_decisions()
-    }
-    fn note_deterministic(&mut self, n: u64) {
-        self.0.note_deterministic(n);
-    }
-}
 
 /// Strategy: a sequence of (bit, c0, total) decisions with valid counts and
 /// a nonzero probability for the coded side.
@@ -41,6 +22,34 @@ fn decisions() -> impl Strategy<Value = Vec<(bool, u32, u32)>> {
         }),
         0..512,
     )
+}
+
+/// Totals at the edges of the coder's range.
+const CORNER_TOTALS: [u32; 4] = [2, 3, 65_535, 65_536];
+
+/// Strategy: decisions at the corner totals with the extreme coded counts
+/// (`c0` of 1 or `total − 1`), each flagged whether its outcome is steered
+/// (see [`straddling_bit`]) rather than drawn.
+fn corner_decisions() -> impl Strategy<Value = Vec<(bool, u32, u32, bool)>> {
+    proptest::collection::vec(
+        (any::<bool>(), 0usize..4, any::<bool>(), any::<bool>()).prop_map(
+            |(bit, t, low_c0, steer)| {
+                let total = CORNER_TOTALS[t];
+                (bit, if low_c0 { 1 } else { total - 1 }, total, steer)
+            },
+        ),
+        0..256,
+    )
+}
+
+/// The outcome that keeps the oracle's interval straddling the midpoint:
+/// the side of the split that holds `HALF`. A run of such decisions settles
+/// no bit, so every renormalisation shift banks a follow bit.
+fn straddling_bit(enc: &OracleEncoder, c0: u32, total: u32) -> bool {
+    let (low, high, _) = enc.registers();
+    let range = u64::from(high) - u64::from(low) + 1;
+    let split = u64::from(low) + mulhi(range * u64::from(c0), recip_table()[total as usize]);
+    split <= u64::from(HALF)
 }
 
 fn estimator_config() -> impl Strategy<Value = EstimatorConfig> {
@@ -214,32 +223,51 @@ proptest! {
         prop_assert_eq!(dec_model.stats(), fast_model.stats());
     }
 
-    /// `BinaryEncoder::encode_batch`'s fused renormalisation is
-    /// byte-identical to the trait's default per-decision replay for
-    /// arbitrary batch contents and boundaries.
+    /// The interval kernel is the two-step arithmetic it replaced: the
+    /// same bytes out of the encoder, and the same decoder registers
+    /// `(low, high, value)` after every decision — over arbitrary
+    /// decisions, the corner totals, and a steered E3 run (totals 2 and 3
+    /// shrink the interval to at most 2/3 per decision, so 120 of them
+    /// bank at least 68 follow bits) that the next settled bit releases
+    /// past the 48-bit packed word.
     #[test]
-    fn batched_encoder_matches_default_replay(
+    fn kernel_matches_two_step_oracle(
         seq in decisions(),
-        chunk in 1usize..12,
+        run in proptest::collection::vec((any::<bool>(), any::<bool>()), 0..160),
+        corners in corner_decisions(),
     ) {
-        let mut fast = BinaryEncoder::new(BitWriter::new());
-        let mut slow = PerDecision(BinaryEncoder::new(BitWriter::new()));
-        let mut batch = DecisionBatch::new();
-        for part in seq.chunks(chunk) {
-            batch.clear();
-            for &(bit, c0, total) in part {
-                if if bit { c0 == 0 } else { c0 == total } {
-                    batch.skip_deterministic(1);
-                } else {
-                    batch.push_coded(bit, c0, total);
-                }
-            }
-            fast.encode_batch(&batch);
-            slow.encode_batch(&batch);
+        let mut oracle = OracleEncoder::new();
+        let mut coded = Vec::with_capacity(seq.len() + run.len() + corners.len());
+        let mut max_pending = 0;
+        let steered = run.iter().map(|&(three, low_c0)| {
+            let total = if three { 3 } else { 2 };
+            (false, if low_c0 { 1 } else { total - 1 }, total, true)
+        });
+        let drawn = seq.iter().map(|&(bit, c0, total)| (bit, c0, total, false));
+        for (bit, c0, total, steer) in drawn.chain(steered).chain(corners) {
+            let bit = if steer { straddling_bit(&oracle, c0, total) } else { bit };
+            oracle.encode(bit, c0, total);
+            max_pending = max_pending.max(oracle.registers().2);
+            coded.push((bit, c0, total));
         }
-        prop_assert_eq!(fast.decisions(), slow.0.decisions());
-        prop_assert_eq!(fast.coded_decisions(), slow.0.coded_decisions());
-        prop_assert_eq!(fast.finish().into_bytes(), slow.0.finish().into_bytes());
+        if run.len() >= 120 {
+            prop_assert!(max_pending > 48, "E3 run banked only {max_pending} follow bits");
+        }
+        let mut kernel = BinaryEncoder::new(BitWriter::new());
+        for &(bit, c0, total) in &coded {
+            kernel.encode(bit, c0, total);
+        }
+        let bytes = kernel.finish().into_bytes();
+        prop_assert_eq!(&bytes, &oracle.finish());
+
+        let mut dec = BinaryDecoder::new(BitReader::new(&bytes));
+        let mut reference = OracleDecoder::new(&bytes);
+        prop_assert_eq!(dec.registers(), reference.registers());
+        for (i, &(bit, c0, total)) in coded.iter().enumerate() {
+            prop_assert_eq!(dec.decode(c0, total), bit, "decision {}", i);
+            prop_assert_eq!(reference.decode(c0, total), bit, "decision {}", i);
+            prop_assert_eq!(dec.registers(), reference.registers(), "decision {}", i);
+        }
     }
 
     /// AdaptiveBit round-trips arbitrary bit streams with arbitrary caps.
