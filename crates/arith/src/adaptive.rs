@@ -1,6 +1,6 @@
 //! A single adaptive binary decision context.
 
-use crate::bincoder::{DecisionBatch, DecisionDecoder, DecisionEncoder};
+use crate::bincoder::{DecisionDecoder, DecisionEncoder};
 
 /// An adaptive probability for one recurring binary decision.
 ///
@@ -81,16 +81,6 @@ impl AdaptiveBit {
     #[inline]
     pub fn encode<E: DecisionEncoder>(&mut self, enc: &mut E, bit: bool) {
         enc.encode(bit, self.c_false, self.c_false + self.c_true);
-        self.update(bit);
-    }
-
-    /// Pushes `bit` onto a [`DecisionBatch`] (instead of coding it
-    /// immediately) and adapts — the batched counterpart of
-    /// [`encode`](Self::encode). Both counts are kept nonzero by
-    /// construction, so the decision is always coded, never deterministic.
-    #[inline]
-    pub fn encode_into(&mut self, batch: &mut DecisionBatch, bit: bool) {
-        batch.push_coded(bit, self.c_false, self.c_false + self.c_true);
         self.update(bit);
     }
 

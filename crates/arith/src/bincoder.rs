@@ -15,7 +15,7 @@ use cbic_bitio::{BitSink, BitSource, BitWriter};
 use std::sync::OnceLock;
 
 pub(crate) const HALF: u32 = 1 << 31;
-pub(crate) const QUARTER: u32 = 1 << 30;
+const QUARTER: u32 = 1 << 30;
 
 /// Maximum decision `total` accepted by the coder.
 ///
@@ -69,14 +69,14 @@ pub(crate) fn mulhi(a: u64, b: u64) -> u64 {
 /// multiply sits: `c0·m` depends on the model alone, so it runs off the
 /// chain of dependent `low`/`high` updates, leaving one multiply on it.
 #[inline(always)]
-pub(crate) fn scale(c0: u32, recip: u64) -> u64 {
+fn scale(c0: u32, recip: u64) -> u64 {
     u64::from(c0) * recip
 }
 
 /// The low `count` bits set, without branching on `count == 0`. Shift
-/// amounts ≥ 64 wrap (callers mask the result in those lanes).
+/// amounts ≥ 64 wrap (callers mask the result in those cases).
 #[inline]
-pub(crate) fn mask64(count: u32) -> u64 {
+fn mask64(count: u32) -> u64 {
     (1u64.wrapping_shl(count)).wrapping_sub(1)
 }
 
@@ -85,18 +85,18 @@ pub(crate) fn mask64(count: u32) -> u64 {
 const MAX_RELEASE: u64 = 48;
 
 /// The coder's interval registers `[low, high]`, and the kernel every
-/// coded decision runs through: [`BinaryEncoder`], [`BinaryDecoder`] and
-/// the lane mux all call [`step`](Self::step), so the split and
-/// renormalisation arithmetic exists once.
+/// coded decision runs through: [`BinaryEncoder`] and [`BinaryDecoder`]
+/// both call [`step`](Self::step), so the split and renormalisation
+/// arithmetic exists once.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Interval {
+struct Interval {
     low: u32,
     high: u32,
 }
 
 /// What one [`Interval::step`] shifted out of the registers.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Step {
+struct Step {
     /// The coded outcome.
     bit: bool,
     /// `n`: the top bits `low` and `high` shared after the split, which
@@ -111,7 +111,7 @@ pub(crate) struct Step {
 
 impl Interval {
     /// The whole code range, where every stream starts.
-    pub(crate) const FULL: Self = Self {
+    const FULL: Self = Self {
         low: 0,
         high: u32::MAX,
     };
@@ -153,7 +153,7 @@ impl Interval {
     /// `#[cfg(test)]` `oracle` module keeps that two-step form verbatim,
     /// and a property test pins this kernel to it.
     #[inline(always)]
-    pub(crate) fn step(&mut self, f: u64, outcome: impl FnOnce(u32) -> bool) -> Step {
+    fn step(&mut self, f: u64, outcome: impl FnOnce(u32) -> bool) -> Step {
         let Self { low, high } = *self;
         // ⌊range·c0/total⌋ < range, so `low < split ≤ high`: both sides
         // are non-empty and the arithmetic stays in 32 bits.
@@ -178,7 +178,7 @@ impl Interval {
     /// Flushes an encoder's interval: `pending + 2` bits that pin the
     /// final code value inside it, after which the decoder's zero-padded
     /// reads cannot leave it.
-    pub(crate) fn flush<S: BitSink>(self, pending: u64, sink: &mut S) {
+    fn flush<S: BitSink>(self, pending: u64, sink: &mut S) {
         let bit = self.low >= QUARTER;
         sink.write_bit(bit);
         sink.write_run(!bit, pending + 1);
@@ -204,7 +204,7 @@ impl Step {
     /// `n == 0`. A bank too long for one word is the one compare, on the
     /// release count, taken about never.
     #[inline(always)]
-    pub(crate) fn release<S: BitSink>(self, pending: &mut u64, sink: &mut S) {
+    fn release<S: BitSink>(self, pending: &mut u64, sink: &mut S) {
         let n = self.settled;
         // The bank survives only a step that settles nothing: shifted out
         // by 2·32 bits when `n > 0` (n ≤ 31), by 0 when `n == 0`.
@@ -228,7 +228,7 @@ impl Step {
     /// and `high`, so it shares their settled bits and the differing bit
     /// then lands on top); the E3 steps delete the bit below it.
     #[inline(always)]
-    pub(crate) fn shift_in(self, value: u32, fresh: u32) -> u32 {
+    fn shift_in(self, value: u32, fresh: u32) -> u32 {
         ((value << self.settled) & HALF) | (((value << self.shifted) | fresh) & !HALF)
     }
 }
@@ -244,125 +244,11 @@ fn release_long<S: BitSink>(sink: &mut S, bits: u64, n: u32, follow: u64) {
     sink.write_bits(bits & mask64(n - 1), n - 1);
 }
 
-/// A pixel's worth of pre-classified binary decisions, built by the model
-/// layer and retired by one [`DecisionEncoder::encode_batch`] call.
-///
-/// The model (tree descent + escape context) knows which decisions are
-/// deterministic — `c0 == 0` or `c0 == total` means the coded side owns the
-/// whole interval, so the coder would emit zero bits and leave its
-/// registers untouched. Those decisions never enter the batch: they are
-/// only *counted* (via [`skip_deterministic`](Self::skip_deterministic)) so
-/// the decisions/pixel accounting that sets the hardware model's initiation
-/// interval stays exact. Coded decisions are stored in the same
-/// `bit<<34 | c0<<17 | total` packing the lane mux uses, so a
-/// [`LaneEncoder`](crate::LaneEncoder) can append them to its stripe buffer
-/// without re-packing.
-/// Cacheline-aligned: the batch is written by the model descent and read
-/// back immediately by the coder, so its placement relative to the tree's
-/// counter stores is hot; letting the packed array straddle lines at the
-/// allocator's whim makes that store-to-load traffic layout-dependent.
-#[derive(Debug, Clone)]
-#[repr(align(64))]
-pub struct DecisionBatch {
-    packed: [u64; Self::CAPACITY],
-    len: usize,
-    deterministic: u32,
-}
-
-impl Default for DecisionBatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DecisionBatch {
-    /// Maximum coded decisions per batch: enough for two sub-symbol
-    /// descents (escape + 8 path/static decisions each) with headroom.
-    pub const CAPACITY: usize = 32;
-
-    /// An empty batch.
-    #[inline]
-    pub fn new() -> Self {
-        Self {
-            packed: [0; Self::CAPACITY],
-            len: 0,
-            deterministic: 0,
-        }
-    }
-
-    /// Appends one coded (non-deterministic) decision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is full; in debug builds, also if the decision
-    /// is deterministic or `total` is out of range.
-    #[inline]
-    pub fn push_coded(&mut self, bit: bool, c0: u32, total: u32) {
-        debug_assert!(total > 0 && total <= MAX_TOTAL, "invalid total {total}");
-        debug_assert!(
-            c0 > 0 && c0 < total,
-            "batched decision must be non-deterministic (c0={c0}, total={total})"
-        );
-        self.packed[self.len] = (u64::from(bit) << 34) | (u64::from(c0) << 17) | u64::from(total);
-        self.len += 1;
-    }
-
-    /// Accounts `n` deterministic decisions retired at the model layer.
-    #[inline]
-    pub fn skip_deterministic(&mut self, n: u32) {
-        self.deterministic += n;
-    }
-
-    /// Branchless append for the fused capture descent: always writes the
-    /// packed word at the cursor, advances the cursor only when `coded`.
-    /// A deterministic decision's word is left behind the cursor and
-    /// overwritten by the next level — the classic compaction idiom, so
-    /// the descent never branches on the patternless coded/deterministic
-    /// outcome.
-    #[inline]
-    pub(crate) fn stage(&mut self, packed: u64, coded: bool) {
-        self.packed[self.len] = packed;
-        self.len += usize::from(coded);
-    }
-
-    /// The packed coded decisions, in stream order.
-    #[inline]
-    pub fn coded(&self) -> &[u64] {
-        &self.packed[..self.len]
-    }
-
-    /// Number of coded decisions in the batch.
-    #[inline]
-    pub fn coded_len(&self) -> usize {
-        self.len
-    }
-
-    /// Number of deterministic decisions folded into the batch.
-    #[inline]
-    pub fn deterministic_len(&self) -> u64 {
-        u64::from(self.deterministic)
-    }
-
-    /// Total decisions the batch represents (coded + deterministic).
-    #[inline]
-    pub fn decisions(&self) -> u64 {
-        self.len as u64 + u64::from(self.deterministic)
-    }
-
-    /// Empties the batch for reuse.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.deterministic = 0;
-    }
-}
-
 /// Anything that can encode a stream of binary decisions.
 ///
 /// The adaptive model layer (estimator trees, context banks, symbol coders)
-/// is written against this trait, so the same model code drives a single
-/// [`BinaryEncoder`] or a lane-interleaved
-/// [`LaneEncoder`](crate::LaneEncoder) without knowing which.
+/// is written against this trait, so the same model code drives the
+/// [`BinaryEncoder`] or a measuring stand-in such as [`CountingEncoder`].
 pub trait DecisionEncoder {
     /// Encodes one binary decision with `P(bit = 0) = c0 / total`.
     fn encode(&mut self, bit: bool, c0: u32, total: u32);
@@ -379,39 +265,13 @@ pub trait DecisionEncoder {
     /// touch no coder state; only the decision counter moves.
     fn note_deterministic(&mut self, n: u64);
 
-    /// Whether this encoder is cheaper to drive through
-    /// [`encode_batch`](Self::encode_batch) than through per-decision
-    /// [`encode`](Self::encode) calls.
-    ///
-    /// Buffering encoders (the lane mux) want the batch: they append the
-    /// packed words with a straight copy. An immediate encoder like
-    /// [`BinaryEncoder`] does not — materialising the batch turns the
-    /// model's captured decisions into a store-then-reload roundtrip that
-    /// sits right behind the tree's counter stores, and whether those
-    /// stores alias the reload is decided by heap placement, which makes
-    /// throughput layout-dependent. The model layer consults this to pick
-    /// between staging a batch and coding decisions as the descent
-    /// produces them (both orders are byte-identical by construction).
+    /// No longer consulted: the model layer has one route, which codes
+    /// each decision as its tree descent produces it. The method stays so
+    /// implementations that override it keep compiling; its value has no
+    /// effect.
     #[inline]
     fn prefers_batch(&self) -> bool {
-        true
-    }
-
-    /// Encodes a pre-classified batch of decisions.
-    ///
-    /// The default simply replays the batch through
-    /// [`encode`](Self::encode) one decision at a time — bit-identical to
-    /// the buffering implementations by construction, and the reference the
-    /// differential tests pin them against. The lane mux overrides this to
-    /// append the packed words to its stripe buffer in one copy.
-    #[inline]
-    fn encode_batch(&mut self, batch: &DecisionBatch) {
-        self.note_deterministic(batch.deterministic_len());
-        for &packed in batch.coded() {
-            let total = (packed & 0x1_FFFF) as u32;
-            let c0 = ((packed >> 17) & 0x1_FFFF) as u32;
-            self.encode(packed >> 34 != 0, c0, total);
-        }
+        false
     }
 }
 
@@ -442,14 +302,6 @@ impl DecisionEncoder for CountingEncoder {
         self.coded += u64::from((c0 != 0) & (c0 != total));
     }
 
-    /// Mirrors [`BinaryEncoder`]: the model-stage timing this encoder
-    /// exists for must drive the model through the same code path a real
-    /// single-coder encode takes.
-    #[inline]
-    fn prefers_batch(&self) -> bool {
-        false
-    }
-
     #[inline]
     fn decisions(&self) -> u64 {
         self.decisions
@@ -463,12 +315,6 @@ impl DecisionEncoder for CountingEncoder {
     #[inline]
     fn note_deterministic(&mut self, n: u64) {
         self.decisions += n;
-    }
-
-    #[inline]
-    fn encode_batch(&mut self, batch: &DecisionBatch) {
-        self.decisions += batch.decisions();
-        self.coded += batch.coded_len() as u64;
     }
 }
 
@@ -581,11 +427,6 @@ impl<S: BitSink> BinaryEncoder<S> {
     /// Encodes a decision already known to be non-deterministic
     /// (`0 < c0 < total`), skipping the deterministic shortcut.
     ///
-    /// This is the lane entry point: a
-    /// [`LaneEncoder`](crate::LaneEncoder) retires deterministic decisions
-    /// at the mux level — they touch no interval state, so they must not
-    /// advance the lane cursor — and forwards only coded decisions here.
-    ///
     /// # Panics
     ///
     /// Panics if `total` is zero or exceeds 2^16; in debug builds, also if
@@ -652,15 +493,6 @@ impl<S: BitSink> DecisionEncoder for BinaryEncoder<S> {
     #[inline]
     fn encode(&mut self, bit: bool, c0: u32, total: u32) {
         BinaryEncoder::encode(self, bit, c0, total);
-    }
-
-    /// Immediate encoder: decisions are cheapest coded as the descent
-    /// produces them (see the trait doc for why materialised batches are
-    /// layout-sensitive here). A batch handed to it anyway takes the
-    /// trait's per-decision replay.
-    #[inline]
-    fn prefers_batch(&self) -> bool {
-        false
     }
 
     #[inline]
@@ -737,8 +569,9 @@ impl<S: BitSource> BinaryDecoder<S> {
     }
 
     /// Decodes a decision already known to be non-deterministic
-    /// (`0 < c0 < total`), skipping the deterministic check. The lane entry
-    /// point, mirroring [`BinaryEncoder::encode_coded`].
+    /// (`0 < c0 < total`), skipping the deterministic check — the entry
+    /// point of the model-screened [`DecisionDecoder::decode_nondeterministic`],
+    /// mirroring [`BinaryEncoder::encode_coded`].
     ///
     /// # Panics
     ///
@@ -1125,17 +958,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let mut enc = BinaryEncoder::new(BitWriter::new());
-        let mut batch = DecisionBatch::new();
-        batch.skip_deterministic(9);
-        enc.encode_batch(&batch);
-        assert_eq!(enc.decisions(), 9);
-        assert_eq!(enc.coded_decisions(), 0);
-        assert!(enc.finish().into_bytes().len() <= 1);
     }
 
     #[test]

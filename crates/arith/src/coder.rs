@@ -2,7 +2,7 @@
 //! coding context, adaptive escape decisions, and the static tree.
 
 use crate::adaptive::AdaptiveBit;
-use crate::bincoder::{DecisionBatch, DecisionDecoder, DecisionEncoder, MAX_TOTAL};
+use crate::bincoder::{DecisionDecoder, DecisionEncoder, MAX_TOTAL};
 use crate::stats::CoderStats;
 use crate::tree::{DecisionPath, TreeModel};
 
@@ -105,11 +105,6 @@ pub struct SymbolCoder {
     depth: u32,
     cfg: EstimatorConfig,
     stats: CoderStats,
-    /// Scratch batch reused across [`Self::encode`] calls. A
-    /// [`DecisionBatch`] is 32 packed words; constructing one per symbol
-    /// would memset it per symbol, which is measurable at the coder's
-    /// throughput — `clear` only resets the cursor.
-    batch: DecisionBatch,
 }
 
 impl SymbolCoder {
@@ -141,7 +136,6 @@ impl SymbolCoder {
             depth,
             cfg,
             stats: CoderStats::default(),
-            batch: DecisionBatch::new(),
         }
     }
 
@@ -180,12 +174,13 @@ impl SymbolCoder {
 
     /// Encodes `symbol` in coding context `ctx`.
     ///
-    /// Runs the slice-batched fast path: one
-    /// [`capture_and_update`](TreeModel::capture_and_update) descent
-    /// records the decision probabilities and folds in the count update,
-    /// then the escape decision and the captured slice (or the static
-    /// bits) go to the coder as a batch. Bit-identical to the historical
-    /// probe/code/update sequence.
+    /// Decisions go to the coder as the tree descent produces them. A
+    /// symbol whose path cannot hold a zero branch takes one fused
+    /// [`encode_and_update`](TreeModel::encode_and_update) descent; one
+    /// that may escape is screened by a single
+    /// [`capture_and_update`](TreeModel::capture_and_update) walk first.
+    /// The coder screens deterministic decisions itself. Bit-identical to
+    /// the historical probe/code/update sequence.
     ///
     /// # Panics
     ///
@@ -200,63 +195,29 @@ impl SymbolCoder {
         self.stats.symbols += 1;
         self.stats.decisions += 1 + u64::from(self.depth);
         let tree = &mut self.trees[ctx];
-        if !enc.prefers_batch() {
-            // Immediate encoder: code decisions as the descent produces
-            // them — no batch materialisation (see
-            // [`DecisionEncoder::prefers_batch`]). The coder screens
-            // deterministic decisions itself, so the stream and every
-            // counter match the batch route exactly.
-            let before = enc.coded_decisions();
-            if !tree.maybe_escapes(symbol) {
-                // Hot case: a clear maybe-zero bit *guarantees* the path
-                // has no zero branch, so the escape outcome is known
-                // without a probe and one fused descent codes + updates.
-                self.escape[ctx].encode(enc, false);
-                tree.encode_and_update(enc, symbol);
-            } else {
-                let mut path = DecisionPath::empty();
-                let escaped = tree.capture_and_update(symbol, &mut path);
-                self.escape[ctx].encode(enc, escaped);
-                if escaped {
-                    self.stats.escapes += 1;
-                    for k in (0..self.depth).rev() {
-                        enc.encode((symbol >> k) & 1 == 1, 1, 2);
-                    }
-                } else {
-                    path.replay(enc, symbol);
-                }
-            }
-            self.stats.coded_decisions += enc.coded_decisions() - before;
-            return;
-        }
-        let batch = &mut self.batch;
-        batch.clear();
+        let before = enc.coded_decisions();
         if !tree.maybe_escapes(symbol) {
-            // Hot case, batch route: the escape decision leads the batch
-            // in stream order (both its counts stay nonzero, so it is
-            // always coded), then one fused descent stages the path
-            // decisions directly.
-            self.escape[ctx].encode_into(batch, false);
-            tree.capture_update_into(symbol, batch);
+            // Hot case: a clear maybe-zero bit *guarantees* the path has
+            // no zero branch, so the escape outcome is known without a
+            // probe and one fused descent codes + updates.
+            self.escape[ctx].encode(enc, false);
+            tree.encode_and_update(enc, symbol);
         } else {
-            // The mask bit is set: the symbol *may* escape, so run the
-            // exact capture walk and decide from it.
             let mut path = DecisionPath::empty();
             let escaped = tree.capture_and_update(symbol, &mut path);
-            self.escape[ctx].encode_into(batch, escaped);
+            self.escape[ctx].encode(enc, escaped);
             if escaped {
                 self.stats.escapes += 1;
                 // Static tree: the symbol is sent as-is, one equiprobable
-                // (never deterministic) decision per bit.
+                // decision per bit.
                 for k in (0..self.depth).rev() {
-                    batch.push_coded((symbol >> k) & 1 == 1, 1, 2);
+                    enc.encode((symbol >> k) & 1 == 1, 1, 2);
                 }
             } else {
-                path.push_onto(batch, symbol);
+                path.replay(enc, symbol);
             }
         }
-        self.stats.coded_decisions += batch.coded_len() as u64;
-        enc.encode_batch(batch);
+        self.stats.coded_decisions += enc.coded_decisions() - before;
     }
 
     /// Decodes one symbol from coding context `ctx` (the fused
@@ -306,11 +267,10 @@ impl SymbolCoder {
     }
 }
 
-/// The historical per-decision coding sequence, kept as the reference the
-/// differential tests pin the batched fast path against (and compiled into
-/// dependants under `--features reference-coder` for their own
-/// differentials).
-#[cfg(any(test, feature = "reference-coder"))]
+/// The historical per-decision coding sequence, kept as the oracle the
+/// differential tests pin [`SymbolCoder::encode`] and
+/// [`SymbolCoder::decode`] against.
+#[cfg(test)]
 impl SymbolCoder {
     /// Encodes `symbol` exactly as the pre-fast-path coder did: an escape
     /// probe descent, per-decision coder calls, then a separate update
@@ -506,7 +466,7 @@ mod tests {
         assert_eq!(enc.coded_decisions(), stats.coded_decisions);
     }
 
-    /// The batched fast path must match the historical per-decision
+    /// The fused coding path must match the historical per-decision
     /// reference byte for byte — and statistic for statistic — across a
     /// rescale- and escape-heavy stream.
     #[test]

@@ -51,16 +51,14 @@
 mod adaptive;
 mod bincoder;
 mod coder;
-mod lanes;
 mod stats;
 mod tree;
 
 pub use adaptive::AdaptiveBit;
 pub use bincoder::{
-    BinaryDecoder, BinaryEncoder, CountingEncoder, DecisionBatch, DecisionDecoder, DecisionEncoder,
+    BinaryDecoder, BinaryEncoder, CountingEncoder, DecisionDecoder, DecisionEncoder,
 };
 pub use coder::{DecisionsPerSymbol, EstimatorConfig, SymbolCoder};
-pub use lanes::{LaneDecoder, LaneEncoder, MAX_LANES};
 pub use stats::CoderStats;
 pub use tree::{DecisionPath, TreeModel};
 

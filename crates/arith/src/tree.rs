@@ -15,7 +15,7 @@
 //! ≈ 4 KBytes of SRAM, exactly the figure the paper reports. Storing
 //! (left, right) pairs would double that.
 
-use crate::bincoder::{DecisionBatch, DecisionDecoder, DecisionEncoder};
+use crate::bincoder::{DecisionDecoder, DecisionEncoder};
 use crate::coder::EstimatorConfig;
 use std::sync::OnceLock;
 
@@ -49,24 +49,18 @@ fn path_rom(depth: u32) -> &'static [u64] {
 /// path: the `(c0, visits)` pair of every internal node the symbol
 /// traverses, recorded in one descent by
 /// [`TreeModel::capture_and_update`] and replayed into the arithmetic
-/// coder as a batch.
+/// coder.
 ///
-/// This is the slice-batched fast path the image engine codes through:
-/// instead of three separate descents per symbol (escape probe, decision
-/// coding, count update) the tree is walked **once**, and the coder
-/// consumes the captured slice afterwards. The emitted bits are identical
-/// to the three-descent sequence — only the number of tree traversals
-/// changes.
+/// This is the encode path of symbols that may escape: instead of three
+/// separate descents per symbol (escape probe, decision coding, count
+/// update) the tree is walked **once**, and the coder consumes the
+/// captured slice afterwards. The emitted bits are identical to the
+/// three-descent sequence — only the number of tree traversals changes.
 #[derive(Debug, Clone, Copy)]
 pub struct DecisionPath {
     c0: [u32; 8],
     visits: [u32; 8],
     len: u32,
-    /// Bit `k` set ⇔ level `k`'s decision is *coded* (`0 < c0 < visits`).
-    /// Decisions with a clear bit are deterministic — the coded side owns
-    /// the whole interval, zero bits are emitted, no coder state moves —
-    /// and the fast path retires them without ever calling the coder.
-    coded_mask: u32,
 }
 
 impl DecisionPath {
@@ -77,7 +71,6 @@ impl DecisionPath {
             c0: [0; 8],
             visits: [0; 8],
             len: 0,
-            coded_mask: 0,
         }
     }
 
@@ -91,17 +84,6 @@ impl DecisionPath {
         self.len == 0
     }
 
-    /// Bitmask of the levels whose decisions are non-deterministic, as
-    /// classified at capture time (bit `k` = level `k`, root first).
-    pub fn coded_mask(&self) -> u32 {
-        self.coded_mask
-    }
-
-    /// Number of captured decisions that will actually reach the coder.
-    pub fn coded_len(&self) -> u32 {
-        self.coded_mask.count_ones()
-    }
-
     /// Replays the captured decision sequence of `symbol` into the coder —
     /// bit-identical to [`TreeModel::encode_decisions`] with the counts
     /// that were current at capture time.
@@ -111,24 +93,6 @@ impl DecisionPath {
             let bit = (symbol >> (self.len - 1 - k)) & 1 == 1;
             let i = k as usize;
             enc.encode(bit, self.c0[i], self.visits[i]);
-        }
-    }
-
-    /// Appends the captured path to a [`DecisionBatch`]: coded levels are
-    /// pushed in stream order (root first), deterministic levels are only
-    /// counted. Equivalent to [`replay`](Self::replay) once the batch is
-    /// submitted, with the per-decision deterministic screening already
-    /// resolved here at the model layer.
-    #[inline]
-    pub fn push_onto(&self, batch: &mut DecisionBatch, symbol: u8) {
-        let mut mask = self.coded_mask;
-        batch.skip_deterministic(self.len - mask.count_ones());
-        while mask != 0 {
-            let k = mask.trailing_zeros();
-            let bit = (symbol >> (self.len - 1 - k)) & 1 == 1;
-            let i = k as usize;
-            batch.push_coded(bit, self.c0[i], self.visits[i]);
-            mask &= mask - 1;
         }
     }
 }
@@ -327,7 +291,7 @@ impl TreeModel {
         symbol
     }
 
-    /// The slice-batched fast path: walks `symbol`'s root-to-leaf path
+    /// The single-descent capture: walks `symbol`'s root-to-leaf path
     /// **once**, capturing each level's `(c0, visits)` pair into `path`,
     /// detecting whether the symbol must escape, and folding the count
     /// update into the same descent. Returns `true` when some branch on
@@ -357,7 +321,6 @@ impl TreeModel {
         let nodes = self.rom[usize::from(symbol)];
         let mut visits = self.total;
         let mut escaped = false;
-        let mut coded_mask = 0u32;
         for k in 0..self.depth {
             let bit = (symbol >> (self.depth - 1 - k)) & 1;
             let node = ((nodes >> (8 * k)) & 0xFF) as usize;
@@ -370,66 +333,14 @@ impl TreeModel {
             // zero too, so the walk stays well-defined.
             let branch = if bit == 0 { c0 } else { visits - c0 };
             escaped |= branch == 0;
-            // Capture-time classification: the decision is deterministic
-            // when either side owns the whole visit count — the coder
-            // would emit zero bits — so only `0 < c0 < visits` levels are
-            // marked for coding.
-            coded_mask |= u32::from((c0 != 0) & (c0 != visits)) << k;
             // Branchless conditional bump: the symbol bits are close to
             // random, so a `if bit == 0` store would mispredict every
             // other level of the descent.
             self.left[node] += inc & u16::from(bit).wrapping_sub(1);
             visits = branch;
         }
-        path.coded_mask = coded_mask;
         self.total += self.increment;
         escaped
-    }
-
-    /// The encode hot path for symbols whose [`Self::maybe_escapes`] bit
-    /// is clear: one flattened descent that classifies each level and
-    /// stages the coded decisions *directly* into the batch — no
-    /// intermediate [`DecisionPath`], no repack pass. Bit-identical to
-    /// [`Self::capture_and_update`] + [`DecisionPath::push_onto`] (the
-    /// rescale-imminent case falls back to exactly that pair, so the
-    /// coded probabilities never see a half-aged tree).
-    ///
-    /// The caller must have screened the symbol with
-    /// [`Self::maybe_escapes`]: a zero branch on the path would stage a
-    /// zero-probability decision and corrupt the stream (debug builds
-    /// catch it in the coder).
-    #[inline]
-    pub(crate) fn capture_update_into(&mut self, symbol: u8, batch: &mut DecisionBatch) {
-        if self.total + self.increment > self.max_total {
-            let mut path = DecisionPath::empty();
-            path.len = self.depth;
-            let escaped = self.capture(symbol, &mut path);
-            debug_assert!(!escaped, "caller must screen with maybe_escapes");
-            self.update(symbol);
-            path.push_onto(batch, symbol);
-            return;
-        }
-        let inc = self.increment as u16;
-        let nodes = self.rom[usize::from(symbol)];
-        let mut visits = self.total;
-        let start = batch.coded_len();
-        for k in 0..self.depth {
-            let bit = (symbol >> (self.depth - 1 - k)) & 1;
-            let node = ((nodes >> (8 * k)) & 0xFF) as usize;
-            let c0 = u32::from(self.left[node]);
-            // Capture-time classification, staged without a branch: only
-            // `0 < c0 < visits` levels advance the batch cursor.
-            let coded = (c0 != 0) & (c0 != visits);
-            batch.stage(
-                (u64::from(bit) << 34) | (u64::from(c0) << 17) | u64::from(visits),
-                coded,
-            );
-            // Branchless conditional bump (see `capture_and_update`).
-            self.left[node] += inc & u16::from(bit).wrapping_sub(1);
-            visits = if bit == 0 { c0 } else { visits - c0 };
-        }
-        batch.skip_deterministic(self.depth - (batch.coded_len() - start) as u32);
-        self.total += self.increment;
     }
 
     /// Read-only capture of `symbol`'s path (the rescale-imminent slow
@@ -438,7 +349,6 @@ impl TreeModel {
         let mut node = 1usize;
         let mut visits = self.total;
         let mut escaped = false;
-        let mut coded_mask = 0u32;
         for k in 0..self.depth {
             let bit = (symbol >> (self.depth - 1 - k)) & 1;
             let c0 = u32::from(self.left[node]);
@@ -447,11 +357,9 @@ impl TreeModel {
             path.visits[i] = visits;
             let branch = if bit == 0 { c0 } else { visits - c0 };
             escaped |= branch == 0;
-            coded_mask |= u32::from((c0 != 0) & (c0 != visits)) << k;
             visits = branch;
             node = node * 2 + usize::from(bit);
         }
-        path.coded_mask = coded_mask;
         escaped
     }
 
@@ -899,44 +807,6 @@ mod tests {
             }
         }
         assert_eq!(dec_tree, enc_tree, "decoder state diverged");
-    }
-
-    /// The capture-time classification must agree with the coder's own
-    /// deterministic screening: pushing only the coded levels of a path
-    /// into a batch yields the same bytes as replaying every level through
-    /// the per-decision entry point, across rescale-heavy adaptation.
-    #[test]
-    fn classified_batches_match_per_decision_replay() {
-        let cfg = EstimatorConfig {
-            count_bits: 10,
-            increment: 32,
-            ..EstimatorConfig::default()
-        };
-        let mut tree = TreeModel::new(8, cfg);
-        let mut batch_enc = BinaryEncoder::new(BitWriter::new());
-        let mut replay_enc = BinaryEncoder::new(BitWriter::new());
-        let mut path = DecisionPath::empty();
-        let mut batch = crate::DecisionBatch::new();
-        let mut deterministic_seen = false;
-        for i in 0..6000u32 {
-            let s = (i.wrapping_mul(2654435761) >> 16) as u8;
-            if tree.capture_and_update(s, &mut path) {
-                continue;
-            }
-            deterministic_seen |= path.coded_len() < path.len() as u32;
-            batch.clear();
-            path.push_onto(&mut batch, s);
-            batch_enc.encode_batch(&batch);
-            path.replay(&mut replay_enc, s);
-        }
-        assert!(deterministic_seen, "stream never hit a deterministic level");
-        assert!(tree.rescales() > 0, "test must cross rescales");
-        assert_eq!(batch_enc.decisions(), replay_enc.decisions());
-        assert_eq!(
-            batch_enc.finish().into_bytes(),
-            replay_enc.finish().into_bytes(),
-            "classification or batching changed the stream"
-        );
     }
 
     #[test]

@@ -3,18 +3,15 @@
 //! ```text
 //! cargo run --release -p cbic-bench --bin throughput_json -- \
 //!     [--json] [--size N] [--out PATH] [--baseline PATH] [--label TEXT] \
-//!     [--lanes L1,L2,...] [--threads T1,T2,...] [--grid WxH] \
-//!     [--check PATH] [--quick]
+//!     [--threads T1,T2,...] [--grid WxH] [--check PATH] [--quick]
 //! ```
 //!
 //! Without `--json`, prints a human-readable table. With `--json`, writes
-//! the report document (schema 1: `{schema, size, label, results,
+//! the report document (schema 2: `{schema, size, label, results,
 //! baseline}`) to `--out` (default `BENCH_throughput.json` in the current
 //! directory). `--baseline PATH` embeds a previous report's `results`
 //! array so the committed file carries its own speed-up reference;
-//! `--lanes` sweeps the proposed codec over the given coder-lane counts
-//! (default `1,2,4,8`; other codecs always run single-lane); `--threads`
-//! additionally measures the v4 tile-grid wavefront path on one
+//! `--threads` additionally measures the v4 tile-grid wavefront path on one
 //! `--grid`-sized frame (default 3840x2160, i.e. 4K) once per thread
 //! count — the multi-core scaling cells; `--quick` caps each cell at a
 //! handful of iterations for CI smoke runs.
@@ -22,9 +19,10 @@
 //! `--check PATH` turns the run into a regression gate: after measuring,
 //! the proposed-codec cells are compared against the `results` array of
 //! the committed report at PATH, and the process exits non-zero if any
-//! matching cell (same class and lane count) lost more than 25% encode or
-//! decode throughput. Cells present on only one side are ignored, so the
-//! sweep may widen without breaking the gate.
+//! matching cell (same class and thread count) lost more than 25% encode
+//! or decode throughput. Cells present on only one side are ignored, so
+//! the sweep may widen without breaking the gate; the multi-lane cells of
+//! reports written before coder lanes were retired are skipped.
 
 use cbic_bench::perf;
 
@@ -42,7 +40,6 @@ fn main() {
     let mut baseline_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut label = "current".to_string();
-    let mut lane_settings = vec![1usize, 2, 4, 8];
     let mut thread_settings: Vec<usize> = Vec::new();
     let mut grid = (3840usize, 2160usize);
     let mut i = 0;
@@ -67,28 +64,6 @@ fn main() {
             "--baseline" => baseline_path = Some(take(&mut i)),
             "--check" => check_path = Some(take(&mut i)),
             "--label" => label = take(&mut i),
-            "--lanes" => {
-                lane_settings = take(&mut i)
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|l| (1..=cbic_core::MAX_LANES).contains(l))
-                            .unwrap_or_else(|| {
-                                eprintln!(
-                                    "error: bad --lanes entry {s:?} (want 1..={})",
-                                    cbic_core::MAX_LANES
-                                );
-                                std::process::exit(2);
-                            })
-                    })
-                    .collect();
-                if lane_settings.is_empty() {
-                    eprintln!("error: --lanes needs at least one lane count");
-                    std::process::exit(2);
-                }
-            }
             "--threads" => {
                 thread_settings = take(&mut i)
                     .split(',')
@@ -118,9 +93,8 @@ fn main() {
             other => {
                 eprintln!(
                     "usage: throughput_json [--json] [--size N] [--out PATH] \
-                     [--baseline PATH] [--label TEXT] [--lanes L1,L2,...] \
-                     [--threads T1,T2,...] [--grid WxH] [--check PATH] \
-                     [--quick] (got {other})"
+                     [--baseline PATH] [--label TEXT] [--threads T1,T2,...] \
+                     [--grid WxH] [--check PATH] [--quick] (got {other})"
                 );
                 std::process::exit(2);
             }
@@ -130,10 +104,10 @@ fn main() {
 
     let (min_secs, max_iters) = if quick { (0.05, 3) } else { (0.4, 40) };
     eprintln!(
-        "measuring {size}x{size} corpus ({} classes, lanes {lane_settings:?})...",
+        "measuring {size}x{size} corpus ({} classes)...",
         perf::CLASSES.len()
     );
-    let mut records = perf::measure_throughput_lanes(size, min_secs, max_iters, &lane_settings);
+    let mut records = perf::measure_throughput(size, min_secs, max_iters);
     if !thread_settings.is_empty() {
         let (gw, gh) = grid;
         eprintln!("measuring {gw}x{gh} v4 tile grid (threads {thread_settings:?})...");

@@ -19,16 +19,13 @@ use std::time::Instant;
 /// golden fixtures pin.
 pub const CLASSES: [CorpusImage; 3] = [CorpusImage::Lena, CorpusImage::Barb, CorpusImage::Mandrill];
 
-/// One measured cell: a codec on a corpus class at a lane setting.
+/// One measured cell: a codec on a corpus class at a thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputRecord {
     /// Registry codec name.
     pub codec: String,
     /// Corpus class name.
     pub class: String,
-    /// Interleaved coder lanes (1 = the classic single-coder stream; only
-    /// lane-aware codecs are measured above 1).
-    pub lanes: usize,
     /// Worker threads driving the tile-grid wavefront (1 = sequential;
     /// only the v4 grid cells are measured above 1).
     pub threads: usize,
@@ -82,18 +79,7 @@ fn time_per_iter<F: FnMut()>(mut f: F, min_secs: f64, max_iters: u32) -> f64 {
 /// under a minute on one core while averaging enough iterations to be
 /// stable.
 pub fn measure_throughput(size: usize, min_secs: f64, max_iters: u32) -> Vec<ThroughputRecord> {
-    measure_throughput_lanes(size, min_secs, max_iters, &[1])
-}
-
-/// [`measure_throughput`] with a lane sweep: the lane-aware `proposed`
-/// codec is measured once per entry of `lane_settings`, every other codec
-/// once (at one lane — they have no lane knob).
-pub fn measure_throughput_lanes(
-    size: usize,
-    min_secs: f64,
-    max_iters: u32,
-    lane_settings: &[usize],
-) -> Vec<ThroughputRecord> {
+    let enc_opts = EncodeOptions::default();
     let dec_opts = DecodeOptions::default();
     let mut out = Vec::new();
     for class in CLASSES {
@@ -101,8 +87,6 @@ pub fn measure_throughput_lanes(
         let pixels = img.pixel_count() as f64;
         // One model-only pass per class: the decision statistics and the
         // model stage's share of encode time for the proposed-codec rows.
-        // Decisions depend only on the pixels and the model, never on the
-        // lane count, so a single pass covers the whole lane sweep.
         let model_cfg = cbic_core::CodecConfig::default();
         let model_stats = cbic_core::encode_model_only(img.view(), &model_cfg);
         let model_secs = time_per_iter(
@@ -113,54 +97,45 @@ pub fn measure_throughput_lanes(
             max_iters,
         );
         for codec in cbic_universal::codecs::all_codecs() {
-            let settings: &[usize] = if codec.name() == "proposed" {
-                lane_settings
-            } else {
-                &[1]
-            };
-            for &lanes in settings {
-                let enc_opts = EncodeOptions::default().with_lanes(lanes);
-                let bytes = codec
-                    .encode_vec(img.view(), &enc_opts)
-                    .expect("Vec sink cannot fail");
-                let bpp = bytes.len() as f64 * 8.0 / pixels;
-                let enc_secs = time_per_iter(
-                    || {
-                        std::hint::black_box(
-                            codec
-                                .encode_vec(img.view(), &enc_opts)
-                                .expect("Vec sink cannot fail"),
-                        );
-                    },
-                    min_secs,
-                    max_iters,
-                );
-                let dec_secs = time_per_iter(
-                    || {
-                        std::hint::black_box(
-                            codec
-                                .decode_vec(&bytes, &dec_opts)
-                                .expect("own container decodes"),
-                        );
-                    },
-                    min_secs,
-                    max_iters,
-                );
-                let proposed = codec.name() == "proposed";
-                out.push(ThroughputRecord {
-                    codec: codec.name().to_string(),
-                    class: class.name().to_string(),
-                    lanes,
-                    threads: 1,
-                    encode_mps: pixels / enc_secs / 1e6,
-                    decode_mps: pixels / dec_secs / 1e6,
-                    bpp,
-                    decisions_per_px: proposed.then(|| model_stats.decisions_per_pixel()),
-                    deterministic_fraction: proposed.then(|| model_stats.deterministic_fraction()),
-                    model_ns_px: proposed.then(|| model_secs * 1e9 / pixels),
-                    coder_ns_px: proposed.then(|| (enc_secs - model_secs).max(0.0) * 1e9 / pixels),
-                });
-            }
+            let bytes = codec
+                .encode_vec(img.view(), &enc_opts)
+                .expect("Vec sink cannot fail");
+            let bpp = bytes.len() as f64 * 8.0 / pixels;
+            let enc_secs = time_per_iter(
+                || {
+                    std::hint::black_box(
+                        codec
+                            .encode_vec(img.view(), &enc_opts)
+                            .expect("Vec sink cannot fail"),
+                    );
+                },
+                min_secs,
+                max_iters,
+            );
+            let dec_secs = time_per_iter(
+                || {
+                    std::hint::black_box(
+                        codec
+                            .decode_vec(&bytes, &dec_opts)
+                            .expect("own container decodes"),
+                    );
+                },
+                min_secs,
+                max_iters,
+            );
+            let proposed = codec.name() == "proposed";
+            out.push(ThroughputRecord {
+                codec: codec.name().to_string(),
+                class: class.name().to_string(),
+                threads: 1,
+                encode_mps: pixels / enc_secs / 1e6,
+                decode_mps: pixels / dec_secs / 1e6,
+                bpp,
+                decisions_per_px: proposed.then(|| model_stats.decisions_per_pixel()),
+                deterministic_fraction: proposed.then(|| model_stats.deterministic_fraction()),
+                model_ns_px: proposed.then(|| model_secs * 1e9 / pixels),
+                coder_ns_px: proposed.then(|| (enc_secs - model_secs).max(0.0) * 1e9 / pixels),
+            });
         }
     }
     out
@@ -172,7 +147,7 @@ pub fn measure_throughput_lanes(
 ///
 /// The class name carries the geometry (`lena_3840x2160_grid`) so these
 /// rows never collide with the flat `size`×`size` cells in the regression
-/// gate's `(codec, class, lanes, threads)` key. On a single-core host the
+/// gate's `(codec, class, threads)` key. On a single-core host the
 /// `threads > 1` rows measure scheduler overhead rather than speedup;
 /// commit them anyway — the trajectory file is for honest numbers.
 pub fn measure_grid_threads(
@@ -212,7 +187,6 @@ pub fn measure_grid_threads(
         out.push(ThroughputRecord {
             codec: "proposed".to_string(),
             class: class.clone(),
-            lanes: 1,
             threads,
             encode_mps: pixels / enc_secs / 1e6,
             decode_mps: pixels / dec_secs / 1e6,
@@ -246,11 +220,10 @@ pub fn records_to_json(records: &[ThroughputRecord]) -> String {
         .iter()
         .map(|r| {
             let mut cell = format!(
-                "    {{\"codec\": \"{}\", \"class\": \"{}\", \"lanes\": {}, \"threads\": {}, \
+                "    {{\"codec\": \"{}\", \"class\": \"{}\", \"threads\": {}, \
                  \"encode_mps\": {:.3}, \"decode_mps\": {:.3}, \"bpp\": {:.4}",
                 json_escape(&r.codec),
                 json_escape(&r.class),
-                r.lanes,
                 r.threads,
                 r.encode_mps,
                 r.decode_mps,
@@ -329,8 +302,9 @@ pub fn extract_results(report: &str) -> Option<&str> {
 
 /// Parses the record objects out of a `results` array previously rendered
 /// by [`records_to_json`] (or a whole report — the first array wins).
-/// Objects missing a `lanes` key (pre-lane reports) default to one lane,
-/// and likewise a missing `threads` key (pre-grid reports) defaults to
+/// Objects carrying a `lanes` key other than 1 are cells of the retired
+/// coder-lane sweep and are skipped (one-lane and lane-free objects are
+/// the same cell); a missing `threads` key (pre-grid reports) defaults to
 /// one thread; the schema-2 stage fields (`decisions_per_px`,
 /// `deterministic_fraction`, `model_ns_px`, `coder_ns_px`) parse as `None`
 /// when absent; objects missing any other key are skipped. The parser only
@@ -353,11 +327,13 @@ pub fn parse_records(json: &str) -> Vec<ThroughputRecord> {
         let Some(obj) = obj.split('}').next() else {
             continue;
         };
+        if field(obj, "lanes").is_some_and(|lanes| lanes != "1") {
+            continue;
+        }
         let parsed = (|| -> Option<ThroughputRecord> {
             Some(ThroughputRecord {
                 codec: field(obj, "codec")?,
                 class: field(obj, "class")?,
-                lanes: field(obj, "lanes").map_or(Some(1), |v| v.parse().ok())?,
                 threads: field(obj, "threads").map_or(Some(1), |v| v.parse().ok())?,
                 encode_mps: field(obj, "encode_mps")?.parse().ok()?,
                 decode_mps: field(obj, "decode_mps")?.parse().ok()?,
@@ -379,7 +355,7 @@ pub fn parse_records(json: &str) -> Vec<ThroughputRecord> {
 /// Compares the `proposed`-codec rows of `current` against `baseline`,
 /// returning one message per cell whose encode or decode throughput fell
 /// below `1 - tolerance` of the baseline value (cells only present on one
-/// side are ignored — a lane sweep may widen between runs). When both
+/// side are ignored — a thread sweep may widen between runs). When both
 /// sides carry the schema-2 stage fields, those are gated too: more
 /// decisions per pixel or a smaller deterministic fraction beyond the same
 /// tolerance are regressions; the model/coder stage times gate at twice
@@ -392,22 +368,19 @@ pub fn throughput_regressions(
 ) -> Vec<String> {
     let mut out = Vec::new();
     for cur in current.iter().filter(|r| r.codec == "proposed") {
-        let Some(base) = baseline.iter().find(|b| {
-            b.codec == cur.codec
-                && b.class == cur.class
-                && b.lanes == cur.lanes
-                && b.threads == cur.threads
-        }) else {
+        let Some(base) = baseline
+            .iter()
+            .find(|b| b.codec == cur.codec && b.class == cur.class && b.threads == cur.threads)
+        else {
             continue;
         };
         let floor_enc = base.encode_mps * (1.0 - tolerance);
         let floor_dec = base.decode_mps * (1.0 - tolerance);
         if cur.encode_mps < floor_enc {
             out.push(format!(
-                "{}/{} lanes={} threads={}: encode {:.3} MP/s < {:.3} ({:.1}% below baseline {:.3})",
+                "{}/{} threads={}: encode {:.3} MP/s < {:.3} ({:.1}% below baseline {:.3})",
                 cur.codec,
                 cur.class,
-                cur.lanes,
                 cur.threads,
                 cur.encode_mps,
                 floor_enc,
@@ -417,10 +390,9 @@ pub fn throughput_regressions(
         }
         if cur.decode_mps < floor_dec {
             out.push(format!(
-                "{}/{} lanes={} threads={}: decode {:.3} MP/s < {:.3} ({:.1}% below baseline {:.3})",
+                "{}/{} threads={}: decode {:.3} MP/s < {:.3} ({:.1}% below baseline {:.3})",
                 cur.codec,
                 cur.class,
-                cur.lanes,
                 cur.threads,
                 cur.decode_mps,
                 floor_dec,
@@ -428,10 +400,7 @@ pub fn throughput_regressions(
                 base.decode_mps
             ));
         }
-        let cell = format!(
-            "{}/{} lanes={} threads={}",
-            cur.codec, cur.class, cur.lanes, cur.threads
-        );
+        let cell = format!("{}/{} threads={}", cur.codec, cur.class, cur.threads);
         // Lower-is-better stage fields: ceiling at 1 + tolerance.
         // `decisions_per_px` is an exact count and gets the base tolerance;
         // the stage times are wall-clock sub-measurements (and coder ns is
@@ -485,26 +454,16 @@ pub fn throughput_regressions(
 /// cells that carry them.
 pub fn print_report(records: &[ThroughputRecord]) {
     println!(
-        "{:<10} {:<20} {:>5} {:>7} {:>12} {:>12} {:>8} {:>7} {:>9} {:>9}",
-        "codec",
-        "class",
-        "lanes",
-        "threads",
-        "enc MP/s",
-        "dec MP/s",
-        "bpp",
-        "det",
-        "model ns",
-        "coder ns"
+        "{:<10} {:<20} {:>7} {:>12} {:>12} {:>8} {:>7} {:>9} {:>9}",
+        "codec", "class", "threads", "enc MP/s", "dec MP/s", "bpp", "det", "model ns", "coder ns"
     );
     let opt =
         |v: Option<f64>, prec: usize| v.map_or_else(|| "-".to_string(), |v| format!("{v:.prec$}"));
     for r in records {
         println!(
-            "{:<10} {:<20} {:>5} {:>7} {:>12.3} {:>12.3} {:>8.4} {:>7} {:>9} {:>9}",
+            "{:<10} {:<20} {:>7} {:>12.3} {:>12.3} {:>8.4} {:>7} {:>9} {:>9}",
             r.codec,
             r.class,
-            r.lanes,
             r.threads,
             r.encode_mps,
             r.decode_mps,
@@ -524,7 +483,6 @@ mod tests {
         ThroughputRecord {
             codec: codec.into(),
             class: "lena".into(),
-            lanes: 1,
             threads: 1,
             encode_mps: mps,
             decode_mps: mps / 2.0,
@@ -581,7 +539,6 @@ mod tests {
                 r.encode_mps > 0.0 && r.decode_mps > 0.0 && r.bpp > 0.0,
                 "{r:?}"
             );
-            assert_eq!(r.lanes, 1);
             // Stage statistics ride only on the proposed-codec cells.
             if r.codec == "proposed" {
                 let dpx = r.decisions_per_px.expect("proposed carries decisions");
@@ -598,25 +555,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_sweep_multiplies_only_the_proposed_rows() {
-        let records = measure_throughput_lanes(16, 0.0, 1, &[1, 2]);
-        let proposed = records.iter().filter(|r| r.codec == "proposed").count();
-        let others = records.iter().filter(|r| r.codec != "proposed").count();
-        assert_eq!(proposed, CLASSES.len() * 2);
-        assert_eq!(
-            others,
-            CLASSES.len() * (cbic_universal::codecs::all_codecs().len() - 1)
-        );
-        assert!(records
-            .iter()
-            .any(|r| r.codec == "proposed" && r.lanes == 2));
-    }
-
-    #[test]
     fn records_roundtrip_through_json() {
         let records = vec![
             ThroughputRecord {
-                lanes: 4,
+                threads: 4,
                 ..record("proposed", 10.0)
             },
             record("slp", 20.0),
@@ -642,14 +584,21 @@ mod tests {
 
     #[test]
     fn parser_defaults_missing_lanes_and_threads_to_one() {
+        // A pre-lane object (no `lanes` key) and a one-lane object are the
+        // same single-coder cell; the retired multi-lane cells are skipped.
         let legacy = r#"[
-    {"codec": "proposed", "class": "lena", "encode_mps": 6.612, "decode_mps": 6.215, "bpp": 4.7}
+    {"codec": "proposed", "class": "lena", "encode_mps": 6.612, "decode_mps": 6.215, "bpp": 4.7},
+    {"codec": "proposed", "class": "barb", "lanes": 1, "threads": 1, "encode_mps": 6.1, "decode_mps": 6.0, "bpp": 5.0},
+    {"codec": "proposed", "class": "barb", "lanes": 4, "threads": 1, "encode_mps": 4.1, "decode_mps": 3.5, "bpp": 5.1}
   ]"#;
         let parsed = parse_records(legacy);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].lanes, 1);
+        assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].threads, 1);
         assert_eq!(parsed[0].encode_mps, 6.612);
+        assert_eq!(
+            (parsed[1].class.as_str(), parsed[1].encode_mps),
+            ("barb", 6.1)
+        );
     }
 
     #[test]
@@ -659,7 +608,7 @@ mod tests {
         for (r, threads) in records.iter().zip([1usize, 2]) {
             assert_eq!(r.codec, "proposed");
             assert_eq!(r.class, "lena_48x32_grid");
-            assert_eq!((r.lanes, r.threads), (1, threads));
+            assert_eq!(r.threads, threads);
             assert!(
                 r.encode_mps > 0.0 && r.decode_mps > 0.0 && r.bpp > 0.0,
                 "{r:?}"
@@ -670,9 +619,9 @@ mod tests {
         // And the cells survive a JSON roundtrip with threads intact
         // (throughputs are rounded by the serializer, so compare keys).
         let parsed = parse_records(&records_to_json(&records));
-        let keys = |rs: &[ThroughputRecord]| -> Vec<(String, String, usize, usize)> {
+        let keys = |rs: &[ThroughputRecord]| -> Vec<(String, String, usize)> {
             rs.iter()
-                .map(|r| (r.codec.clone(), r.class.clone(), r.lanes, r.threads))
+                .map(|r| (r.codec.clone(), r.class.clone(), r.threads))
                 .collect()
         };
         assert_eq!(keys(&parsed), keys(&records));
@@ -734,7 +683,7 @@ mod tests {
         assert!(msgs[0].contains("proposed/lena"));
         // Cells only in the current run (wider sweep) are ignored.
         let wider = vec![ThroughputRecord {
-            lanes: 8,
+            threads: 8,
             ..record("proposed", 0.1)
         }];
         assert!(throughput_regressions(&wider, &base, 0.25).is_empty());

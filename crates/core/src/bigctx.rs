@@ -24,8 +24,7 @@
 //!
 //! Only the **error-feedback context** changes: the coding contexts (the
 //! 8 `QE` estimator-tree banks) and the per-pixel decision count are the
-//! classic ones, so lane striping, streaming, tiling, and the grid all
-//! work unchanged. The memory budget is accounted by
+//! classic ones, so streaming, tiling, and the grid all work unchanged. The memory budget is accounted by
 //! [`cbic_hw::memory::ContextBankLayout`]: the default
 //! [`WideConfig`] (2¹⁰ banks) costs exactly 2× the classic store at the
 //! paper's bit widths, and the largest exponent the 4× budget admits is

@@ -12,7 +12,7 @@
 use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{
     BinaryDecoder, BinaryEncoder, CoderStats, CountingEncoder, DecisionDecoder, DecisionEncoder,
-    EstimatorConfig, LaneDecoder, LaneEncoder, SymbolCoder,
+    EstimatorConfig, SymbolCoder,
 };
 use cbic_bitio::{BitReader, BitWriter};
 use cbic_image::{Image, ImageView, ImageViewMut};
@@ -268,33 +268,6 @@ impl SampleCoder {
             u16::from(self.lo.decode(dec, ctx))
         }
     }
-
-    /// [`encode`](Self::encode) through the historical per-decision
-    /// sequence (see [`SymbolCoder::encode_reference`]). Byte-identical to
-    /// the batched fast path; compiled only for differential testing.
-    #[cfg(feature = "reference-coder")]
-    pub fn encode_reference<E: DecisionEncoder>(&mut self, enc: &mut E, ctx: usize, folded: u16) {
-        if let Some(hi) = &mut self.hi {
-            hi.encode_reference(enc, ctx, (folded >> 8) as u8);
-            self.lo.encode_reference(enc, ctx, (folded & 0xFF) as u8);
-        } else {
-            debug_assert!(self.bit_depth == 8 || folded < 1 << self.bit_depth);
-            self.lo.encode_reference(enc, ctx, folded as u8);
-        }
-    }
-
-    /// [`decode`](Self::decode) through the historical decode-then-update
-    /// sequence. Compiled only for differential testing.
-    #[cfg(feature = "reference-coder")]
-    pub fn decode_reference<D: DecisionDecoder>(&mut self, dec: &mut D, ctx: usize) -> u16 {
-        if let Some(hi) = &mut self.hi {
-            let high = u16::from(hi.decode_reference(dec, ctx));
-            let low = u16::from(self.lo.decode_reference(dec, ctx));
-            (high << 8) | low
-        } else {
-            u16::from(self.lo.decode_reference(dec, ctx))
-        }
-    }
 }
 
 /// Encodes the pixels of `img` into a raw arithmetic-coded payload (no
@@ -361,72 +334,6 @@ pub fn encode_model_only(img: ImageView<'_>, cfg: &CodecConfig) -> EncodeStats {
         decisions: enc.decisions(),
         coded_decisions: enc.coded_decisions(),
     }
-}
-
-/// [`encode_raw`] over `lanes` interleaved coder lanes, returning one raw
-/// substream per lane (no container header, no length table).
-///
-/// The engine's decision stream is dealt round-robin across `lanes`
-/// independent arithmetic-coder interval states (see
-/// [`LaneEncoder`]); the adaptive model is shared and updated in strict
-/// program order, so the *decisions* are identical for every lane count —
-/// only their packing into substreams changes. `lanes == 1` produces the
-/// exact [`encode_raw`] payload.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or `lanes` is zero or above
-/// [`cbic_arith::MAX_LANES`].
-pub fn encode_raw_lanes(
-    img: ImageView<'_>,
-    cfg: &CodecConfig,
-    lanes: usize,
-) -> (Vec<Vec<u8>>, EncodeStats) {
-    let mut state = EncoderState::new(img.width(), img.bit_depth(), cfg);
-    let mut enc = LaneEncoder::new(lanes);
-    state.encode_view(img, &mut enc);
-
-    let (width, height) = img.dimensions();
-    let decisions = enc.decisions();
-    let coded_decisions = enc.coded_decisions();
-    let coder_stats = state.coder_stats();
-    // The flush tail of every lane counts toward the payload, exactly as
-    // the single coder's post-`finish` count does in `encode_raw`.
-    let (subs, payload_bits) = enc.finish_with_bits();
-    let stats = EncodeStats {
-        pixels: (width * height) as u64,
-        payload_bits,
-        escapes: coder_stats.escapes,
-        estimator_rescales: coder_stats.rescales,
-        context_halvings: state.halvings(),
-        decisions,
-        coded_decisions,
-    };
-    (subs, stats)
-}
-
-/// [`decode_raw_into`] over the per-lane substreams produced by
-/// [`encode_raw_lanes`], returning the worst per-lane padding overrun (the
-/// maximum number of zero bits any lane's decoder consumed past the end of
-/// its substream — same truncation signal as the single-lane path).
-///
-/// # Panics
-///
-/// Panics if the configuration or depth is invalid, or `substreams` is
-/// empty or longer than [`cbic_arith::MAX_LANES`].
-pub(crate) fn decode_raw_lanes_into<B: AsRef<[u8]>>(
-    substreams: &[B],
-    out: &mut ImageViewMut<'_>,
-    cfg: &CodecConfig,
-) -> u64 {
-    let mut state = DecoderState::new(out.width(), out.bit_depth(), cfg);
-    let sources = substreams
-        .iter()
-        .map(|s| BitReader::new(s.as_ref()))
-        .collect();
-    let mut dec = LaneDecoder::new(sources);
-    state.decode_into(&mut dec, out);
-    dec.max_padding_bits()
 }
 
 /// Decodes a raw payload produced by [`encode_raw`] with the same
@@ -735,51 +642,6 @@ mod tests {
         }
     }
 
-    /// Forwards everything to the wrapped [`BinaryEncoder`] *except*
-    /// `encode_batch`, so the trait's default per-decision replay runs —
-    /// the reference the fused batch implementations are pinned against.
-    struct PerDecision(BinaryEncoder);
-
-    impl DecisionEncoder for PerDecision {
-        fn encode(&mut self, bit: bool, c0: u32, total: u32) {
-            self.0.encode(bit, c0, total);
-        }
-        fn decisions(&self) -> u64 {
-            self.0.decisions()
-        }
-        fn coded_decisions(&self) -> u64 {
-            self.0.coded_decisions()
-        }
-        fn note_deterministic(&mut self, n: u64) {
-            self.0.note_deterministic(n);
-        }
-    }
-
-    #[test]
-    fn batched_engine_output_matches_per_decision_replay() {
-        let wide = CodecConfig {
-            model: ModelMode::WideHash { banks_log2: 8 },
-            ..CodecConfig::default()
-        };
-        let deep = Image::from_fn16(40, 40, 12, |x, y| ((x * 557 + y * 131) % 4096) as u16);
-        let mut cases: Vec<(Image, CodecConfig)> = vec![(deep, CodecConfig::default())];
-        for (_, img) in cbic_image::corpus::generate(40) {
-            cases.push((img.clone(), CodecConfig::default()));
-            cases.push((img, wide));
-        }
-        for (img, cfg) in &cases {
-            let (fast, fast_stats) = encode_raw(img.view(), cfg);
-
-            let mut state = EncoderState::new(img.width(), img.bit_depth(), cfg);
-            let mut replay = PerDecision(BinaryEncoder::new(BitWriter::new()));
-            state.encode_view(img.view(), &mut replay);
-            assert_eq!(replay.decisions(), fast_stats.decisions);
-            assert_eq!(replay.coded_decisions(), fast_stats.coded_decisions);
-            let bytes = replay.0.finish().into_bytes();
-            assert_eq!(bytes, fast, "batched bytes diverge from replay");
-        }
-    }
-
     #[test]
     fn model_only_pass_classifies_the_same_decision_stream() {
         let img = CorpusImage::Lena.generate(48, 48);
@@ -793,58 +655,5 @@ mod tests {
         assert!(full.coded_decisions <= full.decisions);
         assert!(full.deterministic_fraction() >= 0.0);
         assert!(full.coded_decisions_per_pixel() <= full.decisions_per_pixel());
-    }
-}
-
-#[cfg(all(test, feature = "reference-coder"))]
-mod reference_tests {
-    use super::*;
-    use cbic_bitio::{BitReader, BitWriter};
-
-    #[test]
-    fn sample_coder_fast_path_matches_reference_across_depths() {
-        // A narrow estimator rescales often, exercising the zero-count
-        // (deterministic) branches the fast path skips.
-        let cfg = EstimatorConfig {
-            count_bits: 11,
-            ..EstimatorConfig::default()
-        };
-        for depth in 8u8..=16 {
-            let mask = if depth == 16 {
-                0xFFFFu32
-            } else {
-                (1u32 << depth) - 1
-            };
-            let symbols: Vec<u16> = (0..1500u32)
-                .map(|i| (i.wrapping_mul(2654435761).rotate_left(7) & mask) as u16)
-                .collect();
-
-            let mut fast_coder = SampleCoder::new(4, depth, cfg);
-            let mut fast = BinaryEncoder::new(BitWriter::new());
-            for (i, &s) in symbols.iter().enumerate() {
-                fast_coder.encode(&mut fast, i % 4, s);
-            }
-            let fast_bytes = fast.finish().into_bytes();
-
-            let mut ref_coder = SampleCoder::new(4, depth, cfg);
-            let mut refc = BinaryEncoder::new(BitWriter::new());
-            for (i, &s) in symbols.iter().enumerate() {
-                ref_coder.encode_reference(&mut refc, i % 4, s);
-            }
-            let ref_bytes = refc.finish().into_bytes();
-            assert_eq!(fast_bytes, ref_bytes, "depth {depth}");
-            assert_eq!(fast_coder.stats(), ref_coder.stats(), "depth {depth}");
-
-            let mut dec_fast = SampleCoder::new(4, depth, cfg);
-            let mut df = BinaryDecoder::new(BitReader::new(&fast_bytes));
-            let mut dec_ref = SampleCoder::new(4, depth, cfg);
-            let mut dr = BinaryDecoder::new(BitReader::new(&fast_bytes));
-            for (i, &s) in symbols.iter().enumerate() {
-                assert_eq!(dec_fast.decode(&mut df, i % 4), s, "depth {depth}");
-                assert_eq!(dec_ref.decode_reference(&mut dr, i % 4), s, "depth {depth}");
-            }
-            assert_eq!(dec_fast.stats(), dec_ref.stats(), "depth {depth}");
-            assert_eq!(dec_fast.stats(), fast_coder.stats(), "depth {depth}");
-        }
     }
 }

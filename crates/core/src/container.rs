@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "CBIC"
-//! 4       1     version (1 = 8-bit, 2 = explicit depth, 3 = coder lanes,
+//! 4       1     version (1 = 8-bit, 2 = explicit depth, 3 = retired,
 //!               4 = 2D tile grid with seekable index, 5 = non-classic
 //!               context model)
 //! 5       1     codec id (1 = SOCC-2007 image codec)
@@ -21,9 +21,8 @@
 //! 19      2     escape init: escape count (LE)
 //! 21      1     flags (bit0 feedback, bit1 aging, bit2 exact division)
 //! 22      1     texture bits
-//! [23     1     sample bit depth (versions 2–5; version 1 means 8)]
-//! [24     1     lane count N (version 3: 2..=32; versions 4–5: 1..=32)]
-//! [25     4×N   per-lane substream lengths in bytes (LE, version 3 only)]
+//! [23     1     sample bit depth (versions 2, 4, 5; version 1 means 8)]
+//! [24     1     lane byte, always 1 (versions 4–5)]
 //! [25     4     tile width in pixels (LE, version 4 only)]
 //! [29     4     tile height in pixels (LE, version 4 only)]
 //! [33     16×T  tile index, T = cols×rows entries (version 4 only; see
@@ -32,27 +31,21 @@
 //! [26     1     layout flag: 0 = flat payload, 1 = tile grid (version 5)]
 //! [27     4+4   tile width/height (LE, version 5 with layout flag 1),
 //!               followed by the 16×T tile index as in version 4]
-//! ...     ...   arithmetic-coded payload (after the v3 lane table when
-//!               N ≥ 2 on a flat container)
+//! ...     ...   arithmetic-coded payload
 //! ```
 //!
 //! 8-bit images are written as version 1 — byte-identical to every
 //! container this codec has ever produced — and deeper samples get the
 //! version-2 header with its bit-depth field. Decoders accept both.
 //!
-//! # Version 3: lane-interleaved payloads
+//! # Version 3: retired
 //!
-//! Version 3 carries the same model parameters (its bit-depth byte is
-//! always present) plus a **lane count** `N` and a length table, and its
-//! payload is `N` independent arithmetic-coded substreams, concatenated in
-//! lane order with no padding between them. The encoder deals the coded
-//! binary decisions round-robin across `N` coder interval states while the
-//! adaptive model stays shared and sequential, so the *decisions* are
-//! identical for every lane count — only their packing changes (see
-//! [`cbic_arith::LaneEncoder`] for the striping rule). Version 3 is only
-//! emitted when `lanes ≥ 2`: single-lane encodes keep producing version
-//! 1/2 containers, so the format upgrade cannot perturb existing streams,
-//! and version-1/2 decoding is untouched.
+//! Version 3 striped the decision stream over several coder *lanes*. The
+//! lanes were not part of the paper's single-coder datapath and measured
+//! no faster than one coder, so they were removed: no writer emits
+//! version 3, and every reader answers it with
+//! [`CodecError::UnsupportedVersion`]. Versions 4 and 5 keep their lane
+//! byte, which must be 1.
 //!
 //! # Version 4: 2D tile grid with a seekable index
 //!
@@ -69,19 +62,15 @@
 //!
 //! Version 5 carries one extra **model byte** — the `banks_log2` of the
 //! enlarged hash-banked context model ([`crate::bigctx`]) — plus a layout
-//! flag selecting a flat payload (with the v3 lane table when striped) or
-//! a v4-style tile grid. It is emitted **only** when the encoder was
+//! flag selecting a flat payload or a v4-style tile grid. It is emitted **only** when the encoder was
 //! explicitly asked for [`ModelMode::WideHash`](crate::ModelMode): classic
 //! encodes keep producing versions 1–4 byte-identically, so every
 //! pre-existing container and fixture is untouched.
 
-use crate::codec::{
-    decode_raw_into, decode_raw_lanes_into, encode_raw, encode_raw_lanes, CodecConfig, ModelMode,
-    MAX_CODE_PADDING_BITS,
-};
+use crate::codec::{decode_raw_into, encode_raw, CodecConfig, ModelMode, MAX_CODE_PADDING_BITS};
 use crate::context::DivisionKind;
 use crate::session::EncoderSession;
-use cbic_arith::{EstimatorConfig, MAX_LANES};
+use cbic_arith::EstimatorConfig;
 use cbic_image::{
     CbicError, Codec, CountingSink, DecodeOptions, EncodeOptions, Image, ImageView,
     BANKS_LOG2_RANGE,
@@ -92,21 +81,20 @@ use std::io::{Read, Write};
 pub(crate) const MAGIC: &[u8; 4] = b"CBIC";
 const VERSION_V1: u8 = 1;
 const VERSION_V2: u8 = 2;
-const VERSION_V3: u8 = 3;
+/// The retired lane-interleaved version: read as unsupported.
+const RETIRED_V3: u8 = 3;
 pub(crate) const VERSION_V4: u8 = 4;
 pub(crate) const VERSION_V5: u8 = 5;
 const CODEC_ID: u8 = 1;
 
 /// Size in bytes of the version-1 container header preceding the coded
-/// payload (the version-2 header adds one bit-depth byte, version 3 a
-/// bit-depth and a lane-count byte, followed by its per-lane length table).
+/// payload (the version-2 header adds one bit-depth byte).
 pub const HEADER_LEN: usize = 23;
 
-/// Size in bytes of the longest fixed header the pre-v5 versions use
-/// (the version-3 lane length table that follows is sized by the lane
-/// count), and the offset of the v3 lane table / v4 tile-dimension words.
-/// Version 5 extends the fixed prefix further (model byte, layout flag,
-/// optional tile dimensions — the internal header writer sizes its
+/// Size in bytes of the longest fixed header before version 5 (version 4's
+/// bit-depth and lane bytes), and the offset of the v4 tile-dimension
+/// words. Version 5 extends the fixed prefix further (model byte, layout
+/// flag, optional tile dimensions — the internal header writer sizes its
 /// buffer for the longest case).
 pub const MAX_HEADER_LEN: usize = HEADER_LEN + 2;
 
@@ -147,6 +135,10 @@ impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::BadMagic => write!(f, "missing CBIC magic"),
+            Self::UnsupportedVersion(RETIRED_V3) => write!(
+                f,
+                "unsupported container version 3: the lane-interleaved format is retired"
+            ),
             Self::UnsupportedVersion(v) => write!(f, "unsupported container version {v}"),
             Self::UnsupportedCodec(c) => write!(f, "unsupported codec id {c}"),
             Self::Truncated => write!(f, "truncated container"),
@@ -186,11 +178,8 @@ pub struct ContainerHeader {
     pub height: usize,
     /// Sample bit depth (`1..=16`; version-1 containers are always 8).
     pub bit_depth: u8,
-    /// Interleaved coder lanes (`1` for version-1/2 containers, `2..=32`
-    /// for version 3, `1..=32` for version 4; see [`compress_with_lanes`]).
-    pub lanes: u8,
     /// Tile geometry `(tile_w, tile_h)` of a version-4 grid container;
-    /// `None` for the flat v1–v3 formats. When set, the bytes following
+    /// `None` for the flat formats. When set, the bytes following
     /// the fixed header are the tile index and the per-tile substreams
     /// (see [`grid`](crate::grid)), not a flat payload.
     pub tile: Option<(u32, u32)>,
@@ -215,70 +204,20 @@ pub struct ContainerHeader {
 /// ```
 pub fn compress(img: ImageView<'_>, cfg: &CodecConfig) -> Vec<u8> {
     let (payload, _) = encode_raw(img, cfg);
-    let (hdr, len) = header_bytes(cfg, img.width(), img.height(), img.bit_depth(), 1);
+    let (hdr, len) = header_bytes(cfg, img.width(), img.height(), img.bit_depth());
     let mut out = Vec::with_capacity(len + payload.len());
     out.extend_from_slice(&hdr[..len]);
     out.extend_from_slice(&payload);
     out
 }
 
-/// [`compress`] over `lanes` interleaved coder lanes.
-///
-/// With one lane this is exactly [`compress`] (same version-1/2 container,
-/// byte for byte). With `lanes ≥ 2` the decisions are dealt round-robin
-/// across independent coder interval states (see
-/// [`encode_raw_lanes`]) and the result is
-/// a version-3 container: lane-count byte, per-lane length table, then the
-/// concatenated substreams. The decoded pixels are identical for every
-/// lane count.
-///
-/// # Examples
-///
-/// ```
-/// use cbic_core::{compress_with_lanes, decompress, CodecConfig};
-/// use cbic_image::Image;
-///
-/// let img = Image::from_fn(32, 32, |x, y| (x * 3 + y) as u8);
-/// let bytes = compress_with_lanes(img.view(), &CodecConfig::default(), 4);
-/// assert_eq!(decompress(&bytes)?, img);
-/// # Ok::<(), cbic_core::CodecError>(())
-/// ```
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or `lanes` is zero or above
-/// [`cbic_arith::MAX_LANES`].
-pub fn compress_with_lanes(img: ImageView<'_>, cfg: &CodecConfig, lanes: usize) -> Vec<u8> {
-    assert!(
-        (1..=MAX_LANES).contains(&lanes),
-        "lane count {lanes} outside 1..={MAX_LANES}"
-    );
-    if lanes < 2 {
-        return compress(img, cfg);
-    }
-    let (subs, _) = encode_raw_lanes(img, cfg, lanes);
-    let (hdr, len) = header_bytes(cfg, img.width(), img.height(), img.bit_depth(), lanes as u8);
-    let body: usize = subs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(len + 4 * lanes + body);
-    out.extend_from_slice(&hdr[..len]);
-    for sub in &subs {
-        out.extend_from_slice(&(sub.len() as u32).to_le_bytes());
-    }
-    for sub in &subs {
-        out.extend_from_slice(sub);
-    }
-    out
-}
-
 /// Serializes the container header for a `width`×`height` image of the
-/// given depth coded with `cfg` over `lanes` coder lanes, returning the
-/// buffer and the header length (23 bytes of version 1 for single-lane
-/// 8-bit samples — byte-identical to the historical format — 24 bytes of
-/// version 2 for deeper single-lane images, 25 bytes of version 3 when
-/// `lanes ≥ 2`, and 27 bytes of version 5 whenever `cfg.model` is
-/// non-classic; the v3 per-lane length table is written separately, once
-/// the substream lengths are known, and the v5 layout flag starts at 0 —
-/// the grid writer flips it and appends the tile dimensions).
+/// given depth coded with `cfg`, returning the buffer and the header
+/// length (23 bytes of version 1 for 8-bit samples — byte-identical to the
+/// historical format — 24 bytes of version 2 for other depths, and 27
+/// bytes of version 5 whenever `cfg.model` is non-classic; the v5 layout
+/// flag starts at 0 — the grid writer flips it and appends the tile
+/// dimensions).
 /// [`compress`], the sessions, and the streaming
 /// [`StreamEncoder`](crate::stream::StreamEncoder) share this, which is
 /// what keeps their outputs byte-identical.
@@ -287,16 +226,12 @@ pub(crate) fn header_bytes(
     width: usize,
     height: usize,
     bit_depth: u8,
-    lanes: u8,
 ) -> ([u8; HEADER_BUF_LEN], usize) {
-    debug_assert!((1..=MAX_LANES as u8).contains(&lanes));
     let mut out = [0u8; HEADER_BUF_LEN];
     out[..4].copy_from_slice(MAGIC);
     let wide_banks = cfg.model.banks_log2();
     out[4] = if wide_banks.is_some() {
         VERSION_V5
-    } else if lanes >= 2 {
-        VERSION_V3
     } else if bit_depth == 8 {
         VERSION_V1
     } else {
@@ -317,18 +252,13 @@ pub(crate) fn header_bytes(
     out[22] = cfg.texture_bits;
     if let Some(banks_log2) = wide_banks {
         debug_assert!(BANKS_LOG2_RANGE.contains(&banks_log2));
-        // Version 5: depth, lane count (floor 1, like v4), the model
+        // Version 5: depth, the lane byte (always 1, like v4), the model
         // byte, and the flat/tiled layout flag.
         out[23] = bit_depth;
-        out[24] = lanes;
+        out[24] = 1;
         out[25] = banks_log2;
         out[26] = 0;
         (out, HEADER_LEN + 4)
-    } else if lanes >= 2 {
-        // Version 3 always spells out the depth, then the lane count.
-        out[23] = bit_depth;
-        out[24] = lanes;
-        (out, HEADER_LEN + 2)
     } else if bit_depth == 8 {
         (out, HEADER_LEN)
     } else {
@@ -411,7 +341,7 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
         .read_exact(&mut bytes[4..])
         .map_err(eof_is_truncated)?;
     let version = bytes[4];
-    if !(VERSION_V1..=VERSION_V5).contains(&version) {
+    if !(VERSION_V1..=VERSION_V5).contains(&version) || version == RETIRED_V3 {
         return Err(CodecError::UnsupportedVersion(version));
     }
     if bytes[5] != CODEC_ID {
@@ -465,23 +395,18 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
     } else {
         8
     };
-    let lanes = if version >= VERSION_V3 {
-        let mut lanes = [0u8; 1];
-        input.read_exact(&mut lanes).map_err(eof_is_truncated)?;
-        // Single-lane streams are written as version 1/2, so a version-3
-        // lane byte below 2 can only come from corruption. Versions 4 and
-        // 5 always carry the lane byte and legitimately allow 1.
-        let floor = if version == VERSION_V3 { 2 } else { 1 };
-        if !(floor..=MAX_LANES as u8).contains(&lanes[0]) {
+    if version >= VERSION_V4 {
+        // Versions 4 and 5 keep the byte of the retired coder lanes; every
+        // writer sets it to 1.
+        let mut lane_byte = [0u8; 1];
+        input.read_exact(&mut lane_byte).map_err(eof_is_truncated)?;
+        if lane_byte[0] != 1 {
             return Err(CodecError::InvalidHeader(format!(
-                "lane count {} outside {floor}..={MAX_LANES}",
-                lanes[0]
+                "lane count {}: coder lanes are retired, only 1 is valid",
+                lane_byte[0]
             )));
         }
-        lanes[0]
-    } else {
-        1
-    };
+    }
     let (model, v5_tiled) = if version == VERSION_V5 {
         // The model byte and the flat/tiled layout flag. Version 5 exists
         // only for non-classic models, so a model byte outside the wide
@@ -539,7 +464,6 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
         width,
         height,
         bit_depth,
-        lanes,
         tile,
     })
 }
@@ -554,67 +478,15 @@ fn eof_is_truncated(e: std::io::Error) -> CodecError {
     }
 }
 
-/// Reads the version-3 per-lane length table (`lanes` little-endian `u32`
-/// byte counts) following the fixed header — shared by every v3 decode
-/// path so the framing is parsed exactly one way.
-pub(crate) fn read_lane_table<R: Read + ?Sized>(
-    input: &mut R,
-    lanes: usize,
-) -> Result<Vec<u32>, CodecError> {
-    let mut table = vec![0u8; lanes * 4];
-    input.read_exact(&mut table).map_err(eof_is_truncated)?;
-    Ok(table
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("sized")))
-        .collect())
-}
-
-/// Parses the per-lane length table and substream slices out of a
-/// version-3 payload (the bytes following the fixed header, as returned by
-/// [`parse_header`]).
-///
-/// # Errors
-///
-/// [`CodecError::Truncated`] when the payload ends inside the table or a
-/// substream, and [`CodecError::InvalidHeader`] for non-v3 headers.
-pub fn split_lane_payload<'a>(
-    hdr: &ContainerHeader,
-    payload: &'a [u8],
-) -> Result<Vec<&'a [u8]>, CodecError> {
-    if hdr.lanes < 2 {
-        return Err(CodecError::InvalidHeader(
-            "single-lane containers carry no lane table".into(),
-        ));
-    }
-    let lanes = hdr.lanes as usize;
-    let mut source = payload;
-    let table = read_lane_table(&mut source, lanes)?;
-    let mut subs = Vec::with_capacity(lanes);
-    let mut pos = 0usize;
-    for len in table {
-        let len = len as usize;
-        subs.push(source.get(pos..pos + len).ok_or(CodecError::Truncated)?);
-        pos += len;
-    }
-    Ok(subs)
-}
-
 /// Arithmetic-decodes one container's payload (everything after the fixed
-/// header) into `out`, dispatching on the header's lane count — the one
-/// decode step the slice path ([`decompress`]) and the tiled band decoders
-/// share.
+/// header) into `out` — the one decode step the slice path
+/// ([`decompress`]) and the tiled band decoders share.
 pub(crate) fn decode_payload_into(
     hdr: &ContainerHeader,
     payload: &[u8],
     out: &mut cbic_image::ImageViewMut<'_>,
 ) -> Result<(), CodecError> {
-    let padding = if hdr.lanes >= 2 {
-        let subs = split_lane_payload(hdr, payload)?;
-        decode_raw_lanes_into(&subs, out, &hdr.cfg)
-    } else {
-        decode_raw_into(payload, out, &hdr.cfg)
-    };
-    if padding > MAX_CODE_PADDING_BITS {
+    if decode_raw_into(payload, out, &hdr.cfg) > MAX_CODE_PADDING_BITS {
         return Err(CodecError::Truncated);
     }
     Ok(())
@@ -656,7 +528,7 @@ impl Codec for Proposed {
 
     /// Streams the container into `sink` through a one-shot
     /// [`EncoderSession`] — no output buffer, byte-identical to
-    /// [`compress`] (or, for `opts.lanes ≥ 2`, to [`compress_with_lanes`]).
+    /// [`compress`].
     /// The returned stats carry the exact payload bits, so
     /// [`Codec::payload_bits_per_pixel`] costs a single counting pass.
     ///
@@ -670,12 +542,6 @@ impl Codec for Proposed {
         opts: &EncodeOptions,
         sink: &mut dyn Write,
     ) -> Result<cbic_image::EncodeStats, CbicError> {
-        if !(1..=MAX_LANES).contains(&opts.lanes) {
-            return Err(CbicError::InvalidContainer(format!(
-                "lane count {} outside 1..={MAX_LANES}",
-                opts.lanes
-            )));
-        }
         // A non-classic request on the options overrides the codec's own
         // model; the classic default defers to it, so existing configs
         // keep encoding byte-identically.
@@ -693,7 +559,7 @@ impl Codec for Proposed {
             check_container_dimensions(img.width(), img.height()).map_err(CbicError::from)?;
             let geom = crate::grid::TileGeometry::new(tile_w, tile_h);
             let (bytes, payload_bits) =
-                crate::grid::compress_grid_with_bits(img, &cfg, geom, opts.lanes, opts.parallelism);
+                crate::grid::compress_grid_with_bits(img, &cfg, geom, opts.parallelism);
             sink.write_all(&bytes).map_err(CbicError::from)?;
             return Ok(cbic_image::EncodeStats::new(
                 img.pixel_count() as u64,
@@ -702,7 +568,7 @@ impl Codec for Proposed {
             ));
         }
         let mut counting = CountingSink::wrap(sink);
-        let stats = EncoderSession::with_lanes(&cfg, opts.lanes).encode(img, &mut counting)?;
+        let stats = EncoderSession::new(&cfg).encode(img, &mut counting)?;
         Ok(cbic_image::EncodeStats::new(
             stats.pixels,
             counting.bytes_written(),
@@ -716,7 +582,7 @@ impl Codec for Proposed {
     /// the [`grid`](crate::grid) decoder instead (buffered, with tiles
     /// decoded on `opts.parallelism` workers), and `opts.roi` requests a
     /// random-access crop — tile-selective on v4, decode-then-crop on the
-    /// flat v1–v3 formats.
+    /// flat formats.
     fn decode(&self, source: &mut dyn Read, opts: &DecodeOptions) -> Result<Image, CbicError> {
         if let Some(roi) = opts.roi {
             let mut bytes = Vec::new();
@@ -855,110 +721,79 @@ mod tests {
     }
 
     #[test]
-    fn lane_striped_containers_use_version_three() {
-        let img = CorpusImage::Lena.generate(32, 24);
-        for lanes in [2usize, 4, 8, MAX_LANES] {
-            let bytes = compress_with_lanes(img.view(), &CodecConfig::default(), lanes);
-            assert_eq!(bytes[4], VERSION_V3, "lanes={lanes}");
-            assert_eq!(bytes[24] as usize, lanes, "lane byte");
-            let (hdr, payload) = parse_header(&bytes).unwrap();
-            assert_eq!(hdr.lanes as usize, lanes);
-            assert_eq!(hdr.bit_depth, 8, "v3 always carries the depth byte");
-            // The length table accounts for every payload byte.
-            let subs = split_lane_payload(&hdr, payload).unwrap();
-            assert_eq!(subs.len(), lanes);
-            let total: usize = subs.iter().map(|s| s.len()).sum();
-            assert_eq!(lanes * 4 + total, payload.len());
-            assert_eq!(decompress(&bytes).unwrap(), img, "lanes={lanes}");
+    fn single_lane_stays_on_the_legacy_container() {
+        // The format decision of retiring coder lanes: writers keep the
+        // containers they always wrote for one lane — v1 for 8-bit
+        // samples, v2 for other depths — and v4/v5 carry lane byte 1.
+        let img = CorpusImage::Mandrill.generate(24, 24);
+        let deep = Image::from_fn16(24, 24, 12, |x, y| (x * 150 + y) as u16);
+        let cfg = CodecConfig::default();
+        assert_eq!(compress(img.view(), &cfg)[4], VERSION_V1);
+        assert_eq!(compress(deep.view(), &cfg)[4], VERSION_V2);
+        let grid = crate::grid::compress_grid(
+            img.view(),
+            &cfg,
+            crate::grid::TileGeometry::new(8, 8),
+            1,
+            cbic_image::Parallelism::Sequential,
+        );
+        let wide = CodecConfig {
+            model: ModelMode::WideHash { banks_log2: 10 },
+            ..cfg
+        };
+        for (bytes, version) in [
+            (grid, VERSION_V4),
+            (compress(img.view(), &wide), VERSION_V5),
+        ] {
+            assert_eq!((bytes[4], bytes[24]), (version, 1));
+            assert_eq!(decompress(&bytes).unwrap(), img);
         }
     }
 
     #[test]
-    fn single_lane_stays_on_the_legacy_container() {
-        let img = CorpusImage::Mandrill.generate(24, 24);
-        let cfg = CodecConfig::default();
+    fn retired_version_three_is_unsupported() {
+        // A version-3 header (depth byte, then its lane byte) is refused
+        // before any lane field is read, with a message naming it.
+        let img = Image::from_fn16(16, 16, 10, |x, y| (x * 31 + y) as u16);
+        let mut bytes = compress(img.view(), &CodecConfig::default());
+        bytes[4] = RETIRED_V3;
+        bytes.insert(24, 4);
+        let err = decompress(&bytes).unwrap_err();
+        assert_eq!(err, CodecError::UnsupportedVersion(3));
+        assert!(err.to_string().contains("version 3"), "{err}");
+        assert!(err.to_string().contains("retired"), "{err}");
         assert_eq!(
-            compress_with_lanes(img.view(), &cfg, 1),
-            compress(img.view(), &cfg),
-            "lanes=1 must be byte-identical to the classic v1 stream"
+            CbicError::from(err).to_string(),
+            "unsupported container version 3"
         );
     }
 
     #[test]
-    fn decoded_output_is_identical_across_lane_counts() {
-        // Striping splits the *carrier*, not the model: every lane count
-        // must reconstruct the same pixels, 8-bit and deep alike.
-        let images = [
-            CorpusImage::Zelda.generate(33, 17),
-            Image::from_fn16(21, 13, 12, |x, y| ((x * 331 + y * 17) % 4096) as u16),
-        ];
-        for img in &images {
-            for lanes in [2usize, 3, 8] {
-                let bytes = compress_with_lanes(img.view(), &CodecConfig::default(), lanes);
-                assert_eq!(&decompress(&bytes).unwrap(), img, "lanes={lanes}");
+    fn rejects_bad_lane_byte() {
+        // Versions 4 and 5 carry the lane byte at offset 24; only 1 is
+        // valid now that coder lanes are retired.
+        let img = CorpusImage::Lena.generate(16, 16);
+        let wide = CodecConfig {
+            model: ModelMode::WideHash { banks_log2: 10 },
+            ..CodecConfig::default()
+        };
+        let grid = crate::grid::compress_grid(
+            img.view(),
+            &CodecConfig::default(),
+            crate::grid::TileGeometry::new(8, 8),
+            1,
+            cbic_image::Parallelism::Sequential,
+        );
+        for mut bytes in [grid, compress(img.view(), &wide)] {
+            assert_eq!(bytes[24], 1, "writers emit one lane");
+            assert_eq!(decompress(&bytes).unwrap(), img);
+            for bad in [0u8, 2, 33, 255] {
+                bytes[24] = bad;
+                assert!(
+                    matches!(decompress(&bytes), Err(CodecError::InvalidHeader(_))),
+                    "lane byte {bad} must be rejected"
+                );
             }
         }
-    }
-
-    #[test]
-    fn deep_lane_containers_carry_depth_and_lanes() {
-        let img = Image::from_fn16(16, 16, 10, |x, y| ((x + y) * 3) as u16);
-        let bytes = compress_with_lanes(img.view(), &CodecConfig::default(), 4);
-        assert_eq!(bytes[4], VERSION_V3);
-        assert_eq!(bytes[23], 10, "depth byte");
-        assert_eq!(bytes[24], 4, "lane byte");
-        let back = decompress(&bytes).unwrap();
-        assert_eq!(back, img);
-        assert_eq!(back.bit_depth(), 10);
-    }
-
-    #[test]
-    fn rejects_bad_lane_byte() {
-        let img = CorpusImage::Lena.generate(16, 16);
-        let mut bytes = compress_with_lanes(img.view(), &CodecConfig::default(), 2);
-        for bad in [0u8, 1, MAX_LANES as u8 + 1, 255] {
-            bytes[24] = bad;
-            assert!(
-                matches!(decompress(&bytes), Err(CodecError::InvalidHeader(_))),
-                "lane byte {bad} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn rejects_truncated_lane_table_and_substreams() {
-        let img = CorpusImage::Lena.generate(24, 24);
-        let bytes = compress_with_lanes(img.view(), &CodecConfig::default(), 4);
-        let table_end = MAX_HEADER_LEN + 4 * 4;
-        // Cut inside the fixed header, inside the length table, and inside
-        // the substream area: all must surface as Truncated, never panic.
-        for cut in [MAX_HEADER_LEN - 1, MAX_HEADER_LEN + 3, table_end + 1] {
-            assert_eq!(
-                decompress(&bytes[..cut]),
-                Err(CodecError::Truncated),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn forged_lane_lengths_fail_without_allocating() {
-        let img = CorpusImage::Lena.generate(24, 24);
-        let mut bytes = compress_with_lanes(img.view(), &CodecConfig::default(), 2);
-        // Claim lane 0 holds 4 GiB - 1 bytes: the slice-bounds check must
-        // reject it as truncation before any decode work happens.
-        bytes[MAX_HEADER_LEN..MAX_HEADER_LEN + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decompress(&bytes), Err(CodecError::Truncated));
-    }
-
-    #[test]
-    fn split_lane_payload_rejects_single_lane_headers() {
-        let img = CorpusImage::Lena.generate(16, 16);
-        let bytes = compress(img.view(), &CodecConfig::default());
-        let (hdr, payload) = parse_header(&bytes).unwrap();
-        assert!(matches!(
-            split_lane_payload(&hdr, payload),
-            Err(CodecError::InvalidHeader(_))
-        ));
     }
 }

@@ -22,7 +22,7 @@
 //! | Line 2 (e) — error feedback `X̃ = X̂ + ē` | the cached feedback bank of [`ContextStore`] |
 //! | Line 1 (a) — prediction error `e = X − X̃` | [`PixelEngine::encode_pixel`] |
 //! | Line 1 (c) — remap (wrap + zig-zag fold) | the per-depth fold ROM ([`FoldLut`]) |
-//! | Line 1 (c) — estimator + binary arithmetic coder | [`SampleCoder`] over the slice-batched tree descent |
+//! | Line 1 (c) — estimator + binary arithmetic coder | [`SampleCoder`] over the single-descent tree walk |
 //! | Line 1 (b)/(d) — sum/count update, `e_W` write-back | [`PixelEngine`]'s absorb stage |
 //!
 //! # Why tables
@@ -39,9 +39,9 @@
 //!   cached-feedback banks, mirroring the BRAM banks accounted in
 //!   `cbic_hw::memory` — so the hot path reads one `i16` instead of
 //!   running a division;
-//! * each coded symbol walks its estimator tree **once**
-//!   ([`DecisionPath`](cbic_arith::DecisionPath) batches the decisions),
-//!   not three times.
+//! * each coded symbol walks its estimator tree **once** (one fused
+//!   code-and-update descent, or a [`DecisionPath`](cbic_arith::DecisionPath)
+//!   capture for a symbol that may escape), not three times.
 //!
 //! The inner loops are monomorphized over their
 //! [`BitSink`](cbic_bitio::BitSink)/[`BitSource`](cbic_bitio::BitSource),
@@ -519,7 +519,7 @@ impl PixelEngine {
     /// context datapath for a chunk, writing the per-pixel `(qe, folded)`
     /// pairs into two small stack windows (and retiring the context-bank
     /// write-back immediately, exactly as the fused loop did). Phase B
-    /// replays the window through the estimator and coder lanes as one
+    /// replays the window through the estimator and the coder as one
     /// tight loop with no prediction state live across it.
     ///
     /// The coder sees the identical `(ctx, symbol)` sequence, and the

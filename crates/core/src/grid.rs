@@ -23,9 +23,9 @@
 //! ```text
 //! offset  size   field
 //! 0       23     fixed header (magic, version=4, codec id, dimensions,
-//!                model parameters — identical to v1–v3, see `container`)
+//!                model parameters — identical to v1/v2, see `container`)
 //! 23      1      sample bit depth (1..=16)
-//! 24      1      lane count N (1..=32; v4 allows 1, unlike v3)
+//! 24      1      lane byte, always 1 (coder lanes are retired)
 //! 25      4      tile width in pixels  (u32 LE)
 //! 29      4      tile height in pixels (u32 LE)
 //! 33      16×T   tile index: T = cols×rows row-major entries of
@@ -37,11 +37,9 @@
 //! ```
 //!
 //! Each tile substream is exactly what the flat formats would carry for
-//! that tile's pixels: the raw arithmetic payload for one coder lane, or
-//! a per-tile lane length table (`N`×u32 LE) followed by the `N` lane
-//! substreams for `N ≥ 2`. A 1×1 grid therefore carries the *same
-//! payload bits* as the v3 (or v1/v2) container of the whole image —
-//! asserted by this module's tests.
+//! that tile's pixels: the raw arithmetic payload. A 1×1 grid therefore
+//! carries the *same payload bits* as the v1/v2 container of the whole
+//! image — asserted by this module's tests.
 //!
 //! Offsets are required to be cumulative (`offset[0] = 0`,
 //! `offset[i] = offset[i-1] + len[i-1]`) so the index can never alias or
@@ -89,11 +87,10 @@
 
 use crate::codec::{CodecConfig, MAX_CODE_PADDING_BITS};
 use crate::container::{
-    header_bytes, read_header, read_lane_table, CodecError, ContainerHeader, HEADER_LEN,
-    VERSION_V4, VERSION_V5,
+    header_bytes, read_header, CodecError, ContainerHeader, HEADER_LEN, VERSION_V4, VERSION_V5,
 };
 use crate::engine::{DecoderState, EncoderState};
-use cbic_arith::{BinaryDecoder, BinaryEncoder, LaneDecoder, LaneEncoder, MAX_LANES};
+use cbic_arith::{BinaryDecoder, BinaryEncoder};
 use cbic_bitio::{BitReader, BitWriter};
 use cbic_image::{Image, ImageView, ImageViewMut, Parallelism, Rect};
 use std::io::{Read, Seek, SeekFrom};
@@ -421,38 +418,20 @@ where
         .collect()
 }
 
-/// Encodes one tile on a reused engine state, returning the framed
-/// substream and its exact payload bits. With one lane the substream is
+/// Encodes one tile on a reused engine state, returning its substream —
 /// exactly the raw arithmetic payload ([`encode_raw`](crate::encode_raw)
-/// of the tile view); with `lanes ≥ 2` it is the per-tile lane length
-/// table followed by the lane substreams — the v3 payload framing.
-fn encode_tile(state: &mut EncoderState, tile: ImageView<'_>, lanes: usize) -> (Vec<u8>, u64) {
+/// of the tile view) — and its exact payload bits.
+fn encode_tile(state: &mut EncoderState, tile: ImageView<'_>) -> (Vec<u8>, u64) {
     state.reset(tile.width(), tile.bit_depth());
-    if lanes >= 2 {
-        let mut enc = LaneEncoder::new(lanes);
-        state.encode_view(tile, &mut enc);
-        let (subs, bits) = enc.finish_with_bits();
-        let body: usize = subs.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(4 * lanes + body);
-        for sub in &subs {
-            let len = u32::try_from(sub.len()).expect("lane substream below 4 GiB");
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        for sub in &subs {
-            out.extend_from_slice(sub);
-        }
-        (out, bits)
-    } else {
-        let mut enc = BinaryEncoder::new(BitWriter::new());
-        state.encode_view(tile, &mut enc);
-        let writer = enc.finish();
-        let bits = writer.bits_written();
-        (writer.into_bytes(), bits)
-    }
+    let mut enc = BinaryEncoder::new(BitWriter::new());
+    state.encode_view(tile, &mut enc);
+    let writer = enc.finish();
+    let bits = writer.bits_written();
+    (writer.into_bytes(), bits)
 }
 
 /// Decodes one tile substream on a reused engine state into a fresh
-/// `w`×`h` tile image, mirroring [`encode_tile`]'s framing.
+/// `w`×`h` tile image, the dual of [`encode_tile`].
 fn decode_tile(
     state: &mut DecoderState,
     hdr: &ContainerHeader,
@@ -462,32 +441,9 @@ fn decode_tile(
 ) -> Result<Image, CodecError> {
     state.reset(w, hdr.bit_depth);
     let mut img = Image::with_depth(w, h, hdr.bit_depth);
-    let padding = if hdr.lanes >= 2 {
-        let lanes = usize::from(hdr.lanes);
-        let mut source = sub;
-        let lens = read_lane_table(&mut source, lanes)?;
-        let mut subs = Vec::with_capacity(lanes);
-        let mut pos = 0usize;
-        for len in lens {
-            let len = len as usize;
-            subs.push(source.get(pos..pos + len).ok_or(CodecError::Truncated)?);
-            pos += len;
-        }
-        if pos != source.len() {
-            return Err(CodecError::InvalidHeader(
-                "tile lane table does not account for the tile's bytes".into(),
-            ));
-        }
-        let sources = subs.iter().map(|s| BitReader::new(s)).collect();
-        let mut dec = LaneDecoder::new(sources);
-        state.decode_into(&mut dec, &mut img.view_mut());
-        dec.max_padding_bits()
-    } else {
-        let mut dec = BinaryDecoder::new(BitReader::new(sub));
-        state.decode_into(&mut dec, &mut img.view_mut());
-        dec.source().padding_bits()
-    };
-    if padding > MAX_CODE_PADDING_BITS {
+    let mut dec = BinaryDecoder::new(BitReader::new(sub));
+    state.decode_into(&mut dec, &mut img.view_mut());
+    if dec.source().padding_bits() > MAX_CODE_PADDING_BITS {
         return Err(CodecError::Truncated);
     }
     Ok(img)
@@ -537,11 +493,14 @@ fn blit(
 /// # Ok::<(), cbic_core::CodecError>(())
 /// ```
 ///
+/// `lanes` is kept for callers written when the coder had lanes; coder
+/// lanes are retired, so it must be 1.
+///
 /// # Panics
 ///
-/// Panics if the configuration is invalid, `lanes` is outside
-/// `1..=MAX_LANES`, the image exceeds the container's 2^28-pixel
-/// ceiling, or the grid would exceed [`MAX_TILES`].
+/// Panics if `lanes` is not 1, the configuration is invalid, the image
+/// exceeds the container's 2^28-pixel ceiling, or the grid would exceed
+/// [`MAX_TILES`].
 pub fn compress_grid(
     img: ImageView<'_>,
     cfg: &CodecConfig,
@@ -549,24 +508,19 @@ pub fn compress_grid(
     lanes: usize,
     par: Parallelism,
 ) -> Vec<u8> {
-    compress_grid_with_bits(img, cfg, geom, lanes, par).0
+    assert_eq!(lanes, 1, "coder lanes are retired: lanes must be 1");
+    compress_grid_with_bits(img, cfg, geom, par).0
 }
 
 /// [`compress_grid`] that also returns the exact entropy-coded payload
-/// bits summed over every tile (flush tails included; excludes headers,
-/// the index, and per-tile lane tables) — what the bench harness reports
-/// as bits per pixel.
+/// bits summed over every tile (flush tails included; excludes headers
+/// and the index) — what the bench harness reports as bits per pixel.
 pub fn compress_grid_with_bits(
     img: ImageView<'_>,
     cfg: &CodecConfig,
     geom: TileGeometry,
-    lanes: usize,
     par: Parallelism,
 ) -> (Vec<u8>, u64) {
-    assert!(
-        (1..=MAX_LANES).contains(&lanes),
-        "lane count {lanes} outside 1..=MAX_LANES"
-    );
     let (width, height) = img.dimensions();
     crate::container::check_container_dimensions(width, height)
         .expect("image within the container's pixel ceiling");
@@ -587,7 +541,7 @@ pub fn compress_grid_with_bits(
         |state, idx| {
             let (col, row) = (idx % cols, idx / cols);
             let (x, y, w, h) = geom.tile_rect(col, row, width, height);
-            encode_tile(state, img.crop(x, y, w, h), lanes)
+            encode_tile(state, img.crop(x, y, w, h))
         },
     );
 
@@ -597,15 +551,15 @@ pub fn compress_grid_with_bits(
     if cfg.model.is_classic() {
         // The shared fixed-header serializer keeps the first 23 bytes
         // byte-identical to every other path; v4 then owns the extension.
-        let (base, _) = header_bytes(cfg, width, height, bit_depth, 1);
+        let (base, _) = header_bytes(cfg, width, height, bit_depth);
         out.extend_from_slice(&base[..HEADER_LEN]);
         out[4] = VERSION_V4;
         out.push(bit_depth);
-        out.push(lanes as u8);
+        out.push(1); // the lane byte of the retired coder lanes
     } else {
         // Non-classic models need the v5 model byte, so the grid rides
         // the full v5 header and flips its layout flag to "tiled".
-        let (base, len) = header_bytes(cfg, width, height, bit_depth, lanes as u8);
+        let (base, len) = header_bytes(cfg, width, height, bit_depth);
         debug_assert_eq!(base[4], VERSION_V5);
         out.extend_from_slice(&base[..len]);
         let flag = out.len() - 1;
@@ -835,7 +789,7 @@ pub fn decode_roi(bytes: &[u8], roi: Rect, par: Parallelism) -> Result<Image, Co
 }
 
 /// [`decode_roi`] over any container version: tile-selective on v4,
-/// full-decode-then-crop on the flat v1–v3 formats (they have no index
+/// full-decode-then-crop on the flat formats (they have no index
 /// to seek by). Either way the result is exactly the `roi` crop.
 ///
 /// # Errors
@@ -933,7 +887,7 @@ pub fn decode_roi_from<R: Read + Seek>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::{compress_with_lanes, decompress, parse_header, MAX_HEADER_LEN};
+    use crate::container::{compress, decompress, parse_header, MAX_HEADER_LEN};
     use cbic_image::corpus::CorpusImage;
     use std::io::Cursor;
 
@@ -993,19 +947,11 @@ mod tests {
     }
 
     #[test]
-    fn lanes_compose_with_the_grid() {
-        let img = CorpusImage::Barb.generate(40, 40);
+    #[should_panic(expected = "lanes must be 1")]
+    fn compress_grid_accepts_only_one_lane() {
+        let img = CorpusImage::Barb.generate(16, 16);
         let cfg = CodecConfig::default();
-        for lanes in [2usize, 4, 8] {
-            let bytes = compress_grid(img.view(), &cfg, geom(16, 16), lanes, Parallelism::Auto);
-            let (hdr, _, _) = parse_grid(&bytes).unwrap();
-            assert_eq!(hdr.lanes as usize, lanes);
-            assert_eq!(
-                decompress_grid(&bytes, Parallelism::Threads(3)).unwrap(),
-                img,
-                "lanes={lanes}"
-            );
-        }
+        compress_grid(img.view(), &cfg, geom(8, 8), 2, Parallelism::Sequential);
     }
 
     #[test]
@@ -1034,28 +980,25 @@ mod tests {
     #[test]
     fn one_by_one_grid_carries_the_flat_payload_bits() {
         // The acceptance pin: a 1x1 grid's single substream is exactly the
-        // flat container's payload — for one lane (v1 payload) and for
-        // striped lanes (v3 lane table + substreams).
+        // flat container's payload.
         let images = [
             CorpusImage::Lena.generate(32, 32),
             Image::from_fn16(24, 18, 12, |x, y| (x * 150 + y) as u16),
         ];
         let cfg = CodecConfig::default();
         for img in &images {
-            for lanes in [1usize, 4] {
-                let g = geom(img.width() as u32, img.height() as u32);
-                let grid = compress_grid(img.view(), &cfg, g, lanes, Parallelism::Sequential);
-                let flat = compress_with_lanes(img.view(), &cfg, lanes);
-                let (hdr, payload) = parse_header(&flat).unwrap();
-                assert_eq!(hdr.tile, None);
-                let (ghdr, index, gpayload) = parse_grid(&grid).unwrap();
-                assert_eq!((index.cols, index.rows), (1, 1));
-                assert_eq!(ghdr.cfg, hdr.cfg);
-                assert_eq!(
-                    gpayload, payload,
-                    "1x1 grid must carry the flat payload bits (lanes={lanes})"
-                );
-            }
+            let g = geom(img.width() as u32, img.height() as u32);
+            let grid = compress_grid(img.view(), &cfg, g, 1, Parallelism::Sequential);
+            let flat = compress(img.view(), &cfg);
+            let (hdr, payload) = parse_header(&flat).unwrap();
+            assert_eq!(hdr.tile, None);
+            let (ghdr, index, gpayload) = parse_grid(&grid).unwrap();
+            assert_eq!((index.cols, index.rows), (1, 1));
+            assert_eq!(ghdr.cfg, hdr.cfg);
+            assert_eq!(
+                gpayload, payload,
+                "1x1 grid must carry the flat payload bits"
+            );
         }
     }
 
@@ -1089,7 +1032,7 @@ mod tests {
             img.view(),
             &CodecConfig::default(),
             geom(16, 16),
-            4,
+            1,
             Parallelism::Auto,
         );
         assert_eq!(decompress(&bytes).unwrap(), img);
@@ -1240,8 +1183,7 @@ mod tests {
         let roi = Rect::new(5, 9, 13, 17);
         let reference = img.view().crop(5, 9, 13, 17).to_image();
         for bytes in [
-            compress_with_lanes(img.view(), &cfg, 1),
-            compress_with_lanes(img.view(), &cfg, 4),
+            compress(img.view(), &cfg),
             compress_grid(img.view(), &cfg, geom(16, 16), 1, Parallelism::Sequential),
         ] {
             assert_eq!(

@@ -153,16 +153,12 @@ impl LineBuffers {
 /// Streaming hardware-model encoder: feed raster-scan pixels one at a
 /// time, collect the bit stream at the end.
 ///
-/// The encoder is generic over its [`DecisionEncoder`]: by default a
-/// [`BinaryEncoder`] over an in-memory [`BitWriter`], with
-/// [`Self::with_sink`] swapping in any [`BitSink`] — e.g. a
+/// The coder is a [`BinaryEncoder`], by default over an in-memory
+/// [`BitWriter`]; [`Self::with_sink`] swaps in any [`BitSink`] — e.g. a
 /// [`StreamBitWriter`](cbic_bitio::StreamBitWriter) emitting bytes
 /// incrementally, the backing of the bounded-memory
-/// [`StreamEncoder`](crate::stream::StreamEncoder). [`Self::with_coder`]
-/// accepts an arbitrary decision coder instead, which is how the
-/// lane-interleaved [`LaneEncoder`](cbic_arith::LaneEncoder) drives the
-/// same line-buffer pipeline. The coded decisions are identical in every
-/// case; only their packing differs.
+/// [`StreamEncoder`](crate::stream::StreamEncoder). The coded bits are
+/// identical in every case; only where they go differs.
 ///
 /// # Examples
 ///
@@ -232,7 +228,14 @@ impl<S: BitSink> HwEncoder<BinaryEncoder<S>> {
     /// Panics if `width` is zero, the depth is outside `1..=16`, or the
     /// configuration is invalid.
     pub fn with_sink(width: usize, bit_depth: u8, cfg: &CodecConfig, sink: S) -> Self {
-        Self::with_coder(width, bit_depth, cfg, BinaryEncoder::new(sink))
+        Self {
+            buffers: LineBuffers::with_depth(width, bit_depth),
+            state: EncoderState::new(width, bit_depth, cfg),
+            ac: BinaryEncoder::new(sink),
+            x: 0,
+            y: 0,
+            pixels: 0,
+        }
     }
 
     /// Borrows the bit sink (e.g. to poll a streaming sink for I/O errors).
@@ -252,26 +255,6 @@ impl<S: BitSink> HwEncoder<BinaryEncoder<S>> {
 }
 
 impl<E: DecisionEncoder> HwEncoder<E> {
-    /// Creates a streaming encoder for `width`-pixel lines of the given
-    /// sample depth, driving an arbitrary [`DecisionEncoder`] — the entry
-    /// point for lane-interleaved coding
-    /// ([`LaneEncoder`](cbic_arith::LaneEncoder)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero, the depth is outside `1..=16`, or the
-    /// configuration is invalid.
-    pub fn with_coder(width: usize, bit_depth: u8, cfg: &CodecConfig, coder: E) -> Self {
-        Self {
-            buffers: LineBuffers::with_depth(width, bit_depth),
-            state: EncoderState::new(width, bit_depth, cfg),
-            ac: coder,
-            x: 0,
-            y: 0,
-            pixels: 0,
-        }
-    }
-
     /// Width of the lines this encoder consumes.
     pub fn width(&self) -> usize {
         self.buffers.width()
@@ -280,25 +263,6 @@ impl<E: DecisionEncoder> HwEncoder<E> {
     /// Sample bit depth of the pixel stream.
     pub fn bit_depth(&self) -> u8 {
         self.state.bit_depth()
-    }
-
-    /// Borrows the decision coder.
-    pub fn coder(&self) -> &E {
-        &self.ac
-    }
-
-    /// Mutably borrows the decision coder (e.g. to drain a
-    /// [`LaneEncoder`](cbic_arith::LaneEncoder)'s buffered decisions for
-    /// an exact mid-stream bit count).
-    pub fn coder_mut(&mut self) -> &mut E {
-        &mut self.ac
-    }
-
-    /// Consumes the encoder and returns the decision coder *without*
-    /// flushing it — the caller finalizes (e.g.
-    /// [`LaneEncoder::finish_to_bytes`](cbic_arith::LaneEncoder::finish_to_bytes)).
-    pub fn into_coder(self) -> E {
-        self.ac
     }
 
     /// Pixels consumed so far.
@@ -347,15 +311,12 @@ impl<E: DecisionEncoder> HwEncoder<E> {
 /// Streaming hardware-model decoder: the dual of [`HwEncoder`], producing
 /// one reconstructed pixel per call from the same three-line-buffer state.
 ///
-/// Like the encoder it is generic over its decision coder: [`Self::new`]
-/// decodes a buffered byte slice through a [`BitReader`],
+/// Like the encoder it is generic over its bit transport: [`Self::new`]
+/// decodes a buffered byte slice through a [`BitReader`], and
 /// [`Self::with_source`] accepts any [`BitSource`] — in particular a
 /// [`StreamBitReader`](cbic_bitio::StreamBitReader) refilled incrementally
 /// from `std::io::Read`, the backing of
-/// [`StreamDecoder`](crate::stream::StreamDecoder) — and
-/// [`Self::with_coder`] accepts a whole [`DecisionDecoder`], which is how
-/// the lane-interleaved [`LaneDecoder`](cbic_arith::LaneDecoder) reuses
-/// the same line-buffer pipeline.
+/// [`StreamDecoder`](crate::stream::StreamDecoder).
 ///
 /// # Examples
 ///
@@ -410,7 +371,13 @@ impl<S: BitSource> HwDecoder<BinaryDecoder<S>> {
     /// Panics if `width` is zero, the depth is outside `1..=16`, or the
     /// configuration is invalid.
     pub fn with_source(source: S, width: usize, bit_depth: u8, cfg: &CodecConfig) -> Self {
-        Self::with_coder(BinaryDecoder::new(source), width, bit_depth, cfg)
+        Self {
+            buffers: LineBuffers::with_depth(width, bit_depth),
+            state: DecoderState::new(width, bit_depth, cfg),
+            ac: BinaryDecoder::new(source),
+            x: 0,
+            y: 0,
+        }
     }
 
     /// Borrows the bit source (e.g. to inspect padding counts or streaming
@@ -421,31 +388,6 @@ impl<S: BitSource> HwDecoder<BinaryDecoder<S>> {
 }
 
 impl<D: DecisionDecoder> HwDecoder<D> {
-    /// Creates a streaming decoder driving an arbitrary
-    /// [`DecisionDecoder`] for `width`-pixel lines of the given sample
-    /// depth — the entry point for lane-interleaved decoding
-    /// ([`LaneDecoder`](cbic_arith::LaneDecoder)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero, the depth is outside `1..=16`, or the
-    /// configuration is invalid.
-    pub fn with_coder(coder: D, width: usize, bit_depth: u8, cfg: &CodecConfig) -> Self {
-        Self {
-            buffers: LineBuffers::with_depth(width, bit_depth),
-            state: DecoderState::new(width, bit_depth, cfg),
-            ac: coder,
-            x: 0,
-            y: 0,
-        }
-    }
-
-    /// Borrows the decision coder (e.g. to inspect per-lane padding
-    /// counts).
-    pub fn coder(&self) -> &D {
-        &self.ac
-    }
-
     /// Decodes and returns the next raster-scan pixel: the neighbourhood
     /// comes out of the line buffers, the shared engine runs the model and
     /// the reconstruction, and the pixel is written back for the next

@@ -67,18 +67,17 @@ pub mod stream;
 pub mod tiles;
 
 pub use bigctx::WideConfig;
-pub use cbic_arith::MAX_LANES;
 pub use codec::{
     decode_raw, encode_model_only, encode_raw, CodecConfig, DivisionKind, EncodeStats, ModelMode,
 };
-pub use container::{compress, compress_with_lanes, decompress, CodecError, Proposed};
+pub use container::{compress, decompress, CodecError, Proposed};
 pub use engine::{DecoderState, EncoderState, PixelEngine};
 pub use grid::{
     compress_grid, decode_roi, decode_roi_any, decode_roi_from, decompress_grid, TileGeometry,
 };
 pub use session::{DecoderSession, EncoderSession};
 pub use stream::{StreamDecoder, StreamEncodeStats, StreamEncoder};
-pub use tiles::{compress_tiled_with_lanes, Parallelism, Tiled};
+pub use tiles::{Parallelism, Tiled};
 
 #[cfg(test)]
 mod proptests;

@@ -237,81 +237,32 @@ proptest! {
         prop_assert_eq!(decompress(&bytes[12..]).expect("inner container"), img);
     }
 
-    /// Lane-striped containers round-trip losslessly at every benched lane
-    /// count under arbitrary configs, and every lane count reconstructs
-    /// the *same* pixels — striping splits the carrier, never the model.
+    /// Every strict prefix of a flat container decodes to an error or to
+    /// an image, never a panic; a prefix that ends inside the header is
+    /// always [`CodecError::Truncated`](crate::CodecError::Truncated).
     #[test]
-    fn lane_containers_roundtrip_and_agree(img in arb_image(), cfg in arb_config()) {
-        use crate::container::compress_with_lanes;
-        for lanes in [1usize, 2, 4, 8] {
-            let bytes = compress_with_lanes(img.view(), &cfg, lanes);
-            let back = decompress(&bytes).expect("valid container");
-            prop_assert_eq!(&back, &img, "lanes={}", lanes);
+    fn truncated_containers_error_cleanly(
+        img in arb_image(),
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let bytes = compress(img.view(), &CodecConfig::default());
+        let cut = (((bytes.len() - 1) as f64) * cut_frac) as usize;
+        let result = decompress(&bytes[..cut]);
+        if cut < crate::container::HEADER_LEN {
+            prop_assert_eq!(result, Err(crate::CodecError::Truncated));
         }
     }
 
-    /// Deep (9–16-bit) images survive lane striping too, including the
-    /// degenerate 1-wide / 1-tall shapes the generator produces.
+    /// Arbitrary single-byte corruption anywhere in a flat container —
+    /// header or payload — yields either a structured error or garbage
+    /// pixels, never a panic.
     #[test]
-    fn lane_containers_roundtrip_deep(img in arb_deep_image(), lanes in 2usize..=8) {
-        use crate::container::compress_with_lanes;
-        let bytes = compress_with_lanes(img.view(), &CodecConfig::default(), lanes);
-        let back = decompress(&bytes).expect("valid container");
-        prop_assert_eq!(back.bit_depth(), img.bit_depth());
-        prop_assert_eq!(back, img);
-    }
-
-    /// Striped encoding through a strided window is byte-identical to
-    /// encoding its contiguous copy: lane assignment depends on decision
-    /// order, never on the memory layout of the source pixels.
-    #[test]
-    fn strided_lane_encodes_are_layout_independent(
+    fn corrupt_containers_do_not_panic(
         img in arb_image(),
-        frac in 0u8..4,
-        lanes in 2usize..=8,
-    ) {
-        use crate::container::compress_with_lanes;
-        let (w, h) = img.dimensions();
-        let x0 = (usize::from(frac) * w / 5).min(w - 1);
-        let y0 = (usize::from(frac) * h / 5).min(h - 1);
-        let window = img.view().crop(x0, y0, w - x0, h - y0);
-        let cfg = CodecConfig::default();
-        let from_view = compress_with_lanes(window, &cfg, lanes);
-        let from_copy = compress_with_lanes(window.to_image().view(), &cfg, lanes);
-        prop_assert_eq!(from_view, from_copy);
-    }
-
-    /// Every strict prefix of a lane container fails with a structured
-    /// error — the lane table's byte accounting makes any truncation
-    /// (mid-header, mid-table, or mid-substream) detectable — and never
-    /// panics.
-    #[test]
-    fn truncated_lane_containers_error_cleanly(
-        img in arb_image(),
-        lanes in 2usize..=8,
-        cut_frac in 0.0f64..1.0,
-    ) {
-        use crate::container::compress_with_lanes;
-        let bytes = compress_with_lanes(img.view(), &CodecConfig::default(), lanes);
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        prop_assert!(
-            decompress(&bytes[..cut.min(bytes.len() - 1)]).is_err(),
-            "a strict prefix must not decode"
-        );
-    }
-
-    /// Arbitrary single-byte corruption anywhere in a lane container —
-    /// header, lane table, or substream payload — yields either a
-    /// structured error or garbage pixels, never a panic.
-    #[test]
-    fn corrupt_lane_containers_do_not_panic(
-        img in arb_image(),
-        lanes in 2usize..=8,
         pos_frac in 0.0f64..1.0,
         val in any::<u8>(),
     ) {
-        use crate::container::compress_with_lanes;
-        let mut bytes = compress_with_lanes(img.view(), &CodecConfig::default(), lanes);
+        let mut bytes = compress(img.view(), &CodecConfig::default());
         let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
         bytes[pos] = val;
         if let Ok((hdr, _)) = crate::container::parse_header(&bytes) {
@@ -327,12 +278,11 @@ proptest! {
     /// grid container (v4 classic, v5 wide) equals the same crop of a
     /// full decode, for random rects (the generator's endpoints cover
     /// single-pixel and full-image rects, and free tile sizes make
-    /// boundary-straddling the common case) across depths 1–16, lane
-    /// counts {1, 4}, and both context-model modes.
+    /// boundary-straddling the common case) across depths 1–16 and both
+    /// context-model modes.
     #[test]
     fn decode_roi_equals_crop_of_full_decode(
         img in arb_graded_depth_image(),
-        lane_ix in 0usize..2,
         wide in any::<bool>(),
         (tw, th) in (1u32..=20, 1u32..=20),
         (fx, fy, fw, fh) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..=1.0, 0.0f64..=1.0),
@@ -340,7 +290,6 @@ proptest! {
         use crate::grid::{compress_grid, decode_roi, decompress_grid, TileGeometry};
         use cbic_image::{Parallelism, Rect};
 
-        let lanes = [1usize, 4][lane_ix];
         let cfg = CodecConfig {
             model: if wide {
                 ModelMode::WideHash {
@@ -363,7 +312,7 @@ proptest! {
             img.view(),
             &cfg,
             TileGeometry::new(tw, th),
-            lanes,
+            1,
             Parallelism::Sequential,
         );
         let full = decompress_grid(&bytes, Parallelism::Sequential)

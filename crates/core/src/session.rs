@@ -38,14 +38,10 @@
 //! ```
 
 use crate::codec::{CodecConfig, EncodeStats, MAX_CODE_PADDING_BITS};
-use crate::container::{
-    check_container_dimensions, header_bytes, read_header, read_lane_table, CodecError,
-};
+use crate::container::{check_container_dimensions, header_bytes, read_header, CodecError};
 use crate::engine::{DecoderState, EncoderState};
-use cbic_arith::{
-    BinaryDecoder, BinaryEncoder, DecisionEncoder, LaneDecoder, LaneEncoder, MAX_LANES,
-};
-use cbic_bitio::{BitReader, BitSink, BitSource, StreamBitReader, StreamBitWriter};
+use cbic_arith::{BinaryDecoder, BinaryEncoder};
+use cbic_bitio::{BitSink, BitSource, StreamBitReader, StreamBitWriter};
 use cbic_image::{CbicError, Image, ImageView};
 use std::io::{self, Read, Write};
 
@@ -75,7 +71,6 @@ use std::io::{self, Read, Write};
 pub struct EncoderSession {
     cfg: CodecConfig,
     state: EncoderState,
-    lanes: usize,
 }
 
 impl EncoderSession {
@@ -87,54 +82,15 @@ impl EncoderSession {
     /// Panics if the configuration is invalid (see
     /// [`CodecConfig`]).
     pub fn new(cfg: &CodecConfig) -> Self {
-        Self::with_lanes(cfg, 1)
-    }
-
-    /// [`Self::new`] with every container coded over `lanes` interleaved
-    /// coder lanes — version-3 containers for `lanes ≥ 2`, byte-identical
-    /// to [`compress_with_lanes`](crate::compress_with_lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or `lanes` is zero or above
-    /// [`MAX_LANES`].
-    pub fn with_lanes(cfg: &CodecConfig, lanes: usize) -> Self {
-        assert!(
-            (1..=MAX_LANES).contains(&lanes),
-            "lane count {lanes} outside 1..={MAX_LANES}"
-        );
         Self {
             cfg: *cfg,
             state: EncoderState::new(1, 8, cfg),
-            lanes,
         }
     }
 
     /// The configuration every container of this session carries.
     pub fn config(&self) -> &CodecConfig {
         &self.cfg
-    }
-
-    /// Number of interleaved coder lanes per container (1 = v1/v2).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Changes the lane count for subsequent [`encode`](Self::encode)
-    /// calls without rebuilding the model state — the lane count only
-    /// selects the entropy-stage packing, never the model, so a long-lived
-    /// worker (e.g. a `cbic-server` shard) can honor per-request lane
-    /// options on one session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero or above [`MAX_LANES`].
-    pub fn set_lanes(&mut self, lanes: usize) {
-        assert!(
-            (1..=MAX_LANES).contains(&lanes),
-            "lane count {lanes} outside 1..={MAX_LANES}"
-        );
-        self.lanes = lanes;
     }
 
     /// Encodes the pixels of `img` into a standard container written to
@@ -154,38 +110,8 @@ impl EncoderSession {
         check_container_dimensions(width, height).map_err(CbicError::from)?;
         self.state.reset(width, img.bit_depth());
 
-        let (hdr, len) = header_bytes(&self.cfg, width, height, img.bit_depth(), self.lanes as u8);
+        let (hdr, len) = header_bytes(&self.cfg, width, height, img.bit_depth());
         sink.write_all(&hdr[..len]).map_err(CbicError::from)?;
-
-        if self.lanes >= 2 {
-            // Lane substreams must be buffered until their lengths are
-            // known, so this path materializes the payload before writing
-            // the v3 length table — same bytes as `compress_with_lanes`.
-            let mut enc = LaneEncoder::new(self.lanes);
-            self.state.encode_view(img, &mut enc);
-            let decisions = enc.decisions();
-            let coded_decisions = enc.coded_decisions();
-            // Flush tails count, matching the single-coder path below
-            // (which reads `bits_written` after the coder's `finish`).
-            let (subs, payload_bits) = enc.finish_with_bits();
-            for sub in &subs {
-                sink.write_all(&(sub.len() as u32).to_le_bytes())
-                    .map_err(CbicError::from)?;
-            }
-            for sub in &subs {
-                sink.write_all(sub).map_err(CbicError::from)?;
-            }
-            let coder_stats = self.state.coder_stats();
-            return Ok(EncodeStats {
-                pixels: (width * height) as u64,
-                payload_bits,
-                escapes: coder_stats.escapes,
-                estimator_rescales: coder_stats.rescales,
-                context_halvings: self.state.halvings(),
-                decisions,
-                coded_decisions,
-            });
-        }
 
         let mut enc = BinaryEncoder::new(StreamBitWriter::new(sink));
         self.state.encode_view(img, &mut enc);
@@ -290,31 +216,6 @@ impl DecoderSession {
         };
 
         let mut img = Image::with_depth(hdr.width, hdr.height, hdr.bit_depth);
-
-        if hdr.lanes >= 2 {
-            let lens = read_lane_table(source, usize::from(hdr.lanes)).map_err(CbicError::from)?;
-            let mut subs = Vec::with_capacity(lens.len());
-            for &len in &lens {
-                // `take` bounds each read by the declared length, so a
-                // forged table cannot force an oversized allocation.
-                let mut sub = Vec::new();
-                (&mut *source)
-                    .take(u64::from(len))
-                    .read_to_end(&mut sub)
-                    .map_err(CbicError::from)?;
-                if sub.len() != len as usize {
-                    return Err(CodecError::Truncated.into());
-                }
-                subs.push(sub);
-            }
-            let sources = subs.iter().map(|s| BitReader::new(s)).collect();
-            let mut dec = LaneDecoder::new(sources);
-            state.decode_into(&mut dec, &mut img.view_mut());
-            if dec.max_padding_bits() > MAX_CODE_PADDING_BITS {
-                return Err(CodecError::Truncated.into());
-            }
-            return Ok(img);
-        }
 
         let mut dec = BinaryDecoder::new(StreamBitReader::new(source));
         state.decode_into(&mut dec, &mut img.view_mut());

@@ -48,35 +48,22 @@
 //! ```
 
 use crate::codec::{CodecConfig, MAX_CODE_PADDING_BITS};
-use crate::container::{header_bytes, read_header, read_lane_table, CodecError, ContainerHeader};
+use crate::container::{header_bytes, read_header, CodecError, ContainerHeader};
 use crate::hwpipe::{HwDecoder, HwEncoder};
-use cbic_arith::{BinaryDecoder, BinaryEncoder, LaneDecoder, LaneEncoder, MAX_LANES};
+use cbic_arith::{BinaryDecoder, BinaryEncoder};
 use cbic_bitio::{BitSink, BitSource, StreamBitReader, StreamBitWriter};
 use cbic_image::{Image, ImageView};
 use std::io::{self, Read, Write};
 
-/// The encoder's coding backend: a single coder flushing bits straight to
-/// the transport (container v1/v2), or `N` interleaved lanes buffering
-/// their substreams until [`StreamEncoder::finish`] can emit the v3
-/// length table (substream lengths are only known at the end).
-#[derive(Debug)]
-enum EncBackend<W: Write> {
-    Single(HwEncoder<BinaryEncoder<StreamBitWriter<W>>>),
-    Lanes { hw: HwEncoder<LaneEncoder>, out: W },
-}
-
 /// Streaming encoder: consumes pixel rows, emits the standard `CBIC`
 /// container incrementally into an [`io::Write`].
 ///
-/// With one lane (the default), memory is bounded to the hardware model's
-/// state (three line buffers, the context store, the estimator trees) plus
-/// a 4 KiB output buffer — nothing scales with image height. With
-/// [`Self::with_lanes`] ≥ 2 the per-lane substreams are buffered in memory
-/// until [`Self::finish`], because the v3 container prefixes each
-/// substream with its length; memory then scales with the compressed size.
+/// Memory is bounded to the hardware model's state (three line buffers,
+/// the context store, the estimator trees) plus a 4 KiB output buffer —
+/// nothing scales with image height.
 #[derive(Debug)]
 pub struct StreamEncoder<W: Write> {
-    backend: EncBackend<W>,
+    hw: HwEncoder<BinaryEncoder<StreamBitWriter<W>>>,
     height: usize,
     rows_in: usize,
     header_len: usize,
@@ -88,15 +75,13 @@ pub struct StreamEncoder<W: Write> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StreamEncodeStats {
-    /// Exact entropy-coded payload bits, including every coder's flush
-    /// tail (summed over all lanes, excluding byte-align padding and the
-    /// v3 lane table) — matches
+    /// Exact entropy-coded payload bits, including the coder's flush tail
+    /// (excluding byte-align padding) — matches
     /// [`EncodeStats::payload_bits`](crate::EncodeStats) for the same
-    /// pixels and lane count.
+    /// pixels.
     pub payload_bits: u64,
-    /// Bytes following the fixed container header: the padded payload
-    /// plus, for v3, the per-lane length table — the quantity `cbic info`
-    /// reports as "payload".
+    /// Bytes following the fixed container header: the padded payload —
+    /// the quantity `cbic info` reports as "payload".
     pub payload_bytes: u64,
     /// Total container bytes written (header + payload).
     pub container_bytes: u64,
@@ -133,74 +118,56 @@ impl<W: Write> StreamEncoder<W> {
     /// Panics if either dimension is zero, the depth is outside `1..=16`,
     /// or the configuration is invalid.
     pub fn with_depth(
-        out: W,
-        width: usize,
-        height: usize,
-        bit_depth: u8,
-        cfg: &CodecConfig,
-    ) -> io::Result<Self> {
-        Self::with_lanes(out, width, height, bit_depth, cfg, 1)
-    }
-
-    /// [`Self::with_depth`] over `lanes` interleaved coder lanes: for
-    /// `lanes >= 2` the emitted container is version 3 (lane byte +
-    /// length-prefixed substreams), byte-identical to
-    /// [`compress_with_lanes`](crate::compress_with_lanes); `lanes == 1`
-    /// keeps the v1/v2 single-stream format and the bounded-memory
-    /// guarantee.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::new`].
-    ///
-    /// # Panics
-    ///
-    /// Additionally panics if `lanes` is zero or above
-    /// [`MAX_LANES`].
-    pub fn with_lanes(
         mut out: W,
         width: usize,
         height: usize,
         bit_depth: u8,
         cfg: &CodecConfig,
-        lanes: usize,
     ) -> io::Result<Self> {
         assert!(width > 0 && height > 0, "image dimensions must be nonzero");
-        assert!(
-            (1..=MAX_LANES).contains(&lanes),
-            "lane count {lanes} outside 1..={MAX_LANES}"
-        );
         crate::container::check_container_dimensions(width, height)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let (hdr, len) = header_bytes(cfg, width, height, bit_depth, lanes as u8);
+        let (hdr, len) = header_bytes(cfg, width, height, bit_depth);
         out.write_all(&hdr[..len])?;
-        let backend = if lanes >= 2 {
-            EncBackend::Lanes {
-                hw: HwEncoder::with_coder(width, bit_depth, cfg, LaneEncoder::new(lanes)),
-                out,
-            }
-        } else {
-            EncBackend::Single(HwEncoder::with_sink(
-                width,
-                bit_depth,
-                cfg,
-                StreamBitWriter::new(out),
-            ))
-        };
         Ok(Self {
-            backend,
+            hw: HwEncoder::with_sink(width, bit_depth, cfg, StreamBitWriter::new(out)),
             height,
             rows_in: 0,
             header_len: len,
         })
     }
 
+    /// [`Self::with_depth`] for callers written when the coder had lanes.
+    /// Coder lanes are retired, so `lanes` must be 1.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] for any other `lanes`, otherwise as
+    /// [`Self::new`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::with_depth`].
+    pub fn with_lanes(
+        out: W,
+        width: usize,
+        height: usize,
+        bit_depth: u8,
+        cfg: &CodecConfig,
+        lanes: usize,
+    ) -> io::Result<Self> {
+        if lanes != 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("lane count {lanes}: coder lanes are retired, only 1 is valid"),
+            ));
+        }
+        Self::with_depth(out, width, height, bit_depth, cfg)
+    }
+
     /// Row width this encoder expects.
     pub fn width(&self) -> usize {
-        match &self.backend {
-            EncBackend::Single(hw) => hw.width(),
-            EncBackend::Lanes { hw, .. } => hw.width(),
-        }
+        self.hw.width()
     }
 
     /// Total rows the header promised.
@@ -210,18 +177,7 @@ impl<W: Write> StreamEncoder<W> {
 
     /// Sample bit depth the header declared.
     pub fn bit_depth(&self) -> u8 {
-        match &self.backend {
-            EncBackend::Single(hw) => hw.bit_depth(),
-            EncBackend::Lanes { hw, .. } => hw.bit_depth(),
-        }
-    }
-
-    /// Number of interleaved coder lanes (1 = v1/v2 single stream).
-    pub fn lanes(&self) -> usize {
-        match &self.backend {
-            EncBackend::Single(_) => 1,
-            EncBackend::Lanes { hw, .. } => hw.coder().lane_count(),
-        }
+        self.hw.bit_depth()
     }
 
     /// Rows consumed so far.
@@ -229,22 +185,13 @@ impl<W: Write> StreamEncoder<W> {
         self.rows_in
     }
 
-    /// Payload bits emitted so far (pre-padding, summed over all lanes) —
-    /// the streaming equivalent of
-    /// [`EncodeStats::payload_bits`](crate::EncodeStats). On a
-    /// lane-striped encoder this drains the decisions buffered at the lane
-    /// mux first, so the count is exact up to the decisions coded so far
-    /// (it excludes only each coder's final flush tail, like the
-    /// single-coder count; [`finish_with_stats`](Self::finish_with_stats)
-    /// settles the exact total including the tails).
-    pub fn payload_bits(&mut self) -> u64 {
-        match &mut self.backend {
-            EncBackend::Single(hw) => hw.sink().bits_written(),
-            // `bits_flushed` alone would miss everything still buffered at
-            // the mux — on a small image that is the *entire* payload
-            // (the `compress --lanes N` "0.000 bpp" bug).
-            EncBackend::Lanes { hw, .. } => hw.coder_mut().bits_written(),
-        }
+    /// Payload bits emitted so far (pre-padding) — the streaming
+    /// equivalent of [`EncodeStats::payload_bits`](crate::EncodeStats),
+    /// short only of the coder's final flush tail
+    /// ([`finish_with_stats`](Self::finish_with_stats) settles the exact
+    /// total including it).
+    pub fn payload_bits(&self) -> u64 {
+        self.hw.sink().bits_written()
     }
 
     /// Encodes one raster row.
@@ -279,21 +226,10 @@ impl<W: Write> StreamEncoder<W> {
             ));
         }
         self.rows_in += 1;
-        match &mut self.backend {
-            EncBackend::Single(hw) => {
-                for &pixel in row {
-                    hw.push_pixel(pixel);
-                }
-                hw.sink_mut().take_error()
-            }
-            EncBackend::Lanes { hw, .. } => {
-                // Lane substreams buffer in memory; no I/O until `finish`.
-                for &pixel in row {
-                    hw.push_pixel(pixel);
-                }
-                Ok(())
-            }
+        for &pixel in row {
+            self.hw.push_pixel(pixel);
         }
+        self.hw.sink_mut().take_error()
     }
 
     /// Flushes the arithmetic coder and the transport, returning the
@@ -330,95 +266,49 @@ impl<W: Write> StreamEncoder<W> {
             "only {} of {} rows were pushed",
             self.rows_in, self.height
         );
-        let header_len = self.header_len as u64;
-        match self.backend {
-            EncBackend::Single(hw) => {
-                let mut writer = hw.finish_sink();
-                writer.take_error()?;
-                // The coder flush already ran, so this is the exact
-                // pre-padding total; `finish` pads to the byte boundary.
-                let payload_bits = writer.bits_written();
-                let payload_bytes = payload_bits.div_ceil(8);
-                let out = writer.finish()?;
-                Ok((
-                    out,
-                    StreamEncodeStats {
-                        payload_bits,
-                        payload_bytes,
-                        container_bytes: header_len + payload_bytes,
-                    },
-                ))
-            }
-            EncBackend::Lanes { hw, mut out } => {
-                let (subs, payload_bits) = hw.into_coder().finish_with_bits();
-                for sub in &subs {
-                    let len = u32::try_from(sub.len()).map_err(|_| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            "lane substream exceeds the u32 length field",
-                        )
-                    })?;
-                    out.write_all(&len.to_le_bytes())?;
-                }
-                for sub in &subs {
-                    out.write_all(sub)?;
-                }
-                let payload_bytes =
-                    (4 * subs.len() + subs.iter().map(Vec::len).sum::<usize>()) as u64;
-                Ok((
-                    out,
-                    StreamEncodeStats {
-                        payload_bits,
-                        payload_bytes,
-                        container_bytes: header_len + payload_bytes,
-                    },
-                ))
-            }
-        }
+        let mut writer = self.hw.finish_sink();
+        writer.take_error()?;
+        // The coder flush already ran, so this is the exact pre-padding
+        // total; `finish` pads to the byte boundary.
+        let payload_bits = writer.bits_written();
+        let payload_bytes = payload_bits.div_ceil(8);
+        let out = writer.finish()?;
+        Ok((
+            out,
+            StreamEncodeStats {
+                payload_bits,
+                payload_bytes,
+                container_bytes: self.header_len as u64 + payload_bytes,
+            },
+        ))
     }
-}
-
-/// The decoder's coding backend: a single coder pulling bits straight off
-/// the transport (container v1/v2), or a lane demultiplexer over the v3
-/// per-lane substreams, each slurped up front (their lengths bound the
-/// reads) and decoded from memory.
-#[derive(Debug)]
-enum DecBackend<R: Read> {
-    Single(HwDecoder<BinaryDecoder<StreamBitReader<R>>>),
-    Lanes(HwDecoder<LaneDecoder<StreamBitReader<io::Cursor<Vec<u8>>>>>),
 }
 
 /// Streaming decoder: reads the standard `CBIC` container incrementally
 /// from an [`io::Read`], producing reconstructed rows one at a time.
 ///
-/// For v1/v2 containers the compressed stream is never slurped: bytes are
-/// pulled through a 4 KiB refill buffer exactly as the arithmetic decoder
-/// consumes them. A v3 (lane-interleaved) container instead reads its
-/// length-prefixed substreams into memory up front — the lane muxing needs
-/// random access across substreams, so memory scales with the compressed
-/// size there.
+/// The compressed stream is never slurped: bytes are pulled through a
+/// 4 KiB refill buffer exactly as the arithmetic decoder consumes them.
 #[derive(Debug)]
 pub struct StreamDecoder<R: Read> {
-    backend: DecBackend<R>,
+    hw: HwDecoder<BinaryDecoder<StreamBitReader<R>>>,
     cfg: CodecConfig,
     width: usize,
     height: usize,
     bit_depth: u8,
-    lanes: usize,
     rows_out: usize,
 }
 
 impl<R: Read> StreamDecoder<R> {
     /// Reads and validates the container header, preparing the pixel
-    /// pipeline (for v3, this also reads the lane table and all
-    /// substreams).
+    /// pipeline.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`] when the stream ends inside the header,
-    /// lane table, or a promised substream, [`CodecError::Io`] on
-    /// transport errors, and the usual header errors
-    /// ([`CodecError::BadMagic`], invalid fields, …) otherwise.
+    /// [`CodecError::Io`] on transport errors, and the usual header errors
+    /// ([`CodecError::BadMagic`], the retired version 3, invalid fields,
+    /// …) otherwise.
     pub fn new(mut input: R) -> Result<Self, CodecError> {
         let hdr = read_header(&mut input)?;
         Self::with_header(hdr, input)
@@ -434,58 +324,25 @@ impl<R: Read> StreamDecoder<R> {
     /// As [`StreamDecoder::new`]; a version-4 tiled container is
     /// [`CodecError::InvalidHeader`] here (its index wants random access,
     /// not row streaming) — route it to [`crate::grid`] instead.
-    pub(crate) fn with_header(hdr: ContainerHeader, mut input: R) -> Result<Self, CodecError> {
+    pub(crate) fn with_header(hdr: ContainerHeader, input: R) -> Result<Self, CodecError> {
         if hdr.tile.is_some() {
             return Err(CodecError::InvalidHeader(
                 "version-4 tiled container: use the grid decoder".into(),
             ));
         }
-        let lanes = usize::from(hdr.lanes);
-        let backend = if lanes >= 2 {
-            let lens = read_lane_table(&mut input, lanes)?;
-            let mut sources = Vec::with_capacity(lanes);
-            for &len in &lens {
-                // `take` bounds each read by the declared length, so a
-                // forged table cannot force an oversized allocation; a
-                // short read is a truncated substream.
-                let mut sub = Vec::new();
-                (&mut input)
-                    .take(u64::from(len))
-                    .read_to_end(&mut sub)
-                    .map_err(|e| CodecError::io(&e))?;
-                if sub.len() != len as usize {
-                    return Err(CodecError::Truncated);
-                }
-                sources.push(StreamBitReader::new(io::Cursor::new(sub)));
-            }
-            DecBackend::Lanes(HwDecoder::with_coder(
-                LaneDecoder::new(sources),
-                hdr.width,
-                hdr.bit_depth,
-                &hdr.cfg,
-            ))
-        } else {
-            DecBackend::Single(HwDecoder::with_source(
+        Ok(Self {
+            hw: HwDecoder::with_source(
                 StreamBitReader::new(input),
                 hdr.width,
                 hdr.bit_depth,
                 &hdr.cfg,
-            ))
-        };
-        Ok(Self {
-            backend,
+            ),
             cfg: hdr.cfg,
             width: hdr.width,
             height: hdr.height,
             bit_depth: hdr.bit_depth,
-            lanes,
             rows_out: 0,
         })
-    }
-
-    /// Number of interleaved coder lanes (1 for v1/v2 containers).
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// Image dimensions declared by the header.
@@ -513,9 +370,13 @@ impl<R: Read> StreamDecoder<R> {
     /// # Errors
     ///
     /// [`CodecError::Io`] if the transport failed mid-row, and
-    /// [`CodecError::Truncated`] when — by the final row — the decoder had
-    /// to invent more padding bits than any complete payload requires
-    /// (i.e. the stream ended early and the tail rows are fabrication).
+    /// [`CodecError::Truncated`] as soon as the decoder has had to invent
+    /// more padding bits than any complete payload requires (the stream
+    /// ended early, so this row and every later one would be
+    /// fabrication). Padding only grows, so checking every row rejects
+    /// exactly the streams a final-row check would, and a container whose
+    /// header promises far more pixels than its payload holds fails
+    /// within a row or two instead of after the whole image.
     ///
     /// # Panics
     ///
@@ -529,30 +390,14 @@ impl<R: Read> StreamDecoder<R> {
             self.height
         );
         self.rows_out += 1;
-        let last = self.rows_out == self.height;
-        match &mut self.backend {
-            DecBackend::Single(hw) => {
-                for slot in buf.iter_mut() {
-                    *slot = hw.next_pixel();
-                }
-                if let Some(e) = hw.source().io_error() {
-                    return Err(CodecError::io(e));
-                }
-                if last && hw.source().padding_bits() > MAX_CODE_PADDING_BITS {
-                    return Err(CodecError::Truncated);
-                }
-            }
-            DecBackend::Lanes(hw) => {
-                for slot in buf.iter_mut() {
-                    *slot = hw.next_pixel();
-                }
-                // Substreams were length-checked up front, so the only
-                // residual truncation signal is a lane overrunning into
-                // padding.
-                if last && hw.coder().max_padding_bits() > MAX_CODE_PADDING_BITS {
-                    return Err(CodecError::Truncated);
-                }
-            }
+        for slot in buf.iter_mut() {
+            *slot = self.hw.next_pixel();
+        }
+        if let Some(e) = self.hw.source().io_error() {
+            return Err(CodecError::io(e));
+        }
+        if self.hw.source().padding_bits() > MAX_CODE_PADDING_BITS {
+            return Err(CodecError::Truncated);
         }
         Ok(())
     }
@@ -752,6 +597,19 @@ mod tests {
         // A legal row still encodes afterwards.
         enc.push_row(&[0, 1023, 1, 2]).unwrap();
         assert_eq!(enc.rows_pushed(), 1);
+    }
+
+    #[test]
+    fn with_lanes_accepts_only_one_lane() {
+        let cfg = CodecConfig::default();
+        for lanes in [0, 2, 4] {
+            let err = StreamEncoder::with_lanes(Vec::new(), 4, 4, 8, &cfg, lanes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "lanes {lanes}");
+        }
+        let mut enc = StreamEncoder::with_lanes(Vec::new(), 4, 1, 8, &cfg, 1).unwrap();
+        enc.push_row(&[1, 2, 3, 4]).unwrap();
+        let img = Image::from_fn(4, 1, |x, _| x as u8 + 1);
+        assert_eq!(enc.finish().unwrap(), compress(img.view(), &cfg));
     }
 
     #[test]

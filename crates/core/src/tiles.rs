@@ -39,7 +39,7 @@
 
 use crate::codec::{encode_raw, CodecConfig, EncodeStats};
 use crate::container::{
-    compress_with_lanes, decode_payload_into, parse_header, CodecError, ContainerHeader, HEADER_LEN,
+    compress, decode_payload_into, parse_header, CodecError, ContainerHeader, HEADER_LEN,
 };
 use cbic_image::{CbicError, Codec, DecodeOptions, EncodeOptions, Image, ImageView, ImageViewMut};
 use std::io::{Read, Write};
@@ -164,30 +164,8 @@ pub fn compress_tiled(
     tiles: usize,
     par: Parallelism,
 ) -> Vec<u8> {
-    compress_tiled_with_lanes(img, cfg, tiles, par, 1)
-}
-
-/// [`compress_tiled`] with every band coded over `lanes` interleaved coder
-/// lanes: each band embeds a standard container, so for `lanes ≥ 2` the
-/// bands are version-3 containers (see
-/// [`compress_with_lanes`]) while the `CBTI`
-/// framing is unchanged. Decoded pixels are identical for every lane
-/// count.
-///
-/// # Panics
-///
-/// As [`compress_tiled`]; additionally if `lanes` is zero or above
-/// [`cbic_arith::MAX_LANES`].
-pub fn compress_tiled_with_lanes(
-    img: ImageView<'_>,
-    cfg: &CodecConfig,
-    tiles: usize,
-    par: Parallelism,
-    lanes: usize,
-) -> Vec<u8> {
     let bands = split_bands(img, tiles);
-    let payloads: Vec<Vec<u8>> =
-        run_banded(bands, par, |band| compress_with_lanes(band, cfg, lanes));
+    let payloads: Vec<Vec<u8>> = run_banded(bands, par, |band| compress(band, cfg));
     let body: usize = payloads.iter().map(|p| 4 + p.len()).sum();
     let mut out = Vec::with_capacity(8 + body);
     out.extend_from_slice(TILE_MAGIC);
@@ -360,21 +338,14 @@ impl Codec for Tiled {
     }
 
     /// Encodes `opts.tiles` (default: the struct's geometry) independent
-    /// zero-copy band views on `opts.parallelism` workers, each band over
-    /// `opts.lanes` coder lanes. The bytes do not depend on the schedule.
+    /// zero-copy band views on `opts.parallelism` workers. The bytes do
+    /// not depend on the schedule.
     fn encode(
         &self,
         img: ImageView<'_>,
         opts: &EncodeOptions,
         sink: &mut dyn Write,
     ) -> Result<cbic_image::EncodeStats, CbicError> {
-        if !(1..=cbic_arith::MAX_LANES).contains(&opts.lanes) {
-            return Err(CbicError::InvalidContainer(format!(
-                "lane count {} outside 1..={}",
-                opts.lanes,
-                cbic_arith::MAX_LANES
-            )));
-        }
         // A non-classic request on the options overrides the codec's own
         // model (mirroring `Proposed::encode`); each band then embeds a
         // version-5 container carrying the model byte.
@@ -384,7 +355,7 @@ impl Codec for Tiled {
         }
         cfg.model.validate().map_err(CbicError::InvalidContainer)?;
         let tiles = opts.tiles.unwrap_or(self.tiles).clamp(1, img.height());
-        let bytes = compress_tiled_with_lanes(img, &cfg, tiles, opts.parallelism, opts.lanes);
+        let bytes = compress_tiled(img, &cfg, tiles, opts.parallelism);
         sink.write_all(&bytes).map_err(CbicError::from)?;
         Ok(cbic_image::EncodeStats::new(
             img.pixel_count() as u64,

@@ -181,10 +181,6 @@ pub struct EncodeOptions {
     /// Horizontal band count for tiling codecs; `None` uses the codec's
     /// default geometry. Ignored by untiled codecs.
     pub tiles: Option<usize>,
-    /// Interleaved coder lanes for codecs with a lane-parallel entropy
-    /// stage (`1` = the classic single-coder stream). Codecs without lane
-    /// support ignore it; lane-aware codecs validate the count themselves.
-    pub lanes: usize,
     /// 2D tile size `(tile_w, tile_h)` for codecs with a seekable tile
     /// grid (container v4 of the proposed codec). `None` keeps the flat
     /// single-stream container. Codecs without a grid path ignore it;
@@ -199,13 +195,11 @@ pub struct EncodeOptions {
 }
 
 impl Default for EncodeOptions {
-    /// [`Parallelism::Auto`], default tiling geometry, one coder lane,
-    /// no 2D tile grid.
+    /// [`Parallelism::Auto`], default tiling geometry, no 2D tile grid.
     fn default() -> Self {
         Self {
             parallelism: Parallelism::Auto,
             tiles: None,
-            lanes: 1,
             tile: None,
             model: ModelMode::Classic,
         }
@@ -227,12 +221,6 @@ impl EncodeOptions {
     /// Overrides the band count of tiling codecs.
     pub fn with_tiles(mut self, tiles: usize) -> Self {
         self.tiles = Some(tiles);
-        self
-    }
-
-    /// Sets the interleaved coder lane count of lane-aware codecs.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
         self
     }
 
@@ -327,11 +315,9 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let e = EncodeOptions::new().with_tiles(7).with_lanes(4);
+        let e = EncodeOptions::new().with_tiles(7);
         assert_eq!(e.tiles, Some(7));
-        assert_eq!(e.lanes, 4);
         assert_eq!(EncodeOptions::default().tiles, None);
-        assert_eq!(EncodeOptions::default().lanes, 1);
         assert_eq!(EncodeOptions::default().tile, None);
         assert_eq!(
             EncodeOptions::new().with_tile(256, 128).tile,

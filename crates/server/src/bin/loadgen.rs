@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cbic-loadgen [--addr HOST:PORT] [--connections N] [--requests N]
-//!              [--size PX] [--lanes L] [--codecs a,b,...]
+//!              [--size PX] [--codecs a,b,...]
 //!              [--out PATH] [--check]
 //! ```
 //!
@@ -30,7 +30,6 @@ struct Options {
     connections: usize,
     requests: usize,
     size: usize,
-    lanes: u8,
     codecs: Vec<String>,
     out: String,
     check: bool,
@@ -43,7 +42,6 @@ impl Default for Options {
             connections: 4,
             requests: 32,
             size: 64,
-            lanes: 1,
             codecs: vec![
                 "proposed".into(),
                 "jpegls".into(),
@@ -74,7 +72,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.requests = value.parse().map_err(|e| format!("--requests: {e}"))?;
             }
             "--size" => opts.size = value.parse().map_err(|e| format!("--size: {e}"))?,
-            "--lanes" => opts.lanes = value.parse().map_err(|e| format!("--lanes: {e}"))?,
             "--codecs" => {
                 opts.codecs = value.split(',').map(str::to_string).collect();
             }
@@ -129,7 +126,7 @@ fn drive_connection(
             let mut conn = conn;
             let start = Instant::now();
             let encoded = conn
-                .encode(img.view(), *magic, opts.lanes, 0)
+                .encode(img.view(), *magic, 1, 0)
                 .map_err(|e| format!("encode rpc: {e}"))?;
             let container = match encoded {
                 Reply::Encoded { container, .. } => container,
@@ -367,11 +364,10 @@ fn main() -> ExitCode {
         .map(|(name, _)| format!("\"{name}\""))
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 2,\n  \"harness\": \"cbic-loadgen\",\n  \"connections\": {},\n  \"requests_per_connection\": {},\n  \"image_size\": {},\n  \"lanes\": {},\n  \"codecs\": [{}],\n  \"elapsed_s\": {:.3},\n  \"requests\": {},\n  \"requests_per_s\": {:.1},\n  \"mismatches\": {},\n  \"errors\": {},\n  \"busy_retries\": {},\n  \"mean_bpp\": {:.3},\n  \"latency_us\": {{ \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {} }},\n  \"server_latency_us\": {}\n}}\n",
+        "{{\n  \"schema\": 2,\n  \"harness\": \"cbic-loadgen\",\n  \"connections\": {},\n  \"requests_per_connection\": {},\n  \"image_size\": {},\n  \"codecs\": [{}],\n  \"elapsed_s\": {:.3},\n  \"requests\": {},\n  \"requests_per_s\": {:.1},\n  \"mismatches\": {},\n  \"errors\": {},\n  \"busy_retries\": {},\n  \"mean_bpp\": {:.3},\n  \"latency_us\": {{ \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {} }},\n  \"server_latency_us\": {}\n}}\n",
         opts.connections,
         opts.requests,
         opts.size,
-        opts.lanes,
         codec_names.join(", "),
         elapsed,
         requests,

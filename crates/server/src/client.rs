@@ -94,6 +94,10 @@ impl Client {
 
     /// Compresses `img` remotely with the codec owning `magic`.
     ///
+    /// `lanes` is sent as the request's lane byte unchanged. Coder lanes
+    /// are retired, so the server accepts only 1 and answers any other
+    /// value with a [`Reply::Error`].
+    ///
     /// # Errors
     ///
     /// Transport failures or a malformed reply; server-side rejections
@@ -105,7 +109,10 @@ impl Client {
         lanes: u8,
         threads: u8,
     ) -> io::Result<Reply> {
-        self.encode_tiled(img, magic, lanes, threads, None)
+        self.send_encode(EncodeRequest {
+            lanes,
+            ..encode_request(img, magic, threads, None, 0)
+        })
     }
 
     /// [`encode`](Self::encode) with an optional v4 tile-grid geometry
@@ -118,11 +125,10 @@ impl Client {
         &mut self,
         img: ImageView<'_>,
         magic: [u8; 4],
-        lanes: u8,
         threads: u8,
         tile: Option<(u16, u16)>,
     ) -> io::Result<Reply> {
-        self.encode_with_model(img, magic, lanes, threads, tile, 0)
+        self.encode_with_model(img, magic, threads, tile, 0)
     }
 
     /// [`encode_tiled`](Self::encode_tiled) with an explicit context-model
@@ -137,22 +143,15 @@ impl Client {
         &mut self,
         img: ImageView<'_>,
         magic: [u8; 4],
-        lanes: u8,
         threads: u8,
         tile: Option<(u16, u16)>,
         model: u8,
     ) -> io::Result<Reply> {
-        let req = EncodeRequest {
-            magic,
-            lanes,
-            threads,
-            bit_depth: img.bit_depth(),
-            width: img.width() as u32,
-            height: img.height() as u32,
-            tile,
-            model,
-            samples: img.rows().flat_map(<[u16]>::to_vec).collect(),
-        };
+        self.send_encode(encode_request(img, magic, threads, tile, model))
+    }
+
+    /// Sends one ENCODE request and parses its reply.
+    fn send_encode(&mut self, req: EncodeRequest) -> io::Result<Reply> {
         let reply = self.roundtrip(&req.to_body())?;
         let rest = check_status(&reply)?;
         let Some(rest) = rest else {
@@ -313,6 +312,28 @@ impl Client {
     pub fn drain(&mut self) {
         let mut sink = [0u8; 4096];
         while matches!(self.stream.read(&mut sink), Ok(n) if n > 0) {}
+    }
+}
+
+/// The ENCODE request for `img`, with the lane byte at its only valid
+/// value, 1.
+fn encode_request(
+    img: ImageView<'_>,
+    magic: [u8; 4],
+    threads: u8,
+    tile: Option<(u16, u16)>,
+    model: u8,
+) -> EncodeRequest {
+    EncodeRequest {
+        magic,
+        lanes: 1,
+        threads,
+        bit_depth: img.bit_depth(),
+        width: img.width() as u32,
+        height: img.height() as u32,
+        tile,
+        model,
+        samples: img.rows().flat_map(<[u16]>::to_vec).collect(),
     }
 }
 

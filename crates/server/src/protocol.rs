@@ -18,8 +18,10 @@
 //!
 //! `samples` are row-major, one byte per sample for depths ≤ 8 and two
 //! little-endian bytes otherwise. `magic` routes the request to a codec by
-//! its container magic (`CBIC`, `CBTI`, …); `lanes`/`threads` map onto
-//! [`EncodeOptions`](cbic_image::EncodeOptions) lanes and parallelism.
+//! its container magic (`CBIC`, `CBTI`, …); `threads` maps onto
+//! [`EncodeOptions`](cbic_image::EncodeOptions) parallelism. `lanes` is
+//! the byte of the retired coder lanes: it must be 1, and the server
+//! answers any other value with [`Status::BadRequest`].
 //! `tile_w`/`tile_h` of `0, 0` keep the flat container; nonzero values
 //! request the proposed codec's v4 seekable tile grid. `model` selects
 //! the context model: `0` is the classic compound context, any other
@@ -160,7 +162,9 @@ pub fn read_frame(source: &mut dyn Read, max_len: usize) -> io::Result<Frame> {
 pub struct EncodeRequest {
     /// Container magic selecting the codec.
     pub magic: [u8; 4],
-    /// Coder lanes (`1` = classic single-coder stream).
+    /// The byte of the retired coder lanes. It stays on the wire, must be
+    /// 1, and the server answers any other value with
+    /// [`Status::BadRequest`].
     pub lanes: u8,
     /// Worker threads for codecs with a parallel path (`0`/`1` =
     /// sequential).

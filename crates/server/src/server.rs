@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use cbic_core::{CodecConfig, DecoderSession, EncoderSession, MAX_LANES};
+use cbic_core::{CodecConfig, DecoderSession, EncoderSession};
 use cbic_image::registry::CodecRegistry;
 use cbic_image::{CbicError, DecodeOptions, EncodeOptions, Image, ModelMode, Parallelism};
 use cbic_universal::codecs::default_registry;
@@ -430,12 +430,14 @@ fn handle_encode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
             return error_body(Status::BadRequest, &msg);
         }
     };
-    let lanes = req.lanes as usize;
-    if !(1..=MAX_LANES).contains(&lanes) {
+    if req.lanes != 1 {
         metrics.bad_requests.fetch_add(1, Relaxed);
         return error_body(
             Status::BadRequest,
-            &format!("lane count {lanes} outside 1..={MAX_LANES}"),
+            &format!(
+                "lane count {}: coder lanes are retired, only 1 is valid",
+                req.lanes
+            ),
         );
     }
     let model = if req.model == 0 {
@@ -501,7 +503,6 @@ fn handle_encode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
             );
         };
         let opts = EncodeOptions::new()
-            .with_lanes(lanes)
             .with_tile(u32::from(tile_w), u32::from(tile_h))
             .with_model(model)
             .with_parallelism(Parallelism::from_threads(req.threads as usize));
@@ -511,10 +512,9 @@ fn handle_encode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
         }
     } else if req.magic == state.proposed_magic && req.threads <= 1 && model.is_classic() {
         // The hot path: the worker's resident EncoderSession — context
-        // banks, line buffers, and lane coders reset in place. Wide-model
-        // requests go through the registry codec below, so the resident
-        // session's classic context banks are never resized per request.
-        state.encoder.set_lanes(lanes);
+        // banks and estimator trees reset in place. Wide-model requests go
+        // through the registry codec below, so the resident session's
+        // classic context banks are never resized per request.
         match state.encoder.encode(img.view(), &mut container) {
             Ok(stats) => Some(stats.payload_bits),
             Err(e) => return codec_error(metrics, &e),
@@ -528,7 +528,6 @@ fn handle_encode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
             );
         };
         let opts = EncodeOptions::new()
-            .with_lanes(lanes)
             .with_model(model)
             .with_parallelism(Parallelism::from_threads(req.threads as usize));
         match codec.encode(img.view(), &opts, &mut container) {
@@ -572,7 +571,7 @@ fn handle_decode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
         let rect = cbic_image::Rect::new(x, y, w, h);
         if rest.get(..4) == Some(&state.proposed_magic[..]) {
             // Proposed-codec containers: over a v4 grid only the
-            // covering tiles are decoded; flat v1–v3 decode fully and
+            // covering tiles are decoded; flat containers decode fully and
             // crop. Out-of-bounds rects come back as structured errors.
             match cbic_core::decode_roi_any(rest, rect, Parallelism::Sequential) {
                 Ok(img) => img,

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Duration;
 
-use cbic_core::{compress_with_lanes, CodecConfig};
+use cbic_core::{compress, CodecConfig};
 use cbic_image::corpus::CorpusImage;
 use cbic_image::Image;
 use cbic_server::client::{Client, Reply};
@@ -73,34 +73,28 @@ fn every_registry_codec_roundtrips_over_the_socket() {
 }
 
 #[test]
-fn lane_encodes_match_the_local_v3_container_bit_for_bit() {
+fn encodes_match_the_local_container_bit_for_bit() {
     let handle = spawn_server(test_config());
     let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
     let img = CorpusImage::Lena.generate(24, 24);
-    for lanes in [1u8, 2, 4, 8] {
-        let Reply::Encoded {
-            container,
-            payload_bits,
-        } = client
-            .encode(img.view(), *b"CBIC", lanes, 0)
-            .expect("encode rpc")
-        else {
-            panic!("lanes {lanes}: encode refused");
-        };
-        let local = compress_with_lanes(img.view(), &CodecConfig::default(), lanes as usize);
-        assert_eq!(container, local, "lanes {lanes}");
-        // The session path reports exact payload bits (satellite 1's
-        // accounting), bounded by the container's payload bytes.
-        let bits = payload_bits.expect("proposed codec tracks payload bits");
-        assert!(
-            bits > 0 && bits <= container.len() as u64 * 8,
-            "lanes {lanes}"
-        );
-    }
+    let Reply::Encoded {
+        container,
+        payload_bits,
+    } = client
+        .encode(img.view(), *b"CBIC", 1, 0)
+        .expect("encode rpc")
+    else {
+        panic!("encode refused");
+    };
+    assert_eq!(container, compress(img.view(), &CodecConfig::default()));
+    // The session path reports exact payload bits, bounded by the
+    // container's payload bytes.
+    let bits = payload_bits.expect("proposed codec tracks payload bits");
+    assert!(bits > 0 && bits <= container.len() as u64 * 8);
     // 16-bit samples over the same wire format.
     let deep = Image::from_fn16(20, 20, 12, |x, y| ((x * 101 + y * 57) % 4096) as u16);
     let Reply::Encoded { container, .. } = client
-        .encode(deep.view(), *b"CBIC", 2, 0)
+        .encode(deep.view(), *b"CBIC", 1, 0)
         .expect("encode rpc")
     else {
         panic!("12-bit encode refused");
@@ -109,6 +103,45 @@ fn lane_encodes_match_the_local_v3_container_bit_for_bit() {
         panic!("12-bit decode refused");
     };
     assert_eq!(back, deep);
+    drop(client);
+    handle.shutdown_and_join().expect("clean drain");
+}
+
+#[test]
+fn retired_lanes_get_error_replies_and_the_connection_keeps_serving() {
+    // A container of the retired lane-interleaved version 3.
+    const V3: &[u8] = include_bytes!("../../../tests/golden/proposed_lanes4_lena_32.bin");
+    let handle = spawn_server(test_config());
+    let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
+    let img = CorpusImage::Lena.generate(32, 32);
+    for _ in 0..2 {
+        let Reply::Error { status, message } = client.decode(V3).expect("decode rpc") else {
+            panic!("a version-3 container must be refused");
+        };
+        assert_eq!(status, Status::CodecError);
+        assert!(message.contains("version 3"), "{message}");
+        for lanes in [0u8, 2, 4] {
+            let Reply::Error { status, message } = client
+                .encode(img.view(), *b"CBIC", lanes, 0)
+                .expect("encode rpc")
+            else {
+                panic!("lanes {lanes} must be refused");
+            };
+            assert_eq!(status, Status::BadRequest, "lanes {lanes}");
+            assert!(message.contains("lane"), "{message}");
+        }
+        // The same connection still serves a one-lane round trip.
+        let Reply::Encoded { container, .. } = client
+            .encode(img.view(), *b"CBIC", 1, 0)
+            .expect("encode rpc")
+        else {
+            panic!("one-lane encode refused");
+        };
+        let Reply::Decoded(back) = client.decode(&container).expect("decode rpc") else {
+            panic!("decode refused");
+        };
+        assert_eq!(back, img);
+    }
     drop(client);
     handle.shutdown_and_join().expect("clean drain");
 }
@@ -125,21 +158,19 @@ fn session_reuse_is_deterministic_across_requests() {
     let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
     let img = CorpusImage::Barb.generate(32, 32);
     let mut encodes = Vec::new();
-    for lanes in [4u8, 1, 4] {
+    for _ in 0..3 {
         let Reply::Encoded { container, .. } = client
-            .encode(img.view(), *b"CBIC", lanes, 0)
+            .encode(img.view(), *b"CBIC", 1, 0)
             .expect("encode rpc")
         else {
             panic!("encode refused");
         };
         encodes.push(container);
     }
-    assert_eq!(encodes[0], encodes[2], "session reuse must be stateless");
-    assert_eq!(
-        encodes[1],
-        cbic_core::compress(img.view(), &CodecConfig::default()),
-        "interleaved lane counts must not leak state"
-    );
+    let fresh = compress(img.view(), &CodecConfig::default());
+    for container in &encodes {
+        assert_eq!(container, &fresh, "session reuse must be stateless");
+    }
     drop(client);
     handle.shutdown_and_join().expect("clean drain");
 }
@@ -257,9 +288,8 @@ fn concurrent_soak_counts_every_request_exactly_once() {
                 let mut client = Client::connect(addr, TIMEOUT).expect("connect");
                 let img = CorpusImage::ALL[worker % CorpusImage::ALL.len()].generate(24, 24);
                 for i in 0..REQS {
-                    let lanes = [1u8, 2, 4][i % 3];
                     let Reply::Encoded { container, .. } = client
-                        .encode(img.view(), *b"CBIC", lanes, 0)
+                        .encode(img.view(), *b"CBIC", 1, 0)
                         .expect("encode rpc")
                     else {
                         panic!("encode refused");
@@ -342,7 +372,7 @@ fn tiled_encode_and_roi_decode_over_a_live_socket() {
 
     // ENCODE with v4 tile geometry: the container must be a v4 grid.
     let Reply::Encoded { container, .. } = client
-        .encode_tiled(img.view(), *b"CBIC", 2, 2, Some((16, 16)))
+        .encode_tiled(img.view(), *b"CBIC", 2, Some((16, 16)))
         .expect("tiled encode rpc")
     else {
         panic!("tiled encode refused");
@@ -373,7 +403,7 @@ fn tiled_encode_and_roi_decode_over_a_live_socket() {
     }
 
     // ROI over a *flat* container decodes fully server-side and crops.
-    let flat = compress_with_lanes(img.view(), &CodecConfig::default(), 1);
+    let flat = compress(img.view(), &CodecConfig::default());
     let Reply::Decoded(crop) = client
         .decode_roi(&flat, 5, 5, 10, 10)
         .expect("flat roi rpc")
@@ -393,7 +423,7 @@ fn tiled_encode_and_roi_decode_over_a_live_socket() {
 
     // Tile geometry on a codec without a grid path is a BadRequest.
     let Reply::Error { status, .. } = client
-        .encode_tiled(img.view(), *b"CBT1", 1, 0, Some((16, 16)))
+        .encode_tiled(img.view(), *b"CBT1", 0, Some((16, 16)))
         .expect("bad tiled encode rpc")
     else {
         panic!("tiled encode for a gridless codec must be refused");

@@ -50,7 +50,7 @@ macro_rules! say {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  cbic compress [--codec NAME] [--near N] [--threads N] [--lanes N] [--tile WxH] \
+        "usage:\n  cbic compress [--codec NAME] [--near N] [--threads N] [--tile WxH] \
          [--model classic|wide[:B]] IN.pgm OUT\n  \
          cbic decompress [--threads N] IN OUT.pgm\n  \
          cbic crop --rect X,Y,W,H [--threads N] IN OUT.pgm\n  cbic info IN\n  cbic codecs\n  \
@@ -189,10 +189,7 @@ fn parse_rect(value: &str) -> Result<cbic::Rect, Box<dyn std::error::Error>> {
 }
 
 fn cmd_compress(args: &[String]) -> CliResult {
-    let (flags, pos) = parse_flags(
-        args,
-        &["codec", "near", "threads", "lanes", "tile", "model"],
-    );
+    let (flags, pos) = parse_flags(args, &["codec", "near", "threads", "tile", "model"]);
     let [input, output] = pos.as_slice() else {
         return Err("compress needs IN.pgm and OUT (either may be `-`)".into());
     };
@@ -202,18 +199,6 @@ fn cmd_compress(args: &[String]) -> CliResult {
         .transpose()?
         .unwrap_or(0);
     let threads = parse_threads(&flags)?;
-    let lanes: usize = flag_value(&flags, "lanes")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(1);
-    if lanes == 0 || lanes > cbic::core::MAX_LANES {
-        return Err(format!("--lanes {lanes} outside 1..={}", cbic::core::MAX_LANES).into());
-    }
-    if lanes > 1 && (codec_name != "proposed" && codec_name != "tiled" || near > 0) {
-        return Err(
-            format!("--lanes applies to the proposed and tiled codecs, not {codec_name}").into(),
-        );
-    }
     let tile = flag_value(&flags, "tile").map(parse_tile).transpose()?;
     if tile.is_some() && (codec_name != "proposed" || near > 0) {
         return Err(format!("--tile applies to the proposed codec, not {codec_name}").into());
@@ -238,7 +223,6 @@ fn cmd_compress(args: &[String]) -> CliResult {
         let img = pgm::decode(&pgm_bytes)?;
         let opts = EncodeOptions::new()
             .with_tile(tile_w, tile_h)
-            .with_lanes(lanes)
             .with_model(model)
             .with_parallelism(Parallelism::from_threads(threads));
         let mut container = Vec::new();
@@ -250,11 +234,6 @@ fn cmd_compress(args: &[String]) -> CliResult {
         let mut out = open_output(output)?;
         out.write_all(&container)?;
         out.flush()?;
-        let lane_note = if lanes > 1 {
-            format!(" x {lanes} lanes")
-        } else {
-            String::new()
-        };
         let model_note = if model.is_classic() {
             String::new()
         } else {
@@ -263,7 +242,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
         let grid_version = if model.is_classic() { 4 } else { 5 };
         eprintln!(
             "{input}: {} pixels ({}-bit) -> {} bytes ({:.3} bpp) with proposed \
-             (v{grid_version} grid, {tile_w}x{tile_h} tiles{lane_note}{model_note}, \
+             (v{grid_version} grid, {tile_w}x{tile_h} tiles{model_note}, \
              {threads} threads)",
             stats.pixels,
             img.bit_depth(),
@@ -277,10 +256,8 @@ fn cmd_compress(args: &[String]) -> CliResult {
         // Bounded-memory path: PGM rows flow straight through the
         // three-line-buffer pipeline into the output — neither the image
         // nor the container is ever materialized, so `- -` piping handles
-        // images far larger than RAM-friendly buffers. (With --lanes ≥ 2
-        // the per-lane substreams buffer until the end, since the v3
-        // length table precedes them.)
-        return compress_streaming(input, output, lanes, model);
+        // images far larger than RAM-friendly buffers.
+        return compress_streaming(input, output, model);
     }
 
     // Validate every flag combination *before* touching the output path,
@@ -322,16 +299,12 @@ fn cmd_compress(args: &[String]) -> CliResult {
         // a zero-copy row-range view.
         let bands = threads.min(img.height());
         label = format!("tiled ({bands} bands, {threads} threads)");
-        if lanes > 1 {
-            label.push_str(&format!(" x {lanes} lanes"));
-        }
         if !model.is_classic() {
             label.push_str(&format!(" [{model}]"));
         }
         let opts = EncodeOptions::new()
             .with_tiles(bands)
             .with_parallelism(Parallelism::Threads(threads))
-            .with_lanes(lanes)
             .with_model(model);
         registry
             .expect_name("tiled")?
@@ -347,16 +320,12 @@ fn cmd_compress(args: &[String]) -> CliResult {
         cbic::image::EncodeStats::new(img.pixel_count() as u64, container.len() as u64, None)
     } else {
         let codec = registry.expect_name(codec_name)?;
-        if lanes > 1 {
-            let container_version = if model.is_classic() { 3 } else { 5 };
-            label = format!("{codec_name} ({lanes} lanes, v{container_version} container)");
-        }
         if !model.is_classic() {
             label.push_str(&format!(" [{model}]"));
         }
         codec.encode(
             img.view(),
-            &EncodeOptions::default().with_lanes(lanes).with_model(model),
+            &EncodeOptions::default().with_model(model),
             &mut container,
         )?
     };
@@ -375,12 +344,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
 
 /// The bounded-memory compress path: PGM header off the reader, rows
 /// through [`StreamEncoder`], container bytes out as they resolve.
-fn compress_streaming(
-    input: &str,
-    output: &str,
-    lanes: usize,
-    model: cbic::core::ModelMode,
-) -> CliResult {
+fn compress_streaming(input: &str, output: &str, model: cbic::core::ModelMode) -> CliResult {
     let mut reader = open_input(input)?;
     let header = pgm::read_header(&mut reader)?;
     let (width, height) = (header.width, header.height);
@@ -389,7 +353,7 @@ fn compress_streaming(
         model,
         ..CodecConfig::default()
     };
-    let mut enc = StreamEncoder::with_lanes(out, width, height, header.bit_depth(), &cfg, lanes)?;
+    let mut enc = StreamEncoder::with_depth(out, width, height, header.bit_depth(), &cfg)?;
     let mut row = vec![0u16; width];
     for y in 0..height {
         pgm::read_row(&mut reader, &header, &mut row)
@@ -399,14 +363,13 @@ fn compress_streaming(
     let (mut out, stats) = enc.finish_with_stats()?;
     out.flush()?;
     let pixels = width * height;
-    let label = match (lanes > 1, model.is_classic()) {
-        (true, true) => format!("proposed ({lanes} lanes, v3 container)"),
-        (true, false) => format!("proposed ({lanes} lanes, v5 container, {model} model)"),
-        (false, true) => "proposed (streamed, O(3 lines) memory)".into(),
-        (false, false) => format!("proposed (streamed, {model} model)"),
+    let label = if model.is_classic() {
+        "proposed (streamed, O(3 lines) memory)".to_string()
+    } else {
+        format!("proposed (streamed, {model} model)")
     };
     // Same payload-bytes-over-pixels rate `cbic info` reports for the
-    // finished container, so the two commands agree on every lane count.
+    // finished container, so the two commands agree.
     eprintln!(
         "{input}: {pixels} pixels ({}-bit) -> {} bytes ({:.3} bpp) with {label}",
         header.bit_depth(),
@@ -519,7 +482,7 @@ fn cmd_decompress(args: &[String]) -> CliResult {
 
 /// `crop`: random-access ROI decode. On a seekable file holding a v4 tile
 /// grid this reads the header, the index, and *only the covering tiles'
-/// bytes*; on stdin (or a flat v1–v3 container) it decodes what it must
+/// bytes*; on stdin (or a flat container) it decodes what it must
 /// and crops. Either way the output PGM is exactly the requested rect.
 fn cmd_crop(args: &[String]) -> CliResult {
     let (flags, pos) = parse_flags(args, &["rect", "threads"]);
@@ -542,7 +505,7 @@ fn cmd_crop(args: &[String]) -> CliResult {
         match cbic::core::decode_roi_from(&mut file, rect, par) {
             Ok(img) => (img, "seek"),
             Err(cbic::core::CodecError::InvalidHeader(_)) => {
-                // Not a v4 grid (flat v1–v3 container): fall back to a
+                // Not a v4 grid (flat container): fall back to a
                 // full decode + crop of the slurped bytes.
                 let bytes = std::fs::read(input)?;
                 (cbic::core::decode_roi_any(&bytes, rect, par)?, "buffered")
@@ -586,7 +549,7 @@ fn cmd_info(args: &[String]) -> CliResult {
     match kind {
         "proposed" => {
             let (hdr, payload) = cbic::core::container::parse_header(&bytes)?;
-            print_proposed_header(&hdr, payload);
+            print_proposed_header(&hdr, payload.len());
             if hdr.tile.is_some() {
                 // v4: validate and print the tile index. Length
                 // mismatches and malformed indexes surface as the
@@ -613,13 +576,8 @@ fn cmd_info(args: &[String]) -> CliResult {
                     .ok_or("container truncated inside a band")?;
                 pos += len;
                 let (hdr, payload) = cbic::core::container::parse_header(band)?;
-                let lanes = if hdr.lanes > 1 {
-                    format!(", {} lanes", hdr.lanes)
-                } else {
-                    String::new()
-                };
                 say!(
-                    "  band {t}: {}x{} {}-bit, payload {} bytes ({:.3} bpp){lanes}",
+                    "  band {t}: {}x{} {}-bit, payload {} bytes ({:.3} bpp)",
                     hdr.width,
                     hdr.height,
                     hdr.bit_depth,
@@ -652,14 +610,11 @@ fn cmd_info(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn print_proposed_header(hdr: &cbic::core::container::ContainerHeader, payload: &[u8]) {
-    let payload_len = payload.len();
+fn print_proposed_header(hdr: &cbic::core::container::ContainerHeader, payload_len: usize) {
     let version = if !hdr.cfg.model.is_classic() {
         5
     } else if hdr.tile.is_some() {
         4
-    } else if hdr.lanes > 1 {
-        3
     } else if hdr.bit_depth != 8 {
         2
     } else {
@@ -686,24 +641,6 @@ fn print_proposed_header(hdr: &cbic::core::container::ContainerHeader, payload: 
         "payload: {payload_len} bytes = {:.3} bpp",
         payload_len as f64 * 8.0 / (hdr.width * hdr.height) as f64
     );
-    if hdr.tile.is_some() {
-        // v4 frames its lanes per tile; the caller prints the index.
-        if hdr.lanes > 1 {
-            say!("lanes: {} (framed per tile)", hdr.lanes);
-        }
-    } else if hdr.lanes > 1 {
-        match cbic::core::container::split_lane_payload(hdr, payload) {
-            Ok(subs) => {
-                let sizes: Vec<String> = subs.iter().map(|s| s.len().to_string()).collect();
-                say!(
-                    "lanes: {} (substream bytes: {})",
-                    hdr.lanes,
-                    sizes.join(", ")
-                );
-            }
-            Err(e) => say!("lanes: {} (malformed lane table: {e})", hdr.lanes),
-        }
-    }
 }
 
 /// Prints a v4 container's tile index: grid shape, tile geometry, and the
@@ -825,43 +762,30 @@ fn cmd_bench(args: &[String]) -> CliResult {
         "enc MP/s",
         "dec MP/s"
     );
+    let opts = EncodeOptions::default();
     for codec in cbic::all_codecs() {
-        // Lane-aware codecs get one row per lane setting; the rest a
-        // single row at the default options.
-        let lane_settings: &[usize] = if codec.name() == "proposed" {
-            &[1, 2, 4, 8]
-        } else {
-            &[1]
-        };
-        for &lanes in lane_settings {
-            let opts = EncodeOptions::default().with_lanes(lanes);
-            let bytes = codec.encode_vec(img.view(), &opts)?;
-            // The bpp column stays payload-only (as it always was), so
-            // bench numbers remain comparable across versions; container
-            // framing is not charged to the codec.
-            let bpp = codec.payload_bits_per_pixel(img.view(), &opts)?;
-            let enc_secs = min_time(&mut || {
-                std::hint::black_box(codec.encode_vec(img.view(), &opts).expect("Vec sink"));
-            });
-            let dec_secs = min_time(&mut || {
-                std::hint::black_box(
-                    codec
-                        .decode_vec(&bytes, &DecodeOptions::default())
-                        .expect("own container"),
-                );
-            });
-            let label = if lanes > 1 {
-                format!("{}/{lanes}", codec.name())
-            } else {
-                codec.name().to_string()
-            };
-            say!(
-                "  {label:<10} {bpp:>9.3} {:>7.2} {:>12.2} {:>12.2}",
-                raw_bits / bpp,
-                pixels / enc_secs / 1e6,
-                pixels / dec_secs / 1e6
+        let bytes = codec.encode_vec(img.view(), &opts)?;
+        // The bpp column stays payload-only (as it always was), so bench
+        // numbers remain comparable across versions; container framing is
+        // not charged to the codec.
+        let bpp = codec.payload_bits_per_pixel(img.view(), &opts)?;
+        let enc_secs = min_time(&mut || {
+            std::hint::black_box(codec.encode_vec(img.view(), &opts).expect("Vec sink"));
+        });
+        let dec_secs = min_time(&mut || {
+            std::hint::black_box(
+                codec
+                    .decode_vec(&bytes, &DecodeOptions::default())
+                    .expect("own container"),
             );
-        }
+        });
+        say!(
+            "  {:<10} {bpp:>9.3} {:>7.2} {:>12.2} {:>12.2}",
+            codec.name(),
+            raw_bits / bpp,
+            pixels / enc_secs / 1e6,
+            pixels / dec_secs / 1e6
+        );
     }
     // Decision profile of the proposed codec's estimator: the static
     // per-pixel budget (the paper's 1 escape + 8 tree levels for 8-bit

@@ -376,6 +376,167 @@ fn v5_model_header_corruption_yields_structured_errors() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The retired lane-interleaved container (version 3) and the lane byte that
+// versions 4 and 5 keep: readers refuse them with structured errors.
+// ---------------------------------------------------------------------------
+
+/// The one committed container of the retired version 3 (four coder lanes).
+const RETIRED_V3: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/proposed_lanes4_lena_32.bin"
+);
+
+/// The v3 fixture, plus a v4 grid and a flat v5 container whose lane byte
+/// is forged to 0, 2 and 33.
+fn retired_lane_containers() -> Vec<(String, Vec<u8>)> {
+    use cbic::core::{compress, compress_grid, CodecConfig, ModelMode, TileGeometry};
+    let img = CorpusImage::Lena.generate(32, 32);
+    let grid = compress_grid(
+        img.view(),
+        &CodecConfig::default(),
+        TileGeometry::new(16, 16),
+        1,
+        cbic::image::Parallelism::Sequential,
+    );
+    let wide = CodecConfig {
+        model: ModelMode::WideHash { banks_log2: 10 },
+        ..CodecConfig::default()
+    };
+    let v3 = std::fs::read(RETIRED_V3).expect("committed v3 fixture");
+    assert_eq!(v3[4], 3, "the fixture is a version-3 container");
+    let mut out = vec![("v3 fixture".to_string(), v3)];
+    for (name, bytes) in [("v4 grid", grid), ("v5 flat", compress(img.view(), &wide))] {
+        assert_eq!(bytes[24], 1, "{name}: writers emit lane byte 1");
+        for lanes in [0u8, 2, 33] {
+            let mut forged = bytes.clone();
+            forged[24] = lanes;
+            out.push((format!("{name} with lane byte {lanes}"), forged));
+        }
+    }
+    out
+}
+
+#[test]
+fn retired_lane_containers_fail_structurally_on_every_decode_path() {
+    use cbic::core::session::DecoderSession;
+    use cbic::core::stream::StreamDecoder;
+    use cbic::core::{decode_roi, decompress, decompress_grid};
+    use cbic::image::Parallelism;
+    let registry = cbic::default_registry();
+    let roi = cbic::Rect::new(0, 0, 8, 8);
+    let dec = DecodeOptions::default();
+    for (name, bytes) in retired_lane_containers() {
+        let errors: [(&str, CbicError); 6] = [
+            ("decompress", decompress(&bytes).unwrap_err().into()),
+            (
+                "StreamDecoder::new",
+                StreamDecoder::new(&bytes[..]).unwrap_err().into(),
+            ),
+            (
+                "DecoderSession::decode",
+                DecoderSession::new().decode(&mut &bytes[..]).unwrap_err(),
+            ),
+            (
+                "decompress_grid",
+                decompress_grid(&bytes, Parallelism::Sequential)
+                    .unwrap_err()
+                    .into(),
+            ),
+            (
+                "decode_roi",
+                decode_roi(&bytes, roi, Parallelism::Sequential)
+                    .unwrap_err()
+                    .into(),
+            ),
+            (
+                "decode_stream",
+                registry.decode_stream(&mut &bytes[..], &dec).unwrap_err(),
+            ),
+        ];
+        for (path, err) in errors {
+            let refused = if bytes[4] == 3 {
+                matches!(err, CbicError::UnsupportedVersion(3))
+            } else {
+                matches!(&err, CbicError::InvalidContainer(m) if m.contains("lane"))
+            };
+            assert!(refused, "{path} on {name}: {err:?}");
+        }
+    }
+}
+
+#[test]
+fn cli_names_the_retired_version() {
+    for args in [
+        vec!["info", RETIRED_V3],
+        vec!["decompress", RETIRED_V3, "-"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .args(&args)
+            .output()
+            .expect("run cbic");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("version 3") && stderr.contains("retired"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// A small container whose header is forged to claim 16384×16384 pixels
+/// (the 2^28-pixel ceiling): its payload runs out within the first row.
+fn forged_huge_container() -> Vec<u8> {
+    use cbic::core::{compress, CodecConfig};
+    let mut bytes = compress(
+        CorpusImage::Lena.generate(24, 24).view(),
+        &CodecConfig::default(),
+    );
+    bytes[6..10].copy_from_slice(&16384u32.to_le_bytes());
+    bytes[10..14].copy_from_slice(&16384u32.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn streamed_decoder_stops_at_the_first_row_past_the_padding_budget() {
+    use cbic::core::stream::StreamDecoder;
+    let bytes = forged_huge_container();
+    let mut dec = StreamDecoder::new(&bytes[..]).expect("dimensions within the ceiling");
+    assert_eq!(dec.dimensions(), (16384, 16384));
+    let mut row = vec![0u16; 16384];
+    let err = loop {
+        if let Err(e) = dec.next_row(&mut row) {
+            break e;
+        }
+        assert!(dec.rows_decoded() < 2, "decoded past row 2 without error");
+    };
+    assert_eq!(err, CodecError::Truncated);
+    assert!(dec.rows_decoded() <= 2, "{} rows", dec.rows_decoded());
+}
+
+#[test]
+fn cli_reports_a_forged_huge_container_as_truncated() {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cbic"))
+        .args(["decompress", "-", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run cbic");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(&forged_huge_container())
+        .expect("feed the container");
+    let out = child.wait_with_output().expect("cbic exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("truncated container"), "{stderr}");
+}
+
 #[test]
 fn universal_decode_errors_convert_structurally() {
     let codec = UniversalCodec::default();

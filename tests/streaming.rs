@@ -13,7 +13,7 @@
 use cbic::core::hwpipe::HwEncoder;
 use cbic::core::stream::{compress_to, decompress_from, StreamDecoder, StreamEncoder};
 use cbic::core::tiles::{compress_tiled, decompress_tiled, Parallelism};
-use cbic::core::{compress, decompress, encode_raw, CodecConfig, CodecError};
+use cbic::core::{compress, decompress, encode_raw, CodecConfig, CodecError, EncoderSession};
 use cbic::image::corpus::CorpusImage;
 use cbic::image::Image;
 use cbic::universal::dispatch::{Chunk, UniversalCodec};
@@ -29,14 +29,20 @@ fn arb_image() -> impl Strategy<Value = Image> {
 
 proptest! {
     /// The tentpole equivalence: StreamEncoder output == buffered
-    /// `compress` == header + `encode_raw` == header + `HwEncoder`, byte
-    /// for byte, on arbitrary images.
+    /// `compress` == the reusable `EncoderSession` == header +
+    /// `encode_raw` == header + `HwEncoder`, byte for byte, on arbitrary
+    /// images.
     #[test]
     fn stream_encoder_is_byte_identical_to_all_buffered_encoders(img in arb_image()) {
         let cfg = CodecConfig::default();
         let buffered = compress(img.view(), &cfg);
         let streamed = compress_to(img.view(), &cfg, Vec::new()).expect("Vec sink");
         prop_assert_eq!(&streamed, &buffered);
+        let mut session_out = Vec::new();
+        EncoderSession::new(&cfg)
+            .encode(img.view(), &mut session_out)
+            .expect("Vec sink");
+        prop_assert_eq!(&session_out, &buffered);
 
         let (raw, _) = encode_raw(img.view(), &cfg);
         prop_assert_eq!(&buffered[buffered.len() - raw.len()..], &raw[..]);
@@ -60,53 +66,6 @@ proptest! {
         prop_assert_eq!(decompress_from(&bytes[..]).expect("buffered bytes"), img.clone());
         let streamed = compress_to(img.view(), &cfg, Vec::new()).expect("Vec sink");
         prop_assert_eq!(decompress(&streamed).expect("streamed bytes"), img);
-    }
-}
-
-proptest! {
-    /// Container v3 (lane-striped): the streaming encoder, the buffered
-    /// `compress_with_lanes`, and the reusable `EncoderSession` emit
-    /// byte-identical v3 streams, and streaming + buffered decoders are
-    /// interchangeable over them.
-    #[test]
-    fn lane_streaming_matches_buffered_paths(img in arb_image(), lanes in 2usize..=8) {
-        use cbic::core::{compress_with_lanes, EncoderSession};
-        let cfg = CodecConfig::default();
-        let buffered = compress_with_lanes(img.view(), &cfg, lanes);
-
-        let mut enc = StreamEncoder::with_lanes(
-            Vec::new(), img.width(), img.height(), img.bit_depth(), &cfg, lanes,
-        ).expect("Vec sink");
-        for row in img.view().rows() {
-            enc.push_row(row).expect("Vec sink");
-        }
-        let streamed = enc.finish().expect("Vec sink");
-        prop_assert_eq!(&streamed, &buffered);
-
-        let mut session_out = Vec::new();
-        EncoderSession::with_lanes(&cfg, lanes)
-            .encode(img.view(), &mut session_out)
-            .expect("Vec sink");
-        prop_assert_eq!(&session_out, &buffered);
-
-        prop_assert_eq!(&decompress_from(&buffered[..]).expect("v3 stream"), &img);
-        prop_assert_eq!(&decompress(&buffered).expect("v3 slice"), &img);
-    }
-
-    /// Truncating a v3 stream anywhere produces a structured error from
-    /// the *streaming* decoder — the per-lane length table makes every
-    /// short read detectable before pixels are trusted.
-    #[test]
-    fn lane_streaming_decoder_errors_on_truncation(
-        img in arb_image(),
-        lanes in 2usize..=8,
-        cut_frac in 0.0f64..1.0,
-    ) {
-        use cbic::core::compress_with_lanes;
-        let bytes = compress_with_lanes(img.view(), &CodecConfig::default(), lanes);
-        let cut = (((bytes.len() - 1) as f64) * cut_frac) as usize;
-        let result = StreamDecoder::new(&bytes[..cut]).and_then(|d| d.decode_all());
-        prop_assert!(result.is_err(), "strict prefix decoded at cut {}", cut);
     }
 }
 
@@ -402,84 +361,52 @@ fn sixty_four_megapixel_tiled_roundtrip_and_roi() {
     assert_eq!(crop, img.view().crop(4000, 4000, 300, 200).to_image());
 }
 
-/// Regression: `StreamEncoder::payload_bits()` returned 0 on lane paths
-/// until the first 1024-decision batch drained, so `cbic compress
-/// --lanes N` printed ~0.000 bpp for any small image while `cbic info`
-/// reported the true rate. Pin, for lanes {1, 2, 4, 8}: a live non-zero
-/// mid-stream count, an exact final count shared by every encode path,
-/// and `StreamEncodeStats` payload/container byte totals that match the
-/// finished v3 container (the quantities `info` prints).
+/// `StreamEncoder::payload_bits()` is live mid-stream, and the finished
+/// stream's exact count is shared by every encode path, with
+/// `StreamEncodeStats` payload/container byte totals that match the
+/// finished container (the quantities `cbic info` prints).
 #[test]
-fn lane_payload_bits_match_v3_payload_exactly() {
-    use cbic::core::{compress_with_lanes, EncoderSession};
+fn payload_bits_match_the_container_payload_exactly() {
     let img = CorpusImage::Lena.generate(32, 32);
     let cfg = CodecConfig::default();
-    for lanes in [1usize, 2, 4, 8] {
-        let buffered = compress_with_lanes(img.view(), &cfg, lanes);
+    let buffered = compress(img.view(), &cfg);
 
-        let mut enc = StreamEncoder::with_lanes(
-            Vec::new(),
-            img.width(),
-            img.height(),
-            img.bit_depth(),
-            &cfg,
-            lanes,
-        )
-        .unwrap();
-        let mut mid_stream_bits = 0;
-        for (y, row) in img.view().rows().enumerate() {
-            enc.push_row(row).unwrap();
-            if y == img.height() / 2 {
-                mid_stream_bits = enc.payload_bits();
-            }
+    let mut enc = StreamEncoder::new(Vec::new(), img.width(), img.height(), &cfg).unwrap();
+    let mut mid_stream_bits = 0;
+    for (y, row) in img.view().rows().enumerate() {
+        enc.push_row(row).unwrap();
+        if y == img.height() / 2 {
+            mid_stream_bits = enc.payload_bits();
         }
-        assert!(
-            mid_stream_bits > 0,
-            "lanes {lanes}: payload_bits() must count buffered decisions mid-stream"
-        );
-        let (out, stats) = enc.finish_with_stats().unwrap();
-        assert_eq!(out, buffered, "lanes {lanes}");
-        assert_eq!(
-            stats.container_bytes as usize,
-            buffered.len(),
-            "lanes {lanes}"
-        );
-        assert!(stats.payload_bits >= mid_stream_bits, "lanes {lanes}");
-
-        // `cbic info`'s payload is the container minus its fixed header
-        // (23 bytes for v1, 25 for v3) — `payload_bytes` must be exactly
-        // that, so the CLI's bpp agrees with `info` on every lane count.
-        let header_len = if lanes > 1 { 25 } else { 23 };
-        assert_eq!(
-            stats.payload_bytes,
-            (buffered.len() - header_len) as u64,
-            "lanes {lanes}"
-        );
-
-        // The exact coded-bit count: at most the byte-aligned substream
-        // total (payload minus the v3 lane table), short of it only by the
-        // per-lane align padding — strictly under 8 bits per lane.
-        let table_bytes = if lanes > 1 { 4 * lanes as u64 } else { 0 };
-        let substream_bits = (stats.payload_bytes - table_bytes) * 8;
-        assert!(stats.payload_bits <= substream_bits, "lanes {lanes}");
-        assert!(
-            substream_bits - stats.payload_bits < 8 * lanes as u64,
-            "lanes {lanes}: {} vs {}",
-            stats.payload_bits,
-            substream_bits
-        );
-
-        // Both buffered encode paths report the identical exact count.
-        let mut session_out = Vec::new();
-        let session_stats = EncoderSession::with_lanes(&cfg, lanes)
-            .encode(img.view(), &mut session_out)
-            .unwrap();
-        assert_eq!(
-            session_stats.payload_bits, stats.payload_bits,
-            "lanes {lanes}"
-        );
-        assert_eq!(session_out, buffered, "lanes {lanes}");
     }
+    assert!(mid_stream_bits > 0, "payload_bits() must count mid-stream");
+    let (out, stats) = enc.finish_with_stats().unwrap();
+    assert_eq!(out, buffered);
+    assert_eq!(stats.container_bytes as usize, buffered.len());
+    assert!(stats.payload_bits >= mid_stream_bits);
+
+    // `cbic info`'s payload is the container minus its 23-byte v1
+    // header — `payload_bytes` must be exactly that, so the CLI's bpp
+    // agrees with `info`.
+    assert_eq!(stats.payload_bytes, (buffered.len() - 23) as u64);
+
+    // The exact coded-bit count is short of the byte-aligned payload only
+    // by the align padding — strictly under 8 bits.
+    let payload_bits = stats.payload_bytes * 8;
+    assert!(stats.payload_bits <= payload_bits);
+    assert!(
+        payload_bits - stats.payload_bits < 8,
+        "{} vs {payload_bits}",
+        stats.payload_bits
+    );
+
+    // The buffered encode path reports the identical exact count.
+    let mut session_out = Vec::new();
+    let session_stats = EncoderSession::new(&cfg)
+        .encode(img.view(), &mut session_out)
+        .unwrap();
+    assert_eq!(session_stats.payload_bits, stats.payload_bits);
+    assert_eq!(session_out, buffered);
 }
 
 #[test]
