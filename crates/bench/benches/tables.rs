@@ -6,7 +6,8 @@
 //! * Table 1 — bit-rate comparison of the four codecs on the corpus,
 //! * Fig. 4 — average bit rate vs frequency counter width,
 //! * Table 2 — device utilization, memory budgets, and throughput,
-//! * the DESIGN.md A1–A4 ablations.
+//! * the A1–A4 ablations (A1 aging, A2 LUT division, A3 error feedback
+//!   and texture width, A4 estimator increment and escape prior).
 //!
 //! Size defaults to the paper's 512×512; set `CBIC_BENCH_SIZE` to override
 //! (e.g. 128 for a quick smoke run).

@@ -6,8 +6,7 @@
 //! regressions as the codecs evolve.
 
 use cbic_core::session::EncoderSession;
-use cbic_core::tiles::{compress_tiled, decompress_tiled};
-use cbic_image::{DecodeOptions, EncodeOptions, Parallelism};
+use cbic_image::{DecodeOptions, EncodeOptions};
 use cbic_universal::codecs::all_codecs;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -95,39 +94,6 @@ fn bench_session_reuse(c: &mut Criterion) {
     g.finish();
 }
 
-/// Section V's multi-core claim, measured: banded coding on 1 worker vs
-/// N workers. The bands are identical bits either way (asserted by the
-/// property tests), so the delta is pure scheduling.
-fn bench_tiled(c: &mut Criterion) {
-    let img = cbic_bench::bench_image(SIZE);
-    let pixels = img.pixel_count() as u64;
-    let cfg = cbic_core::CodecConfig::default();
-    let bands = 4;
-    let bytes = compress_tiled(img.view(), &cfg, bands, Parallelism::Auto);
-
-    let hw = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("(tiled: {hw} hardware thread(s) available; speedup requires >1)");
-
-    let mut g = c.benchmark_group("tiled");
-    g.throughput(Throughput::Elements(pixels));
-    g.sample_size(10);
-
-    for (label, par) in [
-        ("1thread", Parallelism::Sequential),
-        ("4threads", Parallelism::Threads(bands)),
-    ] {
-        g.bench_function(
-            BenchmarkId::new(format!("encode_{bands}band"), label),
-            |b| b.iter(|| compress_tiled(img.view(), &cfg, bands, par)),
-        );
-        g.bench_function(
-            BenchmarkId::new(format!("decode_{bands}band"), label),
-            |b| b.iter(|| decompress_tiled(&bytes, par).expect("valid container")),
-        );
-    }
-    g.finish();
-}
-
 /// The streaming transport vs the buffered one: identical bits (asserted
 /// by the differential suite), so any delta is pure transport overhead —
 /// the cost of bounded memory.
@@ -187,63 +153,11 @@ fn bench_universal(c: &mut Criterion) {
     g.finish();
 }
 
-/// The zero-copy claim of the view redesign, measured: `split_bands`
-/// hands out borrowed row-range views (no pixels move before coding), vs
-/// the pre-redesign behavior of materializing every band as an owned
-/// image first. Both variants produce identical bits; the delta is the
-/// band copy itself, tracked here so a regression reintroducing the copy
-/// shows up in BENCH output.
-fn bench_tiled_view_vs_copy(c: &mut Criterion) {
-    use cbic_core::tiles::split_bands;
-
-    let img = cbic_bench::bench_image(SIZE);
-    let pixels = img.pixel_count() as u64;
-    let cfg = cbic_core::CodecConfig::default();
-    let bands = 4;
-
-    let mut g = c.benchmark_group("tiled_view_vs_copy");
-    g.throughput(Throughput::Elements(pixels));
-    g.sample_size(10);
-
-    // The split alone: O(1) per band vs one full pixel copy.
-    g.bench_function(BenchmarkId::new("split_views", SIZE), |b| {
-        b.iter(|| split_bands(img.view(), bands))
-    });
-    g.bench_function(BenchmarkId::new("split_copies", SIZE), |b| {
-        b.iter(|| {
-            split_bands(img.view(), bands)
-                .into_iter()
-                .map(|band| band.to_image())
-                .collect::<Vec<_>>()
-        })
-    });
-    // The full encode path on top of each split.
-    g.bench_function(BenchmarkId::new("encode_from_views", SIZE), |b| {
-        b.iter(|| {
-            split_bands(img.view(), bands)
-                .into_iter()
-                .map(|band| cbic_core::encode_raw(band, &cfg).0)
-                .collect::<Vec<_>>()
-        })
-    });
-    g.bench_function(BenchmarkId::new("encode_from_copies", SIZE), |b| {
-        b.iter(|| {
-            split_bands(img.view(), bands)
-                .into_iter()
-                .map(|band| cbic_core::encode_raw(band.to_image().view(), &cfg).0)
-                .collect::<Vec<_>>()
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_encoders,
     bench_decoders,
     bench_session_reuse,
-    bench_tiled,
-    bench_tiled_view_vs_copy,
     bench_streaming,
     bench_universal
 );

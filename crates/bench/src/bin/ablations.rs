@@ -1,4 +1,5 @@
-//! Runs the DESIGN.md A1-A4 ablations on the synthetic corpus.
+//! Runs the A1–A4 ablations (see `cbic_bench::ablation_report`) on the
+//! synthetic corpus.
 //!
 //! Usage: `cargo run --release -p cbic-bench --bin ablations [size]`
 

@@ -1,8 +1,6 @@
 //! Machine-readable bit-rate harness: payload bpp per codec per corpus
-//! class per context-model mode, plus the wide-model ablation sweep
-//! (window size × bank count × hash mixer), emitted as JSON so the
-//! repository tracks its compression trajectory across PRs
-//! (`BENCH_bpp.json` at the repo root).
+//! class, emitted as JSON so the repository tracks its compression
+//! trajectory across PRs (`BENCH_bpp.json` at the repo root).
 //!
 //! Unlike `BENCH_throughput.json` (wall-clock numbers that drift with
 //! the host), every number here is a deterministic function of the
@@ -11,182 +9,57 @@
 //! mismatch means the coding behavior changed and the file must be
 //! regenerated and reviewed, not that a runner was slow.
 
-use cbic_core::bigctx::{
-    collision_stats, encode_measure, HashMixer, WideConfig, WideWindow, DEFAULT_BANKS_LOG2,
-};
-use cbic_core::{CodecConfig, ModelMode};
 use cbic_image::{EncodeOptions, Image};
 
 use crate::perf::CLASSES;
 
-/// One measured bit-rate cell: a codec on a corpus class under one
-/// context-model mode.
+/// One measured bit-rate cell: a codec on a corpus class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BppRecord {
     /// Registry codec name.
     pub codec: String,
     /// Corpus class name.
     pub class: String,
-    /// Context-model mode (`classic` or `wide:B`).
-    pub model: String,
     /// Entropy-coded payload bits per pixel.
     pub bpp: f64,
 }
 
-/// One ablation cell: the wide model on a corpus class at one
-/// window/banks/mixer combination.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AblationRecord {
-    /// Corpus class name.
-    pub class: String,
-    /// Causal window label (`w8`, `w13`, `w16`).
-    pub window: String,
-    /// Base-2 logarithm of the hash bank count.
-    pub banks_log2: u8,
-    /// Hash mixer label (`mult`, `xor`).
-    pub mixer: String,
-    /// Entropy-coded payload bits per pixel.
-    pub bpp: f64,
-    /// Fraction of distinct feature keys aliased into a shared bank.
-    pub collision_rate: f64,
-    /// Fraction of banks touched by at least one key.
-    pub occupancy: f64,
-}
-
-/// The windows the full ablation sweeps.
-pub const ABLATION_WINDOWS: [WideWindow; 3] = [WideWindow::W8, WideWindow::W13, WideWindow::W16];
-
-/// The bank-count exponents the full ablation sweeps. `9` is the
-/// classic-equivalent anchor (the bank index degenerates to the 512
-/// `(QE, texture)` compound contexts, zero hash bits), `10` the wire
-/// default (one hash bit per class, 2× the classic context memory),
-/// `11` the 4×-budget ceiling, and `8`/`12` show a truncated texture
-/// and a further hash split respectively.
-pub const ABLATION_BANKS: [u8; 5] = [8, 9, 10, 11, 12];
-
-/// Measures payload bpp for every registry codec on every corpus class
-/// at `size`×`size`, once per context-model mode the codec supports
-/// (the wide rows use the wire-default bank count).
+/// Measures payload bpp for every Table 1 codec on every corpus class at
+/// `size`×`size`.
 pub fn measure_bpp(size: usize) -> Vec<BppRecord> {
     let mut out = Vec::new();
     for class in CLASSES {
         let img: Image = class.generate(size, size);
         for codec in cbic_universal::codecs::all_codecs() {
-            for &model in codec.model_modes() {
-                let opts = match model {
-                    "wide" => EncodeOptions::default().with_model(ModelMode::WideHash {
-                        banks_log2: DEFAULT_BANKS_LOG2,
-                    }),
-                    _ => EncodeOptions::default(),
-                };
-                let bpp = codec
-                    .payload_bits_per_pixel(img.view(), &opts)
-                    .expect("corpus image encodes");
-                let model = match model {
-                    "wide" => format!("wide:{DEFAULT_BANKS_LOG2}"),
-                    other => other.to_string(),
-                };
-                out.push(BppRecord {
-                    codec: codec.name().to_string(),
-                    class: class.name().to_string(),
-                    model,
-                    bpp,
-                });
-            }
+            let bpp = codec
+                .payload_bits_per_pixel(img.view(), &EncodeOptions::default())
+                .expect("corpus image encodes");
+            out.push(BppRecord {
+                codec: codec.name().to_string(),
+                class: class.name().to_string(),
+                bpp,
+            });
         }
     }
     out
 }
 
-/// Sweeps the wide model over window × banks × mixer on every corpus
-/// class at `size`×`size`, measuring real encodes plus the exact bank
-/// collision/occupancy scan. `quick` trims the sweep to the wire-default
-/// window and its neighboring bank counts for CI smoke runs.
-pub fn measure_ablation(size: usize, quick: bool) -> Vec<AblationRecord> {
-    let windows: &[WideWindow] = if quick {
-        &[WideWindow::W13]
-    } else {
-        &ABLATION_WINDOWS
-    };
-    let banks: &[u8] = if quick { &[10, 11] } else { &ABLATION_BANKS };
-    let cfg = CodecConfig::default();
-    let mut out = Vec::new();
-    for class in CLASSES {
-        let img: Image = class.generate(size, size);
-        for &window in windows {
-            for &banks_log2 in banks {
-                for mixer in [HashMixer::MultiplyShift, HashMixer::XorMix] {
-                    let wide = WideConfig {
-                        window,
-                        mixer,
-                        banks_log2,
-                    };
-                    let stats = encode_measure(img.view(), &cfg, wide);
-                    let coll = collision_stats(img.view(), wide);
-                    out.push(AblationRecord {
-                        class: class.name().to_string(),
-                        window: window.label().to_string(),
-                        banks_log2,
-                        mixer: mixer.label().to_string(),
-                        bpp: stats.payload_bits as f64 / stats.pixels as f64,
-                        collision_rate: coll.collision_rate(),
-                        occupancy: coll.occupancy(),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Counts the corpus classes where the wide rows beat CALIC's payload
-/// bpp — the headline claim `BENCH_bpp.json` commits to (wide wins on at
-/// least 2 of the 3 classes at ≤ 4× the classic context memory).
-pub fn classes_where_wide_beats_calic(records: &[BppRecord]) -> usize {
-    CLASSES
-        .iter()
-        .filter(|class| {
-            let calic = records
-                .iter()
-                .find(|r| r.codec == "calic" && r.class == class.name());
-            let wide = records
-                .iter()
-                .find(|r| r.codec == "proposed" && r.class == class.name() && r.model != "classic");
-            matches!((wide, calic), (Some(w), Some(c)) if w.bpp < c.bpp)
-        })
-        .count()
-}
-
-/// Builds the full `BENCH_bpp.json` document (schema 1). Deterministic:
+/// Builds the full `BENCH_bpp.json` document (schema 2). Deterministic:
 /// same code + same `size` ⇒ the same bytes, which is what lets the
 /// `--check` gate compare documents instead of parsing them.
-pub fn render_report(size: usize, records: &[BppRecord], ablation: &[AblationRecord]) -> String {
+pub fn render_report(size: usize, records: &[BppRecord]) -> String {
     let cells: Vec<String> = records
         .iter()
         .map(|r| {
             format!(
-                "    {{\"codec\": \"{}\", \"class\": \"{}\", \"model\": \"{}\", \
-                 \"bpp\": {:.4}}}",
-                r.codec, r.class, r.model, r.bpp
-            )
-        })
-        .collect();
-    let abl: Vec<String> = ablation
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"class\": \"{}\", \"window\": \"{}\", \"banks_log2\": {}, \
-                 \"mixer\": \"{}\", \"bpp\": {:.4}, \"collision_rate\": {:.4}, \
-                 \"occupancy\": {:.4}}}",
-                r.class, r.window, r.banks_log2, r.mixer, r.bpp, r.collision_rate, r.occupancy
+                "    {{\"codec\": \"{}\", \"class\": \"{}\", \"bpp\": {:.4}}}",
+                r.codec, r.class, r.bpp
             )
         })
         .collect();
     format!(
-        "{{\n  \"schema\": 1,\n  \"size\": {size},\n  \"results\": [\n{}\n  ],\n  \
-         \"ablation\": [\n{}\n  ]\n}}\n",
-        cells.join(",\n"),
-        abl.join(",\n")
+        "{{\n  \"schema\": 2,\n  \"size\": {size},\n  \"results\": [\n{}\n  ]\n}}\n",
+        cells.join(",\n")
     )
 }
 
@@ -197,28 +70,13 @@ mod tests {
     #[test]
     fn report_is_deterministic_and_carries_every_cell() {
         let records = measure_bpp(32);
-        let ablation = measure_ablation(32, true);
-        // Every codec appears per class, once per model mode it supports.
-        let modes: usize = cbic_universal::codecs::all_codecs()
-            .iter()
-            .map(|c| c.model_modes().len())
-            .sum();
-        assert_eq!(records.len(), CLASSES.len() * modes);
-        assert_eq!(ablation.len(), CLASSES.len() * 2 * 2);
-        let a = render_report(32, &records, &ablation);
-        let b = render_report(32, &measure_bpp(32), &measure_ablation(32, true));
+        // Every Table 1 codec appears once per class.
+        let codecs = cbic_universal::codecs::all_codecs().len();
+        assert_eq!(records.len(), CLASSES.len() * codecs);
+        let a = render_report(32, &records);
+        let b = render_report(32, &measure_bpp(32));
         assert_eq!(a, b);
-        assert!(a.contains("\"model\": \"classic\""));
-        assert!(a.contains(&format!("\"model\": \"wide:{DEFAULT_BANKS_LOG2}\"")));
-        assert!(a.contains("\"collision_rate\""));
-    }
-
-    #[test]
-    fn full_sweep_covers_every_combination() {
-        let ablation = measure_ablation(16, false);
-        assert_eq!(
-            ablation.len(),
-            CLASSES.len() * ABLATION_WINDOWS.len() * ABLATION_BANKS.len() * 2
-        );
+        assert!(a.contains("\"codec\": \"proposed\", \"class\": \"lena\""));
+        assert!(a.contains("\"schema\": 2"));
     }
 }

@@ -265,7 +265,10 @@ pub struct Ablation {
     pub avg_bpp: f64,
 }
 
-/// Runs the A1–A4 ablations of `DESIGN.md` on the corpus at `size`.
+/// Runs the A1–A4 ablations on the corpus at `size`: A1 freezes the
+/// context statistics (no aging), A2 swaps the 1 KB LUT for exact
+/// division, A3 drops the error feedback or narrows the texture pattern,
+/// and A4 varies the estimator increment and escape prior.
 pub fn ablation_report(size: usize) -> Vec<Ablation> {
     let corpus = corpus::generate(size);
     let avg = |cfg: &CodecConfig| -> f64 {

@@ -19,8 +19,8 @@
 //!   8 quantized error-energy contexts (same entropy back end as the rest
 //!   of the workspace).
 //!
-//! Binary (bi-level) mode of full CALIC is not implemented; on the
-//! continuous-tone corpus it rarely engages (DESIGN.md §6).
+//! Binary (bi-level) mode of full CALIC is not implemented: on the
+//! continuous-tone corpus it rarely engages.
 //!
 //! # Examples
 //!

@@ -9,12 +9,13 @@
 //! per-`QE` trees) and a low byte (the paper's 8-bit estimator), see
 //! [`SampleCoder`].
 
+use crate::container::CodecError;
 use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{
     BinaryDecoder, BinaryEncoder, CoderStats, CountingEncoder, DecisionDecoder, DecisionEncoder,
     EstimatorConfig, SymbolCoder,
 };
-use cbic_bitio::{BitReader, BitWriter};
+use cbic_bitio::{BitReader, BitSource, BitWriter};
 use cbic_image::{Image, ImageView, ImageViewMut};
 
 /// Upper bound on the zero-padding bits a decoder may legally read past the
@@ -23,7 +24,6 @@ use cbic_image::{Image, ImageView, ImageViewMut};
 pub(crate) const MAX_CODE_PADDING_BITS: u64 = 64;
 
 pub use crate::context::DivisionKind;
-pub use cbic_image::ModelMode;
 
 /// Number of coding contexts (`QE` levels) — fixed at 8 by the paper.
 pub const CODING_CONTEXTS: usize = 8;
@@ -33,9 +33,11 @@ pub const CODING_CONTEXTS: usize = 8;
 /// The default value is the paper's operating point: 512 compound contexts
 /// (6 texture bits × 8 `QE` levels), error feedback with aging and LUT
 /// division, and a 14-bit probability estimator. The other settings exist
-/// for the Fig. 4 sweep and the ablation experiments (A1–A3 in
-/// `DESIGN.md`). The sample bit depth is *not* part of the configuration:
-/// it travels on the [`ImageView`] and in the container header.
+/// for the Fig. 4 counter-width sweep and the ablation experiments (A1
+/// aging, A2 division, A3 error feedback; the `ablations` bin of
+/// `cbic-bench` runs them). The sample bit depth is *not* part of the
+/// configuration: it travels on the [`ImageView`] and in the container
+/// header.
 ///
 /// # Examples
 ///
@@ -59,11 +61,6 @@ pub struct CodecConfig {
     /// Texture-pattern width in bits, `0..=6`; compound contexts =
     /// `8 × 2^texture_bits` (the paper uses 6 → 512).
     pub texture_bits: u8,
-    /// Context-modeling mode: the paper's classic 7-pixel window
-    /// (default, byte-identical to every pre-v5 container) or the
-    /// enlarged hash-banked contexts of [`crate::bigctx`]. Non-classic
-    /// modes travel in a v5 container header.
-    pub model: ModelMode,
 }
 
 impl Default for CodecConfig {
@@ -74,7 +71,6 @@ impl Default for CodecConfig {
             aging: true,
             division: DivisionKind::Lut,
             texture_bits: 6,
-            model: ModelMode::Classic,
         }
     }
 }
@@ -354,27 +350,61 @@ pub fn decode_raw(
     cfg: &CodecConfig,
 ) -> Image {
     let mut img = Image::with_depth(width, height, bit_depth);
-    decode_raw_into(bytes, &mut img.view_mut(), cfg);
+    // A payload that runs dry leaves the remaining rows zero; this raw
+    // entry point reports no errors, so the verdict is dropped.
+    let _ = decode_raw_into(bytes, &mut img.view_mut(), cfg);
     img
 }
 
-/// [`decode_raw`] writing straight into a caller-provided view (a band of
-/// a preallocated image on the tiled path), returning the number of
-/// zero-padding bits the arithmetic decoder consumed past the end of
-/// `bytes`. A count above [`MAX_CODE_PADDING_BITS`] cannot come from a
-/// complete payload, which is how [`decompress`](crate::decompress) turns
-/// mid-stream EOF into an error instead of silent garbage.
-pub(crate) fn decode_raw_into(bytes: &[u8], out: &mut ImageViewMut<'_>, cfg: &CodecConfig) -> u64 {
+/// [`decode_raw`] writing straight into a caller-provided view, through
+/// [`decode_rows_checked`]: a payload that ends mid-image is
+/// [`CodecError::Truncated`], which is how [`decompress`](crate::decompress)
+/// turns mid-stream EOF into an error instead of silent garbage.
+pub(crate) fn decode_raw_into(
+    bytes: &[u8],
+    out: &mut ImageViewMut<'_>,
+    cfg: &CodecConfig,
+) -> Result<(), CodecError> {
     let mut state = DecoderState::new(out.width(), out.bit_depth(), cfg);
     let mut dec = BinaryDecoder::new(BitReader::new(bytes));
-    state.decode_into(&mut dec, out);
-    dec.source().padding_bits()
+    decode_rows_checked(&mut state, &mut dec, out)
+}
+
+/// The row loop of every buffered decoder ([`decode_raw_into`], the
+/// [`DecoderSession`](crate::DecoderSession) and the grid's tiles): decodes
+/// `out` row by row and stops at the first row after which the source has
+/// served more than [`MAX_CODE_PADDING_BITS`] zero-padding bits, answering
+/// [`CodecError::Truncated`]. Padding only grows, so this rejects exactly
+/// the streams a check after the last row would, but a header that
+/// promises far more pixels than its payload holds fails within a row or
+/// two instead of after the whole image (as
+/// [`StreamDecoder::next_row`](crate::StreamDecoder::next_row) does).
+pub(crate) fn decode_rows_checked<S: BitSource>(
+    state: &mut DecoderState,
+    dec: &mut BinaryDecoder<S>,
+    out: &mut ImageViewMut<'_>,
+) -> Result<(), CodecError> {
+    let within_budget = |d: &BinaryDecoder<S>| d.source().padding_bits() <= MAX_CODE_PADDING_BITS;
+    let _rows = state.decode_rows_while(dec, out, within_budget);
+    #[cfg(test)]
+    tests::ROWS_DECODED.with(|r| r.set(_rows));
+    if within_budget(dec) {
+        Ok(())
+    } else {
+        Err(CodecError::Truncated)
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cbic_image::corpus::CorpusImage;
+
+    thread_local! {
+        /// Rows the last [`decode_rows_checked`] call on this thread
+        /// decoded, so the truncation tests can count rows, not time.
+        pub(crate) static ROWS_DECODED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     fn roundtrip(img: &Image, cfg: &CodecConfig) -> EncodeStats {
         let (bytes, stats) = encode_raw(img.view(), cfg);
@@ -640,6 +670,54 @@ mod tests {
             }
             assert_eq!(enc_coder.stats().symbols, dec_coder.stats().symbols);
         }
+    }
+
+    #[test]
+    fn buffered_decoders_stop_within_two_rows_of_a_forged_container() {
+        // A 32x32 container whose header claims 4096x4096: its payload runs
+        // dry inside the first row, so every buffered loop must give up
+        // within two rows, not decode all 4096.
+        use crate::container::{compress, decompress, CodecError};
+        use crate::grid::{compress_grid, decompress_grid, TileGeometry};
+        use crate::session::DecoderSession;
+        use cbic_image::{CbicError, Parallelism};
+        let forge = |bytes: &mut [u8]| {
+            bytes[6..10].copy_from_slice(&4096u32.to_le_bytes());
+            bytes[10..14].copy_from_slice(&4096u32.to_le_bytes());
+        };
+        let rows = || ROWS_DECODED.with(std::cell::Cell::get);
+        let img = CorpusImage::Lena.generate(32, 32);
+        let cfg = CodecConfig::default();
+
+        let mut flat = compress(img.view(), &cfg);
+        forge(&mut flat);
+        ROWS_DECODED.with(|r| r.set(usize::MAX));
+        assert_eq!(decompress(&flat), Err(CodecError::Truncated));
+        assert!(rows() <= 2, "decompress decoded {} rows", rows());
+
+        ROWS_DECODED.with(|r| r.set(usize::MAX));
+        let err = DecoderSession::new().decode(&mut &flat[..]).unwrap_err();
+        assert!(matches!(err, CbicError::Truncated), "{err:?}");
+        assert!(rows() <= 2, "the decoder session decoded {} rows", rows());
+
+        // A 1x1 grid whose tile is forged to match: the index still holds
+        // one entry and the substream's CRC still checks.
+        let mut grid = compress_grid(
+            img.view(),
+            &cfg,
+            TileGeometry::new(32, 32),
+            1,
+            Parallelism::Sequential,
+        );
+        forge(&mut grid);
+        grid[25..29].copy_from_slice(&4096u32.to_le_bytes());
+        grid[29..33].copy_from_slice(&4096u32.to_le_bytes());
+        ROWS_DECODED.with(|r| r.set(usize::MAX));
+        assert_eq!(
+            decompress_grid(&grid, Parallelism::Sequential),
+            Err(CodecError::Truncated)
+        );
+        assert!(rows() <= 2, "a grid tile decoded {} rows", rows());
     }
 
     #[test]

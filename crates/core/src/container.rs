@@ -10,8 +10,7 @@
 //! offset  size  field
 //! 0       4     magic "CBIC"
 //! 4       1     version (1 = 8-bit, 2 = explicit depth, 3 = retired,
-//!               4 = 2D tile grid with seekable index, 5 = non-classic
-//!               context model)
+//!               4 = 2D tile grid with seekable index, 5 = retired)
 //! 5       1     codec id (1 = SOCC-2007 image codec)
 //! 6       4     width  (LE)
 //! 10      4     height (LE)
@@ -21,16 +20,12 @@
 //! 19      2     escape init: escape count (LE)
 //! 21      1     flags (bit0 feedback, bit1 aging, bit2 exact division)
 //! 22      1     texture bits
-//! [23     1     sample bit depth (versions 2, 4, 5; version 1 means 8)]
-//! [24     1     lane byte, always 1 (versions 4–5)]
+//! [23     1     sample bit depth (versions 2 and 4; version 1 means 8)]
+//! [24     1     lane byte, always 1 (version 4 only)]
 //! [25     4     tile width in pixels (LE, version 4 only)]
 //! [29     4     tile height in pixels (LE, version 4 only)]
 //! [33     16×T  tile index, T = cols×rows entries (version 4 only; see
 //!               the `grid` module for the entry layout)]
-//! [25     1     model byte: wide-hash banks_log2, 4..=16 (version 5)]
-//! [26     1     layout flag: 0 = flat payload, 1 = tile grid (version 5)]
-//! [27     4+4   tile width/height (LE, version 5 with layout flag 1),
-//!               followed by the 16×T tile index as in version 4]
 //! ...     ...   arithmetic-coded payload
 //! ```
 //!
@@ -44,8 +39,8 @@
 //! lanes were not part of the paper's single-coder datapath and measured
 //! no faster than one coder, so they were removed: no writer emits
 //! version 3, and every reader answers it with
-//! [`CodecError::UnsupportedVersion`]. Versions 4 and 5 keep their lane
-//! byte, which must be 1.
+//! [`CodecError::UnsupportedVersion`]. Version 4 keeps its lane byte,
+//! which must be 1.
 //!
 //! # Version 4: 2D tile grid with a seekable index
 //!
@@ -58,23 +53,27 @@
 //! [`grid`](crate::grid) module; this module's [`decompress`] and
 //! internal header reader recognize the version and dispatch.
 //!
-//! # Version 5: non-classic context models
 //!
-//! Version 5 carries one extra **model byte** — the `banks_log2` of the
-//! enlarged hash-banked context model ([`crate::bigctx`]) — plus a layout
-//! flag selecting a flat payload or a v4-style tile grid. It is emitted **only** when the encoder was
-//! explicitly asked for [`ModelMode::WideHash`](crate::ModelMode): classic
-//! encodes keep producing versions 1–4 byte-identically, so every
-//! pre-existing container and fixture is untouched.
+//! # Version 5: retired
+//!
+//! Version 5 carried a hash-banked "wide" context model that replaced the
+//! paper's compound feedback context with hashed features of a larger
+//! window. It coded worse than the paper's model on every image it was
+//! measured on, and slower, so it was removed: no writer emits version 5,
+//! and every reader answers it with [`CodecError::UnsupportedVersion`].
+//!
+//! # The retired `CBTI` band container
+//!
+//! Multi-threaded encodes once wrote a separate `CBTI` container of
+//! horizontal bands. A band is a version-4 tile as wide as the image, so
+//! multi-threaded encodes now write the version-4 grid, and nothing
+//! decodes `CBTI` any more.
 
-use crate::codec::{decode_raw_into, encode_raw, CodecConfig, ModelMode, MAX_CODE_PADDING_BITS};
+use crate::codec::{decode_raw_into, encode_raw, CodecConfig};
 use crate::context::DivisionKind;
 use crate::session::EncoderSession;
 use cbic_arith::EstimatorConfig;
-use cbic_image::{
-    CbicError, Codec, CountingSink, DecodeOptions, EncodeOptions, Image, ImageView,
-    BANKS_LOG2_RANGE,
-};
+use cbic_image::{CbicError, Codec, CountingSink, DecodeOptions, EncodeOptions, Image, ImageView};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -84,23 +83,21 @@ const VERSION_V2: u8 = 2;
 /// The retired lane-interleaved version: read as unsupported.
 const RETIRED_V3: u8 = 3;
 pub(crate) const VERSION_V4: u8 = 4;
-pub(crate) const VERSION_V5: u8 = 5;
+/// The retired wide-hash model version: read as unsupported.
+const RETIRED_V5: u8 = 5;
 const CODEC_ID: u8 = 1;
 
 /// Size in bytes of the version-1 container header preceding the coded
 /// payload (the version-2 header adds one bit-depth byte).
 pub const HEADER_LEN: usize = 23;
 
-/// Size in bytes of the longest fixed header before version 5 (version 4's
-/// bit-depth and lane bytes), and the offset of the v4 tile-dimension
-/// words. Version 5 extends the fixed prefix further (model byte, layout
-/// flag, optional tile dimensions — the internal header writer sizes its
-/// buffer for the longest case).
+/// Size in bytes of the longest fixed header (version 4's bit-depth and
+/// lane bytes), and the offset of the v4 tile-dimension words.
 pub const MAX_HEADER_LEN: usize = HEADER_LEN + 2;
 
-/// Buffer size covering the longest fixed header any version can emit:
-/// the 27-byte flat v5 prefix plus the tiled layout's two dimension words.
-pub(crate) const HEADER_BUF_LEN: usize = HEADER_LEN + 4 + 8;
+/// Buffer size covering the longest header [`header_bytes`] emits (the
+/// version-2 header with its bit-depth byte).
+pub(crate) const HEADER_BUF_LEN: usize = HEADER_LEN + 1;
 
 /// Errors returned when parsing a container.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,6 +135,10 @@ impl fmt::Display for CodecError {
             Self::UnsupportedVersion(RETIRED_V3) => write!(
                 f,
                 "unsupported container version 3: the lane-interleaved format is retired"
+            ),
+            Self::UnsupportedVersion(RETIRED_V5) => write!(
+                f,
+                "unsupported container version 5: the wide-hash context model is retired"
             ),
             Self::UnsupportedVersion(v) => write!(f, "unsupported container version {v}"),
             Self::UnsupportedCodec(c) => write!(f, "unsupported codec id {c}"),
@@ -214,10 +215,8 @@ pub fn compress(img: ImageView<'_>, cfg: &CodecConfig) -> Vec<u8> {
 /// Serializes the container header for a `width`×`height` image of the
 /// given depth coded with `cfg`, returning the buffer and the header
 /// length (23 bytes of version 1 for 8-bit samples — byte-identical to the
-/// historical format — 24 bytes of version 2 for other depths, and 27
-/// bytes of version 5 whenever `cfg.model` is non-classic; the v5 layout
-/// flag starts at 0 — the grid writer flips it and appends the tile
-/// dimensions).
+/// historical format — and 24 bytes of version 2 for other depths; the
+/// grid writer keeps the first 23 bytes and appends its own extension).
 /// [`compress`], the sessions, and the streaming
 /// [`StreamEncoder`](crate::stream::StreamEncoder) share this, which is
 /// what keeps their outputs byte-identical.
@@ -229,10 +228,7 @@ pub(crate) fn header_bytes(
 ) -> ([u8; HEADER_BUF_LEN], usize) {
     let mut out = [0u8; HEADER_BUF_LEN];
     out[..4].copy_from_slice(MAGIC);
-    let wide_banks = cfg.model.banks_log2();
-    out[4] = if wide_banks.is_some() {
-        VERSION_V5
-    } else if bit_depth == 8 {
+    out[4] = if bit_depth == 8 {
         VERSION_V1
     } else {
         VERSION_V2
@@ -250,16 +246,7 @@ pub(crate) fn header_bytes(
     flags |= u8::from(cfg.division == DivisionKind::Exact) << 2;
     out[21] = flags;
     out[22] = cfg.texture_bits;
-    if let Some(banks_log2) = wide_banks {
-        debug_assert!(BANKS_LOG2_RANGE.contains(&banks_log2));
-        // Version 5: depth, the lane byte (always 1, like v4), the model
-        // byte, and the flat/tiled layout flag.
-        out[23] = bit_depth;
-        out[24] = 1;
-        out[25] = banks_log2;
-        out[26] = 0;
-        (out, HEADER_LEN + 4)
-    } else if bit_depth == 8 {
+    if bit_depth == 8 {
         (out, HEADER_LEN)
     } else {
         out[23] = bit_depth;
@@ -305,7 +292,7 @@ pub fn decompress(bytes: &[u8]) -> Result<Image, CodecError> {
         return crate::grid::decompress_grid(bytes, cbic_image::Parallelism::Sequential);
     }
     let mut img = Image::with_depth(hdr.width, hdr.height, hdr.bit_depth);
-    decode_payload_into(&hdr, payload, &mut img.view_mut())?;
+    decode_raw_into(payload, &mut img.view_mut(), &hdr.cfg)?;
     Ok(img)
 }
 
@@ -341,7 +328,7 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
         .read_exact(&mut bytes[4..])
         .map_err(eof_is_truncated)?;
     let version = bytes[4];
-    if !(VERSION_V1..=VERSION_V5).contains(&version) || version == RETIRED_V3 {
+    if !(VERSION_V1..=VERSION_V4).contains(&version) || version == RETIRED_V3 {
         return Err(CodecError::UnsupportedVersion(version));
     }
     if bytes[5] != CODEC_ID {
@@ -395,8 +382,8 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
     } else {
         8
     };
-    if version >= VERSION_V4 {
-        // Versions 4 and 5 keep the byte of the retired coder lanes; every
+    if version == VERSION_V4 {
+        // Version 4 keeps the byte of the retired coder lanes; every
         // writer sets it to 1.
         let mut lane_byte = [0u8; 1];
         input.read_exact(&mut lane_byte).map_err(eof_is_truncated)?;
@@ -407,31 +394,7 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
             )));
         }
     }
-    let (model, v5_tiled) = if version == VERSION_V5 {
-        // The model byte and the flat/tiled layout flag. Version 5 exists
-        // only for non-classic models, so a model byte outside the wide
-        // bank range can only come from corruption.
-        let mut mb = [0u8; 2];
-        input.read_exact(&mut mb).map_err(eof_is_truncated)?;
-        let banks_log2 = mb[0];
-        if !BANKS_LOG2_RANGE.contains(&banks_log2) {
-            return Err(CodecError::InvalidHeader(format!(
-                "model banks_log2 {banks_log2} outside {}..={}",
-                BANKS_LOG2_RANGE.start(),
-                BANKS_LOG2_RANGE.end()
-            )));
-        }
-        if mb[1] > 1 {
-            return Err(CodecError::InvalidHeader(format!(
-                "layout flag {} outside 0..=1",
-                mb[1]
-            )));
-        }
-        (ModelMode::WideHash { banks_log2 }, mb[1] == 1)
-    } else {
-        (ModelMode::Classic, false)
-    };
-    let tile = if version == VERSION_V4 || v5_tiled {
+    let tile = if version == VERSION_V4 {
         let mut t = [0u8; 8];
         input.read_exact(&mut t).map_err(eof_is_truncated)?;
         let tile_w = u32::from_le_bytes(t[..4].try_into().expect("sized"));
@@ -457,7 +420,6 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
             DivisionKind::Lut
         },
         texture_bits,
-        model,
     };
     Ok(ContainerHeader {
         cfg,
@@ -476,20 +438,6 @@ fn eof_is_truncated(e: std::io::Error) -> CodecError {
     } else {
         CodecError::io(&e)
     }
-}
-
-/// Arithmetic-decodes one container's payload (everything after the fixed
-/// header) into `out` — the one decode step the slice path
-/// ([`decompress`]) and the tiled band decoders share.
-pub(crate) fn decode_payload_into(
-    hdr: &ContainerHeader,
-    payload: &[u8],
-    out: &mut cbic_image::ImageViewMut<'_>,
-) -> Result<(), CodecError> {
-    if decode_raw_into(payload, out, &hdr.cfg) > MAX_CODE_PADDING_BITS {
-        return Err(CodecError::Truncated);
-    }
-    Ok(())
 }
 
 /// The paper's codec on the unified [`Codec`] surface.
@@ -519,13 +467,6 @@ impl Codec for Proposed {
         Some(*MAGIC)
     }
 
-    /// Classic compound contexts plus the wide-hash model of
-    /// [`bigctx`](crate::bigctx), selected per encode via
-    /// [`EncodeOptions::with_model`].
-    fn model_modes(&self) -> &'static [&'static str] {
-        &["classic", "wide"]
-    }
-
     /// Streams the container into `sink` through a one-shot
     /// [`EncoderSession`] — no output buffer, byte-identical to
     /// [`compress`].
@@ -542,14 +483,6 @@ impl Codec for Proposed {
         opts: &EncodeOptions,
         sink: &mut dyn Write,
     ) -> Result<cbic_image::EncodeStats, CbicError> {
-        // A non-classic request on the options overrides the codec's own
-        // model; the classic default defers to it, so existing configs
-        // keep encoding byte-identically.
-        let mut cfg = self.0;
-        if !opts.model.is_classic() {
-            cfg.model = opts.model;
-        }
-        cfg.model.validate().map_err(CbicError::InvalidContainer)?;
         if let Some((tile_w, tile_h)) = opts.tile {
             if tile_w == 0 || tile_h == 0 {
                 return Err(CbicError::InvalidContainer(
@@ -559,7 +492,7 @@ impl Codec for Proposed {
             check_container_dimensions(img.width(), img.height()).map_err(CbicError::from)?;
             let geom = crate::grid::TileGeometry::new(tile_w, tile_h);
             let (bytes, payload_bits) =
-                crate::grid::compress_grid_with_bits(img, &cfg, geom, opts.parallelism);
+                crate::grid::compress_grid_with_bits(img, &self.0, geom, opts.parallelism);
             sink.write_all(&bytes).map_err(CbicError::from)?;
             return Ok(cbic_image::EncodeStats::new(
                 img.pixel_count() as u64,
@@ -568,7 +501,7 @@ impl Codec for Proposed {
             ));
         }
         let mut counting = CountingSink::wrap(sink);
-        let stats = EncoderSession::new(&cfg).encode(img, &mut counting)?;
+        let stats = EncoderSession::new(&self.0).encode(img, &mut counting)?;
         Ok(cbic_image::EncodeStats::new(
             stats.pixels,
             counting.bytes_written(),
@@ -649,7 +582,6 @@ mod tests {
             aging: false,
             division: DivisionKind::Exact,
             texture_bits: 3,
-            model: ModelMode::Classic,
         };
         let bytes = compress(img.view(), &cfg);
         // The header must carry the config: decode with no prior knowledge.
@@ -724,7 +656,7 @@ mod tests {
     fn single_lane_stays_on_the_legacy_container() {
         // The format decision of retiring coder lanes: writers keep the
         // containers they always wrote for one lane — v1 for 8-bit
-        // samples, v2 for other depths — and v4/v5 carry lane byte 1.
+        // samples, v2 for other depths — and v4 carries lane byte 1.
         let img = CorpusImage::Mandrill.generate(24, 24);
         let deep = Image::from_fn16(24, 24, 12, |x, y| (x * 150 + y) as u16);
         let cfg = CodecConfig::default();
@@ -737,17 +669,8 @@ mod tests {
             1,
             cbic_image::Parallelism::Sequential,
         );
-        let wide = CodecConfig {
-            model: ModelMode::WideHash { banks_log2: 10 },
-            ..cfg
-        };
-        for (bytes, version) in [
-            (grid, VERSION_V4),
-            (compress(img.view(), &wide), VERSION_V5),
-        ] {
-            assert_eq!((bytes[4], bytes[24]), (version, 1));
-            assert_eq!(decompress(&bytes).unwrap(), img);
-        }
+        assert_eq!((grid[4], grid[24]), (VERSION_V4, 1));
+        assert_eq!(decompress(&grid).unwrap(), img);
     }
 
     #[test]
@@ -769,31 +692,51 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_lane_byte() {
-        // Versions 4 and 5 carry the lane byte at offset 24; only 1 is
-        // valid now that coder lanes are retired.
+    fn retired_version_five_is_unsupported() {
+        // A version-5 header (depth, lane, model byte, layout flag) is
+        // refused as soon as its version byte is read, with a message
+        // naming the retired wide-hash model.
         let img = CorpusImage::Lena.generate(16, 16);
-        let wide = CodecConfig {
-            model: ModelMode::WideHash { banks_log2: 10 },
-            ..CodecConfig::default()
-        };
-        let grid = crate::grid::compress_grid(
+        let mut bytes = compress(img.view(), &CodecConfig::default());
+        bytes[4] = RETIRED_V5;
+        for (at, byte) in [(23, 8u8), (24, 1), (25, 10), (26, 0)] {
+            bytes.insert(at, byte);
+        }
+        let err = decompress(&bytes).unwrap_err();
+        assert_eq!(err, CodecError::UnsupportedVersion(5));
+        let msg = err.to_string();
+        assert!(
+            msg.contains("version 5") && msg.contains("wide-hash"),
+            "{msg}"
+        );
+        assert!(msg.contains("retired"), "{msg}");
+        assert_eq!(parse_header(&bytes).err(), Some(err.clone()));
+        assert!(matches!(
+            CbicError::from(err),
+            CbicError::UnsupportedVersion(5)
+        ));
+    }
+
+    #[test]
+    fn rejects_bad_lane_byte() {
+        // Version 4 carries the lane byte at offset 24; only 1 is valid
+        // now that coder lanes are retired.
+        let img = CorpusImage::Lena.generate(16, 16);
+        let mut bytes = crate::grid::compress_grid(
             img.view(),
             &CodecConfig::default(),
             crate::grid::TileGeometry::new(8, 8),
             1,
             cbic_image::Parallelism::Sequential,
         );
-        for mut bytes in [grid, compress(img.view(), &wide)] {
-            assert_eq!(bytes[24], 1, "writers emit one lane");
-            assert_eq!(decompress(&bytes).unwrap(), img);
-            for bad in [0u8, 2, 33, 255] {
-                bytes[24] = bad;
-                assert!(
-                    matches!(decompress(&bytes), Err(CodecError::InvalidHeader(_))),
-                    "lane byte {bad} must be rejected"
-                );
-            }
+        assert_eq!(bytes[24], 1, "writers emit one lane");
+        assert_eq!(decompress(&bytes).unwrap(), img);
+        for bad in [0u8, 2, 33, 255] {
+            bytes[24] = bad;
+            assert!(
+                matches!(decompress(&bytes), Err(CodecError::InvalidHeader(_))),
+                "lane byte {bad} must be rejected"
+            );
         }
     }
 }

@@ -7,7 +7,7 @@
 //! and every public entry point ([`encode_raw`](crate::encode_raw), the
 //! hardware model in [`hwpipe`](crate::hwpipe), the bounded-memory
 //! [`stream`](crate::stream) codec, the reusable
-//! [`session`](crate::session)s, and the [`tiles`](crate::tiles) band
+//! [`session`](crate::session)s, and the [`grid`](crate::grid) tile
 //! workers) drives this one implementation. There is deliberately no
 //! second copy of the model anywhere.
 //!
@@ -50,7 +50,6 @@
 //! is identical to the pre-engine implementation: the 16 golden fixtures
 //! and the cross-path differential proptests (`tests/engine.rs`) pin this.
 
-use crate::bigctx::{WideConfig, WideNeighborhood, BANKS_LOG2_RANGE};
 use crate::codec::{CodecConfig, SampleCoder, CODING_CONTEXTS};
 use crate::context::{error_energy, quantize_energy, texture_pattern, ContextStore};
 use crate::neighborhood::Neighborhood;
@@ -154,53 +153,24 @@ pub struct PixelEngine {
     max_val: i32,
     /// Energy quantizer scale: `depth − 8` for deep samples, 0 otherwise.
     energy_shift: u32,
-    /// `Some` switches the *feedback* context from the paper's compound
-    /// index to the hash-banked wide contexts of [`crate::bigctx`]; the
-    /// coding contexts and decision stream stay classic either way.
-    wide: Option<WideConfig>,
 }
 
 impl PixelEngine {
     /// Builds an engine for a `width`-pixel stream of the given depth.
-    /// `cfg.model` selects the feedback-context model: classic compound
-    /// contexts, or the wire-format wide configuration for
-    /// [`ModelMode::WideHash`](crate::ModelMode::WideHash).
     ///
     /// # Panics
     ///
     /// Panics if the depth is outside `1..=16` or the configuration is
     /// invalid (see [`CodecConfig`]).
     pub fn new(width: usize, bit_depth: u8, cfg: &CodecConfig) -> Self {
-        Self::build(width, bit_depth, cfg, WideConfig::from_mode(cfg.model))
-    }
-
-    /// Builds an engine with an explicit wide configuration (any
-    /// window/mixer/bank combination) regardless of `cfg.model` — the
-    /// ablation harness's entry point.
-    ///
-    /// # Panics
-    ///
-    /// As [`PixelEngine::new`], plus if `wide.banks_log2` is outside
-    /// [`BANKS_LOG2_RANGE`].
-    pub fn with_wide(width: usize, bit_depth: u8, cfg: &CodecConfig, wide: WideConfig) -> Self {
-        Self::build(width, bit_depth, cfg, Some(wide))
-    }
-
-    fn build(width: usize, bit_depth: u8, cfg: &CodecConfig, wide: Option<WideConfig>) -> Self {
-        if let Some(w) = wide {
-            assert!(
-                BANKS_LOG2_RANGE.contains(&w.banks_log2),
-                "banks_log2 {} outside {:?}",
-                w.banks_log2,
-                BANKS_LOG2_RANGE
-            );
-        }
         let half = half_for_depth(bit_depth);
-        // The wide model still stores its feedback in the same SoA
-        // ContextStore — only the bank count and the index change.
-        let contexts = wide.map_or(cfg.compound_contexts(), WideConfig::banks);
         Self {
-            banks: ContextStore::with_max_err(contexts, cfg.division, cfg.aging, half),
+            banks: ContextStore::with_max_err(
+                cfg.compound_contexts(),
+                cfg.division,
+                cfg.aging,
+                half,
+            ),
             fold: FoldLut::new(bit_depth),
             abs_err: vec![0; width],
             coder: SampleCoder::new(CODING_CONTEXTS, bit_depth, cfg.estimator),
@@ -211,7 +181,6 @@ impl PixelEngine {
             half,
             max_val: 2 * half - 1,
             energy_shift: threshold_shift(bit_depth),
-            wide,
         }
     }
 
@@ -261,14 +230,8 @@ impl PixelEngine {
         self.banks.halvings()
     }
 
-    /// The wide-model configuration, if the engine runs hash-banked
-    /// contexts (`None` on the classic path).
-    pub fn wide(&self) -> Option<WideConfig> {
-        self.wide
-    }
-
-    /// Number of feedback-context banks the engine allocated (compound
-    /// contexts on the classic path, `2^banks_log2` on the wide path).
+    /// Number of feedback-context banks the engine allocated (the
+    /// configuration's compound contexts).
     pub fn context_banks(&self) -> usize {
         self.banks.contexts()
     }
@@ -354,50 +317,9 @@ impl PixelEngine {
         value
     }
 
-    /// Line 2 of the pipeline under the wide model: classic gradients,
-    /// primary prediction, and `QE` coding context (so the decision stream
-    /// is unchanged), but the *feedback* context keeps `QE` as its top
-    /// bits and refines within the energy class by hashing the enlarged
-    /// neighbourhood's feature key — the classic `(QE, texture)` compound
-    /// context with the 6-bit texture pattern generalized to a hashed
-    /// wide-window feature.
-    #[inline]
-    fn model_wide(
-        &self,
-        wc: WideConfig,
-        cur: &[u16],
-        n1: Option<&[u16]>,
-        n2: Option<&[u16]>,
-        x: usize,
-    ) -> PixelModel {
-        let mid = self.mid();
-        let nb = Neighborhood::from_rows(cur, n1, n2, x, mid);
-        let g = Gradients::compute(&nb);
-        let x_hat = gap_predict(&nb, g, self.bit_depth);
-        let e_w = i32::from(self.abs_err[x.saturating_sub(1)]);
-        let qe = usize::from(quantize_energy(error_energy(g, e_w) >> self.energy_shift));
-        let t = texture_pattern(&nb, x_hat, wc.texture_log2(self.texture_bits));
-        let wn = WideNeighborhood::from_rows(cur, n1, n2, x, mid, wc.window);
-        let ctx = wc.bank_of(
-            wn.feature_key(x_hat, self.energy_shift),
-            qe,
-            t,
-            self.texture_bits,
-        );
-        let e_bar = if self.error_feedback {
-            self.banks.mean(ctx)
-        } else {
-            0
-        };
-        let x_tilde = (x_hat + e_bar).clamp(0, self.max_val);
-        PixelModel { qe, ctx, x_tilde }
-    }
-
-    /// Rows-based single-pixel encode: the model-dispatching entry point
-    /// the incremental paths ([`hwpipe`](crate::hwpipe)) drive. Classic
-    /// engines gather the 7-pixel [`Neighborhood`] and take the exact
-    /// [`Self::encode_pixel`] path (byte-identical); wide engines gather
-    /// the enlarged window as well.
+    /// Rows-based single-pixel encode: the entry point the incremental
+    /// paths ([`hwpipe`](crate::hwpipe)) drive. It gathers the 7-pixel
+    /// [`Neighborhood`] from row slices and takes [`Self::encode_pixel`].
     #[inline]
     pub fn encode_pixel_rows<E: DecisionEncoder>(
         &mut self,
@@ -408,18 +330,8 @@ impl PixelEngine {
         x: usize,
         value: u16,
     ) {
-        match self.wide {
-            None => {
-                let nb = Neighborhood::from_rows(cur, n1, n2, x, self.mid());
-                self.encode_pixel(enc, &nb, x, value);
-            }
-            Some(wc) => {
-                let m = self.model_wide(wc, cur, n1, n2, x);
-                let folded = self.fold.fold(i32::from(value) - m.x_tilde);
-                self.coder.encode(enc, m.qe, folded);
-                self.absorb(x, m.ctx, unfold(folded));
-            }
-        }
+        let nb = Neighborhood::from_rows(cur, n1, n2, x, self.mid());
+        self.encode_pixel(enc, &nb, x, value);
     }
 
     /// The decoder-side dual of [`Self::encode_pixel_rows`]. `cur` must
@@ -433,19 +345,8 @@ impl PixelEngine {
         n2: Option<&[u16]>,
         x: usize,
     ) -> u16 {
-        match self.wide {
-            None => {
-                let nb = Neighborhood::from_rows(cur, n1, n2, x, self.mid());
-                self.decode_pixel(dec, &nb, x)
-            }
-            Some(wc) => {
-                let m = self.model_wide(wc, cur, n1, n2, x);
-                let wrapped = unfold(self.coder.decode(dec, m.qe));
-                let value = ((m.x_tilde + wrapped) & self.max_val) as u16;
-                self.absorb(x, m.ctx, wrapped);
-                value
-            }
-        }
+        let nb = Neighborhood::from_rows(cur, n1, n2, x, self.mid());
+        self.decode_pixel(dec, &nb, x)
     }
 
     /// The encoder's row loop over a prepared view — the one pixel loop
@@ -466,19 +367,6 @@ impl PixelEngine {
         debug_assert_eq!(self.bit_depth, img.bit_depth());
         debug_assert_eq!(self.abs_err.len(), img.width());
         let (width, height) = img.dimensions();
-        if self.wide.is_some() {
-            // The wide window reaches further than the classic pipeline
-            // registers carry, so every pixel takes the rows-based fetch.
-            for y in 0..height {
-                let cur = img.row(y);
-                let n1 = (y >= 1).then(|| img.row(y - 1));
-                let n2 = (y >= 2).then(|| img.row(y - 2));
-                for x in 0..width {
-                    self.encode_pixel_rows(enc, cur, n1, n2, x, cur[x]);
-                }
-            }
-            return;
-        }
         let mid = self.mid();
         for y in 0..height {
             let cur = img.row(y);
@@ -582,22 +470,30 @@ impl PixelEngine {
     }
 
     /// The decoder's row loop — the dual of [`Self::encode_view`],
-    /// reconstructing rows in place into `out` (a band of a larger image,
+    /// reconstructing rows in place into `out` (a tile of a larger image,
     /// or a whole one) through the same slice discipline and the same
     /// register-carried interior fast path.
     pub fn decode_into<D: DecisionDecoder>(&mut self, dec: &mut D, out: &mut ImageViewMut<'_>) {
+        self.decode_rows_while(dec, out, |_| true);
+    }
+
+    /// [`Self::decode_into`] that asks `keep_going` after every row and
+    /// stops as soon as it answers `false`, returning the number of rows
+    /// decoded. The buffered decoders pass their padding-budget check
+    /// here, so a stream that has run dry stops within a row.
+    pub(crate) fn decode_rows_while<D, F>(
+        &mut self,
+        dec: &mut D,
+        out: &mut ImageViewMut<'_>,
+        mut keep_going: F,
+    ) -> usize
+    where
+        D: DecisionDecoder,
+        F: FnMut(&D) -> bool,
+    {
         debug_assert_eq!(self.bit_depth, out.bit_depth());
         debug_assert_eq!(self.abs_err.len(), out.width());
         let (width, height) = out.dimensions();
-        if self.wide.is_some() {
-            for y in 0..height {
-                let (n2, n1, cur) = out.causal_rows_mut(y);
-                for x in 0..width {
-                    cur[x] = self.decode_pixel_rows(dec, cur, n1, n2, x);
-                }
-            }
-            return;
-        }
         let mid = self.mid();
         for y in 0..height {
             let (n2, n1, cur) = out.causal_rows_mut(y);
@@ -606,45 +502,49 @@ impl PixelEngine {
                     let nb = Neighborhood::from_rows(cur, n1, n2, x, mid);
                     cur[x] = self.decode_pixel(dec, &nb, x);
                 }
-                continue;
-            }
-            let (n1, n2) = (
-                n1.expect("row above exists"),
-                n2.expect("two rows above exist"),
-            );
-            for x in 0..2 {
+            } else {
+                let (n1, n2) = (
+                    n1.expect("row above exists"),
+                    n2.expect("two rows above exist"),
+                );
+                for x in 0..2 {
+                    let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
+                    cur[x] = self.decode_pixel(dec, &nb, x);
+                }
+                let mut ww = cur[0];
+                let mut w = cur[1];
+                let mut nw = n1[1];
+                let mut n = n1[2];
+                let mut nn = n2[2];
+                for x in 2..width - 1 {
+                    let ne = n1[x + 1];
+                    let nne = n2[x + 1];
+                    let nb = Neighborhood {
+                        w,
+                        ww,
+                        n,
+                        nn,
+                        ne,
+                        nw,
+                        nne,
+                    };
+                    let value = self.decode_pixel(dec, &nb, x);
+                    cur[x] = value;
+                    ww = w;
+                    w = value;
+                    nw = n;
+                    n = ne;
+                    nn = nne;
+                }
+                let x = width - 1;
                 let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
                 cur[x] = self.decode_pixel(dec, &nb, x);
             }
-            let mut ww = cur[0];
-            let mut w = cur[1];
-            let mut nw = n1[1];
-            let mut n = n1[2];
-            let mut nn = n2[2];
-            for x in 2..width - 1 {
-                let ne = n1[x + 1];
-                let nne = n2[x + 1];
-                let nb = Neighborhood {
-                    w,
-                    ww,
-                    n,
-                    nn,
-                    ne,
-                    nw,
-                    nne,
-                };
-                let value = self.decode_pixel(dec, &nb, x);
-                cur[x] = value;
-                ww = w;
-                w = value;
-                nw = n;
-                n = ne;
-                nn = nne;
+            if !keep_going(dec) {
+                return y + 1;
             }
-            let x = width - 1;
-            let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
-            cur[x] = self.decode_pixel(dec, &nb, x);
         }
+        height
     }
 }
 
@@ -669,18 +569,6 @@ impl EncoderState {
         }
     }
 
-    /// Builds encoder-side state with an explicit wide configuration (see
-    /// [`PixelEngine::with_wide`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`PixelEngine::with_wide`].
-    pub fn with_wide(width: usize, bit_depth: u8, cfg: &CodecConfig, wide: WideConfig) -> Self {
-        Self {
-            engine: PixelEngine::with_wide(width, bit_depth, cfg, wide),
-        }
-    }
-
     /// Re-arms the state in place (see [`PixelEngine::reset`]).
     pub fn reset(&mut self, width: usize, bit_depth: u8) {
         self.engine.reset(width, bit_depth);
@@ -696,8 +584,7 @@ impl EncoderState {
         self.engine.half()
     }
 
-    /// The underlying engine (for memory accounting and ablation
-    /// instrumentation).
+    /// The underlying engine (for memory accounting).
     pub fn engine(&self) -> &PixelEngine {
         &self.engine
     }
@@ -724,7 +611,7 @@ impl EncoderState {
         self.engine.encode_pixel(enc, nb, x, value);
     }
 
-    /// Encodes one pixel from row slices, dispatching the model (see
+    /// Encodes one pixel from row slices (see
     /// [`PixelEngine::encode_pixel_rows`]).
     #[inline]
     pub fn encode_pixel_rows<E: DecisionEncoder>(
@@ -766,18 +653,6 @@ impl DecoderState {
         }
     }
 
-    /// Builds decoder-side state with an explicit wide configuration (see
-    /// [`PixelEngine::with_wide`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`PixelEngine::with_wide`].
-    pub fn with_wide(width: usize, bit_depth: u8, cfg: &CodecConfig, wide: WideConfig) -> Self {
-        Self {
-            engine: PixelEngine::with_wide(width, bit_depth, cfg, wide),
-        }
-    }
-
     /// Re-arms the state in place (see [`PixelEngine::reset`]).
     pub fn reset(&mut self, width: usize, bit_depth: u8) {
         self.engine.reset(width, bit_depth);
@@ -788,8 +663,7 @@ impl DecoderState {
         self.engine.bit_depth()
     }
 
-    /// The underlying engine (for memory accounting and ablation
-    /// instrumentation).
+    /// The underlying engine (for memory accounting).
     pub fn engine(&self) -> &PixelEngine {
         &self.engine
     }
@@ -805,7 +679,7 @@ impl DecoderState {
         self.engine.decode_pixel(dec, nb, x)
     }
 
-    /// Decodes one pixel from row slices, dispatching the model (see
+    /// Decodes one pixel from row slices (see
     /// [`PixelEngine::decode_pixel_rows`]).
     #[inline]
     pub fn decode_pixel_rows<D: DecisionDecoder>(
@@ -822,6 +696,21 @@ impl DecoderState {
     /// Decodes a whole view in place (see [`PixelEngine::decode_into`]).
     pub fn decode_into<D: DecisionDecoder>(&mut self, dec: &mut D, out: &mut ImageViewMut<'_>) {
         self.engine.decode_into(dec, out);
+    }
+
+    /// Decodes a view in place, stopping after the first row for which
+    /// `keep_going` answers `false` (see [`PixelEngine::decode_rows_while`]).
+    pub(crate) fn decode_rows_while<D, F>(
+        &mut self,
+        dec: &mut D,
+        out: &mut ImageViewMut<'_>,
+        keep_going: F,
+    ) -> usize
+    where
+        D: DecisionDecoder,
+        F: FnMut(&D) -> bool,
+    {
+        self.engine.decode_rows_while(dec, out, keep_going)
     }
 }
 

@@ -1,22 +1,25 @@
-//! 2D wavefront tile subsystem — container v4: a seekable tile grid with
-//! random-access crop decode and multi-core whole-image decode.
+//! 2D tile grid — container v4: the paper's multi-core partition, with a
+//! seekable index for random-access crop decode and multi-core
+//! whole-image decode.
 //!
-//! The [`tiles`](crate::tiles) module scales the encoder across cores by
-//! splitting the image into horizontal bands, but every decode still has
-//! to consume the whole payload front to back. This module generalizes
-//! the decomposition to a **2D grid** (configurable tile size, default
-//! 256×256) and, crucially, records a **serialized tile index** right
-//! after the container header: per tile a byte offset, a length, and a
-//! CRC-32 checksum. The index makes every tile `O(1)`-seekable, which
-//! buys two things the band format cannot offer:
+//! Section V closes with: "The low complexity means that a multi-core
+//! solution could be used to scale up the performance." This module is
+//! that decomposition: the image is split into a **2D grid** of tiles
+//! (configurable size, default 256×256; a tile as wide as the image is a
+//! horizontal band), each coded by an *independent* instance of the codec
+//! with its own contexts, trees and arithmetic coder. A **serialized tile
+//! index** right after the container header records per tile a byte
+//! offset, a length, and a CRC-32 checksum. The index makes every tile
+//! `O(1)`-seekable, which buys:
 //!
 //! * **random access** — [`decode_roi`] reads *only* the tiles covering a
 //!   requested rectangle (the seekable variant [`decode_roi_from`] never
 //!   even reads the other tiles' bytes off the source), and
-//! * **decode-side parallelism** — [`decompress_grid`] hands tiles to
-//!   worker threads, the first parallel decode path in the repo (bands
-//!   only parallelized the *encoder* usefully, since `CBTI` banded
-//!   decode still slurps every band).
+//! * **parallelism on both sides** — [`compress_grid`] and
+//!   [`decompress_grid`] hand tiles to worker threads.
+//!
+//! The price is model cold-start per tile (every tile re-learns its
+//! statistics), bounded by this module's tests.
 //!
 //! # Container v4 layout
 //!
@@ -47,13 +50,12 @@
 //! [`CodecError::InvalidHeader`], and a payload shorter than the index
 //! promises is [`CodecError::Truncated`] — never a panic.
 //!
-//! # Wavefront scheduling
+//! # Scheduling
 //!
-//! Tiles are independent, so any order decodes correctly; workers claim
-//! tiles from a shared atomic cursor (work stealing off one queue — an
-//! idle worker always finds the next unclaimed tile) walked in
-//! **anti-diagonal wavefront order**, the classic 2D dependency-free
-//! sweep. Each worker owns a single resettable
+//! Tiles have no dependencies, so any order codes correctly. Workers
+//! claim tile indices `0..n` in order off one shared atomic cursor (work
+//! stealing off one queue — an idle worker always finds the next
+//! unclaimed tile). Each worker owns a single resettable
 //! [`EncoderState`]/[`DecoderState`] reused across every tile it claims
 //! (a reset model is byte-identical to a fresh one — the session
 //! invariant), so model-table allocations do not scale with tile count.
@@ -85,9 +87,9 @@
 //! # Ok::<(), cbic_core::CodecError>(())
 //! ```
 
-use crate::codec::{CodecConfig, MAX_CODE_PADDING_BITS};
+use crate::codec::{decode_rows_checked, CodecConfig};
 use crate::container::{
-    header_bytes, read_header, CodecError, ContainerHeader, HEADER_LEN, VERSION_V4, VERSION_V5,
+    header_bytes, read_header, CodecError, ContainerHeader, HEADER_LEN, VERSION_V4,
 };
 use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
@@ -342,51 +344,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Anti-diagonal wavefront enumeration of a `cols`×`rows` grid: all tiles
-/// with `col + row == d` before any with `d + 1`, top to bottom within a
-/// diagonal. Returns row-major indices (`row * cols + col`).
-fn wavefront_order(cols: usize, rows: usize) -> Vec<usize> {
-    let mut order = Vec::with_capacity(cols * rows);
-    for d in 0..cols + rows - 1 {
-        let r0 = d.saturating_sub(cols - 1);
-        let r1 = d.min(rows - 1);
-        for row in r0..=r1 {
-            order.push(row * cols + (d - row));
-        }
-    }
-    debug_assert_eq!(order.len(), cols * rows);
-    order
-}
-
-/// Runs `job` over every index in `order` on `par`-many scoped workers.
-/// Workers *claim* positions off a shared atomic cursor (work stealing
-/// from one queue: a fast worker keeps claiming while a slow one finishes
-/// its tile) and each owns one `make_state()` value reused across all its
-/// claims. Outputs land in job-index order regardless of the schedule.
-fn run_wavefront<O, S, G, F>(
-    jobs: usize,
-    order: &[usize],
-    par: Parallelism,
-    make_state: G,
-    job: F,
-) -> Vec<O>
+/// The tile scheduler: runs `job` over every index `0..jobs` on
+/// `par`-many scoped workers. Workers *claim* indices in order off a
+/// shared atomic cursor (work stealing from one queue: a fast worker keeps
+/// claiming while a slow one finishes its tile) and each owns one
+/// `make_state()` value reused across all its claims. Outputs land in
+/// index order regardless of the schedule.
+fn run_tiles<O, S, G, F>(jobs: usize, par: Parallelism, make_state: G, job: F) -> Vec<O>
 where
     O: Send,
     G: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> O + Sync,
 {
-    debug_assert_eq!(order.len(), jobs);
     let workers = par.workers(jobs);
     if workers <= 1 {
         let mut state = make_state();
-        let mut outputs: Vec<Option<O>> = (0..jobs).map(|_| None).collect();
-        for &idx in order {
-            outputs[idx] = Some(job(&mut state, idx));
-        }
-        return outputs
-            .into_iter()
-            .map(|o| o.expect("every tile coded"))
-            .collect();
+        return (0..jobs).map(|idx| job(&mut state, idx)).collect();
     }
     let cursor = AtomicUsize::new(0);
     let mut outputs: Vec<Option<O>> = (0..jobs).map(|_| None).collect();
@@ -398,8 +371,10 @@ where
                     let mut state = make_state();
                     let mut done = Vec::new();
                     loop {
-                        let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&idx) = order.get(pos) else { break };
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= jobs {
+                            break;
+                        }
                         done.push((idx, job(&mut state, idx)));
                     }
                     done
@@ -431,7 +406,8 @@ fn encode_tile(state: &mut EncoderState, tile: ImageView<'_>) -> (Vec<u8>, u64) 
 }
 
 /// Decodes one tile substream on a reused engine state into a fresh
-/// `w`×`h` tile image, the dual of [`encode_tile`].
+/// `w`×`h` tile image, the dual of [`encode_tile`]. A substream that runs
+/// dry stops the tile within a row ([`decode_rows_checked`]).
 fn decode_tile(
     state: &mut DecoderState,
     hdr: &ContainerHeader,
@@ -442,10 +418,7 @@ fn decode_tile(
     state.reset(w, hdr.bit_depth);
     let mut img = Image::with_depth(w, h, hdr.bit_depth);
     let mut dec = BinaryDecoder::new(BitReader::new(sub));
-    state.decode_into(&mut dec, &mut img.view_mut());
-    if dec.source().padding_bits() > MAX_CODE_PADDING_BITS {
-        return Err(CodecError::Truncated);
-    }
+    decode_rows_checked(state, &mut dec, &mut img.view_mut())?;
     Ok(img)
 }
 
@@ -470,8 +443,7 @@ fn blit(
 
 /// Compresses a view into a version-4 grid container: fixed header, tile
 /// index, then one independently decodable substream per tile, coded on
-/// `par` worker threads in wavefront order. The bytes never depend on the
-/// schedule.
+/// `par` worker threads. The bytes never depend on the schedule.
 ///
 /// # Examples
 ///
@@ -531,11 +503,9 @@ pub fn compress_grid_with_bits(
         "{cols}x{rows} tile grid exceeds the {MAX_TILES}-tile limit"
     );
 
-    let order = wavefront_order(cols, rows);
     let bit_depth = img.bit_depth();
-    let coded: Vec<(Vec<u8>, u64)> = run_wavefront(
+    let coded: Vec<(Vec<u8>, u64)> = run_tiles(
         tiles,
-        &order,
         par,
         || EncoderState::new(1, bit_depth, cfg),
         |state, idx| {
@@ -548,23 +518,13 @@ pub fn compress_grid_with_bits(
     let payload_bits: u64 = coded.iter().map(|(_, bits)| bits).sum();
     let body: usize = coded.iter().map(|(sub, _)| sub.len()).sum();
     let mut out = Vec::with_capacity(HEADER_LEN + 12 + tiles * INDEX_ENTRY_LEN + body);
-    if cfg.model.is_classic() {
-        // The shared fixed-header serializer keeps the first 23 bytes
-        // byte-identical to every other path; v4 then owns the extension.
-        let (base, _) = header_bytes(cfg, width, height, bit_depth);
-        out.extend_from_slice(&base[..HEADER_LEN]);
-        out[4] = VERSION_V4;
-        out.push(bit_depth);
-        out.push(1); // the lane byte of the retired coder lanes
-    } else {
-        // Non-classic models need the v5 model byte, so the grid rides
-        // the full v5 header and flips its layout flag to "tiled".
-        let (base, len) = header_bytes(cfg, width, height, bit_depth);
-        debug_assert_eq!(base[4], VERSION_V5);
-        out.extend_from_slice(&base[..len]);
-        let flag = out.len() - 1;
-        out[flag] = 1;
-    }
+    // The shared fixed-header serializer keeps the first 23 bytes
+    // byte-identical to every other path; v4 then owns the extension.
+    let (base, _) = header_bytes(cfg, width, height, bit_depth);
+    out.extend_from_slice(&base[..HEADER_LEN]);
+    out[4] = VERSION_V4;
+    out.push(bit_depth);
+    out.push(1); // the lane byte of the retired coder lanes
     let (tw, th) = geom.tile_size();
     out.extend_from_slice(&tw.to_le_bytes());
     out.extend_from_slice(&th.to_le_bytes());
@@ -645,10 +605,8 @@ fn decode_all_tiles(
     par: Parallelism,
 ) -> Result<Image, CodecError> {
     let tiles = index.entries.len();
-    let order = wavefront_order(index.cols, index.rows);
-    let decoded: Vec<Result<Image, CodecError>> = run_wavefront(
+    let decoded: Vec<Result<Image, CodecError>> = run_tiles(
         tiles,
-        &order,
         par,
         || DecoderState::new(1, hdr.bit_depth, &hdr.cfg),
         |state, idx| {
@@ -668,8 +626,8 @@ fn decode_all_tiles(
 }
 
 /// Decompresses a version-4 grid container produced by [`compress_grid`],
-/// decoding tiles on `par` worker threads — the repo's first decode-side
-/// parallelism. The pixels never depend on the schedule.
+/// decoding tiles on `par` worker threads. The pixels never depend on the
+/// schedule.
 ///
 /// # Errors
 ///
@@ -719,12 +677,9 @@ fn decode_roi_tiles(
     subs: &[(usize, &[u8])],
     par: Parallelism,
 ) -> Result<Image, CodecError> {
-    // Wavefront over the covering sub-grid: `subs` is already in
-    // row-major covering order, so claim positions directly.
-    let order: Vec<usize> = (0..subs.len()).collect();
-    let decoded: Vec<Result<Image, CodecError>> = run_wavefront(
+    // `subs` is in row-major covering order; workers claim it in order.
+    let decoded: Vec<Result<Image, CodecError>> = run_tiles(
         subs.len(),
-        &order,
         par,
         || DecoderState::new(1, hdr.bit_depth, &hdr.cfg),
         |state, i| {
@@ -896,24 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_order_visits_every_tile_once_in_diagonal_order() {
-        for (cols, rows) in [(1, 1), (1, 5), (5, 1), (3, 4), (7, 7)] {
-            let order = wavefront_order(cols, rows);
-            assert_eq!(order.len(), cols * rows);
-            let mut seen = vec![false; cols * rows];
-            let mut last_diag = 0;
-            for idx in order {
-                assert!(!seen[idx], "tile {idx} visited twice");
-                seen[idx] = true;
-                let diag = idx % cols + idx / cols;
-                assert!(diag >= last_diag, "diagonals must not regress");
-                last_diag = diag;
-            }
-            assert!(seen.into_iter().all(|s| s), "{cols}x{rows}");
-        }
-    }
-
-    #[test]
     fn grid_roundtrip_various_geometries() {
         let img = CorpusImage::Goldhill.generate(48, 40);
         let cfg = CodecConfig::default();
@@ -974,6 +911,31 @@ mod tests {
         assert_eq!(
             decompress_grid(&seq, Parallelism::Threads(4)).unwrap(),
             decompress_grid(&seq, Parallelism::Sequential).unwrap()
+        );
+    }
+
+    #[test]
+    fn tile_overhead_is_bounded() {
+        // Cold-start per tile costs bits; for 4 full-width tiles of a
+        // 128-line image the overhead must stay modest (~10%), and shrink
+        // with image size as the warm-up amortizes.
+        let cfg = CodecConfig::default();
+        let overhead = |size: usize| -> f64 {
+            let img = CorpusImage::Barb.generate(size, size);
+            let bands = |n: usize| {
+                let g = geom(size as u32, size.div_ceil(n) as u32);
+                compress_grid(img.view(), &cfg, g, 1, Parallelism::Auto).len()
+            };
+            let (one, four) = (bands(1), bands(4));
+            assert!(four >= one, "tiling cannot help compression");
+            (four - one) as f64 / one as f64
+        };
+        let small = overhead(128);
+        assert!(small < 0.12, "tile overhead {:.1}%", small * 100.0);
+        let large = overhead(256);
+        assert!(
+            large < small,
+            "overhead must amortize: {large:.3} vs {small:.3}"
         );
     }
 

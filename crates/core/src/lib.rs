@@ -33,8 +33,13 @@
 //! The whole pipeline is implemented **once**, as the table-driven
 //! [`engine::PixelEngine`]; the raw codec functions, the hardware model
 //! ([`hwpipe`]), the bounded-memory [`stream`] layer, the reusable
-//! [`session`]s, and the [`tiles`] band workers are all front ends over
+//! [`session`]s, and the [`grid`] tile workers are all front ends over
 //! that one datapath (see the [`engine`] module for the stage map).
+//!
+//! Section V's multi-core idea — independent partitions, one codec
+//! instance each — is the [`grid`] module's version-4 container: a grid
+//! of independently decodable tiles with a seekable index, coded on one
+//! tile scheduler.
 //!
 //! # Examples
 //!
@@ -52,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bigctx;
 pub mod codec;
 pub mod container;
 pub mod context;
@@ -64,11 +68,10 @@ pub mod predictor;
 pub mod remap;
 pub mod session;
 pub mod stream;
-pub mod tiles;
 
-pub use bigctx::WideConfig;
+pub use cbic_image::Parallelism;
 pub use codec::{
-    decode_raw, encode_model_only, encode_raw, CodecConfig, DivisionKind, EncodeStats, ModelMode,
+    decode_raw, encode_model_only, encode_raw, CodecConfig, DivisionKind, EncodeStats,
 };
 pub use container::{compress, decompress, CodecError, Proposed};
 pub use engine::{DecoderState, EncoderState, PixelEngine};
@@ -77,7 +80,6 @@ pub use grid::{
 };
 pub use session::{DecoderSession, EncoderSession};
 pub use stream::{StreamDecoder, StreamEncodeStats, StreamEncoder};
-pub use tiles::{Parallelism, Tiled};
 
 #[cfg(test)]
 mod proptests;

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use crate::codec::{decode_raw, encode_raw, CodecConfig, ModelMode};
+use crate::codec::{decode_raw, encode_raw, CodecConfig};
 use crate::container::{compress, decompress};
 use crate::context::DivisionKind;
 use cbic_arith::EstimatorConfig;
@@ -40,30 +40,22 @@ fn arb_config() -> impl Strategy<Value = CodecConfig> {
         any::<bool>(),
         any::<bool>(),
         0u8..=6,
-        (any::<bool>(), 4u8..=12),
     )
         .prop_map(
-            |(count_bits, increment, feedback, aging, exact, texture_bits, (wide, banks))| {
-                CodecConfig {
-                    estimator: EstimatorConfig {
-                        count_bits,
-                        increment,
-                        ..EstimatorConfig::default()
-                    },
-                    error_feedback: feedback,
-                    aging,
-                    division: if exact {
-                        DivisionKind::Exact
-                    } else {
-                        DivisionKind::Lut
-                    },
-                    texture_bits,
-                    model: if wide {
-                        ModelMode::WideHash { banks_log2: banks }
-                    } else {
-                        ModelMode::Classic
-                    },
-                }
+            |(count_bits, increment, feedback, aging, exact, texture_bits)| CodecConfig {
+                estimator: EstimatorConfig {
+                    count_bits,
+                    increment,
+                    ..EstimatorConfig::default()
+                },
+                error_feedback: feedback,
+                aging,
+                division: if exact {
+                    DivisionKind::Exact
+                } else {
+                    DivisionKind::Lut
+                },
+                texture_bits,
             },
         )
 }
@@ -191,19 +183,21 @@ proptest! {
         prop_assert_eq!(hw, reference);
     }
 
-    /// Tiled containers round-trip at every legal tile count.
+    /// Grids of full-width tiles (the partition `cbic compress --threads
+    /// N` writes) round-trip at every band count.
     #[test]
     fn tiles_roundtrip(img in arb_image(), tiles in 1usize..8) {
-        use crate::tiles::{compress_tiled, decompress_tiled, Parallelism};
-        let tiles = tiles.min(img.height());
-        let bytes = compress_tiled(img.view(), &CodecConfig::default(), tiles, Parallelism::Auto);
+        use crate::grid::{compress_grid_with_bits, decompress_grid, TileGeometry};
+        use cbic_image::Parallelism;
+        let geom = TileGeometry::new(img.width() as u32, img.height().div_ceil(tiles) as u32);
+        let (bytes, _) = compress_grid_with_bits(img.view(), &CodecConfig::default(), geom, Parallelism::Auto);
         prop_assert_eq!(
-            decompress_tiled(&bytes, Parallelism::Auto).expect("valid container"),
+            decompress_grid(&bytes, Parallelism::Auto).expect("valid container"),
             img
         );
     }
 
-    /// Thread-parallel banded coding is byte-identical to the sequential
+    /// Thread-parallel grid coding is byte-identical to the sequential
     /// reference at the band counts the throughput benches exercise, and
     /// the parallel decoder agrees with the sequential one.
     #[test]
@@ -212,29 +206,34 @@ proptest! {
         tiles in (0usize..4).prop_map(|i| [1usize, 2, 4, 7][i]),
         workers in 2usize..6,
     ) {
-        use crate::tiles::{compress_tiled, decompress_tiled, Parallelism};
+        use crate::grid::{compress_grid_with_bits, decompress_grid, TileGeometry};
+        use cbic_image::Parallelism;
         let cfg = CodecConfig::default();
-        let tiles = tiles.min(img.height());
-        let seq = compress_tiled(img.view(), &cfg, tiles, Parallelism::Sequential);
-        let par = compress_tiled(img.view(), &cfg, tiles, Parallelism::Threads(workers));
+        let geom = TileGeometry::new(img.width() as u32, img.height().div_ceil(tiles) as u32);
+        let (seq, _) = compress_grid_with_bits(img.view(), &cfg, geom, Parallelism::Sequential);
+        let (par, _) = compress_grid_with_bits(img.view(), &cfg, geom, Parallelism::Threads(workers));
         prop_assert_eq!(&par, &seq, "encode must not depend on the schedule");
-        let seq_img = decompress_tiled(&seq, Parallelism::Sequential).expect("valid");
-        let par_img = decompress_tiled(&seq, Parallelism::Threads(workers)).expect("valid");
+        let seq_img = decompress_grid(&seq, Parallelism::Sequential).expect("valid");
+        let par_img = decompress_grid(&seq, Parallelism::Threads(workers)).expect("valid");
         prop_assert_eq!(&seq_img, &par_img);
         prop_assert_eq!(&seq_img, &img);
     }
 
-    /// A single-band tiled container is deterministic with respect to the
-    /// untiled decoder path: the outer `CBTI` framing is always rejected
-    /// (wrong magic), while the inner band — a standard container — always
-    /// decodes to the original image.
+    /// A one-tile grid and the flat container carry the same payload, and
+    /// both decode to the original image through the one `decompress`.
     #[test]
     fn single_band_tile_vs_untiled_decoder(img in arb_image()) {
-        use crate::tiles::{compress_tiled, Parallelism};
-        let bytes = compress_tiled(img.view(), &CodecConfig::default(), 1, Parallelism::Sequential);
-        prop_assert_eq!(decompress(&bytes), Err(crate::CodecError::BadMagic));
-        // CBTI magic (4) + tile count (4) + band length prefix (4).
-        prop_assert_eq!(decompress(&bytes[12..]).expect("inner container"), img);
+        use crate::grid::{compress_grid_with_bits, parse_grid, TileGeometry};
+        use cbic_image::Parallelism;
+        let geom = TileGeometry::new(img.width() as u32, img.height() as u32);
+        let (grid, _) = compress_grid_with_bits(img.view(), &CodecConfig::default(), geom, Parallelism::Sequential);
+        let flat = compress(img.view(), &CodecConfig::default());
+        let (_, index, payload) = parse_grid(&grid).expect("own grid parses");
+        prop_assert_eq!(index.entries.len(), 1);
+        let (_, flat_payload) = crate::container::parse_header(&flat).expect("own header parses");
+        prop_assert_eq!(payload, flat_payload);
+        prop_assert_eq!(decompress(&grid).expect("grid decodes"), img.clone());
+        prop_assert_eq!(decompress(&flat).expect("flat decodes"), img);
     }
 
     /// Every strict prefix of a flat container decodes to an error or to
@@ -274,32 +273,21 @@ proptest! {
 }
 
 proptest! {
-    /// Random-access crop decode is exact: `decode_roi(rect)` over a
-    /// grid container (v4 classic, v5 wide) equals the same crop of a
-    /// full decode, for random rects (the generator's endpoints cover
-    /// single-pixel and full-image rects, and free tile sizes make
-    /// boundary-straddling the common case) across depths 1–16 and both
-    /// context-model modes.
+    /// Random-access crop decode is exact: `decode_roi(rect)` over a v4
+    /// grid container equals the same crop of a full decode, for random
+    /// rects (the generator's endpoints cover single-pixel and full-image
+    /// rects, and free tile sizes make boundary-straddling the common
+    /// case) across depths 1–16.
     #[test]
     fn decode_roi_equals_crop_of_full_decode(
         img in arb_graded_depth_image(),
-        wide in any::<bool>(),
         (tw, th) in (1u32..=20, 1u32..=20),
         (fx, fy, fw, fh) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..=1.0, 0.0f64..=1.0),
     ) {
         use crate::grid::{compress_grid, decode_roi, decompress_grid, TileGeometry};
         use cbic_image::{Parallelism, Rect};
 
-        let cfg = CodecConfig {
-            model: if wide {
-                ModelMode::WideHash {
-                    banks_log2: crate::bigctx::DEFAULT_BANKS_LOG2,
-                }
-            } else {
-                ModelMode::Classic
-            },
-            ..CodecConfig::default()
-        };
+        let cfg = CodecConfig::default();
 
         let (w, h) = img.dimensions();
         let x = (fx * (w - 1) as f64) as u32;

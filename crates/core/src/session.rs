@@ -37,11 +37,11 @@
 //! # Ok::<(), cbic_image::CbicError>(())
 //! ```
 
-use crate::codec::{CodecConfig, EncodeStats, MAX_CODE_PADDING_BITS};
-use crate::container::{check_container_dimensions, header_bytes, read_header, CodecError};
+use crate::codec::{decode_rows_checked, CodecConfig, EncodeStats};
+use crate::container::{check_container_dimensions, header_bytes, read_header};
 use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
-use cbic_bitio::{BitSink, BitSource, StreamBitReader, StreamBitWriter};
+use cbic_bitio::{BitSink, StreamBitReader, StreamBitWriter};
 use cbic_image::{CbicError, Image, ImageView};
 use std::io::{self, Read, Write};
 
@@ -218,15 +218,15 @@ impl DecoderSession {
         let mut img = Image::with_depth(hdr.width, hdr.height, hdr.bit_depth);
 
         let mut dec = BinaryDecoder::new(StreamBitReader::new(source));
-        state.decode_into(&mut dec, &mut img.view_mut());
+        // A transport failure ends the input, so padding piles up and the
+        // loop stops within a row; the I/O error is the better report.
+        let decoded = decode_rows_checked(state, &mut dec, &mut img.view_mut());
         if let Some(e) = dec.source().io_error() {
             // From<io::Error> normalizes UnexpectedEof to Truncated, the
             // same as every other decode path.
             return Err(CbicError::from(io::Error::new(e.kind(), e.to_string())));
         }
-        if dec.source().padding_bits() > MAX_CODE_PADDING_BITS {
-            return Err(CodecError::Truncated.into());
-        }
+        decoded.map_err(CbicError::from)?;
         Ok(img)
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's Section V results (Table 2, the 123 MHz clock, the 3.7 KB /
 //! 4 KB memory budgets) come from Xilinx ISE synthesis for a Virtex-4 —
 //! hardware we do not have. This crate substitutes an analytic model with
-//! four parts (see `DESIGN.md` §6, substitution 2):
+//! four parts:
 //!
 //! * [`divlut`] — the paper's **1 KByte lookup-table divider** used by the
 //!   error-feedback stage (`ē = sum / count` with the dividend bounded to

@@ -136,9 +136,10 @@ impl ContextBankLayout {
         (self.contexts * (self.sum_bits + self.count_bits)).div_ceil(8)
     }
 
-    /// The paper's bit widths over `contexts` rows — how the hash-banked
-    /// wide-context model scales the RTL budget: same three banks, more
-    /// rows. `with_contexts(512)` is exactly [`Default`].
+    /// The paper's bit widths over `contexts` rows — how a different
+    /// texture width (`8 × 2^texture_bits` compound contexts) scales the
+    /// RTL budget: same three banks, fewer or more rows.
+    /// `with_contexts(512)` is exactly [`Default`].
     pub fn with_contexts(contexts: usize) -> Self {
         Self {
             contexts,
@@ -245,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn bank_layout_agrees_with_modeling_memory() {
+    fn bank_layout_agrees_with_the_modeling_memory() {
         let banks = ContextBankLayout::default();
         let m = ModelingMemory::default();
         // The paper's two banks are exactly the modeling-memory figure...
@@ -267,13 +268,12 @@ mod tests {
             ContextBankLayout::with_contexts(512),
             ContextBankLayout::default()
         );
-        // The wide model's default operating point: 2048 hash banks at the
-        // paper's 30 bits/context is exactly 4x the classic 1920-byte
-        // budget — the memory ceiling the ablation harness reports against.
+        // Rows scale the budget linearly at the paper's 30 bits/context:
+        // the classic 512 rows take 1920 bytes, 4x the rows take 4x.
         let classic = ContextBankLayout::default().total_bytes();
         assert_eq!(classic, 1920);
-        let wide = ContextBankLayout::with_contexts(2048).total_bytes();
-        assert_eq!(wide, 4 * classic);
+        let four_x = ContextBankLayout::with_contexts(2048).total_bytes();
+        assert_eq!(four_x, 4 * classic);
         // The host SoA realization widens each cell to its machine type.
         let host = ContextBankLayout::host_soa(512);
         assert_eq!(host.total_bytes(), 512 * (4 + 1 + 2));

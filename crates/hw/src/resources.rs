@@ -441,8 +441,8 @@ mod tests {
 
     #[test]
     fn estimates_are_within_coarse_band_of_paper() {
-        // The analytic model is expected to land within ~40% of ISE's
-        // numbers for every module (DESIGN.md substitution 2).
+        // The analytic model stands in for synthesis, so it is expected to
+        // land within ~40% of ISE's numbers for every module.
         for (name, slice_ratio, lut_ratio) in compare_with_paper() {
             assert!(
                 (0.6..=1.4).contains(&slice_ratio),

@@ -258,16 +258,6 @@ pub trait Codec: Send + Sync {
         (1, 16)
     }
 
-    /// The context-model modes this codec honors on
-    /// [`EncodeOptions::model`](crate::EncodeOptions): `"classic"` for
-    /// every codec, plus `"wide"` for codecs that implement the enlarged
-    /// hash-banked model ([`ModelMode::WideHash`](crate::ModelMode)).
-    /// Front ends consult this before forwarding a non-classic request —
-    /// a codec absent from the list would silently ignore the option.
-    fn model_modes(&self) -> &'static [&'static str] {
-        &["classic"]
-    }
-
     /// Encodes the pixels of `img` into a self-describing container
     /// written to `sink`, returning what it cost.
     ///
@@ -490,11 +480,6 @@ mod tests {
     #[test]
     fn default_bit_depth_range_is_full() {
         assert_eq!(Stored.bit_depths(), (1, 16));
-    }
-
-    #[test]
-    fn default_model_modes_are_classic_only() {
-        assert_eq!(Stored.model_modes(), &["classic"]);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! are not redistributable, so this crate provides [`corpus`] — a set of
 //! deterministic synthetic generators, one per original, each tuned to the
 //! qualitative character of its namesake (smooth portrait, oriented fabric
-//! texture, high-frequency fur, …). See `DESIGN.md` §6 for the substitution
-//! rationale. [`pgm`] I/O is provided so the real images can be used when
+//! texture, high-frequency fur, …). Absolute bit rates on the stand-ins
+//! differ from the paper's, so the reproduction compares codecs by their
+//! orderings. [`pgm`] I/O is provided so the real images can be used when
 //! available.
 //!
 //! # Examples
@@ -41,6 +42,6 @@ mod proptests;
 pub use codec_trait::{Codec, CountingSink, EncodeStats};
 pub use error::CbicError;
 pub use image::{max_val_for, Image, ImageError};
-pub use options::{DecodeOptions, EncodeOptions, ModelMode, Parallelism, Rect, BANKS_LOG2_RANGE};
+pub use options::{DecodeOptions, EncodeOptions, Parallelism, Rect};
 pub use registry::{CodecRegistry, RegistryError};
 pub use view::{ImageView, ImageViewMut};

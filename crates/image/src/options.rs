@@ -46,80 +46,6 @@ impl Parallelism {
     }
 }
 
-/// Which context-modeling path a model-aware codec drives.
-///
-/// The paper's codec forms its compound context from a 7-pixel causal
-/// window ([`ModelMode::Classic`], the default — byte-identical to every
-/// pre-existing container). [`ModelMode::WideHash`] switches the same
-/// engine to an enlarged 13-sample neighborhood whose quantized feature
-/// vector is hashed into `2^banks_log2` bounded SoA context banks
-/// (container v5). The mode changes the *bits*, so it travels in the
-/// container header and both sides must agree; codecs without a model
-/// knob ignore it.
-///
-/// # Examples
-///
-/// ```
-/// use cbic_image::ModelMode;
-///
-/// assert_eq!(ModelMode::default(), ModelMode::Classic);
-/// assert_eq!(ModelMode::WideHash { banks_log2: 11 }.banks_log2(), Some(11));
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ModelMode {
-    /// The paper's 7-pixel window forming 512 compound contexts.
-    #[default]
-    Classic,
-    /// Enlarged hashed context modeling: a 13-sample causal window hashed
-    /// into `2^banks_log2` context banks (`banks_log2` in `4..=16`).
-    WideHash {
-        /// Base-2 logarithm of the bank count (`4..=16`; 11 ≈ 4× the
-        /// classic context-store budget at the paper's bit widths).
-        banks_log2: u8,
-    },
-}
-
-/// The valid `banks_log2` range for [`ModelMode::WideHash`].
-pub const BANKS_LOG2_RANGE: std::ops::RangeInclusive<u8> = 4..=16;
-
-impl ModelMode {
-    /// `true` for the classic (pre-v5, byte-identical) model.
-    pub fn is_classic(self) -> bool {
-        matches!(self, Self::Classic)
-    }
-
-    /// The bank-count exponent of a [`ModelMode::WideHash`] mode.
-    pub fn banks_log2(self) -> Option<u8> {
-        match self {
-            Self::Classic => None,
-            Self::WideHash { banks_log2 } => Some(banks_log2),
-        }
-    }
-
-    /// `Ok` when the mode's parameters are in range (a `WideHash` bank
-    /// exponent outside [`BANKS_LOG2_RANGE`] is rejected with a message).
-    pub fn validate(self) -> Result<(), String> {
-        match self {
-            Self::Classic => Ok(()),
-            Self::WideHash { banks_log2 } if BANKS_LOG2_RANGE.contains(&banks_log2) => Ok(()),
-            Self::WideHash { banks_log2 } => Err(format!(
-                "banks_log2 {banks_log2} outside {}..={}",
-                BANKS_LOG2_RANGE.start(),
-                BANKS_LOG2_RANGE.end()
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ModelMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Classic => write!(f, "classic"),
-            Self::WideHash { banks_log2 } => write!(f, "wide:{banks_log2}"),
-        }
-    }
-}
-
 /// A rectangular region of an image, in pixels.
 ///
 /// Used by [`DecodeOptions::with_roi`] to request a random-access crop
@@ -168,46 +94,35 @@ impl Rect {
 ///
 /// let opts = EncodeOptions::new()
 ///     .with_parallelism(Parallelism::Threads(4))
-///     .with_tiles(4);
+///     .with_tile(256, 256);
 /// assert_eq!(opts.parallelism, Parallelism::Threads(4));
-/// assert_eq!(opts.tiles, Some(4));
+/// assert_eq!(opts.tile, Some((256, 256)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EncodeOptions {
-    /// Worker threads for codecs with a parallel encode path (the tiled
-    /// codec runs one band per worker).
+    /// Worker threads for codecs with a parallel encode path (the
+    /// proposed codec's tile grid codes its tiles on these workers).
     pub parallelism: Parallelism,
-    /// Horizontal band count for tiling codecs; `None` uses the codec's
-    /// default geometry. Ignored by untiled codecs.
-    pub tiles: Option<usize>,
     /// 2D tile size `(tile_w, tile_h)` for codecs with a seekable tile
     /// grid (container v4 of the proposed codec). `None` keeps the flat
     /// single-stream container. Codecs without a grid path ignore it;
     /// grid-aware codecs validate the geometry themselves.
     pub tile: Option<(u32, u32)>,
-    /// Context-modeling mode for model-aware codecs (the proposed codec
-    /// and its tiled variant). [`ModelMode::Classic`] (the default) keeps
-    /// every container byte-identical to the pre-v5 formats;
-    /// [`ModelMode::WideHash`] emits a v5 container. Other codecs ignore
-    /// it; model-aware codecs validate the parameters themselves.
-    pub model: ModelMode,
 }
 
 impl Default for EncodeOptions {
-    /// [`Parallelism::Auto`], default tiling geometry, no 2D tile grid.
+    /// [`Parallelism::Auto`], no tile grid.
     fn default() -> Self {
         Self {
             parallelism: Parallelism::Auto,
-            tiles: None,
             tile: None,
-            model: ModelMode::Classic,
         }
     }
 }
 
 impl EncodeOptions {
-    /// The default options ([`Parallelism::Auto`], codec-default tiling).
+    /// The default options ([`Parallelism::Auto`], no tile grid).
     pub fn new() -> Self {
         Self::default()
     }
@@ -218,23 +133,10 @@ impl EncodeOptions {
         self
     }
 
-    /// Overrides the band count of tiling codecs.
-    pub fn with_tiles(mut self, tiles: usize) -> Self {
-        self.tiles = Some(tiles);
-        self
-    }
-
     /// Requests a 2D tile grid of `tile_w`×`tile_h`-pixel tiles from
     /// grid-aware codecs (container v4 of the proposed codec).
     pub fn with_tile(mut self, tile_w: u32, tile_h: u32) -> Self {
         self.tile = Some((tile_w, tile_h));
-        self
-    }
-
-    /// Selects the context-modeling mode of model-aware codecs (the
-    /// proposed codec's classic vs enlarged hashed contexts).
-    pub fn with_model(mut self, model: ModelMode) -> Self {
-        self.model = model;
         self
     }
 }
@@ -315,9 +217,6 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let e = EncodeOptions::new().with_tiles(7);
-        assert_eq!(e.tiles, Some(7));
-        assert_eq!(EncodeOptions::default().tiles, None);
         assert_eq!(EncodeOptions::default().tile, None);
         assert_eq!(
             EncodeOptions::new().with_tile(256, 128).tile,
@@ -328,24 +227,5 @@ mod tests {
         assert_eq!(d.roi, None);
         let r = DecodeOptions::new().with_roi(Rect::new(1, 2, 3, 4));
         assert_eq!(r.roi, Some(Rect::new(1, 2, 3, 4)));
-        assert_eq!(EncodeOptions::default().model, ModelMode::Classic);
-        let m = EncodeOptions::new().with_model(ModelMode::WideHash { banks_log2: 11 });
-        assert_eq!(m.model.banks_log2(), Some(11));
-    }
-
-    #[test]
-    fn model_mode_validation_and_display() {
-        assert!(ModelMode::Classic.validate().is_ok());
-        assert!(ModelMode::WideHash { banks_log2: 4 }.validate().is_ok());
-        assert!(ModelMode::WideHash { banks_log2: 16 }.validate().is_ok());
-        assert!(ModelMode::WideHash { banks_log2: 3 }.validate().is_err());
-        assert!(ModelMode::WideHash { banks_log2: 17 }.validate().is_err());
-        assert_eq!(ModelMode::Classic.to_string(), "classic");
-        assert_eq!(
-            ModelMode::WideHash { banks_log2: 11 }.to_string(),
-            "wide:11"
-        );
-        assert!(ModelMode::Classic.is_classic());
-        assert!(!ModelMode::WideHash { banks_log2: 11 }.is_classic());
     }
 }

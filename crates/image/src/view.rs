@@ -237,8 +237,7 @@ impl<'a> ImageView<'a> {
         (0..self.height).map(|y| self.row(y))
     }
 
-    /// A zero-copy view of rows `y0 .. y0 + rows` at full width — the tile
-    /// band primitive.
+    /// A zero-copy view of rows `y0 .. y0 + rows` at full width.
     ///
     /// # Panics
     ///
@@ -305,8 +304,8 @@ impl<'a> From<&'a Image> for ImageView<'a> {
 }
 
 /// A borrowed, mutable, possibly strided window over `u16` samples — the
-/// decode-side dual of [`ImageView`]: band decoders write their rows
-/// straight into disjoint sub-windows of one preallocated image.
+/// decode-side dual of [`ImageView`]: decoders write their rows straight
+/// into a preallocated image through it.
 #[derive(Debug)]
 pub struct ImageViewMut<'a> {
     data: &'a mut [u16],
@@ -477,44 +476,6 @@ impl<'a> ImageViewMut<'a> {
         let n2 = (y >= 2).then(|| row_above(2));
         (n2, n1, cur)
     }
-
-    /// Splits the view into consecutive full-width horizontal bands of the
-    /// given heights, consuming it. The bands borrow disjoint regions, so
-    /// they can be handed to worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the heights do not sum to the view height or any height
-    /// is zero.
-    pub fn split_rows(self, heights: &[usize]) -> Vec<ImageViewMut<'a>> {
-        assert_eq!(
-            heights.iter().sum::<usize>(),
-            self.height,
-            "band heights must cover the view exactly"
-        );
-        let mut out = Vec::with_capacity(heights.len());
-        let mut rest = self.data;
-        let (width, stride, bit_depth) = (self.width, self.stride, self.bit_depth);
-        for (i, &h) in heights.iter().enumerate() {
-            assert!(h >= 1, "band heights must be nonzero");
-            let last = i + 1 == heights.len();
-            let band_data = if last {
-                std::mem::take(&mut rest)
-            } else {
-                let (band, tail) = std::mem::take(&mut rest).split_at_mut(h * stride);
-                rest = tail;
-                band
-            };
-            out.push(ImageViewMut {
-                data: band_data,
-                width,
-                height: h,
-                stride,
-                bit_depth,
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -655,25 +616,6 @@ mod tests {
         assert_eq!(n1.unwrap()[0], 12);
         cur[5] = 1000;
         assert_eq!(v.get(5, 3), 1000);
-    }
-
-    #[test]
-    fn split_rows_covers_disjointly() {
-        let mut img = img();
-        let reference = img.clone();
-        let bands = img.view_mut().split_rows(&[2, 2, 1]);
-        assert_eq!(bands.len(), 3);
-        assert_eq!(bands[0].dimensions(), (6, 2));
-        assert_eq!(bands[2].dimensions(), (6, 1));
-        assert_eq!(bands[1].as_view().row(0), reference.row(2));
-        assert_eq!(bands[2].as_view().row(0), reference.row(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the view exactly")]
-    fn split_rows_rejects_wrong_total() {
-        let mut img = img();
-        let _ = img.view_mut().split_rows(&[2, 2]);
     }
 
     #[test]

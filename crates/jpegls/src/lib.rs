@@ -19,7 +19,7 @@
 //!
 //! The bitstream is this crate's own framing (not the T.87 marker syntax):
 //! the reproduction needs the *algorithm*'s bit rate, not interchange with
-//! other JPEG-LS files — see `DESIGN.md` §6.
+//! other JPEG-LS files.
 //!
 //! # Examples
 //!

@@ -111,7 +111,7 @@ impl Client {
     ) -> io::Result<Reply> {
         self.send_encode(EncodeRequest {
             lanes,
-            ..encode_request(img, magic, threads, None, 0)
+            ..encode_request(img, magic, threads, None)
         })
     }
 
@@ -128,26 +128,7 @@ impl Client {
         threads: u8,
         tile: Option<(u16, u16)>,
     ) -> io::Result<Reply> {
-        self.encode_with_model(img, magic, threads, tile, 0)
-    }
-
-    /// [`encode_tiled`](Self::encode_tiled) with an explicit context-model
-    /// byte: `0` keeps the classic compound context, any other value asks
-    /// for the wide-hash model with that `banks_log2` (the server rejects
-    /// values outside `4..=16`, and codecs without wide support).
-    ///
-    /// # Errors
-    ///
-    /// As [`encode`](Self::encode).
-    pub fn encode_with_model(
-        &mut self,
-        img: ImageView<'_>,
-        magic: [u8; 4],
-        threads: u8,
-        tile: Option<(u16, u16)>,
-        model: u8,
-    ) -> io::Result<Reply> {
-        self.send_encode(encode_request(img, magic, threads, tile, model))
+        self.send_encode(encode_request(img, magic, threads, tile))
     }
 
     /// Sends one ENCODE request and parses its reply.
@@ -322,7 +303,6 @@ fn encode_request(
     magic: [u8; 4],
     threads: u8,
     tile: Option<(u16, u16)>,
-    model: u8,
 ) -> EncodeRequest {
     EncodeRequest {
         magic,
@@ -332,7 +312,7 @@ fn encode_request(
         width: img.width() as u32,
         height: img.height() as u32,
         tile,
-        model,
+        model: 0,
         samples: img.rows().flat_map(<[u16]>::to_vec).collect(),
     }
 }

@@ -18,15 +18,14 @@
 //!
 //! `samples` are row-major, one byte per sample for depths ≤ 8 and two
 //! little-endian bytes otherwise. `magic` routes the request to a codec by
-//! its container magic (`CBIC`, `CBTI`, …); `threads` maps onto
+//! its container magic (`CBIC`, `CBLS`, …); `threads` maps onto
 //! [`EncodeOptions`](cbic_image::EncodeOptions) parallelism. `lanes` is
 //! the byte of the retired coder lanes: it must be 1, and the server
 //! answers any other value with [`Status::BadRequest`].
 //! `tile_w`/`tile_h` of `0, 0` keep the flat container; nonzero values
-//! request the proposed codec's v4 seekable tile grid. `model` selects
-//! the context model: `0` is the classic compound context, any other
-//! value is the wide-hash model's `banks_log2` (the codec validates the
-//! `4..=16` range and answers out-of-range values with a codec error).
+//! request the proposed codec's v4 seekable tile grid. `model` is the
+//! byte of the retired wide-hash context model: it must be 0, and the
+//! server answers any other value with [`Status::BadRequest`].
 //!
 //! A DECODE body may carry an optional region-of-interest prefix: a
 //! `0x01` sentinel byte then four `u32` LE fields (x, y, w, h in pixels).
@@ -179,9 +178,8 @@ pub struct EncodeRequest {
     /// keeps the flat container. Carried as two `u16`s on the wire
     /// (`0, 0` = untiled).
     pub tile: Option<(u16, u16)>,
-    /// Context model byte: `0` = classic compound context, any other
-    /// value = the wide-hash model's `banks_log2` (validated by the
-    /// codec, which accepts `4..=16`).
+    /// The byte of the retired wide-hash context model: always 0 (the
+    /// server answers any other value with [`Status::BadRequest`]).
     pub model: u8,
     /// Row-major samples, already widened to `u16`.
     pub samples: Vec<u16>,

@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use cbic_core::{CodecConfig, DecoderSession, EncoderSession};
 use cbic_image::registry::CodecRegistry;
-use cbic_image::{CbicError, DecodeOptions, EncodeOptions, Image, ModelMode, Parallelism};
+use cbic_image::{CbicError, DecodeOptions, EncodeOptions, Image, Parallelism};
 use cbic_universal::codecs::default_registry;
 
 use crate::metrics::Metrics;
@@ -440,32 +440,15 @@ fn handle_encode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
             ),
         );
     }
-    let model = if req.model == 0 {
-        ModelMode::Classic
-    } else {
-        ModelMode::WideHash {
-            banks_log2: req.model,
-        }
-    };
-    if let Err(msg) = model.validate() {
+    if req.model != 0 {
         metrics.bad_requests.fetch_add(1, Relaxed);
-        return error_body(Status::BadRequest, &msg);
-    }
-    if !model.is_classic() {
-        // Codecs that cannot honor the request must refuse it up front —
-        // silently encoding with the classic model would hand back a
-        // container the client did not ask for.
-        let supported = state
-            .registry
-            .by_magic(req.magic)
-            .is_some_and(|c| c.model_modes().contains(&"wide"));
-        if !supported {
-            metrics.bad_requests.fetch_add(1, Relaxed);
-            return error_body(
-                Status::BadRequest,
-                &format!("magic {:?} does not support the wide-hash model", req.magic),
-            );
-        }
+        return error_body(
+            Status::BadRequest,
+            &format!(
+                "model byte {}: the wide-hash context model is retired, only 0 is valid",
+                req.model
+            ),
+        );
     }
     let img = match Image::from_samples(
         req.width as usize,
@@ -504,17 +487,14 @@ fn handle_encode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
         };
         let opts = EncodeOptions::new()
             .with_tile(u32::from(tile_w), u32::from(tile_h))
-            .with_model(model)
             .with_parallelism(Parallelism::from_threads(req.threads as usize));
         match codec.encode(img.view(), &opts, &mut container) {
             Ok(stats) => stats.payload_bits,
             Err(e) => return codec_error(metrics, &e),
         }
-    } else if req.magic == state.proposed_magic && req.threads <= 1 && model.is_classic() {
+    } else if req.magic == state.proposed_magic && req.threads <= 1 {
         // The hot path: the worker's resident EncoderSession — context
-        // banks and estimator trees reset in place. Wide-model requests go
-        // through the registry codec below, so the resident session's
-        // classic context banks are never resized per request.
+        // banks and estimator trees reset in place.
         match state.encoder.encode(img.view(), &mut container) {
             Ok(stats) => Some(stats.payload_bits),
             Err(e) => return codec_error(metrics, &e),
@@ -527,9 +507,8 @@ fn handle_encode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
                 &format!("no codec with magic {:?}", req.magic),
             );
         };
-        let opts = EncodeOptions::new()
-            .with_model(model)
-            .with_parallelism(Parallelism::from_threads(req.threads as usize));
+        let opts =
+            EncodeOptions::new().with_parallelism(Parallelism::from_threads(req.threads as usize));
         match codec.encode(img.view(), &opts, &mut container) {
             Ok(stats) => stats.payload_bits,
             Err(e) => return codec_error(metrics, &e),

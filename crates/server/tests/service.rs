@@ -12,7 +12,7 @@ use cbic_core::{compress, CodecConfig};
 use cbic_image::corpus::CorpusImage;
 use cbic_image::Image;
 use cbic_server::client::{Client, Reply};
-use cbic_server::protocol::Status;
+use cbic_server::protocol::{EncodeRequest, Status};
 use cbic_server::server::{Server, ServerConfig, ServerHandle};
 use cbic_universal::codecs::default_registry;
 
@@ -42,11 +42,8 @@ fn every_registry_codec_roundtrips_over_the_socket() {
     let registry = default_registry();
     for codec in registry.codecs() {
         let magic = codec.magic().expect("workspace codecs are magic-routed");
-        // Threads exercise the tiled codec's parallel path; others ignore it.
-        let threads = if codec.name() == "tiled" { 2 } else { 0 };
-        let Reply::Encoded { container, .. } = client
-            .encode(img.view(), magic, 1, threads)
-            .expect("encode rpc")
+        let Reply::Encoded { container, .. } =
+            client.encode(img.view(), magic, 1, 0).expect("encode rpc")
         else {
             panic!("{} encode refused", codec.name());
         };
@@ -142,6 +139,84 @@ fn retired_lanes_get_error_replies_and_the_connection_keeps_serving() {
         };
         assert_eq!(back, img);
     }
+    drop(client);
+    handle.shutdown_and_join().expect("clean drain");
+}
+
+#[test]
+fn retired_formats_get_error_replies_and_the_connection_keeps_serving() {
+    // The retired band container and a container of the retired
+    // wide-hash model (version 5).
+    const CBTI: &[u8] = include_bytes!("../../../tests/golden/tiled_lena_32.bin");
+    const V5: &[u8] = include_bytes!("../../../tests/golden/proposed_wide_lena_32.bin");
+    let handle = spawn_server(test_config());
+    let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
+    let img = CorpusImage::Lena.generate(32, 32);
+    for _ in 0..2 {
+        for (container, expect) in [(CBTI, "CBTI"), (V5, "version 5")] {
+            let Reply::Error { status, message } = client.decode(container).expect("decode rpc")
+            else {
+                panic!("a retired {expect} container must be refused");
+            };
+            assert_eq!(status, Status::CodecError);
+            assert!(message.contains(expect), "{message}");
+        }
+        // An ENCODE asking for the wide-hash model (banks_log2 10).
+        let req = EncodeRequest {
+            magic: *b"CBIC",
+            lanes: 1,
+            threads: 0,
+            bit_depth: 8,
+            width: 32,
+            height: 32,
+            tile: None,
+            model: 10,
+            samples: img.samples().to_vec(),
+        };
+        let reply = client.roundtrip(&req.to_body()).expect("encode rpc");
+        assert_eq!(Status::from_byte(reply[0]), Some(Status::BadRequest));
+        // The same connection still serves a classic round trip.
+        let Reply::Encoded { container, .. } = client
+            .encode(img.view(), *b"CBIC", 1, 0)
+            .expect("encode rpc")
+        else {
+            panic!("classic encode refused");
+        };
+        assert_eq!(container, compress(img.view(), &CodecConfig::default()));
+        let Reply::Decoded(back) = client.decode(&container).expect("decode rpc") else {
+            panic!("decode refused");
+        };
+        assert_eq!(back, img);
+    }
+    drop(client);
+    handle.shutdown_and_join().expect("clean drain");
+}
+
+#[test]
+fn forged_huge_container_gets_an_error_reply_and_the_connection_keeps_serving() {
+    // A 32x32 container whose header claims 4096x4096: the decoder runs
+    // out of payload in the first row and must answer, not decode on.
+    let img = CorpusImage::Lena.generate(32, 32);
+    let mut forged = compress(img.view(), &CodecConfig::default());
+    forged[6..10].copy_from_slice(&4096u32.to_le_bytes());
+    forged[10..14].copy_from_slice(&4096u32.to_le_bytes());
+    let handle = spawn_server(test_config());
+    let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
+    let Reply::Error { status, message } = client.decode(&forged).expect("decode rpc") else {
+        panic!("a forged container must be refused");
+    };
+    assert_eq!(status, Status::CodecError);
+    assert!(message.contains("truncated"), "{message}");
+    let Reply::Encoded { container, .. } = client
+        .encode(img.view(), *b"CBIC", 1, 0)
+        .expect("encode rpc")
+    else {
+        panic!("encode refused");
+    };
+    let Reply::Decoded(back) = client.decode(&container).expect("decode rpc") else {
+        panic!("decode refused");
+    };
+    assert_eq!(back, img);
     drop(client);
     handle.shutdown_and_join().expect("clean drain");
 }

@@ -3,8 +3,8 @@
 //!
 //! The paper's Table 1 includes "SLP (Switched Linear Prediction)", a
 //! low-complexity Golomb-Rice scheme, without citing a reference; no public
-//! specification exists. This crate is a *reconstruction* from the
-//! description (DESIGN.md §6, substitution 3):
+//! specification exists. This crate is a *reconstruction* from that
+//! one-line description:
 //!
 //! * a bank of **linear predictors** — `W`, `N`, the plane `W + N − NW`,
 //!   and the `(W+N)/2` average — **switched per pixel** by local gradient

@@ -6,7 +6,6 @@
 //! [`dispatch`](crate::dispatch) all enumerate codecs from here instead of
 //! hard-coding per-codec `match` arms.
 
-use cbic_core::tiles::Tiled;
 use cbic_image::{Codec, CodecRegistry};
 
 /// The four Table 1 codecs — the paper's scheme and its three baselines —
@@ -40,9 +39,9 @@ pub fn all_codecs() -> Vec<Box<dyn Codec>> {
 }
 
 /// A registry of every decodable container format: the four Table 1
-/// codecs plus the tiled multi-core variant. Schedules (worker threads,
-/// band counts) are chosen per call through
-/// [`EncodeOptions`](cbic_image::EncodeOptions) /
+/// codecs (the proposed codec's container covers its multi-core tile
+/// grid). Schedules (worker threads, tile grids) are chosen per call
+/// through [`EncodeOptions`](cbic_image::EncodeOptions) /
 /// [`DecodeOptions`](cbic_image::DecodeOptions), so one registry serves
 /// every configuration.
 ///
@@ -55,7 +54,6 @@ pub fn default_registry() -> CodecRegistry {
     for codec in all_codecs() {
         registry.register(codec);
     }
-    registry.register(Box::new(Tiled::default()));
     registry
 }
 
@@ -74,7 +72,7 @@ mod tests {
     #[test]
     fn registry_detects_every_container_format() {
         let registry = default_registry();
-        assert_eq!(registry.len(), 5);
+        assert_eq!(registry.len(), 4);
         let img = CorpusImage::Peppers.generate(24, 24);
         for codec in registry.codecs() {
             let bytes = codec

@@ -6,7 +6,7 @@
 //! `decompress`, `bench`, and `codecs` with no CLI changes.
 //!
 //! ```text
-//! cbic compress   [--codec NAME] [--near N] [--threads N] [--tile WxH] [--model M] IN.pgm OUT
+//! cbic compress   [--codec NAME] [--near N] [--threads N] [--tile WxH] IN.pgm OUT
 //! cbic decompress [--threads N] IN OUT.pgm   (codec auto-detected)
 //! cbic crop       --rect X,Y,W,H [--threads N] IN OUT.pgm  (random-access ROI decode)
 //! cbic info       IN                         (describe a compressed container)
@@ -51,13 +51,13 @@ macro_rules! say {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  cbic compress [--codec NAME] [--near N] [--threads N] [--tile WxH] \
-         [--model classic|wide[:B]] IN.pgm OUT\n  \
+         IN.pgm OUT\n  \
          cbic decompress [--threads N] IN OUT.pgm\n  \
          cbic crop --rect X,Y,W,H [--threads N] IN OUT.pgm\n  cbic info IN\n  cbic codecs\n  \
          cbic corpus [--size N] OUTDIR\n  cbic bench [--iters N] IN.pgm\n\
          (compress/decompress accept `-` for stdin/stdout piping; PGM may be 8- or 16-bit;\n \
          --tile writes the seekable tile grid, which `crop` decodes without reading other tiles;\n \
-         --model wide[:B] uses the enlarged hash-banked context model with 2^B banks, v5 container)"
+         --threads N without --tile writes the grid as N full-width tiles)"
     );
     ExitCode::from(2)
 }
@@ -154,24 +154,17 @@ fn parse_tile(value: &str) -> Result<(u32, u32), Box<dyn std::error::Error>> {
     Ok((w, h))
 }
 
-/// Parses a `--model` value: `classic`, `wide`, or `wide:B` where `B`
-/// is the base-2 log of the hash bank count (`4..=16`).
-fn parse_model(value: &str) -> Result<cbic::core::ModelMode, Box<dyn std::error::Error>> {
-    use cbic::core::ModelMode;
-    let model = match value.strip_prefix("wide") {
-        None if value == "classic" => ModelMode::Classic,
-        Some("") => ModelMode::WideHash {
-            banks_log2: cbic::core::bigctx::DEFAULT_BANKS_LOG2,
-        },
-        Some(rest) if rest.starts_with(':') => ModelMode::WideHash {
-            banks_log2: rest[1..].trim().parse()?,
-        },
-        _ => return Err(format!("--model wants classic or wide[:B], got {value}").into()),
-    };
-    model
-        .validate()
-        .map_err(|e| format!("--model {value}: {e}"))?;
-    Ok(model)
+/// The error for a container magic no registered codec claims. The
+/// retired `CBTI` band container gets its own message: multi-threaded
+/// encodes wrote it before they wrote the v4 tile grid.
+fn unrecognized_magic(magic: &[u8]) -> String {
+    if magic.starts_with(b"CBTI") {
+        "the CBTI band container is retired and no longer decodes; re-encode the image \
+         (`cbic compress --threads N` now writes the v4 tile grid)"
+            .into()
+    } else {
+        "unrecognized container magic".into()
+    }
 }
 
 /// Parses a `--rect X,Y,W,H` value like `1024,512,256,256`.
@@ -189,7 +182,7 @@ fn parse_rect(value: &str) -> Result<cbic::Rect, Box<dyn std::error::Error>> {
 }
 
 fn cmd_compress(args: &[String]) -> CliResult {
-    let (flags, pos) = parse_flags(args, &["codec", "near", "threads", "tile", "model"]);
+    let (flags, pos) = parse_flags(args, &["codec", "near", "threads", "tile"]);
     let [input, output] = pos.as_slice() else {
         return Err("compress needs IN.pgm and OUT (either may be `-`)".into());
     };
@@ -203,68 +196,12 @@ fn cmd_compress(args: &[String]) -> CliResult {
     if tile.is_some() && (codec_name != "proposed" || near > 0) {
         return Err(format!("--tile applies to the proposed codec, not {codec_name}").into());
     }
-    let model = flag_value(&flags, "model")
-        .map(parse_model)
-        .transpose()?
-        .unwrap_or_default();
-    if !model.is_classic() && (codec_name != "proposed" && codec_name != "tiled" || near > 0) {
-        return Err(format!(
-            "--model wide applies to the proposed and tiled codecs, not {codec_name}"
-        )
-        .into());
-    }
-
-    if let Some((tile_w, tile_h)) = tile {
-        // The v4 seekable tile grid: every tile an independently
-        // decodable substream, coded on the wavefront scheduler.
-        let mut reader = open_input(input)?;
-        let mut pgm_bytes = Vec::new();
-        reader.read_to_end(&mut pgm_bytes)?;
-        let img = pgm::decode(&pgm_bytes)?;
-        let opts = EncodeOptions::new()
-            .with_tile(tile_w, tile_h)
-            .with_model(model)
-            .with_parallelism(Parallelism::from_threads(threads));
-        let mut container = Vec::new();
-        let stats = cbic::default_registry().expect_name("proposed")?.encode(
-            img.view(),
-            &opts,
-            &mut container,
-        )?;
-        let mut out = open_output(output)?;
-        out.write_all(&container)?;
-        out.flush()?;
-        let model_note = if model.is_classic() {
-            String::new()
-        } else {
-            format!(", {model} model")
-        };
-        let grid_version = if model.is_classic() { 4 } else { 5 };
-        eprintln!(
-            "{input}: {} pixels ({}-bit) -> {} bytes ({:.3} bpp) with proposed \
-             (v{grid_version} grid, {tile_w}x{tile_h} tiles{model_note}, \
-             {threads} threads)",
-            stats.pixels,
-            img.bit_depth(),
-            stats.container_bytes,
-            stats.bits_per_pixel()
-        );
-        return Ok(());
-    }
-
-    if codec_name == "proposed" && near == 0 && threads <= 1 {
-        // Bounded-memory path: PGM rows flow straight through the
-        // three-line-buffer pipeline into the output — neither the image
-        // nor the container is ever materialized, so `- -` piping handles
-        // images far larger than RAM-friendly buffers.
-        return compress_streaming(input, output, model);
-    }
 
     // Validate every flag combination *before* touching the output path,
     // so a typo cannot truncate an existing output file.
     let registry = cbic::default_registry();
     if threads > 1 {
-        if codec_name != "proposed" && codec_name != "tiled" {
+        if codec_name != "proposed" {
             return Err(
                 format!("--threads applies to the proposed codec, not {codec_name}").into(),
             );
@@ -283,32 +220,42 @@ fn cmd_compress(args: &[String]) -> CliResult {
         .into());
     }
 
+    if tile.is_none() && codec_name == "proposed" && near == 0 && threads <= 1 {
+        // Bounded-memory path: PGM rows flow straight through the
+        // three-line-buffer pipeline into the output — neither the image
+        // nor the container is ever materialized, so `- -` piping handles
+        // images far larger than RAM-friendly buffers.
+        return compress_streaming(input, output);
+    }
+
     let mut reader = open_input(input)?;
     let mut pgm_bytes = Vec::new();
     reader.read_to_end(&mut pgm_bytes)?;
     let img = pgm::decode(&pgm_bytes)?;
-    let mut label = codec_name.to_string();
     // The image is already fully resident here, so encode into memory and
     // only open (truncate) the output once the encode has succeeded — a
     // failed encode must not destroy an existing output file. (The
     // streaming path above trades this for bounded memory.)
     let mut container = Vec::new();
-    let stats = if threads > 1 {
-        // Multi-threaded coding uses the tiled container: one band per
-        // worker, each an independent instance of the paper's codec coding
-        // a zero-copy row-range view.
-        let bands = threads.min(img.height());
-        label = format!("tiled ({bands} bands, {threads} threads)");
-        if !model.is_classic() {
-            label.push_str(&format!(" [{model}]"));
-        }
+    let (stats, label) = if codec_name == "proposed" {
+        // The v4 seekable tile grid: every tile an independently
+        // decodable substream, coded on the tile scheduler. `--threads N`
+        // alone asks for N full-width tiles, one per worker.
+        let (tile_w, tile_h) = match tile {
+            Some(tile) => tile,
+            None => (
+                u32::try_from(img.width())?,
+                u32::try_from(img.height().div_ceil(threads))?,
+            ),
+        };
         let opts = EncodeOptions::new()
-            .with_tiles(bands)
-            .with_parallelism(Parallelism::Threads(threads))
-            .with_model(model);
-        registry
-            .expect_name("tiled")?
-            .encode(img.view(), &opts, &mut container)?
+            .with_tile(tile_w, tile_h)
+            .with_parallelism(Parallelism::from_threads(threads));
+        let stats = registry
+            .expect_name("proposed")?
+            .encode(img.view(), &opts, &mut container)?;
+        let label = format!("proposed (v4 grid, {tile_w}x{tile_h} tiles, {threads} threads)");
+        (stats, label)
     } else if near > 0 {
         // Near-lossless operation is outside the lossless Codec contract;
         // reach the JPEG-LS crate directly, with exactly the configuration
@@ -317,17 +264,13 @@ fn cmd_compress(args: &[String]) -> CliResult {
             img.view(),
             &cbic::jpegls::JpeglsConfig::for_depth(img.bit_depth(), near),
         );
-        cbic::image::EncodeStats::new(img.pixel_count() as u64, container.len() as u64, None)
+        let stats =
+            cbic::image::EncodeStats::new(img.pixel_count() as u64, container.len() as u64, None);
+        (stats, codec_name.to_string())
     } else {
         let codec = registry.expect_name(codec_name)?;
-        if !model.is_classic() {
-            label.push_str(&format!(" [{model}]"));
-        }
-        codec.encode(
-            img.view(),
-            &EncodeOptions::default().with_model(model),
-            &mut container,
-        )?
+        let stats = codec.encode(img.view(), &EncodeOptions::default(), &mut container)?;
+        (stats, codec_name.to_string())
     };
     let mut out = open_output(output)?;
     out.write_all(&container)?;
@@ -344,15 +287,12 @@ fn cmd_compress(args: &[String]) -> CliResult {
 
 /// The bounded-memory compress path: PGM header off the reader, rows
 /// through [`StreamEncoder`], container bytes out as they resolve.
-fn compress_streaming(input: &str, output: &str, model: cbic::core::ModelMode) -> CliResult {
+fn compress_streaming(input: &str, output: &str) -> CliResult {
     let mut reader = open_input(input)?;
     let header = pgm::read_header(&mut reader)?;
     let (width, height) = (header.width, header.height);
     let out = open_output(output)?;
-    let cfg = CodecConfig {
-        model,
-        ..CodecConfig::default()
-    };
+    let cfg = CodecConfig::default();
     let mut enc = StreamEncoder::with_depth(out, width, height, header.bit_depth(), &cfg)?;
     let mut row = vec![0u16; width];
     for y in 0..height {
@@ -363,15 +303,11 @@ fn compress_streaming(input: &str, output: &str, model: cbic::core::ModelMode) -
     let (mut out, stats) = enc.finish_with_stats()?;
     out.flush()?;
     let pixels = width * height;
-    let label = if model.is_classic() {
-        "proposed (streamed, O(3 lines) memory)".to_string()
-    } else {
-        format!("proposed (streamed, {model} model)")
-    };
     // Same payload-bytes-over-pixels rate `cbic info` reports for the
     // finished container, so the two commands agree.
     eprintln!(
-        "{input}: {pixels} pixels ({}-bit) -> {} bytes ({:.3} bpp) with {label}",
+        "{input}: {pixels} pixels ({}-bit) -> {} bytes ({:.3} bpp) with proposed \
+         (streamed, O(3 lines) memory)",
         header.bit_depth(),
         stats.container_bytes,
         stats.payload_bytes as f64 * 8.0 / pixels as f64
@@ -395,25 +331,15 @@ fn cmd_decompress(args: &[String]) -> CliResult {
     }
 
     if &magic == b"CBIC" {
-        // Peek the version byte: a v4 tile grid (or a v5 container whose
-        // layout flag says "tiled") wants the (optionally parallel) grid
-        // decoder, everything flat streams row by row.
+        // Peek the version byte: a v4 tile grid wants the (optionally
+        // parallel) grid decoder, everything flat streams row by row.
         let mut version = [0u8; 1];
         reader
             .read_exact(&mut version)
             .map_err(|e| format!("reading container version: {e}"))?;
         let mut prefix = magic.to_vec();
         prefix.push(version[0]);
-        if version[0] == 5 {
-            // The v5 layout flag sits at byte 26 (0 flat, 1 tiled); read
-            // through it so a flat container can still stream row by row.
-            let mut rest = [0u8; 22];
-            reader
-                .read_exact(&mut rest)
-                .map_err(|e| format!("reading v5 container header: {e}"))?;
-            prefix.extend_from_slice(&rest);
-        }
-        if version[0] == 4 || (version[0] == 5 && prefix[26] == 1) {
+        if version[0] == 4 {
             let mut bytes = prefix;
             reader.read_to_end(&mut bytes)?;
             let img = cbic::core::decompress_grid(&bytes, Parallelism::from_threads(threads))?;
@@ -424,8 +350,7 @@ fn cmd_decompress(args: &[String]) -> CliResult {
             }
             out.flush()?;
             eprintln!(
-                "{input}: proposed (v{} grid, {threads} threads) -> {}x{} {}-bit PGM",
-                version[0],
+                "{input}: proposed (v4 grid, {threads} threads) -> {}x{} {}-bit PGM",
                 img.width(),
                 img.height(),
                 img.bit_depth()
@@ -453,13 +378,12 @@ fn cmd_decompress(args: &[String]) -> CliResult {
         return Ok(());
     }
 
-    // Everything else goes through the streaming codec dispatch: tiled
-    // containers read band by band, the remaining codecs through their
-    // whole-buffer fallback.
+    // Everything else goes through the codec dispatch, each codec
+    // through its whole-buffer fallback.
     let registry = cbic::default_registry();
     let codec = registry
         .detect(&magic)
-        .ok_or("unrecognized container magic")?;
+        .ok_or_else(|| unrecognized_magic(&magic))?;
     let opts = DecodeOptions::new().with_parallelism(Parallelism::from_threads(threads));
     let mut chained = (&magic[..]).chain(reader);
     let img = codec.decode(&mut chained, &opts)?;
@@ -531,7 +455,7 @@ fn cmd_crop(args: &[String]) -> CliResult {
 }
 
 /// `info`: describe a compressed container — codec, dimensions, bit depth,
-/// band layout, payload sizes — without decoding any payload.
+/// tile layout, payload sizes — without decoding any payload.
 fn cmd_info(args: &[String]) -> CliResult {
     let [input] = args else {
         return Err("info needs IN".into());
@@ -543,7 +467,7 @@ fn cmd_info(args: &[String]) -> CliResult {
         cbic::default_registry()
             .detect(&bytes)
             .map(|c| c.name())
-            .ok_or("unrecognized container magic")?
+            .ok_or_else(|| unrecognized_magic(&bytes))?
     };
     say!("container: {kind}, {} bytes", bytes.len());
     match kind {
@@ -556,34 +480,6 @@ fn cmd_info(args: &[String]) -> CliResult {
                 // library's structured InvalidHeader/Truncated errors.
                 let (_, index, grid_payload) = cbic::core::grid::parse_grid(&bytes)?;
                 print_grid_index(&index, grid_payload.len());
-            }
-        }
-        "tiled" => {
-            let count_bytes = bytes
-                .get(4..8)
-                .ok_or("container truncated inside the tiled header")?;
-            let tiles = u32::from_le_bytes(count_bytes.try_into().expect("sized")) as usize;
-            say!("bands: {tiles}");
-            let mut pos = 8usize;
-            for t in 0..tiles {
-                let len_bytes = bytes
-                    .get(pos..pos + 4)
-                    .ok_or("container truncated inside band table")?;
-                let len = u32::from_le_bytes(len_bytes.try_into().expect("sized")) as usize;
-                pos += 4;
-                let band = bytes
-                    .get(pos..pos + len)
-                    .ok_or("container truncated inside a band")?;
-                pos += len;
-                let (hdr, payload) = cbic::core::container::parse_header(band)?;
-                say!(
-                    "  band {t}: {}x{} {}-bit, payload {} bytes ({:.3} bpp)",
-                    hdr.width,
-                    hdr.height,
-                    hdr.bit_depth,
-                    payload.len(),
-                    payload.len() as f64 * 8.0 / (hdr.width * hdr.height) as f64
-                );
             }
         }
         "calic" => {
@@ -611,9 +507,7 @@ fn cmd_info(args: &[String]) -> CliResult {
 }
 
 fn print_proposed_header(hdr: &cbic::core::container::ContainerHeader, payload_len: usize) {
-    let version = if !hdr.cfg.model.is_classic() {
-        5
-    } else if hdr.tile.is_some() {
+    let version = if hdr.tile.is_some() {
         4
     } else if hdr.bit_depth != 8 {
         2
@@ -626,7 +520,6 @@ fn print_proposed_header(hdr: &cbic::core::container::ContainerHeader, payload_l
         hdr.height,
         hdr.bit_depth
     );
-    say!("model: {}", hdr.cfg.model);
     say!(
         "config: {} counter bits, increment {}, feedback={}, aging={}, division={:?}, \
          {} compound contexts",
@@ -694,11 +587,7 @@ fn cmd_codecs() -> CliResult {
             .map(|m| String::from_utf8_lossy(&m).into_owned())
             .unwrap_or_else(|| "-".into());
         let (lo, hi) = codec.bit_depths();
-        say!(
-            "  {:<10} magic {magic}  depths {lo}..={hi}  models {}",
-            codec.name(),
-            codec.model_modes().join(", ")
-        );
+        say!("  {:<10} magic {magic}  depths {lo}..={hi}", codec.name());
     }
     Ok(())
 }

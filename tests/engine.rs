@@ -13,7 +13,7 @@
 use cbic::core::hwpipe::{HwDecoder, HwEncoder};
 use cbic::core::session::{DecoderSession, EncoderSession};
 use cbic::core::stream::{compress_to, decompress_from};
-use cbic::core::{compress, decompress, encode_raw, CodecConfig, DivisionKind, ModelMode};
+use cbic::core::{compress, decompress, encode_raw, CodecConfig, DivisionKind};
 use cbic::image::Image;
 use cbic_arith::EstimatorConfig;
 use cbic_bitio::BitReader;
@@ -35,9 +35,7 @@ fn arb_any_depth_image() -> impl Strategy<Value = Image> {
     })
 }
 
-/// The full configuration sweep the container can carry, including both
-/// context-model modes (classic compound and wide-hash banks across the
-/// header's `banks_log2` range).
+/// The full configuration sweep the container can carry.
 fn arb_config() -> impl Strategy<Value = CodecConfig> {
     (
         10u8..=16,
@@ -46,30 +44,22 @@ fn arb_config() -> impl Strategy<Value = CodecConfig> {
         any::<bool>(),
         any::<bool>(),
         0u8..=6,
-        (any::<bool>(), 4u8..=12),
     )
         .prop_map(
-            |(count_bits, increment, feedback, aging, exact, texture_bits, (wide, banks))| {
-                CodecConfig {
-                    estimator: EstimatorConfig {
-                        count_bits,
-                        increment,
-                        ..EstimatorConfig::default()
-                    },
-                    error_feedback: feedback,
-                    aging,
-                    division: if exact {
-                        DivisionKind::Exact
-                    } else {
-                        DivisionKind::Lut
-                    },
-                    texture_bits,
-                    model: if wide {
-                        ModelMode::WideHash { banks_log2: banks }
-                    } else {
-                        ModelMode::Classic
-                    },
-                }
+            |(count_bits, increment, feedback, aging, exact, texture_bits)| CodecConfig {
+                estimator: EstimatorConfig {
+                    count_bits,
+                    increment,
+                    ..EstimatorConfig::default()
+                },
+                error_feedback: feedback,
+                aging,
+                division: if exact {
+                    DivisionKind::Exact
+                } else {
+                    DivisionKind::Lut
+                },
+                texture_bits,
             },
         )
 }
@@ -207,28 +197,23 @@ fn all_paths_agree_on_edge_shapes() {
 
 #[test]
 fn tiled_band_workers_run_the_same_engine() {
-    // Each band of a tiled container is a standard stream; its payload
-    // must equal encode_raw on the band view — i.e. the band workers
-    // drive the same engine as every other path.
-    use cbic::core::tiles::{compress_tiled, split_bands, Parallelism};
+    // Each tile of a v4 grid is a standard stream: its substream must
+    // equal encode_raw on the tile's crop — i.e. the tile workers drive
+    // the same engine as every other path. Full-width tiles (the
+    // partition `cbic compress --threads 3` writes) and a 2D grid.
+    use cbic::core::grid::{compress_grid, parse_grid, TileGeometry};
+    use cbic::image::Parallelism;
     let cfg = CodecConfig::default();
     let img = Image::from_fn16(40, 33, 12, |x, y| ((x * 101 + y * 13) % 4096) as u16);
-    let tiles = 3;
-    let container = compress_tiled(img.view(), &cfg, tiles, Parallelism::Sequential);
-    let bands = split_bands(img.view(), tiles);
-    let mut pos = 8; // CBTI magic + count
-    for band in bands {
-        let len_bytes: [u8; 4] = container[pos..pos + 4].try_into().unwrap();
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        pos += 4;
-        let frame = &container[pos..pos + len];
-        pos += len;
-        let (raw, _) = encode_raw(band, &cfg);
-        assert_eq!(
-            &frame[frame.len() - raw.len()..],
-            &raw[..],
-            "band payload diverged from the engine reference"
-        );
+    for geom in [TileGeometry::new(40, 11), TileGeometry::new(16, 12)] {
+        let container = compress_grid(img.view(), &cfg, geom, 1, Parallelism::Threads(2));
+        let (_, index, payload) = parse_grid(&container).expect("own grid parses");
+        for (i, entry) in index.entries.iter().enumerate() {
+            let (x, y, w, h) = index.tile_rect(i % index.cols, i / index.cols);
+            let start = entry.offset as usize;
+            let sub = &payload[start..start + entry.len as usize];
+            let (raw, _) = encode_raw(img.view().crop(x, y, w, h), &cfg);
+            assert_eq!(sub, &raw[..], "tile {i} diverged from the engine reference");
+        }
     }
-    assert_eq!(pos, container.len());
 }

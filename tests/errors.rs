@@ -161,13 +161,13 @@ fn unexpected_eof_survives_a_truncated_decode() {
         );
     }
 
-    // A cut mid-payload: the paper's codec (and its tiled variant) track
-    // decoder padding, so even a deep truncation surfaces as Truncated
-    // with the kind intact — not garbage pixels, not a bare string.
-    let registry = cbic::default_registry();
-    for name in ["proposed", "tiled"] {
-        let codec = registry.expect_name(name).unwrap();
-        let bytes = codec.encode_vec(img.view(), &enc).unwrap();
+    // A cut mid-payload: the paper's codec, flat and as a grid of four
+    // full-width tiles, tracks decoder padding and the tile index, so
+    // even a deep truncation surfaces as Truncated with the kind intact —
+    // not garbage pixels, not a bare string.
+    let codec = cbic::core::Proposed::default();
+    for (name, opts) in [("flat", enc), ("grid", enc.with_tile(48, 12))] {
+        let bytes = codec.encode_vec(img.view(), &opts).unwrap();
         let err = codec
             .decode_vec(&bytes[..bytes.len() / 2], &dec)
             .expect_err("mid-payload truncation must error");
@@ -327,58 +327,39 @@ proptest! {
 
 #[test]
 fn v5_model_header_corruption_yields_structured_errors() {
-    // Container v5 carries two new header bytes — the model byte
-    // (banks_log2 at offset 25) and the flat/tiled layout flag (offset
-    // 26). Forging either outside its legal range must be rejected as a
-    // structured header error, and truncating the stream at every v5
-    // header boundary must surface as Truncated — never a panic, never a
-    // garbage image that silently used the wrong context model.
-    use cbic::core::bigctx::DEFAULT_BANKS_LOG2;
-    use cbic::core::{compress, decompress, CodecConfig, ModelMode};
-    let img = CorpusImage::Lena.generate(16, 16);
-    let cfg = CodecConfig {
-        model: ModelMode::WideHash {
-            banks_log2: DEFAULT_BANKS_LOG2,
-        },
-        ..CodecConfig::default()
-    };
-    let bytes = compress(img.view(), &cfg);
-    assert_eq!(bytes[4], 5, "wide streams ride container v5");
-
-    // Forged model byte: every value outside BANKS_LOG2_RANGE (4..=16).
-    for forged in [0u8, 1, 3, 17, 64, 255] {
+    // Container v5 (the retired wide-hash model) is refused at its version
+    // byte, whatever its model byte (offset 25) and layout flag (offset
+    // 26) hold, and a v5 header cut at any boundary is a structured error
+    // too — never a panic, never a garbage image.
+    use cbic::core::decompress;
+    let bytes = std::fs::read(RETIRED_V5).expect("committed v5 fixture");
+    assert_eq!(bytes[4], 5, "the fixture is a version-5 container");
+    for (at, forged) in [
+        (25usize, 0u8),
+        (25, 3),
+        (25, 17),
+        (25, 255),
+        (26, 1),
+        (26, 7),
+    ] {
         let mut c = bytes.clone();
-        c[25] = forged;
-        let err = decompress(&c).expect_err("forged model byte must be rejected");
-        assert!(
-            matches!(&err, CodecError::InvalidHeader(m) if m.contains("banks_log2")),
-            "banks_log2={forged} gave {err:?}"
+        c[at] = forged;
+        assert_eq!(
+            decompress(&c),
+            Err(CodecError::UnsupportedVersion(5)),
+            "byte {at} = {forged}"
         );
     }
-
-    // Forged layout flag: anything past {flat, tiled}.
-    for forged in [2u8, 7, 255] {
-        let mut c = bytes.clone();
-        c[26] = forged;
-        let err = decompress(&c).expect_err("forged layout flag must be rejected");
-        assert!(
-            matches!(&err, CodecError::InvalidHeader(m) if m.contains("layout")),
-            "layout={forged} gave {err:?}"
-        );
-    }
-
-    // Truncation at each v5 header boundary: the fixed prefix, the
-    // depth/lanes bytes, the model byte, the layout flag, and one byte
-    // into the payload.
-    for cut in [22usize, 23, 24, 25, 26, 27] {
+    for cut in [4usize, 5, 22, 23, 24, 25, 26, 27] {
         let err = decompress(&bytes[..cut]).expect_err("truncated v5 header must error");
         assert_structured(&CbicError::from(err), &format!("v5 truncation at {cut}"));
     }
 }
 
 // ---------------------------------------------------------------------------
-// The retired lane-interleaved container (version 3) and the lane byte that
-// versions 4 and 5 keep: readers refuse them with structured errors.
+// Retired formats — the lane-interleaved container (version 3) and the lane
+// byte version 4 keeps, the wide-hash model (version 5), and the `CBTI`
+// band container: readers refuse them with structured errors.
 // ---------------------------------------------------------------------------
 
 /// The one committed container of the retired version 3 (four coder lanes).
@@ -387,10 +368,23 @@ const RETIRED_V3: &str = concat!(
     "/tests/golden/proposed_lanes4_lena_32.bin"
 );
 
-/// The v3 fixture, plus a v4 grid and a flat v5 container whose lane byte
-/// is forged to 0, 2 and 33.
+/// The one committed container of the retired version 5 (the wide-hash
+/// context model at 2^10 banks).
+const RETIRED_V5: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/proposed_wide_lena_32.bin"
+);
+
+/// The one committed container of the retired `CBTI` band format.
+const RETIRED_CBTI: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/tiled_lena_32.bin"
+);
+
+/// The v3 fixture, plus a v4 grid whose lane byte is forged to 0, 2
+/// and 33.
 fn retired_lane_containers() -> Vec<(String, Vec<u8>)> {
-    use cbic::core::{compress, compress_grid, CodecConfig, ModelMode, TileGeometry};
+    use cbic::core::{compress_grid, CodecConfig, TileGeometry};
     let img = CorpusImage::Lena.generate(32, 32);
     let grid = compress_grid(
         img.view(),
@@ -399,61 +393,61 @@ fn retired_lane_containers() -> Vec<(String, Vec<u8>)> {
         1,
         cbic::image::Parallelism::Sequential,
     );
-    let wide = CodecConfig {
-        model: ModelMode::WideHash { banks_log2: 10 },
-        ..CodecConfig::default()
-    };
     let v3 = std::fs::read(RETIRED_V3).expect("committed v3 fixture");
     assert_eq!(v3[4], 3, "the fixture is a version-3 container");
     let mut out = vec![("v3 fixture".to_string(), v3)];
-    for (name, bytes) in [("v4 grid", grid), ("v5 flat", compress(img.view(), &wide))] {
-        assert_eq!(bytes[24], 1, "{name}: writers emit lane byte 1");
-        for lanes in [0u8, 2, 33] {
-            let mut forged = bytes.clone();
-            forged[24] = lanes;
-            out.push((format!("{name} with lane byte {lanes}"), forged));
-        }
+    assert_eq!(grid[24], 1, "writers emit lane byte 1");
+    for lanes in [0u8, 2, 33] {
+        let mut forged = grid.clone();
+        forged[24] = lanes;
+        out.push((format!("v4 grid with lane byte {lanes}"), forged));
     }
     out
 }
 
-#[test]
-fn retired_lane_containers_fail_structurally_on_every_decode_path() {
+/// The error of each `CBIC` decode path on `bytes`: the flat, streamed,
+/// session, grid and ROI decoders, and the registry's stream dispatch.
+fn every_decode_path_error(bytes: &[u8]) -> [(&'static str, CbicError); 6] {
     use cbic::core::session::DecoderSession;
     use cbic::core::stream::StreamDecoder;
     use cbic::core::{decode_roi, decompress, decompress_grid};
     use cbic::image::Parallelism;
-    let registry = cbic::default_registry();
     let roi = cbic::Rect::new(0, 0, 8, 8);
-    let dec = DecodeOptions::default();
+    [
+        ("decompress", decompress(bytes).unwrap_err().into()),
+        (
+            "StreamDecoder::new",
+            StreamDecoder::new(bytes).unwrap_err().into(),
+        ),
+        (
+            "DecoderSession::decode",
+            DecoderSession::new().decode(&mut &bytes[..]).unwrap_err(),
+        ),
+        (
+            "decompress_grid",
+            decompress_grid(bytes, Parallelism::Sequential)
+                .unwrap_err()
+                .into(),
+        ),
+        (
+            "decode_roi",
+            decode_roi(bytes, roi, Parallelism::Sequential)
+                .unwrap_err()
+                .into(),
+        ),
+        (
+            "decode_stream",
+            cbic::default_registry()
+                .decode_stream(&mut &bytes[..], &DecodeOptions::default())
+                .unwrap_err(),
+        ),
+    ]
+}
+
+#[test]
+fn retired_lane_containers_fail_structurally_on_every_decode_path() {
     for (name, bytes) in retired_lane_containers() {
-        let errors: [(&str, CbicError); 6] = [
-            ("decompress", decompress(&bytes).unwrap_err().into()),
-            (
-                "StreamDecoder::new",
-                StreamDecoder::new(&bytes[..]).unwrap_err().into(),
-            ),
-            (
-                "DecoderSession::decode",
-                DecoderSession::new().decode(&mut &bytes[..]).unwrap_err(),
-            ),
-            (
-                "decompress_grid",
-                decompress_grid(&bytes, Parallelism::Sequential)
-                    .unwrap_err()
-                    .into(),
-            ),
-            (
-                "decode_roi",
-                decode_roi(&bytes, roi, Parallelism::Sequential)
-                    .unwrap_err()
-                    .into(),
-            ),
-            (
-                "decode_stream",
-                registry.decode_stream(&mut &bytes[..], &dec).unwrap_err(),
-            ),
-        ];
+        let errors = every_decode_path_error(&bytes);
         for (path, err) in errors {
             let refused = if bytes[4] == 3 {
                 matches!(err, CbicError::UnsupportedVersion(3))
@@ -466,41 +460,117 @@ fn retired_lane_containers_fail_structurally_on_every_decode_path() {
 }
 
 #[test]
-fn cli_names_the_retired_version() {
-    for args in [
-        vec!["info", RETIRED_V3],
-        vec!["decompress", RETIRED_V3, "-"],
-    ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
-            .args(&args)
-            .output()
-            .expect("run cbic");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+fn retired_wide_and_band_containers_fail_structurally() {
+    // Version 5: every CBIC decode path answers UnsupportedVersion(5).
+    let v5 = std::fs::read(RETIRED_V5).expect("committed v5 fixture");
+    for (path, err) in every_decode_path_error(&v5) {
         assert!(
-            stderr.contains("version 3") && stderr.contains("retired"),
-            "{args:?}: {stderr}"
+            matches!(err, CbicError::UnsupportedVersion(5)),
+            "{path}: {err:?}"
+        );
+    }
+    assert!(matches!(
+        cbic::core::decode_roi_any(
+            &v5,
+            cbic::Rect::new(0, 0, 8, 8),
+            cbic::Parallelism::Sequential
+        ),
+        Err(CodecError::UnsupportedVersion(5))
+    ));
+    // CBTI: no registered codec claims the band container's magic.
+    let cbti = std::fs::read(RETIRED_CBTI).expect("committed CBTI fixture");
+    let registry = cbic::default_registry();
+    let dec = DecodeOptions::default();
+    let errors = [
+        registry.decode_stream(&mut &cbti[..], &dec).unwrap_err(),
+        registry.decode_auto(&cbti, &dec).unwrap_err(),
+    ];
+    for err in errors {
+        assert!(
+            matches!(err, CbicError::BadMagic { found: Some(m) } if &m == b"CBTI"),
+            "{err:?}"
         );
     }
 }
 
-/// A small container whose header is forged to claim 16384×16384 pixels
-/// (the 2^28-pixel ceiling): its payload runs out within the first row.
-fn forged_huge_container() -> Vec<u8> {
+#[test]
+fn cli_names_the_retired_version() {
+    for (fixture, names) in [
+        (RETIRED_V3, ["version 3", "retired"]),
+        (RETIRED_V5, ["version 5", "wide-hash"]),
+        (RETIRED_CBTI, ["CBTI", "band container"]),
+    ] {
+        for args in [vec!["info", fixture], vec!["decompress", fixture, "-"]] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+                .args(&args)
+                .output()
+                .expect("run cbic");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                names.iter().all(|n| stderr.contains(n)) && stderr.contains("retired"),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cli_threads_without_tile_writes_a_grid_of_full_width_tiles() {
+    let dir = std::env::temp_dir().join(format!("cbic-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (pgm, container, back) = (
+        dir.join("in.pgm"),
+        dir.join("out.cbic"),
+        dir.join("back.pgm"),
+    );
+    let img = CorpusImage::Barb.generate(40, 30);
+    cbic::image::pgm::write_file(&pgm, &img).expect("write input");
+    let run = |args: &[&std::path::Path]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .args(args)
+            .output()
+            .expect("run cbic");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let p = std::path::Path::new;
+    run(&[p("compress"), p("--threads"), p("2"), &pgm, &container]);
+    let bytes = std::fs::read(&container).expect("container written");
+    assert_eq!(bytes[4], 4, "version byte");
+    let (hdr, index, _) = cbic::core::grid::parse_grid(&bytes).expect("a v4 grid");
+    assert_eq!((index.cols, index.rows), (1, 2));
+    assert_eq!(index.geometry.tile_size(), (40, 15));
+    assert_eq!((hdr.width, hdr.height), (40, 30));
+    run(&[p("decompress"), &container, &back]);
+    assert_eq!(
+        cbic::image::pgm::read_file(&back).expect("read output"),
+        img
+    );
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+/// A small container whose header is forged to claim `side`×`side`
+/// pixels (16384 is the 2^28-pixel ceiling): its payload runs out within
+/// the first row.
+fn forged_container(side: u32) -> Vec<u8> {
     use cbic::core::{compress, CodecConfig};
     let mut bytes = compress(
         CorpusImage::Lena.generate(24, 24).view(),
         &CodecConfig::default(),
     );
-    bytes[6..10].copy_from_slice(&16384u32.to_le_bytes());
-    bytes[10..14].copy_from_slice(&16384u32.to_le_bytes());
+    bytes[6..10].copy_from_slice(&side.to_le_bytes());
+    bytes[10..14].copy_from_slice(&side.to_le_bytes());
     bytes
 }
 
 #[test]
 fn streamed_decoder_stops_at_the_first_row_past_the_padding_budget() {
     use cbic::core::stream::StreamDecoder;
-    let bytes = forged_huge_container();
+    let bytes = forged_container(16384);
     let mut dec = StreamDecoder::new(&bytes[..]).expect("dimensions within the ceiling");
     assert_eq!(dec.dimensions(), (16384, 16384));
     let mut row = vec![0u16; 16384];
@@ -515,26 +585,66 @@ fn streamed_decoder_stops_at_the_first_row_past_the_padding_budget() {
 }
 
 #[test]
+fn buffered_decoders_report_a_forged_container_as_truncated() {
+    // The buffered paths stop at the first row past the padding budget
+    // (their row counts are pinned by cbic-core's own tests); here each
+    // public entry point must answer Truncated. 4096x4096 keeps the
+    // up-front image allocations small.
+    use cbic::core::session::DecoderSession;
+    use cbic::core::{decode_roi_any, decompress};
+    let bytes = forged_container(4096);
+    let roi = cbic::Rect::new(0, 0, 8, 8);
+    let errors: [(&str, CbicError); 4] = [
+        ("decompress", decompress(&bytes).unwrap_err().into()),
+        (
+            "DecoderSession::decode",
+            DecoderSession::new().decode(&mut &bytes[..]).unwrap_err(),
+        ),
+        (
+            "decode_roi_any",
+            decode_roi_any(&bytes, roi, cbic::Parallelism::Sequential)
+                .unwrap_err()
+                .into(),
+        ),
+        (
+            "decode_stream",
+            cbic::default_registry()
+                .decode_stream(&mut &bytes[..], &DecodeOptions::default())
+                .unwrap_err(),
+        ),
+    ];
+    for (path, err) in errors {
+        assert!(matches!(err, CbicError::Truncated), "{path}: {err:?}");
+    }
+}
+
+#[test]
 fn cli_reports_a_forged_huge_container_as_truncated() {
     use std::io::Write as _;
     use std::process::{Command, Stdio};
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cbic"))
-        .args(["decompress", "-", "-"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("run cbic");
-    child
-        .stdin
-        .take()
-        .expect("piped stdin")
-        .write_all(&forged_huge_container())
-        .expect("feed the container");
-    let out = child.wait_with_output().expect("cbic exits");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("truncated container"), "{stderr}");
+    // The streamed decompress and the buffered decode-then-crop.
+    for args in [
+        vec!["decompress", "-", "-"],
+        vec!["crop", "--rect", "0,0,8,8", "-", "-"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .args(&args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run cbic");
+        child
+            .stdin
+            .take()
+            .expect("piped stdin")
+            .write_all(&forged_container(16384))
+            .expect("feed the container");
+        let out = child.wait_with_output().expect("cbic exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("truncated container"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

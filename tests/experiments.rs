@@ -1,10 +1,16 @@
 //! Shape assertions for the paper's evaluation claims, measured on the
-//! synthetic corpus. Absolute bit rates differ from the paper (different
-//! pixels — see DESIGN.md §6), so these tests pin the *qualitative* results
-//! the reproduction must preserve:
+//! synthetic corpus. Absolute bit rates differ from the paper (the
+//! USC-SIPI originals are not redistributable, so synthetic stand-ins
+//! supply the pixels), so these tests pin the *qualitative* results the
+//! reproduction must preserve:
 //!
-//! * Table 1: CALIC ≤ proposed < JPEG-LS < SLP on average; per-image
-//!   hardness ordering (mandrill hardest, zelda easiest);
+//! * Table 1: CALIC ≤ proposed, and the proposed codec beats both
+//!   JPEG-LS and SLP on average; per-image hardness ordering (mandrill
+//!   hardest, zelda easiest). The paper's averages are CALIC 4.50,
+//!   proposed 4.55, SLP 4.63 and JPEG-LS 4.66 bpp. Here the reconstructed
+//!   SLP trails JPEG-LS, the reverse of the paper's order, so the tests
+//!   assert no order between those two: "JPEG-LS < SLP" is the
+//!   reproduction's result, not the paper's;
 //! * Fig. 4: 14-bit counters beat 10-bit counters; escapes grow as the
 //!   counter narrows;
 //! * the paper's prose claims: error feedback helps, aging helps, LUT
@@ -46,7 +52,7 @@ fn table1_codec_ordering_matches_paper() {
     let [jpegls, slp, calic, proposed] = sums.map(|s| s / n);
 
     // The paper's Table 1 ordering: CALIC 4.50 < proposed 4.55 <
-    // JPEG-LS 4.66 ~ SLP 4.63.
+    // SLP 4.63 < JPEG-LS 4.66.
     assert!(
         calic <= proposed,
         "CALIC ({calic:.3}) must not lose to the proposed codec ({proposed:.3})"

@@ -1,8 +1,7 @@
 //! Integration of the hardware model with the real codec: the numbers in
 //! Table 2 must be consistent with what the software actually does.
 
-use cbic::core::bigctx::{BANKS_LOG2_RANGE, DEFAULT_BANKS_LOG2};
-use cbic::core::{encode_raw, CodecConfig, ModelMode, PixelEngine};
+use cbic::core::{encode_raw, CodecConfig, PixelEngine};
 use cbic::hw::divlut::DivLut;
 use cbic::hw::memory::{ContextBankLayout, EstimatorMemory, ModelingMemory};
 use cbic::hw::pipeline::{PipelineConfig, PixelTrace};
@@ -51,37 +50,32 @@ fn memory_budgets_match_the_paper() {
 
 #[test]
 fn context_bank_layout_accounts_exactly_what_the_engine_allocates() {
-    // The memory model is only a budget if it matches reality: for both
-    // context-model modes, `ContextBankLayout::host_soa` over the
-    // engine's bank count must equal — byte for byte — what the SoA
-    // context store actually allocates.
+    // The memory model is only a budget if it matches reality: at every
+    // texture width (8 × 2^texture_bits compound contexts),
+    // `ContextBankLayout::host_soa` over the engine's bank count must
+    // equal — byte for byte — what the SoA context store actually
+    // allocates.
     let classic = PixelEngine::new(64, 8, &CodecConfig::default());
     assert_eq!(classic.context_banks(), 512);
-    assert_eq!(
-        ContextBankLayout::host_soa(classic.context_banks()).total_bytes(),
-        classic.context_bytes()
-    );
-
-    for banks_log2 in BANKS_LOG2_RANGE {
+    for texture_bits in 0..=6u8 {
         let cfg = CodecConfig {
-            model: ModelMode::WideHash { banks_log2 },
+            texture_bits,
             ..CodecConfig::default()
         };
-        let wide = PixelEngine::new(64, 8, &cfg);
-        assert_eq!(wide.context_banks(), 1usize << banks_log2);
+        let engine = PixelEngine::new(64, 8, &cfg);
+        assert_eq!(engine.context_banks(), 8 << texture_bits);
         assert_eq!(
-            ContextBankLayout::host_soa(wide.context_banks()).total_bytes(),
-            wide.context_bytes(),
-            "accounted vs allocated bytes diverged at banks_log2={banks_log2}"
+            ContextBankLayout::host_soa(engine.context_banks()).total_bytes(),
+            engine.context_bytes(),
+            "accounted vs allocated bytes diverged at texture_bits={texture_bits}"
+        );
+        // The paper-width budget scales with the rows the same way.
+        assert_eq!(
+            ContextBankLayout::with_contexts(engine.context_banks()).total_bytes()
+                << (6 - texture_bits),
+            ContextBankLayout::default().total_bytes()
         );
     }
-
-    // The headline budget: the wire-default wide store costs exactly 2×
-    // the classic store in paper bit-widths, half the 4× ceiling.
-    let classic_paper = ContextBankLayout::default().total_bytes();
-    let wide_paper = ContextBankLayout::with_contexts(1 << DEFAULT_BANKS_LOG2).total_bytes();
-    assert_eq!(wide_paper, 2 * classic_paper);
-    assert!(wide_paper <= 4 * classic_paper);
 }
 
 #[test]

@@ -178,18 +178,26 @@ fn random_garbage_never_panics_any_decoder() {
         let _ = cbic::calic::decompress(&garbage);
         let _ = cbic::jpegls::decompress(&garbage);
         let _ = cbic::slp::decompress(&garbage);
-        let _ = cbic::core::tiles::decompress_tiled(&garbage, cbic::core::Parallelism::Auto);
+        let _ = cbic::core::decompress_grid(&garbage, cbic::core::Parallelism::Auto);
         let _ = registry.decode_auto(&garbage, &opts);
         // Now with a valid magic but garbage bodies (small dims so a
-        // "successful" garbage decode stays cheap).
-        for magic in [b"CBIC", b"CBCA", b"CBLS", b"CBSL", b"CBTI"] {
+        // "successful" garbage decode stays cheap); version 4 takes the
+        // tile-grid reader, and the retired CBTI magic must be refused.
+        for (magic, version) in [
+            (b"CBIC", 1),
+            (b"CBIC", 4),
+            (b"CBCA", 1),
+            (b"CBLS", 1),
+            (b"CBSL", 1),
+            (b"CBTI", 1),
+        ] {
             garbage[..4].copy_from_slice(magic);
-            garbage[4..12].copy_from_slice(&[1, 1, 16, 0, 0, 0, 16, 0]);
+            garbage[4..12].copy_from_slice(&[version, 1, 16, 0, 0, 0, 16, 0]);
             let _ = cbic::core::decompress(&garbage);
             let _ = cbic::calic::decompress(&garbage);
             let _ = cbic::jpegls::decompress(&garbage);
             let _ = cbic::slp::decompress(&garbage);
-            let _ = cbic::core::tiles::decompress_tiled(&garbage, cbic::core::Parallelism::Auto);
+            let _ = cbic::core::decompress_grid(&garbage, cbic::core::Parallelism::Auto);
             let _ = registry.decode_auto(&garbage, &opts);
         }
     }

@@ -10,14 +10,14 @@
 //! mid-stream EOF and flipped magic bytes produce errors — never panics,
 //! never unbounded allocation.
 
+use cbic::core::grid::{compress_grid, crc32, decompress_grid, TileGeometry};
 use cbic::core::hwpipe::HwEncoder;
 use cbic::core::stream::{compress_to, decompress_from, StreamDecoder, StreamEncoder};
-use cbic::core::tiles::{compress_tiled, decompress_tiled, Parallelism};
 use cbic::core::{compress, decompress, encode_raw, CodecConfig, CodecError, EncoderSession};
 use cbic::image::corpus::CorpusImage;
 use cbic::image::Image;
 use cbic::universal::dispatch::{Chunk, UniversalCodec};
-use cbic::{Codec, DecodeOptions, EncodeOptions};
+use cbic::{Codec, DecodeOptions, EncodeOptions, Parallelism};
 use proptest::prelude::*;
 
 fn arb_image() -> impl Strategy<Value = Image> {
@@ -177,22 +177,30 @@ fn core_decoder_errors_on_mid_stream_eof() {
     }
 }
 
+/// A v4 grid of `bands` full-width tiles (the partition `cbic compress
+/// --threads N` writes) of a 48×48 image.
+fn band_grid(img: &Image, bands: usize) -> Vec<u8> {
+    let geom = TileGeometry::new(48, 48usize.div_ceil(bands) as u32);
+    compress_grid(
+        img.view(),
+        &CodecConfig::default(),
+        geom,
+        1,
+        Parallelism::Sequential,
+    )
+}
+
 #[test]
 fn tiled_decoder_errors_on_mid_stream_eof() {
     let img = CorpusImage::Boat.generate(48, 48);
-    let bytes = compress_tiled(
-        img.view(),
-        &CodecConfig::default(),
-        3,
-        Parallelism::Sequential,
-    );
+    let bytes = band_grid(&img, 3);
     for cut in [0, 5, 9, 30, bytes.len() / 2, bytes.len() - 24] {
         assert!(
-            decompress_tiled(&bytes[..cut], Parallelism::Sequential).is_err(),
+            decompress_grid(&bytes[..cut], Parallelism::Sequential).is_err(),
             "cut {cut}"
         );
-        // The Tiled streaming decode path must agree.
-        let codec = cbic::core::Tiled::default();
+        // The codec's streaming decode path must agree.
+        let codec = cbic::core::Proposed::default();
         let mut source: &[u8] = &bytes[..cut];
         assert!(
             codec
@@ -205,25 +213,22 @@ fn tiled_decoder_errors_on_mid_stream_eof() {
 
 #[test]
 fn tiled_decoder_errors_on_truncated_final_band_payload() {
-    // A cut *inside* the last band's arithmetic payload keeps the framing
-    // intact-looking from the front but must still be rejected.
+    // A cut *inside* the last tile's arithmetic payload, with its index
+    // entry rewritten (length and CRC) so the container parses, must
+    // still be rejected: the tile decoder runs out of payload.
     let img = CorpusImage::Barb.generate(48, 48);
-    let mut bytes = compress_tiled(
-        img.view(),
-        &CodecConfig::default(),
-        2,
-        Parallelism::Sequential,
-    );
+    let mut bytes = band_grid(&img, 2);
     let cut = 40;
     bytes.truncate(bytes.len() - cut);
-    // Also shrink the final band's length prefix so the container parses.
-    // Band layout: CBTI count | len0 band0 | len1 band1.
-    let len0 = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let len1_at = 12 + len0;
-    let len1 = u32::from_le_bytes(bytes[len1_at..len1_at + 4].try_into().unwrap()) as usize;
-    bytes[len1_at..len1_at + 4].copy_from_slice(&((len1 - cut) as u32).to_le_bytes());
+    // Index layout: 33-byte header, then per tile offset u64, len u32, crc u32.
+    let entry = 33 + 16;
+    let len = u32::from_le_bytes(bytes[entry + 8..entry + 12].try_into().unwrap()) as usize;
+    let new_len = len - cut;
+    bytes[entry + 8..entry + 12].copy_from_slice(&(new_len as u32).to_le_bytes());
+    let crc = crc32(&bytes[bytes.len() - new_len..]);
+    bytes[entry + 12..entry + 16].copy_from_slice(&crc.to_le_bytes());
     assert!(matches!(
-        decompress_tiled(&bytes, Parallelism::Sequential),
+        decompress_grid(&bytes, Parallelism::Sequential),
         Err(CodecError::Truncated)
     ));
 }
@@ -253,10 +258,16 @@ fn every_decoder_rejects_flipped_magic() {
         CodecError::BadMagic
     );
 
-    let mut tiled_bytes = compress_tiled(img.view(), &cfg, 2, Parallelism::Sequential);
-    tiled_bytes[1] ^= 0xFF;
+    let mut grid_bytes = compress_grid(
+        img.view(),
+        &cfg,
+        TileGeometry::new(24, 12),
+        1,
+        Parallelism::Sequential,
+    );
+    grid_bytes[1] ^= 0xFF;
     assert_eq!(
-        decompress_tiled(&tiled_bytes, Parallelism::Sequential),
+        decompress_grid(&grid_bytes, Parallelism::Sequential),
         Err(CodecError::BadMagic)
     );
 

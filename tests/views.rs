@@ -2,10 +2,10 @@
 //! [`ImageView`]s is byte-identical to encoding owned copies (stride can
 //! never leak into the bits), and 8–16-bit sample depths round-trip
 //! losslessly through every registry codec, the universal dispatcher, and
-//! the tiled + streaming paths.
+//! the tile-grid + streaming paths.
 
+use cbic::core::grid::{compress_grid, decompress_grid, TileGeometry};
 use cbic::core::stream::{compress_to, decompress_from};
-use cbic::core::tiles::{compress_tiled, decompress_tiled, split_bands};
 use cbic::core::CodecConfig;
 use cbic::image::corpus::CorpusImage;
 use cbic::image::{pgm, Image, ImageView};
@@ -53,20 +53,23 @@ fn every_codec_is_stride_blind() {
 }
 
 #[test]
-fn split_bands_is_zero_copy_and_matches_owned_encodes() {
+fn band_tiles_are_zero_copy_and_match_owned_encodes() {
+    // The full-width tiles `cbic compress --threads N` writes are borrowed
+    // row ranges of the image, and encode exactly like owned copies.
     let img = CorpusImage::Lena.generate(40, 37);
     let cfg = CodecConfig::default();
     for tiles in [1, 3, 5] {
-        let bands = split_bands(img.view(), tiles);
-        let mut y0 = 0;
-        for band in &bands {
+        let geom = TileGeometry::new(40, 37usize.div_ceil(tiles) as u32);
+        let (_, rows) = geom.grid(40, 37);
+        for row in 0..rows {
+            let (_, y0, _, h) = geom.tile_rect(0, row, 40, 37);
+            let band = img.view().row_range(y0, h);
             // Zero-copy: the band's rows are the image's rows.
             assert_eq!(band.row(0), img.row(y0));
             // Differential: band view encode == owned band encode.
-            let (from_view, _) = cbic::core::encode_raw(*band, &cfg);
+            let (from_view, _) = cbic::core::encode_raw(band, &cfg);
             let (from_copy, _) = cbic::core::encode_raw(band.to_image().view(), &cfg);
             assert_eq!(from_view, from_copy);
-            y0 += band.height();
         }
     }
 }
@@ -111,11 +114,12 @@ fn sixteen_bit_tiled_and_streaming_paths_roundtrip() {
     let cfg = CodecConfig::default();
     for depth in [10u8, 16] {
         let img = deep_image(40, 33, depth);
-        // Tiled, sequential and parallel.
+        // Grids of full-width tiles, coded and decoded in parallel.
         for tiles in [2, 4] {
-            let bytes = compress_tiled(img.view(), &cfg, tiles, Parallelism::Auto);
+            let geom = TileGeometry::new(40, 33usize.div_ceil(tiles) as u32);
+            let bytes = compress_grid(img.view(), &cfg, geom, 1, Parallelism::Auto);
             assert_eq!(
-                decompress_tiled(&bytes, Parallelism::Threads(3)).unwrap(),
+                decompress_grid(&bytes, Parallelism::Threads(3)).unwrap(),
                 img,
                 "depth {depth}, {tiles} tiles"
             );
