@@ -2,19 +2,23 @@
 //!
 //! ```text
 //! cbic-loadgen [--addr HOST:PORT] [--connections N] [--requests N]
-//!              [--size PX] [--codecs a,b,...]
+//!              [--idle N] [--size PX] [--codecs a,b,...]
 //!              [--out PATH] [--check]
 //! ```
 //!
-//! Opens `--connections` concurrent connections; each issues `--requests`
-//! encode+decode round-trips cycling over the seven-image synthetic
-//! corpus and the selected codecs, verifying every reconstruction
-//! bit-exactly against the source. Busy replies are retried with backoff
-//! (and counted). The run's latency distribution and per-codec bit rates
-//! are written as JSON to `--out` (default `BENCH_server.json`); with
-//! `--check` the process exits non-zero on any mismatch or error.
+//! First opens `--idle` connections (default 0) that send nothing and
+//! stay open until the run ends, so the report shows whether silent
+//! clients slow the others down. Then opens `--connections` concurrent
+//! connections; each issues `--requests` encode+decode round-trips
+//! cycling over the seven-image synthetic corpus and the selected codecs,
+//! verifying every reconstruction bit-exactly against the source. Busy
+//! replies are retried with backoff (and counted). The run's latency
+//! distribution and per-codec bit rates are written as JSON to `--out`
+//! (default `BENCH_server.json`); with `--check` the process exits
+//! non-zero on any mismatch or error.
 
 use std::io::Write as _;
+use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
@@ -29,6 +33,7 @@ struct Options {
     addr: String,
     connections: usize,
     requests: usize,
+    idle: usize,
     size: usize,
     codecs: Vec<String>,
     out: String,
@@ -41,6 +46,7 @@ impl Default for Options {
             addr: "127.0.0.1:9123".into(),
             connections: 4,
             requests: 32,
+            idle: 0,
             size: 64,
             codecs: vec![
                 "proposed".into(),
@@ -71,6 +77,7 @@ fn parse_args() -> Result<Options, String> {
             "--requests" => {
                 opts.requests = value.parse().map_err(|e| format!("--requests: {e}"))?;
             }
+            "--idle" => opts.idle = value.parse().map_err(|e| format!("--idle: {e}"))?,
             "--size" => opts.size = value.parse().map_err(|e| format!("--size: {e}"))?,
             "--codecs" => {
                 opts.codecs = value.split(',').map(str::to_string).collect();
@@ -267,6 +274,17 @@ fn main() -> ExitCode {
             .collect(),
     };
 
+    let idle = match (0..opts.idle)
+        .map(|_| TcpStream::connect(&opts.addr))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(idle) => idle,
+        Err(e) => {
+            eprintln!("cbic-loadgen: connect idle {}: {e}", opts.addr);
+            return ExitCode::FAILURE;
+        }
+    };
+
     let totals = Totals::default();
     let started = Instant::now();
     let (all_latencies, failures) = std::thread::scope(|scope| {
@@ -291,6 +309,7 @@ fn main() -> ExitCode {
         (latencies, failures)
     });
     let elapsed = started.elapsed().as_secs_f64();
+    drop(idle);
 
     for msg in &failures {
         eprintln!("cbic-loadgen: connection failed: {msg}");
@@ -321,10 +340,11 @@ fn main() -> ExitCode {
     };
 
     eprintln!(
-        "cbic-loadgen: {requests} round-trips over {} conns in {elapsed:.2}s \
+        "cbic-loadgen: {requests} round-trips over {} conns ({} idle) in {elapsed:.2}s \
          ({rps:.0} req/s, mean {mean_us} us, p50 {} us, p99 {} us) | \
          {mismatches} mismatches, {errors} errors, {busy} busy retries | mean {bpp:.3} bpp",
         opts.connections,
+        opts.idle,
         percentile(&sorted, 0.50),
         percentile(&sorted, 0.99),
     );
@@ -364,8 +384,9 @@ fn main() -> ExitCode {
         .map(|(name, _)| format!("\"{name}\""))
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 2,\n  \"harness\": \"cbic-loadgen\",\n  \"connections\": {},\n  \"requests_per_connection\": {},\n  \"image_size\": {},\n  \"codecs\": [{}],\n  \"elapsed_s\": {:.3},\n  \"requests\": {},\n  \"requests_per_s\": {:.1},\n  \"mismatches\": {},\n  \"errors\": {},\n  \"busy_retries\": {},\n  \"mean_bpp\": {:.3},\n  \"latency_us\": {{ \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {} }},\n  \"server_latency_us\": {}\n}}\n",
+        "{{\n  \"schema\": 2,\n  \"harness\": \"cbic-loadgen\",\n  \"connections\": {},\n  \"idle\": {},\n  \"requests_per_connection\": {},\n  \"image_size\": {},\n  \"codecs\": [{}],\n  \"elapsed_s\": {:.3},\n  \"requests\": {},\n  \"requests_per_s\": {:.1},\n  \"mismatches\": {},\n  \"errors\": {},\n  \"busy_retries\": {},\n  \"mean_bpp\": {:.3},\n  \"latency_us\": {{ \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {} }},\n  \"server_latency_us\": {}\n}}\n",
         opts.connections,
+        opts.idle,
         opts.requests,
         opts.size,
         codec_names.join(", "),

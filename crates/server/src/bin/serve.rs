@@ -10,7 +10,6 @@
 //! `SIGINT`, then drains in-flight requests and exits 0.
 
 use std::process::ExitCode;
-use std::sync::atomic::Ordering::Relaxed;
 use std::time::Duration;
 
 use cbic_server::server::{Server, ServerConfig};
@@ -84,18 +83,25 @@ fn main() -> ExitCode {
         }
     }
 
-    // Mirror SIGTERM/SIGINT into the accept loop's shutdown flag.
+    // Mirror SIGTERM/SIGINT into the server's shutdown handle, which also
+    // wakes the blocked accept. A signal handler can only store to an
+    // atomic, so this thread polls it; it ends once shutdown has begun,
+    // also when the server began it after a fatal accept error.
     signal::install_shutdown_handler();
-    let shutdown = server.shutdown_flag();
-    std::thread::spawn(move || loop {
-        if signal::shutdown_requested() {
-            shutdown.store(true, Relaxed);
-            return;
+    let shutdown = server.shutdown_handle();
+    let mirror = std::thread::spawn(move || {
+        while !shutdown.is_requested() {
+            if signal::shutdown_requested() {
+                shutdown.shutdown();
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(25));
         }
-        std::thread::sleep(Duration::from_millis(25));
     });
 
-    match server.run() {
+    let result = server.run();
+    mirror.join().expect("the signal mirror does not panic");
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("cbic-serve: accept loop failed: {e}");

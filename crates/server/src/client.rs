@@ -2,7 +2,7 @@
 //! and the integration tests. One [`Client`] wraps one connection and
 //! issues request/reply frames in order.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -53,7 +53,9 @@ pub enum Reply {
 
 /// One blocking protocol connection.
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through the buffer, so a reply that arrived whole
+    /// costs one `read`; requests go straight to the socket.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -69,7 +71,9 @@ impl Client {
         // Requests are single small frames; leaving Nagle on costs a
         // delayed-ACK round trip per request.
         stream.set_nodelay(true)?;
-        Ok(Self { stream })
+        Ok(Self {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Sends a raw frame body and reads the reply frame.
@@ -78,18 +82,8 @@ impl Client {
     ///
     /// Transport failures, a closed connection, or an oversized reply.
     pub fn roundtrip(&mut self, body: &[u8]) -> io::Result<Vec<u8>> {
-        write_frame(&mut self.stream, body)?;
-        match read_frame(&mut self.stream, MAX_REPLY_BYTES)? {
-            Frame::Body(reply) => Ok(reply),
-            Frame::Eof => Err(io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "server closed the connection before replying",
-            )),
-            Frame::TooLarge(len) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("reply frame of {len} bytes exceeds the client ceiling"),
-            )),
-        }
+        write_frame(self.stream.get_mut(), body)?;
+        self.read_reply()
     }
 
     /// Compresses `img` remotely with the codec owning `magic`.
@@ -257,8 +251,7 @@ impl Client {
     ///
     /// Socket write failures.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
+        self.stream.get_mut().write_all(bytes)
     }
 
     /// Reads one reply frame without sending anything first.
@@ -271,7 +264,7 @@ impl Client {
             Frame::Body(reply) => Ok(reply),
             Frame::Eof => Err(io::Error::new(
                 io::ErrorKind::ConnectionAborted,
-                "server closed the connection",
+                "server closed the connection before replying",
             )),
             Frame::TooLarge(len) => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -286,13 +279,12 @@ impl Client {
     ///
     /// Socket shutdown failures.
     pub fn finish(&mut self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
+        self.stream.get_ref().shutdown(std::net::Shutdown::Write)
     }
 
     /// Reads until the server closes the connection, discarding bytes.
     pub fn drain(&mut self) {
-        let mut sink = [0u8; 4096];
-        while matches!(self.stream.read(&mut sink), Ok(n) if n > 0) {}
+        let _ = io::copy(&mut self.stream, &mut io::sink());
     }
 }
 

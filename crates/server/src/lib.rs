@@ -5,13 +5,13 @@
 //! The service speaks a length-framed binary [`protocol`]: ENCODE routes
 //! raw samples to a codec by container magic, DECODE/PROBE route
 //! containers by auto-detection, METRICS returns the counter registry as
-//! text. Requests are served by a sharded pool of worker threads, each
-//! owning one reusable `EncoderSession`/`DecoderSession` pair — the
-//! per-request cost is a model *reset*, not a model *allocation*
-//! (see [`server`]).
+//! text. Each connection has its own thread, which borrows one of a pool
+//! of reusable `EncoderSession`/`DecoderSession` sets for the length of
+//! one request — the per-request cost is a model *reset*, not a model
+//! *allocation*, and an idle socket holds no session (see [`server`]).
 //!
-//! Overload is explicit: a bounded queue in front of the pool answers
-//! `Busy` the moment it is full, oversized frames are refused before
+//! Overload is explicit: connections beyond the pool plus its bounded
+//! queue are answered `Busy` at once, oversized frames are refused before
 //! their body is read, idle sockets time out, and `SIGTERM` drains
 //! in-flight work before the process exits ([`signal`]).
 //!

@@ -71,13 +71,14 @@ impl LatencyHistogram {
 }
 
 /// The service's counter registry. One instance is shared (via `Arc`) by
-/// the accept loop, every worker, and the reporter thread.
+/// the accept loop, every connection thread, and the reporter thread.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Connections accepted (including ones later refused as busy).
     pub connections: AtomicU64,
-    /// Requests answered [`Status::Busy`](crate::protocol::Status::Busy)
-    /// because the work queue was full.
+    /// Connections answered
+    /// [`Status::Busy`](crate::protocol::Status::Busy) because
+    /// `workers + queue_capacity` connections were live.
     pub busy_rejections: AtomicU64,
     /// Requests answered
     /// [`Status::Draining`](crate::protocol::Status::Draining) during
@@ -108,7 +109,7 @@ pub struct Metrics {
     pub pixels_encoded: AtomicU64,
     /// Pixels pushed through DECODE.
     pub pixels_decoded: AtomicU64,
-    /// Connections currently queued for a worker (gauge).
+    /// Requests currently waiting for a codec session set (gauge).
     pub queue_depth: AtomicU64,
     /// Encode bit-rate histogram: count per [`BPP_BUCKETS`] bucket, plus
     /// the trailing `+Inf` bucket.
@@ -135,7 +136,8 @@ impl Metrics {
         self.bpp_histogram[idx].fetch_add(1, Relaxed);
     }
 
-    /// Total requests that reached a worker (served or rejected there).
+    /// Total requests read off a connection and answered (served or
+    /// rejected), Busy and Draining replies excluded.
     pub fn requests_total(&self) -> u64 {
         self.encode_ok.load(Relaxed)
             + self.decode_ok.load(Relaxed)
@@ -230,7 +232,7 @@ impl Metrics {
             self.pixels_decoded.load(Relaxed),
         );
         out.push_str(
-            "# HELP cbic_queue_depth Connections waiting for a worker\n\
+            "# HELP cbic_queue_depth Requests waiting for a session\n\
              # TYPE cbic_queue_depth gauge\n",
         );
         out.push_str(&format!(

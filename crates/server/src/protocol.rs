@@ -44,7 +44,7 @@
 //! error       = [status][msg_len u16][msg utf-8]
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Sentinel `payload_bits` value in an ENCODE reply: the codec does not
 /// track exact payload bits for this container.
@@ -112,12 +112,21 @@ impl Status {
 
 /// Writes one frame: `u32` LE length then the body.
 ///
+/// Prefix and body go out in one gathered write, so over a socket a
+/// frame leaves as one write (one segment when it fits) and the body is
+/// not copied. `write_all` finishes a short write.
+///
 /// # Errors
 ///
 /// Propagates the sink's I/O errors.
 pub fn write_frame(sink: &mut dyn Write, body: &[u8]) -> io::Result<()> {
-    sink.write_all(&(body.len() as u32).to_le_bytes())?;
-    sink.write_all(body)?;
+    let prefix = (body.len() as u32).to_le_bytes();
+    let sent = match sink.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(body)]) {
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+        sent => sent?,
+    };
+    sink.write_all(&prefix[sent.min(4)..])?;
+    sink.write_all(&body[sent.saturating_sub(4)..])?;
     sink.flush()
 }
 
@@ -133,7 +142,10 @@ pub enum Frame {
 }
 
 /// Reads one frame, enforcing the body-length ceiling *before* any
-/// allocation proportional to the declared length.
+/// allocation proportional to the declared length, and before waiting
+/// for any of the body. Over a socket, read through a
+/// [`BufReader`](std::io::BufReader): a frame that arrived whole then
+/// costs one `read`.
 ///
 /// # Errors
 ///
@@ -342,6 +354,56 @@ mod tests {
         match read_frame(&mut &wire[..], 64).unwrap() {
             Frame::Body(b) => assert_eq!(b, b"hello"),
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Accepts at most `limit` bytes per call and counts the calls.
+    struct Trickle {
+        wire: Vec<u8>,
+        limit: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.limit);
+            self.wire.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut sent = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.limit - sent);
+                self.wire.extend_from_slice(&buf[..n]);
+                sent += n;
+            }
+            Ok(sent)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_is_one_write_and_survives_short_writes() {
+        let body: Vec<u8> = (0..40).collect();
+        let mut expect = 40u32.to_le_bytes().to_vec();
+        expect.extend_from_slice(&body);
+        for limit in [1, 3, 4, 5, 43, 44, 1000] {
+            let mut sink = Trickle {
+                wire: Vec::new(),
+                limit,
+                calls: 0,
+            };
+            write_frame(&mut sink, &body).unwrap();
+            assert_eq!(sink.wire, expect, "limit {limit}");
+            if limit >= expect.len() {
+                assert_eq!(sink.calls, 1, "a whole frame is one write");
+            }
         }
     }
 

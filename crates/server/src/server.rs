@@ -1,32 +1,37 @@
-//! The service: a TCP accept loop feeding a bounded queue of connections
-//! to a sharded pool of worker threads, each owning one reusable
-//! [`EncoderSession`]/[`DecoderSession`] pair and one [`CodecRegistry`].
+//! The service: a blocking accept loop that gives every connection its
+//! own thread, and a pool of reusable codec session sets that those
+//! threads borrow one request at a time.
 //!
 //! # Architecture
 //!
 //! ```text
-//!             accept loop (nonblocking, polls shutdown flag)
-//!                  │  try_send          ── full ──▶ Busy reply, close
-//!                  ▼
-//!       bounded sync_channel<TcpStream>      (explicit backpressure)
-//!                  │
-//!      ┌───────────┼───────────┐
-//!   worker 0    worker 1    worker N-1       (sharded session pool)
-//!   sessions    sessions    sessions
+//!   accept()  blocks; a ShutdownHandle wakes it with one loopback connect
+//!      │      workers + queue_capacity connections live ──▶ Busy reply, close
+//!      ▼
+//!   one thread per connection          (std::thread::scope: the drain joins all)
+//!      │  read one whole frame         (an idle socket waits here, holding no session)
+//!      ▼
+//!   borrow a session set  ◀──────▶  pool of `workers` sets: registry,
+//!      │  serve the request            EncoderSession, DecoderSession
+//!      ▼  return the set               (Mutex + Condvar)
+//!   write the reply
 //! ```
 //!
-//! Workers serve a connection request-by-request until the peer closes,
-//! a transport error occurs, or shutdown begins. During shutdown the
-//! accept loop stops, queued connections are *drained* (their in-flight
-//! request is answered), and any further request on a live connection is
-//! answered [`Status::Draining`] before the socket closes — so a SIGTERM
-//! never abandons a request mid-reply.
+//! A connection has at most one request in flight, so at most
+//! `queue_capacity` requests ever wait for a session, and the thread that
+//! read a frame serves it with no hand-off to another thread.
+//!
+//! Shutdown stops the accept loop, and requests in flight finish. A later
+//! request on a live connection is answered [`Status::Draining`] before
+//! the socket closes, so a SIGTERM never abandons a request mid-reply. A
+//! thread idle in `read` ends at EOF, at its next request, or at the read
+//! timeout.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::io::{self, BufReader};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -44,11 +49,12 @@ use crate::protocol::{
 /// Tuning knobs for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads (each owns its own codec sessions). `0` means one
-    /// per available hardware thread.
+    /// Codec session sets in the pool, so the number of requests served
+    /// at once. `0` means one per available hardware thread.
     pub workers: usize,
-    /// Bounded work-queue capacity: connections waiting for a worker
-    /// beyond this are refused with [`Status::Busy`].
+    /// Requests that may wait for a session set. The server keeps at most
+    /// `workers + queue_capacity` connections live and answers the next
+    /// one [`Status::Busy`].
     pub queue_capacity: usize,
     /// Largest accepted request frame body, in bytes. Larger frames are
     /// answered [`Status::TooLarge`] without reading the body.
@@ -63,7 +69,7 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// One worker per hardware thread, a 64-connection queue, a 64 MiB
+    /// One session set per hardware thread, 64 waiting requests, a 64 MiB
     /// frame ceiling, 10 s socket timeouts, no stderr reporter.
     fn default() -> Self {
         Self {
@@ -87,14 +93,84 @@ impl ServerConfig {
     }
 }
 
+/// Stops a running [`Server`]. Clones stop the same server.
+#[derive(Clone)]
+pub struct ShutdownHandle {
+    /// The shutdown flag and the condition variable the stats reporter
+    /// waits on.
+    requested: Arc<(Mutex<bool>, Condvar)>,
+    /// The listener's address as a client reaches it.
+    wake: SocketAddr,
+}
+
+impl ShutdownHandle {
+    /// Begins the drain without waiting for it: raises the shutdown flag,
+    /// wakes the stats reporter, and makes one loopback connection that
+    /// wakes the blocked `accept`. Live connections get
+    /// [`Status::Draining`] on their next request. Calls after the first
+    /// do nothing.
+    pub fn shutdown(&self) {
+        if self.raise() {
+            // Nothing else wakes a thread blocked in `accept`. The accept
+            // loop sees the flag and drops this connection unserved.
+            if let Err(e) = TcpStream::connect(self.wake) {
+                eprintln!("cbic-serve: waking the accept loop at {}: {e}", self.wake);
+            }
+        }
+    }
+
+    /// Whether shutdown has begun.
+    pub fn is_requested(&self) -> bool {
+        *lock(&self.requested.0)
+    }
+
+    /// Raises the flag and wakes the reporter; `true` on the first call.
+    fn raise(&self) -> bool {
+        let mut requested = lock(&self.requested.0);
+        let first = !*requested;
+        *requested = true;
+        self.requested.1.notify_all();
+        first
+    }
+
+    /// Waits up to `timeout` for shutdown; `true` once it has begun.
+    fn wait(&self, timeout: Duration) -> bool {
+        let guard = lock(&self.requested.0);
+        let (requested, _) = self
+            .requested
+            .1
+            .wait_timeout_while(guard, timeout, |requested| !*requested)
+            .unwrap_or_else(PoisonError::into_inner);
+        *requested
+    }
+}
+
+/// The address a shutdown connects to: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by the loopback address of
+/// its family.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Locks `mutex`, ignoring poisoning: every update under the server's
+/// locks is one push, pop or store, so the data stays valid.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A bound, not-yet-running service. [`run`](Self::run) blocks the
-/// calling thread until the shutdown flag is raised (by a signal handler
-/// or another thread) and the drain completes.
+/// calling thread until a [`ShutdownHandle`] stops it and the drain
+/// completes.
 pub struct Server {
     listener: TcpListener,
     config: ServerConfig,
     metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
 }
 
 impl Server {
@@ -106,11 +182,15 @@ impl Server {
     /// Socket-level failures from bind.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        let shutdown = ShutdownHandle {
+            requested: Arc::new((Mutex::new(false), Condvar::new())),
+            wake: wake_address(listener.local_addr()?),
+        };
         Ok(Self {
             listener,
             config,
             metrics: Arc::new(Metrics::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown,
         })
     }
 
@@ -128,92 +208,91 @@ impl Server {
         self.metrics.clone()
     }
 
-    /// The shutdown flag; raising it makes [`run`](Self::run) stop
-    /// accepting, drain, and return.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
+    /// A handle that makes [`run`](Self::run) stop accepting, drain, and
+    /// return.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
         self.shutdown.clone()
     }
 
     /// Runs the accept loop on the calling thread until shutdown, then
-    /// drains the queue, joins the workers, and prints a final summary.
+    /// joins every connection thread and the reporter, and prints a final
+    /// summary.
     ///
     /// # Errors
     ///
-    /// Fatal listener failures only; per-connection errors are counted in
-    /// metrics and never abort the service.
+    /// Fatal listener failures only, returned after the drain;
+    /// per-connection errors are counted in metrics and never abort the
+    /// service.
     pub fn run(self) -> io::Result<()> {
-        let workers = self.config.effective_workers();
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            sync_channel(self.config.queue_capacity);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut pool = Vec::with_capacity(workers);
-        for id in 0..workers {
-            let rx = rx.clone();
-            let metrics = self.metrics.clone();
-            let shutdown = self.shutdown.clone();
-            let config = self.config.clone();
-            pool.push(
-                thread::Builder::new()
-                    .name(format!("cbic-worker-{id}"))
-                    .spawn(move || worker_loop(&rx, &metrics, &shutdown, &config))
-                    .expect("spawn worker"),
-            );
-        }
-        let reporter = self.config.summary_interval.map(|interval| {
-            let metrics = self.metrics.clone();
-            let shutdown = self.shutdown.clone();
-            thread::spawn(move || {
-                while !shutdown.load(Relaxed) {
-                    thread::sleep(interval);
-                    eprintln!("{}", metrics.summary_line());
-                }
-            })
-        });
-
-        self.listener.set_nonblocking(true)?;
-        while !self.shutdown.load(Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.metrics.connections.fetch_add(1, Relaxed);
-                    let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-                    let _ = stream.set_write_timeout(Some(self.config.write_timeout));
-                    let _ = stream.set_nonblocking(false);
-                    // Replies are single small frames; Nagle + delayed ACK
-                    // would add ~200 ms to every round trip.
-                    let _ = stream.set_nodelay(true);
-                    match tx.try_send(stream) {
-                        Ok(()) => {
-                            self.metrics.queue_depth.fetch_add(1, Relaxed);
-                        }
-                        Err(TrySendError::Full(mut stream)) => {
-                            // Explicit backpressure: a structured Busy
-                            // reply, never an unbounded queue.
-                            self.metrics.busy_rejections.fetch_add(1, Relaxed);
-                            let body = error_body(Status::Busy, "work queue full");
-                            let _ = write_frame(&mut stream, &body);
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
+        let Self {
+            listener,
+            config,
+            metrics,
+            shutdown,
+        } = self;
+        let workers = config.effective_workers();
+        let max_live = workers.saturating_add(config.queue_capacity);
+        let pool = SessionPool::new(workers);
+        let live = AtomicUsize::new(0);
+        let result = thread::scope(|scope| {
+            if let Some(interval) = config.summary_interval {
+                let (shutdown, metrics) = (&shutdown, &metrics);
+                scope.spawn(move || {
+                    while !shutdown.wait(interval) {
+                        eprintln!("{}", metrics.summary_line());
                     }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                });
             }
-        }
-
-        // Drain: close the queue; workers finish what is queued (answering
-        // Draining to any *new* request on a live connection) and exit.
-        drop(tx);
-        for handle in pool {
-            let _ = handle.join();
-        }
-        if let Some(handle) = reporter {
-            let _ = handle.join();
-        }
-        eprintln!("cbic-serve: drained. {}", self.metrics.summary_line());
-        Ok(())
+            let result = loop {
+                let accepted = listener.accept();
+                if shutdown.is_requested() {
+                    break Ok(());
+                }
+                let mut stream = match accepted {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => {
+                        // Drain what is live, then report the failure.
+                        shutdown.raise();
+                        break Err(e);
+                    }
+                };
+                metrics.connections.fetch_add(1, Relaxed);
+                let _ = stream.set_read_timeout(Some(config.read_timeout));
+                let _ = stream.set_write_timeout(Some(config.write_timeout));
+                // Replies are single small frames; Nagle + delayed ACK
+                // would add ~200 ms to every round trip.
+                let _ = stream.set_nodelay(true);
+                if live.load(SeqCst) >= max_live {
+                    // Explicit backpressure: a structured Busy reply,
+                    // never an unbounded queue.
+                    metrics.busy_rejections.fetch_add(1, Relaxed);
+                    let body = error_body(Status::Busy, "work queue full");
+                    let _ = write_frame(&mut stream, &body);
+                    continue;
+                }
+                let slot = LiveSlot::take(&live);
+                let (pool, metrics, shutdown, config) = (&pool, &metrics, &shutdown, &config);
+                let spawned = thread::Builder::new()
+                    .name("cbic-conn".into())
+                    .spawn_scoped(scope, move || {
+                        let _slot = slot;
+                        serve_connection(stream, pool, metrics, shutdown, config);
+                    });
+                if let Err(e) = spawned {
+                    // The closure is dropped with the socket and the slot:
+                    // the peer sees the connection close.
+                    metrics.io_errors.fetch_add(1, Relaxed);
+                    eprintln!("cbic-serve: spawning a connection thread: {e}");
+                }
+            };
+            // Refuse new connections at once instead of leaving them in
+            // the backlog until the drain ends.
+            drop(listener);
+            result
+        });
+        eprintln!("cbic-serve: drained. {}", metrics.summary_line());
+        result
     }
 
     /// Test/embedding convenience: runs the service on a background
@@ -225,7 +304,7 @@ impl Server {
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let metrics = self.metrics();
-        let shutdown = self.shutdown_flag();
+        let shutdown = self.shutdown_handle();
         let thread = thread::spawn(move || self.run());
         Ok(ServerHandle {
             addr,
@@ -240,7 +319,7 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     thread: JoinHandle<io::Result<()>>,
 }
 
@@ -255,22 +334,23 @@ impl ServerHandle {
         self.metrics.clone()
     }
 
-    /// Raises the shutdown flag without waiting: the accept loop stops,
-    /// and live connections get [`Status::Draining`] on their next
-    /// request. Call [`shutdown_and_join`](Self::shutdown_and_join) to
-    /// wait for the drain.
+    /// Begins the drain without waiting ([`ShutdownHandle::shutdown`]):
+    /// the accept loop stops, and live connections get
+    /// [`Status::Draining`] on their next request. Call
+    /// [`shutdown_and_join`](Self::shutdown_and_join) to wait for the
+    /// drain.
     pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Relaxed);
+        self.shutdown.shutdown();
     }
 
-    /// Raises the shutdown flag, waits for the drain, and returns the
-    /// accept loop's result.
+    /// Begins the drain, waits for it, and returns the accept loop's
+    /// result.
     ///
     /// # Errors
     ///
     /// The accept loop's fatal error, if it had one.
     pub fn shutdown_and_join(self) -> io::Result<()> {
-        self.shutdown.store(true, Relaxed);
+        self.shutdown.shutdown();
         match self.thread.join() {
             Ok(result) => result,
             Err(_) => Err(io::Error::other("server thread panicked")),
@@ -278,10 +358,27 @@ impl ServerHandle {
     }
 }
 
-/// Per-worker state: the codec registry plus reusable proposed-codec
-/// sessions, allocated once per worker and reused across every request
-/// the worker serves (the paper pipeline's context banks and line
-/// buffers are reset in place, not reallocated).
+/// One of the `workers + queue_capacity` connection slots; dropping it
+/// frees the slot, also when a connection thread unwinds.
+struct LiveSlot<'a>(&'a AtomicUsize);
+
+impl<'a> LiveSlot<'a> {
+    fn take(live: &'a AtomicUsize) -> Self {
+        live.fetch_add(1, SeqCst);
+        Self(live)
+    }
+}
+
+impl Drop for LiveSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, SeqCst);
+    }
+}
+
+/// One session set: the codec registry plus reusable proposed-codec
+/// sessions, allocated once and reused across every request it serves
+/// (the paper pipeline's context banks and line buffers are reset in
+/// place, not reallocated).
 struct WorkerState {
     registry: CodecRegistry,
     proposed_magic: [u8; 4],
@@ -305,37 +402,84 @@ impl WorkerState {
     }
 }
 
-fn worker_loop(
-    rx: &Arc<Mutex<Receiver<TcpStream>>>,
-    metrics: &Metrics,
-    shutdown: &AtomicBool,
-    config: &ServerConfig,
-) {
-    let mut state = WorkerState::new();
-    loop {
-        // Holding the lock only for the recv keeps the pool sharded: one
-        // queued connection wakes exactly one worker.
-        let stream = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        let Ok(stream) = stream else { return };
-        metrics.queue_depth.fetch_sub(1, Relaxed);
-        serve_connection(stream, &mut state, metrics, shutdown, config);
+/// The `workers` session sets, lent to connection threads one request at
+/// a time.
+struct SessionPool {
+    idle: Mutex<Vec<WorkerState>>,
+    returned: Condvar,
+}
+
+impl SessionPool {
+    fn new(sets: usize) -> Self {
+        Self {
+            idle: Mutex::new((0..sets).map(|_| WorkerState::new()).collect()),
+            returned: Condvar::new(),
+        }
+    }
+
+    /// Lends one session set, waiting for a return while all are lent;
+    /// the `queue_depth` gauge counts the requests waiting here.
+    fn take(&self, metrics: &Metrics) -> Session<'_> {
+        let mut idle = lock(&self.idle);
+        if idle.is_empty() {
+            metrics.queue_depth.fetch_add(1, Relaxed);
+            idle = self
+                .returned
+                .wait_while(idle, |idle| idle.is_empty())
+                .unwrap_or_else(PoisonError::into_inner);
+            metrics.queue_depth.fetch_sub(1, Relaxed);
+        }
+        let state = idle.pop().expect("waited until a set was idle");
+        Session {
+            pool: self,
+            state: Some(state),
+        }
+    }
+}
+
+/// A lent session set. Dropping it returns the set to the pool, also when
+/// a request unwinds: every session resets its model before it codes.
+struct Session<'a> {
+    pool: &'a SessionPool,
+    state: Option<WorkerState>,
+}
+
+impl Deref for Session<'_> {
+    type Target = WorkerState;
+
+    fn deref(&self) -> &WorkerState {
+        self.state.as_ref().expect("held until drop")
+    }
+}
+
+impl DerefMut for Session<'_> {
+    fn deref_mut(&mut self) -> &mut WorkerState {
+        self.state.as_mut().expect("held until drop")
+    }
+}
+
+impl Drop for Session<'_> {
+    fn drop(&mut self) {
+        if let Some(state) = self.state.take() {
+            lock(&self.pool.idle).push(state);
+            self.pool.returned.notify_one();
+        }
     }
 }
 
 /// Serves one connection until EOF, a transport error, a protocol
 /// violation, or shutdown. Never panics on malformed input.
 fn serve_connection(
-    mut stream: TcpStream,
-    state: &mut WorkerState,
+    stream: TcpStream,
+    pool: &SessionPool,
     metrics: &Metrics,
-    shutdown: &AtomicBool,
+    shutdown: &ShutdownHandle,
     config: &ServerConfig,
 ) {
+    // A frame that arrived whole costs one `read`.
+    let mut reader = BufReader::new(&stream);
     loop {
-        let body = match read_frame(&mut stream, config.max_frame_bytes) {
+        let body = match read_frame(&mut reader, config.max_frame_bytes) {
             Ok(Frame::Body(body)) => body,
             Ok(Frame::Eof) => return,
             Ok(Frame::TooLarge(len)) => {
@@ -344,7 +488,7 @@ fn serve_connection(
                     "frame of {len} bytes exceeds the {}-byte ceiling",
                     config.max_frame_bytes
                 );
-                let _ = reply(&mut stream, metrics, &error_body(Status::TooLarge, &msg));
+                let _ = reply(&stream, metrics, &error_body(Status::TooLarge, &msg));
                 return;
             }
             Err(_) => {
@@ -355,23 +499,26 @@ fn serve_connection(
             }
         };
         metrics.bytes_in.fetch_add(body.len() as u64, Relaxed);
-        if shutdown.load(Relaxed) {
+        if shutdown.is_requested() {
             metrics.draining_rejections.fetch_add(1, Relaxed);
             let body = error_body(Status::Draining, "server is draining");
-            let _ = reply(&mut stream, metrics, &body);
+            let _ = reply(&stream, metrics, &body);
             return;
         }
-        let response = handle_request(&body, state, metrics);
-        if reply(&mut stream, metrics, &response).is_err() {
+        // The set is held only while the request is served: it goes back
+        // to the pool at the end of this statement, before the reply is
+        // written.
+        let response = handle_request(&body, &mut pool.take(metrics), metrics);
+        if reply(&stream, metrics, &response).is_err() {
             metrics.io_errors.fetch_add(1, Relaxed);
             return;
         }
     }
 }
 
-fn reply(stream: &mut TcpStream, metrics: &Metrics, body: &[u8]) -> io::Result<()> {
+fn reply(mut stream: &TcpStream, metrics: &Metrics, body: &[u8]) -> io::Result<()> {
     metrics.bytes_out.fetch_add(body.len() as u64, Relaxed);
-    write_frame(stream, body)
+    write_frame(&mut stream, body)
 }
 
 /// Dispatches one parsed frame body. Infallible: every failure becomes a
@@ -627,4 +774,23 @@ fn handle_probe(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec<
 fn codec_error(metrics: &Metrics, err: &dyn std::fmt::Display) -> Vec<u8> {
     metrics.codec_errors.fetch_add(1, Relaxed);
     error_body(Status::CodecError, &err.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unspecified_bind_addresses_are_woken_through_loopback() {
+        for (bound, wake) in [
+            ("0.0.0.0:7", "127.0.0.1:7"),
+            ("[::]:7", "[::1]:7"),
+            ("127.0.0.1:7", "127.0.0.1:7"),
+            ("10.1.2.3:7", "10.1.2.3:7"),
+            ("[::1]:7", "[::1]:7"),
+        ] {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_address(bound), wake.parse().unwrap(), "{bound}");
+        }
+    }
 }

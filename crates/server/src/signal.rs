@@ -1,6 +1,6 @@
 //! Minimal POSIX signal handling for graceful drain — `SIGTERM`/`SIGINT`
 //! raise a process-wide flag the `cbic-serve` binary mirrors into the
-//! server's shutdown flag.
+//! server's [`ShutdownHandle`](crate::server::ShutdownHandle).
 //!
 //! The workspace is dependency-free, so instead of the `libc` crate this
 //! binds the C library's `signal(2)` directly. The handler itself is a

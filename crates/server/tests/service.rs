@@ -1,12 +1,14 @@
 //! Live-socket integration tests: a real [`Server`] on an ephemeral
 //! port, driven through the real [`Client`] — per-codec round-trips,
 //! structured rejection of oversized and truncated requests, busy
-//! backpressure, a concurrent soak, and the graceful drain.
+//! backpressure, a concurrent soak, idle sockets, fresh-connection
+//! latency, and the graceful drain.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering::Relaxed;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use cbic_core::{compress, CodecConfig};
 use cbic_image::corpus::CorpusImage;
@@ -509,4 +511,128 @@ fn tiled_encode_and_roi_decode_over_a_live_socket() {
     );
 
     handle.shutdown_and_join().expect("clean drain");
+}
+
+/// Spins until `done` holds; fails the test after `limit`.
+fn wait_until(limit: Duration, what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + limit;
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn idle_sockets_do_not_stall_other_clients() {
+    let handle = spawn_server(ServerConfig {
+        workers: 2,
+        read_timeout: Duration::from_secs(30),
+        ..test_config()
+    });
+    // As many silent connections as session sets. A server that parks a
+    // session set on each would leave the client below waiting out the
+    // 30 s read timeout.
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(handle.addr()).expect("connect idle"))
+        .collect();
+    let metrics = handle.metrics();
+    wait_until(
+        Duration::from_secs(10),
+        "both idle sockets accepted",
+        || metrics.connections.load(Relaxed) >= 2,
+    );
+
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(2)).expect("connect");
+    for (i, class) in CorpusImage::ALL.iter().cycle().take(8).enumerate() {
+        let img = class.generate(16, 16);
+        let Reply::Encoded { container, .. } = client
+            .encode(img.view(), *b"CBIC", 1, 0)
+            .expect("encode rpc")
+        else {
+            panic!("encode {i} refused");
+        };
+        let Reply::Decoded(back) = client.decode(&container).expect("decode rpc") else {
+            panic!("decode {i} refused");
+        };
+        assert_eq!(back, img, "round trip {i}");
+    }
+    drop(client);
+    drop(idle);
+    handle.shutdown_and_join().expect("clean drain");
+}
+
+#[test]
+fn fresh_connections_are_served_without_a_poll_delay() {
+    let handle = spawn_server(test_config());
+    // Rounds of 16 sequential fresh connections, each timed from connect
+    // to METRICS reply. A polling accept loop makes every round wait out
+    // its poll period; a later round only absorbs scheduler delays from
+    // tests running alongside.
+    let limit = Duration::from_millis(2);
+    let mut medians = Vec::new();
+    for _ in 0..5 {
+        let mut waits: Vec<Duration> = (0..16)
+            .map(|_| {
+                let start = Instant::now();
+                let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
+                let Reply::Metrics(_) = client.metrics().expect("metrics rpc") else {
+                    panic!("metrics refused");
+                };
+                start.elapsed()
+            })
+            .collect();
+        waits.sort_unstable();
+        medians.push(waits[waits.len() / 2]);
+        if medians.last() < Some(&limit) {
+            break;
+        }
+    }
+    assert!(
+        medians.last() < Some(&limit),
+        "median connect-to-reply per round: {medians:?}"
+    );
+    handle.shutdown_and_join().expect("clean drain");
+}
+
+#[test]
+fn shutdown_wakes_a_blocked_accept() {
+    let reporter = Some(Duration::from_secs(60));
+    for (addr, summary_interval, served_first) in [
+        ("127.0.0.1:0", None, false),
+        ("127.0.0.1:0", reporter, false),
+        // A served request shows the accept loop running, so the
+        // reporter, started before it, is inside its 60 s wait.
+        ("127.0.0.1:0", reporter, true),
+        // An unspecified bind address is woken through loopback.
+        ("0.0.0.0:0", None, false),
+    ] {
+        let config = ServerConfig {
+            summary_interval,
+            ..test_config()
+        };
+        let handle = Server::bind(addr, config)
+            .expect("bind ephemeral port")
+            .spawn()
+            .expect("spawn server thread");
+        if served_first {
+            let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
+            let Reply::Metrics(_) = client.metrics().expect("metrics rpc") else {
+                panic!("metrics refused");
+            };
+        }
+        // Otherwise no connection ever arrives, so only the shutdown can
+        // wake the accept loop. The helper thread keeps a regression from
+        // hanging the suite.
+        let (done, joined) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = done.send(handle.shutdown_and_join());
+        });
+        let result = joined
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| {
+                panic!("{addr} {summary_interval:?} {served_first}: not drained within 1 s")
+            });
+        helper.join().expect("helper thread");
+        result.expect("clean drain");
+    }
 }
