@@ -21,7 +21,7 @@ pub mod perf;
 
 use cbic_arith::EstimatorConfig;
 use cbic_core::{CodecConfig, DivisionKind};
-use cbic_image::corpus::{self, CorpusImage};
+use cbic_image::corpus;
 use cbic_image::{EncodeOptions, Image};
 
 /// The paper's Table 1, verbatim: (image, JPEG-LS, SLP(M0), CALIC,
@@ -348,11 +348,6 @@ pub fn print_ablations(rows: &[Ablation]) {
     for r in rows {
         println!("{:<44} {:>8.4}", r.label, r.avg_bpp);
     }
-}
-
-/// Convenience: the corpus image used by throughput benches.
-pub fn bench_image(size: usize) -> Image {
-    CorpusImage::Lena.generate(size, size)
 }
 
 #[cfg(test)]

@@ -514,14 +514,13 @@ impl Codec for Proposed {
     /// the compressed stream. Version-4 grid containers are dispatched to
     /// the [`grid`](crate::grid) decoder instead (buffered, with tiles
     /// decoded on `opts.parallelism` workers), and `opts.roi` requests a
-    /// random-access crop — tile-selective on v4, decode-then-crop on the
-    /// flat formats.
+    /// crop ([`decode_roi`](crate::decode_roi)) — tile-selective on v4,
+    /// only the rows it needs on the flat formats.
     fn decode(&self, source: &mut dyn Read, opts: &DecodeOptions) -> Result<Image, CbicError> {
         if let Some(roi) = opts.roi {
             let mut bytes = Vec::new();
             source.read_to_end(&mut bytes).map_err(CbicError::from)?;
-            return crate::grid::decode_roi_any(&bytes, roi, opts.parallelism)
-                .map_err(CbicError::from);
+            return crate::grid::decode_roi(&bytes, roi, opts.parallelism).map_err(CbicError::from);
         }
         let hdr = read_header(source).map_err(CbicError::from)?;
         if hdr.tile.is_some() {

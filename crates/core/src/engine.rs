@@ -5,22 +5,22 @@
 //! executed once per pixel by fixed hardware. This module is that pipeline
 //! in software — [`PixelEngine`] owns the complete per-sample datapath,
 //! and every public entry point ([`encode_raw`](crate::encode_raw), the
-//! hardware model in [`hwpipe`](crate::hwpipe), the bounded-memory
-//! [`stream`](crate::stream) codec, the reusable
+//! bounded-memory [`stream`](crate::stream) codec, the reusable
 //! [`session`](crate::session)s, and the [`grid`](crate::grid) tile
-//! workers) drives this one implementation. There is deliberately no
-//! second copy of the model anywhere.
+//! workers) drives this one implementation through one row step per
+//! direction. There is deliberately no second copy of the model or of
+//! the pixel loop anywhere.
 //!
 //! # Stage map (software ↔ the paper's Fig. 3)
 //!
 //! | Fig. 3 stage | here |
 //! |---|---|
-//! | Line 2 (a) — context fetch from the 3 line buffers | the caller's [`Neighborhood`] (row slices or [`LineBuffers`](crate::hwpipe::LineBuffers)) |
+//! | Line 2 (a) — context fetch from the 3 line buffers | the row step's register-carried window over the current row and the two above, or [`Neighborhood::from_rows`] at the borders |
 //! | Line 2 (b) — local gradients `dh`, `dv` | [`Gradients::compute`] |
 //! | Line 2 (c) — primary prediction `X̂` + coding context `QE` | [`gap_predict`] + the [`quantize_energy`] ROM |
 //! | Line 2 (d) — texture pattern → compound context | [`texture_pattern`] |
 //! | Line 2 (e) — error feedback `X̃ = X̂ + ē` | the cached feedback bank of [`ContextStore`] |
-//! | Line 1 (a) — prediction error `e = X − X̃` | [`PixelEngine::encode_pixel`] |
+//! | Line 1 (a) — prediction error `e = X − X̃` | the engine's encode step |
 //! | Line 1 (c) — remap (wrap + zig-zag fold) | the per-depth fold ROM ([`FoldLut`]) |
 //! | Line 1 (c) — estimator + binary arithmetic coder | [`SampleCoder`] over the single-descent tree walk |
 //! | Line 1 (b)/(d) — sum/count update, `e_W` write-back | [`PixelEngine`]'s absorb stage |
@@ -286,7 +286,7 @@ impl PixelEngine {
     /// model, error formation, fold-ROM remap, estimator + arithmetic
     /// coder, state write-back.
     #[inline]
-    pub fn encode_pixel<E: DecisionEncoder>(
+    fn encode_pixel<E: DecisionEncoder>(
         &mut self,
         enc: &mut E,
         nb: &Neighborhood,
@@ -302,7 +302,7 @@ impl PixelEngine {
     /// The decoder-side dual of [`Self::encode_pixel`]: model, estimator
     /// decode, branch-free unfold, masked reconstruction, write-back.
     #[inline]
-    pub fn decode_pixel<D: DecisionDecoder>(
+    fn decode_pixel<D: DecisionDecoder>(
         &mut self,
         dec: &mut D,
         nb: &Neighborhood,
@@ -317,79 +317,57 @@ impl PixelEngine {
         value
     }
 
-    /// Rows-based single-pixel encode: the entry point the incremental
-    /// paths ([`hwpipe`](crate::hwpipe)) drive. It gathers the 7-pixel
-    /// [`Neighborhood`] from row slices and takes [`Self::encode_pixel`].
-    #[inline]
-    pub fn encode_pixel_rows<E: DecisionEncoder>(
-        &mut self,
-        enc: &mut E,
-        cur: &[u16],
-        n1: Option<&[u16]>,
-        n2: Option<&[u16]>,
-        x: usize,
-        value: u16,
-    ) {
-        let nb = Neighborhood::from_rows(cur, n1, n2, x, self.mid());
-        self.encode_pixel(enc, &nb, x, value);
+    /// The encoder's loop over a prepared view: one row step per row,
+    /// given the row and the two above it. Rows are read as slices, so
+    /// strided views cost the same as contiguous ones; the loop is
+    /// monomorphized per [`BitSink`](cbic_bitio::BitSink).
+    pub fn encode_view<E: DecisionEncoder>(&mut self, img: ImageView<'_>, enc: &mut E) {
+        debug_assert_eq!(self.bit_depth, img.bit_depth());
+        for y in 0..img.height() {
+            let n1 = (y >= 1).then(|| img.row(y - 1));
+            let n2 = (y >= 2).then(|| img.row(y - 2));
+            self.encode_row(enc, img.row(y), n1, n2);
+        }
     }
 
-    /// The decoder-side dual of [`Self::encode_pixel_rows`]. `cur` must
-    /// hold the already-decoded pixels left of `x`.
-    #[inline]
-    pub fn decode_pixel_rows<D: DecisionDecoder>(
-        &mut self,
-        dec: &mut D,
-        cur: &[u16],
-        n1: Option<&[u16]>,
-        n2: Option<&[u16]>,
-        x: usize,
-    ) -> u16 {
-        let nb = Neighborhood::from_rows(cur, n1, n2, x, self.mid());
-        self.decode_pixel(dec, &nb, x)
-    }
-
-    /// The encoder's row loop over a prepared view — the one pixel loop
-    /// every whole-image encode path runs. Pixels are read through row
-    /// slices (current row plus the two above), so strided views cost the
-    /// same as contiguous ones; the loop is monomorphized per
-    /// [`BitSink`](cbic_bitio::BitSink).
+    /// The encoder's row step — the one pixel loop every encode path runs.
+    /// `cur` is the row to code, `n1` the row above it (`None` on the
+    /// first row) and `n2` the row above that (`None` on the first two
+    /// rows): the paper's three line buffers.
     ///
     /// Interior pixels of interior rows take the register-carried fast
     /// path: the seven neighbours live in locals that shift along the row
     /// (the hardware's pipeline registers), so each step performs three
     /// loads — `X`, `NE`, `NNE` — instead of a full
     /// [`Neighborhood::from_rows`] fetch with its boundary branches.
-    /// Boundary pixels (first two rows, first two and last columns) go
-    /// through `from_rows`, whose replication rules are the reference the
-    /// fast path is differentially tested against.
-    pub fn encode_view<E: DecisionEncoder>(&mut self, img: ImageView<'_>, enc: &mut E) {
-        debug_assert_eq!(self.bit_depth, img.bit_depth());
-        debug_assert_eq!(self.abs_err.len(), img.width());
-        let (width, height) = img.dimensions();
+    /// Boundary pixels (first two rows, first two and last columns, rows
+    /// narrower than 4) go through `from_rows`, whose replication rules
+    /// are the reference the fast path is differentially tested against.
+    pub(crate) fn encode_row<E: DecisionEncoder>(
+        &mut self,
+        enc: &mut E,
+        cur: &[u16],
+        n1: Option<&[u16]>,
+        n2: Option<&[u16]>,
+    ) {
+        debug_assert_eq!(self.abs_err.len(), cur.len());
+        let width = cur.len();
         let mid = self.mid();
-        for y in 0..height {
-            let cur = img.row(y);
-            if y < 2 || width < 4 {
-                let n1 = (y >= 1).then(|| img.row(y - 1));
-                let n2 = (y >= 2).then(|| img.row(y - 2));
-                for x in 0..width {
-                    let nb = Neighborhood::from_rows(cur, n1, n2, x, mid);
-                    self.encode_pixel(enc, &nb, x, cur[x]);
-                }
-                continue;
-            }
-            let n1 = img.row(y - 1);
-            let n2 = img.row(y - 2);
-            for x in 0..2 {
-                let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
+        let (Some(n1), Some(n2), true) = (n1, n2, width >= 4) else {
+            for x in 0..width {
+                let nb = Neighborhood::from_rows(cur, n1, n2, x, mid);
                 self.encode_pixel(enc, &nb, x, cur[x]);
             }
-            self.encode_interior_chunked(enc, cur, n1, n2);
-            let x = width - 1;
+            return;
+        };
+        for x in 0..2 {
             let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
             self.encode_pixel(enc, &nb, x, cur[x]);
         }
+        self.encode_interior_chunked(enc, cur, n1, n2);
+        let x = width - 1;
+        let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
+        self.encode_pixel(enc, &nb, x, cur[x]);
     }
 
     /// Chunk width of the encoder's two-phase interior loop: small enough
@@ -469,10 +447,9 @@ impl PixelEngine {
         }
     }
 
-    /// The decoder's row loop — the dual of [`Self::encode_view`],
+    /// The decoder's loop — the dual of [`Self::encode_view`],
     /// reconstructing rows in place into `out` (a tile of a larger image,
-    /// or a whole one) through the same slice discipline and the same
-    /// register-carried interior fast path.
+    /// or a whole one) through the decoder's row step.
     pub fn decode_into<D: DecisionDecoder>(&mut self, dec: &mut D, out: &mut ImageViewMut<'_>) {
         self.decode_rows_while(dec, out, |_| true);
     }
@@ -492,66 +469,77 @@ impl PixelEngine {
         F: FnMut(&D) -> bool,
     {
         debug_assert_eq!(self.bit_depth, out.bit_depth());
-        debug_assert_eq!(self.abs_err.len(), out.width());
-        let (width, height) = out.dimensions();
-        let mid = self.mid();
+        let height = out.height();
         for y in 0..height {
             let (n2, n1, cur) = out.causal_rows_mut(y);
-            if y < 2 || width < 4 {
-                for x in 0..width {
-                    let nb = Neighborhood::from_rows(cur, n1, n2, x, mid);
-                    cur[x] = self.decode_pixel(dec, &nb, x);
-                }
-            } else {
-                let (n1, n2) = (
-                    n1.expect("row above exists"),
-                    n2.expect("two rows above exist"),
-                );
-                for x in 0..2 {
-                    let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
-                    cur[x] = self.decode_pixel(dec, &nb, x);
-                }
-                let mut ww = cur[0];
-                let mut w = cur[1];
-                let mut nw = n1[1];
-                let mut n = n1[2];
-                let mut nn = n2[2];
-                for x in 2..width - 1 {
-                    let ne = n1[x + 1];
-                    let nne = n2[x + 1];
-                    let nb = Neighborhood {
-                        w,
-                        ww,
-                        n,
-                        nn,
-                        ne,
-                        nw,
-                        nne,
-                    };
-                    let value = self.decode_pixel(dec, &nb, x);
-                    cur[x] = value;
-                    ww = w;
-                    w = value;
-                    nw = n;
-                    n = ne;
-                    nn = nne;
-                }
-                let x = width - 1;
-                let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
-                cur[x] = self.decode_pixel(dec, &nb, x);
-            }
+            self.decode_row(dec, cur, n1, n2);
             if !keep_going(dec) {
                 return y + 1;
             }
         }
         height
     }
+
+    /// The decoder's row step, the dual of [`Self::encode_row`]:
+    /// reconstructs `cur` in place from the two rows above it, with the
+    /// same register-carried interior. Only the causal prefix of `cur` is
+    /// ever read, so its prior contents do not matter.
+    pub(crate) fn decode_row<D: DecisionDecoder>(
+        &mut self,
+        dec: &mut D,
+        cur: &mut [u16],
+        n1: Option<&[u16]>,
+        n2: Option<&[u16]>,
+    ) {
+        debug_assert_eq!(self.abs_err.len(), cur.len());
+        let width = cur.len();
+        let mid = self.mid();
+        let (Some(n1), Some(n2), true) = (n1, n2, width >= 4) else {
+            for x in 0..width {
+                let nb = Neighborhood::from_rows(cur, n1, n2, x, mid);
+                cur[x] = self.decode_pixel(dec, &nb, x);
+            }
+            return;
+        };
+        for x in 0..2 {
+            let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
+            cur[x] = self.decode_pixel(dec, &nb, x);
+        }
+        let mut ww = cur[0];
+        let mut w = cur[1];
+        let mut nw = n1[1];
+        let mut n = n1[2];
+        let mut nn = n2[2];
+        for x in 2..width - 1 {
+            let ne = n1[x + 1];
+            let nne = n2[x + 1];
+            let nb = Neighborhood {
+                w,
+                ww,
+                n,
+                nn,
+                ne,
+                nw,
+                nne,
+            };
+            let value = self.decode_pixel(dec, &nb, x);
+            cur[x] = value;
+            ww = w;
+            w = value;
+            nw = n;
+            n = ne;
+            nn = nne;
+        }
+        let x = width - 1;
+        let nb = Neighborhood::from_rows(cur, Some(n1), Some(n2), x, mid);
+        cur[x] = self.decode_pixel(dec, &nb, x);
+    }
 }
 
 /// The encoder-side engine state: a [`PixelEngine`] restricted to the
 /// encode half of the API, owned by everything that produces a stream
 /// ([`encode_raw`](crate::encode_raw), [`EncoderSession`](crate::session::EncoderSession),
-/// [`HwEncoder`](crate::hwpipe::HwEncoder)).
+/// [`StreamEncoder`](crate::stream::StreamEncoder), the grid's tiles).
 #[derive(Debug)]
 pub struct EncoderState {
     engine: PixelEngine,
@@ -579,16 +567,6 @@ impl EncoderState {
         self.engine.bit_depth()
     }
 
-    /// `2^(depth-1)` (the wrap-modulus half).
-    pub fn half(&self) -> i32 {
-        self.engine.half()
-    }
-
-    /// The underlying engine (for memory accounting).
-    pub fn engine(&self) -> &PixelEngine {
-        &self.engine
-    }
-
     /// Overflow-guard halvings since construction or reset.
     pub fn halvings(&self) -> u64 {
         self.engine.halvings()
@@ -599,43 +577,28 @@ impl EncoderState {
         self.engine.coder_stats()
     }
 
-    /// Encodes one pixel (see [`PixelEngine::encode_pixel`]).
-    #[inline]
-    pub fn encode_pixel<E: DecisionEncoder>(
-        &mut self,
-        enc: &mut E,
-        nb: &Neighborhood,
-        x: usize,
-        value: u16,
-    ) {
-        self.engine.encode_pixel(enc, nb, x, value);
+    /// Encodes a whole view (see [`PixelEngine::encode_view`]).
+    pub fn encode_view<E: DecisionEncoder>(&mut self, img: ImageView<'_>, enc: &mut E) {
+        self.engine.encode_view(img, enc);
     }
 
-    /// Encodes one pixel from row slices (see
-    /// [`PixelEngine::encode_pixel_rows`]).
-    #[inline]
-    pub fn encode_pixel_rows<E: DecisionEncoder>(
+    /// Encodes one row given the two above it (see
+    /// [`PixelEngine::encode_row`]).
+    pub(crate) fn encode_row<E: DecisionEncoder>(
         &mut self,
         enc: &mut E,
         cur: &[u16],
         n1: Option<&[u16]>,
         n2: Option<&[u16]>,
-        x: usize,
-        value: u16,
     ) {
-        self.engine.encode_pixel_rows(enc, cur, n1, n2, x, value);
-    }
-
-    /// Encodes a whole view (see [`PixelEngine::encode_view`]).
-    pub fn encode_view<E: DecisionEncoder>(&mut self, img: ImageView<'_>, enc: &mut E) {
-        self.engine.encode_view(img, enc);
+        self.engine.encode_row(enc, cur, n1, n2);
     }
 }
 
 /// The decoder-side engine state: a [`PixelEngine`] restricted to the
 /// decode half of the API, owned by everything that consumes a stream
 /// ([`decode_raw`](crate::decode_raw), [`DecoderSession`](crate::session::DecoderSession),
-/// [`HwDecoder`](crate::hwpipe::HwDecoder)).
+/// [`StreamDecoder`](crate::stream::StreamDecoder), the grid's tiles).
 #[derive(Debug)]
 pub struct DecoderState {
     engine: PixelEngine,
@@ -663,36 +626,6 @@ impl DecoderState {
         self.engine.bit_depth()
     }
 
-    /// The underlying engine (for memory accounting).
-    pub fn engine(&self) -> &PixelEngine {
-        &self.engine
-    }
-
-    /// Decodes one pixel (see [`PixelEngine::decode_pixel`]).
-    #[inline]
-    pub fn decode_pixel<D: DecisionDecoder>(
-        &mut self,
-        dec: &mut D,
-        nb: &Neighborhood,
-        x: usize,
-    ) -> u16 {
-        self.engine.decode_pixel(dec, nb, x)
-    }
-
-    /// Decodes one pixel from row slices (see
-    /// [`PixelEngine::decode_pixel_rows`]).
-    #[inline]
-    pub fn decode_pixel_rows<D: DecisionDecoder>(
-        &mut self,
-        dec: &mut D,
-        cur: &[u16],
-        n1: Option<&[u16]>,
-        n2: Option<&[u16]>,
-        x: usize,
-    ) -> u16 {
-        self.engine.decode_pixel_rows(dec, cur, n1, n2, x)
-    }
-
     /// Decodes a whole view in place (see [`PixelEngine::decode_into`]).
     pub fn decode_into<D: DecisionDecoder>(&mut self, dec: &mut D, out: &mut ImageViewMut<'_>) {
         self.engine.decode_into(dec, out);
@@ -711,6 +644,18 @@ impl DecoderState {
         F: FnMut(&D) -> bool,
     {
         self.engine.decode_rows_while(dec, out, keep_going)
+    }
+
+    /// Decodes one row in place given the two above it (see
+    /// [`PixelEngine::decode_row`]).
+    pub(crate) fn decode_row<D: DecisionDecoder>(
+        &mut self,
+        dec: &mut D,
+        cur: &mut [u16],
+        n1: Option<&[u16]>,
+        n2: Option<&[u16]>,
+    ) {
+        self.engine.decode_row(dec, cur, n1, n2);
     }
 }
 

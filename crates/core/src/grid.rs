@@ -12,9 +12,9 @@
 //! offset, a length, and a CRC-32 checksum. The index makes every tile
 //! `O(1)`-seekable, which buys:
 //!
-//! * **random access** — [`decode_roi`] reads *only* the tiles covering a
-//!   requested rectangle (the seekable variant [`decode_roi_from`] never
-//!   even reads the other tiles' bytes off the source), and
+//! * **random access** — [`decode_roi_from`] (and [`decode_roi`], its
+//!   slice form) reads *only* the tiles covering a requested rectangle:
+//!   it seeks past the other tiles' bytes without reading them, and
 //! * **parallelism on both sides** — [`compress_grid`] and
 //!   [`decompress_grid`] hand tiles to worker threads.
 //!
@@ -92,6 +92,7 @@ use crate::container::{
     header_bytes, read_header, CodecError, ContainerHeader, HEADER_LEN, VERSION_V4,
 };
 use crate::engine::{DecoderState, EncoderState};
+use crate::stream::StreamDecoder;
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
 use cbic_bitio::{BitReader, BitWriter};
 use cbic_image::{Image, ImageView, ImageViewMut, Parallelism, Rect};
@@ -583,14 +584,20 @@ fn tile_substream<'a>(
     let sub = payload
         .get(start..start + entry.len as usize)
         .ok_or(CodecError::Truncated)?;
-    if crc32(sub) != entry.crc32 {
-        return Err(CodecError::InvalidHeader(format!(
-            "tile ({}, {}) checksum mismatch",
-            idx % index.cols,
-            idx / index.cols
-        )));
-    }
+    check_crc(index, idx, sub)?;
     Ok(sub)
+}
+
+/// Checks a tile substream against the CRC-32 its index entry records.
+fn check_crc(index: &TileIndex, idx: usize, sub: &[u8]) -> Result<(), CodecError> {
+    if crc32(sub) == index.entries[idx].crc32 {
+        return Ok(());
+    }
+    Err(CodecError::InvalidHeader(format!(
+        "tile ({}, {}) checksum mismatch",
+        idx % index.cols,
+        idx / index.cols
+    )))
 }
 
 /// Decodes every tile of a parsed v4 container into one image, tiles on
@@ -724,62 +731,39 @@ fn covering_indices(index: &TileIndex, roi: Rect) -> Result<Vec<usize>, CodecErr
     Ok(indices)
 }
 
-/// Random-access crop decode: decodes **only** the tiles covering `roi`
-/// out of a version-4 container and returns the exact `roi.w`×`roi.h`
-/// crop — identical to cropping a full decode, at the cost of the
-/// covering tiles alone.
+/// [`decode_roi_from`] over a container held in memory (an
+/// [`io::Cursor`](std::io::Cursor) over `bytes`).
 ///
 /// # Errors
 ///
-/// As [`parse_grid`], plus [`CodecError::InvalidHeader`] for an empty or
-/// out-of-bounds rectangle.
+/// As [`decode_roi_from`].
 pub fn decode_roi(bytes: &[u8], roi: Rect, par: Parallelism) -> Result<Image, CodecError> {
-    let (hdr, index, payload) = parse_grid(bytes)?;
-    let indices = covering_indices(&index, roi)?;
-    let mut subs = Vec::with_capacity(indices.len());
-    for idx in indices {
-        subs.push((idx, tile_substream(&index, payload, idx)?));
-    }
-    decode_roi_tiles(&hdr, &index, roi, &subs, par)
+    decode_roi_from(&mut std::io::Cursor::new(bytes), roi, par)
 }
 
-/// [`decode_roi`] over any container version: tile-selective on v4,
-/// full-decode-then-crop on the flat formats (they have no index
-/// to seek by). Either way the result is exactly the `roi` crop.
+/// Random-access crop decode of any container version from a seekable
+/// source: returns exactly the `roi.w`×`roi.h` crop, identical to cropping
+/// a full decode, at the cost of only what the rectangle needs.
+///
+/// * A version-4 grid: reads the header and index, then **seeks straight
+///   to the covering tiles** — the bytes of every other tile are never
+///   read, which is what makes crop decodes of huge archive files cheap
+///   (asserted by the counting-reader test).
+/// * A flat container: streams the rows down to the rectangle's last one
+///   and keeps only the crop; no row below the rectangle is decoded.
+///
+/// The source's final position is unspecified.
 ///
 /// # Errors
 ///
-/// As [`decode_roi`] / [`decompress`](crate::decompress).
-pub fn decode_roi_any(bytes: &[u8], roi: Rect, par: Parallelism) -> Result<Image, CodecError> {
-    let (hdr, _) = crate::container::parse_header(bytes)?;
-    if hdr.tile.is_some() {
-        return decode_roi(bytes, roi, par);
-    }
-    check_roi(roi, hdr.width, hdr.height)?;
-    let img = crate::container::decompress(bytes)?;
-    Ok(img
-        .view()
-        .crop(
-            roi.x as usize,
-            roi.y as usize,
-            roi.w as usize,
-            roi.h as usize,
-        )
-        .to_image())
-}
-
-/// [`decode_roi`] over a seekable source: reads the header and index,
-/// then **seeks straight to the covering tiles** — the bytes of every
-/// other tile are never read, which is what makes crop decodes of huge
-/// archive files cheap (asserted by the counting-reader test). The
-/// source's final position is unspecified.
-///
-/// # Errors
-///
-/// As [`decode_roi`]; transport failures surface as [`CodecError::Io`].
-/// A source whose length disagrees with the tile index is
-/// [`CodecError::Truncated`] (shorter) or a structured
-/// [`CodecError::InvalidHeader`] (trailing bytes).
+/// [`CodecError::InvalidHeader`] for an empty or out-of-bounds rectangle,
+/// the header errors of [`decompress`](crate::decompress), and
+/// [`CodecError::Truncated`] when a payload ends before the rows the
+/// rectangle needs; transport failures surface as [`CodecError::Io`]. On
+/// a grid, as [`parse_grid`]: a source whose length disagrees with the
+/// tile index is [`CodecError::Truncated`] (shorter) or a structured
+/// [`CodecError::InvalidHeader`] (trailing bytes), and a covering tile
+/// that fails its checksum is [`CodecError::InvalidHeader`].
 pub fn decode_roi_from<R: Read + Seek>(
     input: &mut R,
     roi: Rect,
@@ -787,9 +771,7 @@ pub fn decode_roi_from<R: Read + Seek>(
 ) -> Result<Image, CodecError> {
     let hdr = read_header(input)?;
     let Some((tile_w, tile_h)) = hdr.tile else {
-        return Err(CodecError::InvalidHeader(
-            "not a version-4 tiled container".into(),
-        ));
+        return decode_flat_roi(hdr, input, roi);
     };
     let geom = TileGeometry::new(tile_w, tile_h);
     let index = TileIndex::read_from(input, geom, hdr.width, hdr.height)?;
@@ -826,17 +808,34 @@ pub fn decode_roi_from<R: Read + Seek>(
         if buf.len() != entry.len as usize {
             return Err(CodecError::Truncated);
         }
-        if crc32(&buf) != entry.crc32 {
-            return Err(CodecError::InvalidHeader(format!(
-                "tile ({}, {}) checksum mismatch",
-                idx % index.cols,
-                idx / index.cols
-            )));
-        }
+        check_crc(&index, idx, &buf)?;
         bufs.push((idx, buf));
     }
     let subs: Vec<(usize, &[u8])> = bufs.iter().map(|(i, b)| (*i, b.as_slice())).collect();
     decode_roi_tiles(&hdr, &index, roi, &subs, par)
+}
+
+/// The flat-container leg of [`decode_roi_from`]: streams rows
+/// `0..roi.y + roi.h` through a [`StreamDecoder`] (with its per-row
+/// padding-budget check) and keeps the rectangle's columns of its rows.
+fn decode_flat_roi<R: Read>(
+    hdr: ContainerHeader,
+    input: R,
+    roi: Rect,
+) -> Result<Image, CodecError> {
+    check_roi(roi, hdr.width, hdr.height)?;
+    let (x0, y0) = (roi.x as usize, roi.y as usize);
+    let (w, h) = (roi.w as usize, roi.h as usize);
+    let mut out = Image::with_depth(w, h, hdr.bit_depth);
+    let mut row = vec![0u16; hdr.width];
+    let mut dec = StreamDecoder::with_header(hdr, input)?;
+    for y in 0..y0 + h {
+        dec.next_row(&mut row)?;
+        if y >= y0 {
+            out.row_mut(y - y0).copy_from_slice(&row[x0..x0 + w]);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1139,7 +1138,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_roi_any_crops_flat_containers_too() {
+    fn both_roi_entry_points_crop_flat_and_grid_containers() {
         let img = CorpusImage::Peppers.generate(40, 40);
         let cfg = CodecConfig::default();
         let roi = Rect::new(5, 9, 13, 17);
@@ -1149,8 +1148,52 @@ mod tests {
             compress_grid(img.view(), &cfg, geom(16, 16), 1, Parallelism::Sequential),
         ] {
             assert_eq!(
-                decode_roi_any(&bytes, roi, Parallelism::Sequential).unwrap(),
+                decode_roi(&bytes, roi, Parallelism::Sequential).unwrap(),
                 reference
+            );
+            let mut cursor = Cursor::new(&bytes);
+            assert_eq!(
+                decode_roi_from(&mut cursor, roi, Parallelism::Sequential).unwrap(),
+                reference
+            );
+        }
+    }
+
+    #[test]
+    fn seekable_roi_crops_a_flat_container_without_decoding_rows_below_it() {
+        let img = CorpusImage::Lena.generate(48, 40);
+        let bytes = compress(img.view(), &CodecConfig::default());
+        for roi in [
+            Rect::new(0, 0, 48, 40),
+            Rect::new(47, 0, 1, 1),
+            Rect::new(3, 10, 20, 5),
+        ] {
+            let (x, y, w, h) = (
+                roi.x as usize,
+                roi.y as usize,
+                roi.w as usize,
+                roi.h as usize,
+            );
+            let reference = img.view().crop(x, y, w, h).to_image();
+            let crop = decode_roi_from(&mut Cursor::new(&bytes), roi, Parallelism::Sequential);
+            assert_eq!(crop.unwrap(), reference, "{roi:?}");
+        }
+        // A payload cut after the rows a crop needs still yields that
+        // crop; the full decode reports the cut.
+        let cut = &bytes[..bytes.len() * 3 / 4];
+        assert_eq!(decompress(cut), Err(CodecError::Truncated));
+        let top = Rect::new(0, 0, 48, 4);
+        assert_eq!(
+            decode_roi(cut, top, Parallelism::Sequential).unwrap(),
+            img.view().crop(0, 0, 48, 4).to_image()
+        );
+        for roi in [Rect::new(0, 0, 49, 1), Rect::new(0, 40, 1, 1)] {
+            assert!(
+                matches!(
+                    decode_roi_from(&mut Cursor::new(&bytes), roi, Parallelism::Sequential),
+                    Err(CodecError::InvalidHeader(_))
+                ),
+                "{roi:?}"
             );
         }
     }

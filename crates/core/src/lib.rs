@@ -31,10 +31,11 @@
 //! [`ImageView`](cbic_image::ImageView)s at any 8–16-bit depth.
 //!
 //! The whole pipeline is implemented **once**, as the table-driven
-//! [`engine::PixelEngine`]; the raw codec functions, the hardware model
-//! ([`hwpipe`]), the bounded-memory [`stream`] layer, the reusable
+//! [`engine::PixelEngine`] with one row step per direction; the raw codec
+//! functions, the bounded-memory [`stream`] layer (the caller's row plus
+//! the two above it: the hardware's three line buffers), the reusable
 //! [`session`]s, and the [`grid`] tile workers are all front ends over
-//! that one datapath (see the [`engine`] module for the stage map).
+//! that one loop (see the [`engine`] module for the stage map).
 //!
 //! Section V's multi-core idea — independent partitions, one codec
 //! instance each — is the [`grid`] module's version-4 container: a grid
@@ -62,7 +63,6 @@ pub mod container;
 pub mod context;
 pub mod engine;
 pub mod grid;
-pub mod hwpipe;
 pub mod neighborhood;
 pub mod predictor;
 pub mod remap;
@@ -75,9 +75,7 @@ pub use codec::{
 };
 pub use container::{compress, decompress, CodecError, Proposed};
 pub use engine::{DecoderState, EncoderState, PixelEngine};
-pub use grid::{
-    compress_grid, decode_roi, decode_roi_any, decode_roi_from, decompress_grid, TileGeometry,
-};
+pub use grid::{compress_grid, decode_roi, decode_roi_from, decompress_grid, TileGeometry};
 pub use session::{DecoderSession, EncoderSession};
 pub use stream::{StreamDecoder, StreamEncodeStats, StreamEncoder};
 

@@ -164,25 +164,6 @@ proptest! {
         prop_assert_eq!(from_view, from_copy);
     }
 
-    /// Golden-model equivalence: the hardware-constrained streaming
-    /// encoder (3 rotating line buffers) is bit-identical to the
-    /// algorithmic reference on arbitrary images and configurations.
-    #[test]
-    fn hwpipe_matches_reference(img in arb_image(), cfg in arb_config()) {
-        let (reference, _) = encode_raw(img.view(), &cfg);
-        let hw = crate::hwpipe::HwEncoder::encode_image(img.view(), &cfg);
-        prop_assert_eq!(hw, reference);
-    }
-
-    /// The hardware model agrees with the reference at deep depths too.
-    #[test]
-    fn hwpipe_matches_reference_deep(img in arb_deep_image()) {
-        let cfg = CodecConfig::default();
-        let (reference, _) = encode_raw(img.view(), &cfg);
-        let hw = crate::hwpipe::HwEncoder::encode_image(img.view(), &cfg);
-        prop_assert_eq!(hw, reference);
-    }
-
     /// Grids of full-width tiles (the partition `cbic compress --threads
     /// N` writes) round-trip at every band count.
     #[test]

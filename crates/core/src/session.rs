@@ -14,8 +14,7 @@
 //!
 //! A reset model is byte-identical to a fresh one (asserted below and by
 //! the `session_reuse` differential tests), so sessions are a pure
-//! performance feature: same containers in, same containers out. The
-//! `session_reuse` criterion group quantifies the win.
+//! performance feature: same containers in, same containers out.
 //!
 //! # Examples
 //!

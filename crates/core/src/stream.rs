@@ -10,14 +10,15 @@
 //! * [`StreamEncoder`] — feed pixel rows, bits flow into any `io::Write`;
 //! * [`StreamDecoder`] — pull reconstructed rows out of any `io::Read`.
 //!
-//! Both keep **O(3 lines + estimator tables)** of state — the
-//! [`LineBuffers`](crate::hwpipe::LineBuffers) machinery of the hardware
-//! model plus one 4 KiB transport buffer — independent of image height, so
-//! a 64-megapixel image pipes through in a few hundred kilobytes of codec
-//! memory. Rows are `u16` samples at any 8–16-bit depth; the emitted
-//! container is **byte-identical** to [`compress`](crate::compress) (same
-//! header, same arithmetic payload), which the differential test suite and
-//! the golden corpus pin down.
+//! Both keep **O(width + estimator tables)** of state — the two rows above
+//! the current one (with the caller's row, the paper's three line buffers)
+//! plus one 4 KiB transport buffer — independent of image height, so a
+//! 64-megapixel image pipes through in a few hundred kilobytes of codec
+//! memory. Each row runs through the engine's row step, the same pixel
+//! loop every buffered path runs. Rows are `u16` samples at any 8–16-bit
+//! depth; the emitted container is **byte-identical** to
+//! [`compress`](crate::compress) (same header, same arithmetic payload),
+//! which the differential test suite and the golden corpus pin down.
 //!
 //! # Examples
 //!
@@ -49,7 +50,7 @@
 
 use crate::codec::{CodecConfig, MAX_CODE_PADDING_BITS};
 use crate::container::{header_bytes, read_header, CodecError, ContainerHeader};
-use crate::hwpipe::{HwDecoder, HwEncoder};
+use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
 use cbic_bitio::{BitSink, BitSource, StreamBitReader, StreamBitWriter};
 use cbic_image::{Image, ImageView};
@@ -58,12 +59,15 @@ use std::io::{self, Read, Write};
 /// Streaming encoder: consumes pixel rows, emits the standard `CBIC`
 /// container incrementally into an [`io::Write`].
 ///
-/// Memory is bounded to the hardware model's state (three line buffers,
-/// the context store, the estimator trees) plus a 4 KiB output buffer —
-/// nothing scales with image height.
+/// Memory is bounded to the engine state (the context store, the
+/// estimator trees, the `e_W` row), the two rows above the next one, and
+/// a 4 KiB output buffer — nothing scales with image height.
 #[derive(Debug)]
 pub struct StreamEncoder<W: Write> {
-    hw: HwEncoder<BinaryEncoder<StreamBitWriter<W>>>,
+    state: EncoderState,
+    enc: BinaryEncoder<StreamBitWriter<W>>,
+    /// Rows `y − 1` and `y − 2` for the next row `y`.
+    above: [Vec<u16>; 2],
     height: usize,
     rows_in: usize,
     header_len: usize,
@@ -130,7 +134,9 @@ impl<W: Write> StreamEncoder<W> {
         let (hdr, len) = header_bytes(cfg, width, height, bit_depth);
         out.write_all(&hdr[..len])?;
         Ok(Self {
-            hw: HwEncoder::with_sink(width, bit_depth, cfg, StreamBitWriter::new(out)),
+            state: EncoderState::new(width, bit_depth, cfg),
+            enc: BinaryEncoder::new(StreamBitWriter::new(out)),
+            above: [vec![0; width], vec![0; width]],
             height,
             rows_in: 0,
             header_len: len,
@@ -167,7 +173,7 @@ impl<W: Write> StreamEncoder<W> {
 
     /// Row width this encoder expects.
     pub fn width(&self) -> usize {
-        self.hw.width()
+        self.above[0].len()
     }
 
     /// Total rows the header promised.
@@ -177,7 +183,7 @@ impl<W: Write> StreamEncoder<W> {
 
     /// Sample bit depth the header declared.
     pub fn bit_depth(&self) -> u8 {
-        self.hw.bit_depth()
+        self.state.bit_depth()
     }
 
     /// Rows consumed so far.
@@ -191,7 +197,7 @@ impl<W: Write> StreamEncoder<W> {
     /// ([`finish_with_stats`](Self::finish_with_stats) settles the exact
     /// total including it).
     pub fn payload_bits(&self) -> u64 {
-        self.hw.sink().bits_written()
+        self.enc.sink().bits_written()
     }
 
     /// Encodes one raster row.
@@ -225,11 +231,18 @@ impl<W: Write> StreamEncoder<W> {
                 ),
             ));
         }
+        let y = self.rows_in;
+        let (n1, n2) = (&self.above[0][..], &self.above[1][..]);
+        self.state.encode_row(
+            &mut self.enc,
+            row,
+            (y >= 1).then_some(n1),
+            (y >= 2).then_some(n2),
+        );
+        self.above.swap(0, 1);
+        self.above[0].copy_from_slice(row);
         self.rows_in += 1;
-        for &pixel in row {
-            self.hw.push_pixel(pixel);
-        }
-        self.hw.sink_mut().take_error()
+        self.enc.sink_mut().take_error()
     }
 
     /// Flushes the arithmetic coder and the transport, returning the
@@ -266,7 +279,7 @@ impl<W: Write> StreamEncoder<W> {
             "only {} of {} rows were pushed",
             self.rows_in, self.height
         );
-        let mut writer = self.hw.finish_sink();
+        let mut writer = self.enc.finish();
         writer.take_error()?;
         // The coder flush already ran, so this is the exact pre-padding
         // total; `finish` pads to the byte boundary.
@@ -289,13 +302,16 @@ impl<W: Write> StreamEncoder<W> {
 ///
 /// The compressed stream is never slurped: bytes are pulled through a
 /// 4 KiB refill buffer exactly as the arithmetic decoder consumes them.
+/// Rows decode straight into the caller's buffer; the decoder keeps only
+/// copies of the two rows above the next one.
 #[derive(Debug)]
 pub struct StreamDecoder<R: Read> {
-    hw: HwDecoder<BinaryDecoder<StreamBitReader<R>>>,
+    state: DecoderState,
+    dec: BinaryDecoder<StreamBitReader<R>>,
+    /// Rows `y − 1` and `y − 2` for the next row `y`.
+    above: [Vec<u16>; 2],
     cfg: CodecConfig,
-    width: usize,
     height: usize,
-    bit_depth: u8,
     rows_out: usize,
 }
 
@@ -331,28 +347,23 @@ impl<R: Read> StreamDecoder<R> {
             ));
         }
         Ok(Self {
-            hw: HwDecoder::with_source(
-                StreamBitReader::new(input),
-                hdr.width,
-                hdr.bit_depth,
-                &hdr.cfg,
-            ),
+            state: DecoderState::new(hdr.width, hdr.bit_depth, &hdr.cfg),
+            dec: BinaryDecoder::new(StreamBitReader::new(input)),
+            above: [vec![0; hdr.width], vec![0; hdr.width]],
             cfg: hdr.cfg,
-            width: hdr.width,
             height: hdr.height,
-            bit_depth: hdr.bit_depth,
             rows_out: 0,
         })
     }
 
     /// Image dimensions declared by the header.
     pub fn dimensions(&self) -> (usize, usize) {
-        (self.width, self.height)
+        (self.above[0].len(), self.height)
     }
 
     /// Sample bit depth declared by the header.
     pub fn bit_depth(&self) -> u8 {
-        self.bit_depth
+        self.state.bit_depth()
     }
 
     /// Codec configuration carried by the header.
@@ -365,7 +376,8 @@ impl<R: Read> StreamDecoder<R> {
         self.rows_out
     }
 
-    /// Decodes the next raster row into `buf`.
+    /// Decodes the next raster row into `buf`, overwriting whatever it
+    /// held.
     ///
     /// # Errors
     ///
@@ -383,20 +395,27 @@ impl<R: Read> StreamDecoder<R> {
     /// Panics if `buf.len()` differs from the image width or all rows were
     /// already decoded.
     pub fn next_row(&mut self, buf: &mut [u16]) -> Result<(), CodecError> {
-        assert_eq!(buf.len(), self.width, "row buffer length mismatch");
+        assert_eq!(buf.len(), self.above[0].len(), "row buffer length mismatch");
         assert!(
             self.rows_out < self.height,
             "all {} rows already decoded",
             self.height
         );
+        let y = self.rows_out;
+        let (n1, n2) = (&self.above[0][..], &self.above[1][..]);
+        self.state.decode_row(
+            &mut self.dec,
+            buf,
+            (y >= 1).then_some(n1),
+            (y >= 2).then_some(n2),
+        );
+        self.above.swap(0, 1);
+        self.above[0].copy_from_slice(buf);
         self.rows_out += 1;
-        for slot in buf.iter_mut() {
-            *slot = self.hw.next_pixel();
-        }
-        if let Some(e) = self.hw.source().io_error() {
+        if let Some(e) = self.dec.source().io_error() {
             return Err(CodecError::io(e));
         }
-        if self.hw.source().padding_bits() > MAX_CODE_PADDING_BITS {
+        if self.dec.source().padding_bits() > MAX_CODE_PADDING_BITS {
             return Err(CodecError::Truncated);
         }
         Ok(())
@@ -410,11 +429,10 @@ impl<R: Read> StreamDecoder<R> {
     ///
     /// As [`Self::next_row`].
     pub fn decode_all(mut self) -> Result<Image, CodecError> {
-        let mut img = Image::with_depth(self.width, self.height, self.bit_depth);
-        let mut row = vec![0u16; self.width];
-        for y in self.rows_out..self.height {
-            self.next_row(&mut row)?;
-            img.row_mut(y).copy_from_slice(&row);
+        let (width, height) = self.dimensions();
+        let mut img = Image::with_depth(width, height, self.bit_depth());
+        for y in self.rows_out..height {
+            self.next_row(img.row_mut(y))?;
         }
         Ok(img)
     }
@@ -597,6 +615,32 @@ mod tests {
         // A legal row still encodes afterwards.
         enc.push_row(&[0, 1023, 1, 2]).unwrap();
         assert_eq!(enc.rows_pushed(), 1);
+    }
+
+    #[test]
+    fn next_row_reads_only_what_it_decoded_into_the_callers_buffer() {
+        // Rows decode in place into the caller's buffer, so the decoder
+        // must read only the causal prefix it has already written there.
+        let cfg = CodecConfig::default();
+        for depth in [1u8, 8, 16] {
+            let max = u16::MAX >> (16 - depth);
+            for width in 1..=5 {
+                let img = Image::from_fn16(width, 6, depth, |x, y| {
+                    ((x as u32 * 7919 + y as u32 * 104_729) % (u32::from(max) + 1)) as u16
+                });
+                let bytes = compress_to(img.view(), &cfg, Vec::new()).unwrap();
+                let mut dec = StreamDecoder::new(&bytes[..]).unwrap();
+                for y in 0..img.height() {
+                    let mut row = vec![max; width];
+                    dec.next_row(&mut row).unwrap();
+                    assert_eq!(
+                        &row[..],
+                        img.row(y),
+                        "depth {depth}, width {width}, row {y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

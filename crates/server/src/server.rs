@@ -697,9 +697,10 @@ fn handle_decode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
         let rect = cbic_image::Rect::new(x, y, w, h);
         if rest.get(..4) == Some(&state.proposed_magic[..]) {
             // Proposed-codec containers: over a v4 grid only the
-            // covering tiles are decoded; flat containers decode fully and
-            // crop. Out-of-bounds rects come back as structured errors.
-            match cbic_core::decode_roi_any(rest, rect, Parallelism::Sequential) {
+            // covering tiles are decoded; flat containers decode the rows
+            // down to the rect's last and crop. Out-of-bounds rects come
+            // back as structured errors.
+            match cbic_core::decode_roi(rest, rect, Parallelism::Sequential) {
                 Ok(img) => img,
                 Err(e) => return codec_error(metrics, &e),
             }

@@ -21,8 +21,9 @@
 //! stdin/stdout and print their status lines to stderr, so containers pipe
 //! cleanly: `cbic compress - - < in.pgm | cbic decompress - - > out.pgm`.
 //! For the default `proposed` codec both directions run the
-//! bounded-memory streaming pipeline (three line buffers, the paper's
-//! Fig. 3 constraint), so image size is limited by the format, not by RAM.
+//! bounded-memory streaming pipeline (the current row and the two above
+//! it: the paper's three line buffers, Fig. 3), so image size is limited
+//! by the format, not by RAM.
 
 use cbic::core::stream::{StreamDecoder, StreamEncoder};
 use cbic::core::CodecConfig;
@@ -115,11 +116,25 @@ fn flag_value<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> 
         .map(|(_, v)| v.as_str())
 }
 
+/// `--threads N`: the worker count, 1 unless given; 0 is refused.
 fn parse_threads(flags: &[(String, String)]) -> Result<usize, Box<dyn std::error::Error>> {
-    Ok(flag_value(flags, "threads")
+    let threads = flag_value(flags, "threads")
         .map(str::parse)
         .transpose()?
-        .unwrap_or(0))
+        .unwrap_or(1);
+    if threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
+    Ok(threads)
+}
+
+/// "1 thread", "2 threads", … for the status lines.
+fn thread_count(threads: usize) -> String {
+    if threads == 1 {
+        "1 thread".into()
+    } else {
+        format!("{threads} threads")
+    }
 }
 
 /// Opens `path` for buffered reading, with `-` meaning stdin.
@@ -221,10 +236,11 @@ fn cmd_compress(args: &[String]) -> CliResult {
     }
 
     if tile.is_none() && codec_name == "proposed" && near == 0 && threads <= 1 {
-        // Bounded-memory path: PGM rows flow straight through the
-        // three-line-buffer pipeline into the output — neither the image
-        // nor the container is ever materialized, so `- -` piping handles
-        // images far larger than RAM-friendly buffers.
+        // Bounded-memory path: PGM rows flow one at a time through the
+        // stream encoder, which keeps only the two rows above, into the
+        // output — neither the image nor the container is ever
+        // materialized, so `- -` piping handles images far larger than
+        // RAM-friendly buffers.
         return compress_streaming(input, output);
     }
 
@@ -254,7 +270,10 @@ fn cmd_compress(args: &[String]) -> CliResult {
         let stats = registry
             .expect_name("proposed")?
             .encode(img.view(), &opts, &mut container)?;
-        let label = format!("proposed (v4 grid, {tile_w}x{tile_h} tiles, {threads} threads)");
+        let label = format!(
+            "proposed (v4 grid, {tile_w}x{tile_h} tiles, {})",
+            thread_count(threads)
+        );
         (stats, label)
     } else if near > 0 {
         // Near-lossless operation is outside the lossless Codec contract;
@@ -350,7 +369,8 @@ fn cmd_decompress(args: &[String]) -> CliResult {
             }
             out.flush()?;
             eprintln!(
-                "{input}: proposed (v4 grid, {threads} threads) -> {}x{} {}-bit PGM",
+                "{input}: proposed (v4 grid, {}) -> {}x{} {}-bit PGM",
+                thread_count(threads),
                 img.width(),
                 img.height(),
                 img.bit_depth()
@@ -406,8 +426,9 @@ fn cmd_decompress(args: &[String]) -> CliResult {
 
 /// `crop`: random-access ROI decode. On a seekable file holding a v4 tile
 /// grid this reads the header, the index, and *only the covering tiles'
-/// bytes*; on stdin (or a flat container) it decodes what it must
-/// and crops. Either way the output PGM is exactly the requested rect.
+/// bytes*; on a flat container it decodes the rows down to the rect's
+/// last and crops. Stdin is read into memory first. Either way the
+/// output PGM is exactly the requested rect.
 fn cmd_crop(args: &[String]) -> CliResult {
     let (flags, pos) = parse_flags(args, &["rect", "threads"]);
     let [input, output] = pos.as_slice() else {
@@ -422,20 +443,11 @@ fn cmd_crop(args: &[String]) -> CliResult {
     let (img, how) = if input == "-" {
         let mut bytes = Vec::new();
         std::io::stdin().lock().read_to_end(&mut bytes)?;
-        (cbic::core::decode_roi_any(&bytes, rect, par)?, "buffered")
+        (cbic::core::decode_roi(&bytes, rect, par)?, "buffered")
     } else {
         // A real file seeks: non-covering tiles' bytes are never read.
         let mut file = std::fs::File::open(input)?;
-        match cbic::core::decode_roi_from(&mut file, rect, par) {
-            Ok(img) => (img, "seek"),
-            Err(cbic::core::CodecError::InvalidHeader(_)) => {
-                // Not a v4 grid (flat container): fall back to a
-                // full decode + crop of the slurped bytes.
-                let bytes = std::fs::read(input)?;
-                (cbic::core::decode_roi_any(&bytes, rect, par)?, "buffered")
-            }
-            Err(e) => return Err(e.into()),
-        }
+        (cbic::core::decode_roi_from(&mut file, rect, par)?, "seek")
     };
     let mut out = open_output(output)?;
     pgm::write_header(&mut out, img.width(), img.height(), img.max_val())?;

@@ -5,18 +5,17 @@
 //! `CodecConfig` sweep (texture/count bits, division kinds, feedback and
 //! aging toggles).
 //!
-//! These proptests are the lock on the tentpole refactor: any divergence
-//! between `encode_raw`, the pixel-streaming `HwEncoder`, the
-//! bounded-memory `StreamEncoder`, and the reusable session path is a
-//! failure here before it is a corrupted stream in the wild.
+//! These proptests tie the row-streaming `StreamEncoder`/`StreamDecoder`
+//! (the flat path of `cbic compress`/`decompress`) to every buffered path:
+//! any divergence between `encode_raw`, the bounded-memory stream coders,
+//! and the reusable session path is a failure here before it is a
+//! corrupted stream in the wild.
 
-use cbic::core::hwpipe::{HwDecoder, HwEncoder};
 use cbic::core::session::{DecoderSession, EncoderSession};
 use cbic::core::stream::{compress_to, decompress_from};
 use cbic::core::{compress, decompress, encode_raw, CodecConfig, DivisionKind};
 use cbic::image::Image;
 use cbic_arith::EstimatorConfig;
-use cbic_bitio::BitReader;
 use proptest::prelude::*;
 
 /// Arbitrary images at arbitrary 1..=16-bit depths, samples masked to the
@@ -64,30 +63,15 @@ fn arb_config() -> impl Strategy<Value = CodecConfig> {
         )
 }
 
-/// Encode `img` through all four entry points, asserting the raw payload
+/// Encode `img` through all three entry points, asserting the raw payload
 /// (and container where applicable) is byte-identical everywhere, then
-/// decode through all four dual paths and assert pixel-exact recovery.
+/// decode through the three dual paths and assert pixel-exact recovery.
 fn assert_all_paths_agree(img: &Image, cfg: &CodecConfig) {
     // 1. The algorithmic reference.
     let (raw, stats) = encode_raw(img.view(), cfg);
     assert_eq!(stats.pixels as usize, img.pixel_count());
 
-    // 2. The hardware model: one pixel per call through the line buffers.
-    let mut hw = HwEncoder::with_sink(
-        img.width(),
-        img.bit_depth(),
-        cfg,
-        cbic_bitio::BitWriter::new(),
-    );
-    for row in img.view().rows() {
-        for &px in row {
-            hw.push_pixel(px);
-        }
-    }
-    let hw_bytes = hw.finish_sink().into_bytes();
-    assert_eq!(hw_bytes, raw, "HwEncoder diverged from encode_raw");
-
-    // 3. The bounded-memory streaming encoder (emits the container).
+    // 2. The bounded-memory streaming encoder (emits the container).
     let container = compress(img.view(), cfg);
     let streamed = compress_to(img.view(), cfg, Vec::new()).expect("Vec sink");
     assert_eq!(streamed, container, "StreamEncoder diverged from compress");
@@ -97,7 +81,7 @@ fn assert_all_paths_agree(img: &Image, cfg: &CodecConfig) {
         "container payload diverged from encode_raw"
     );
 
-    // 4. The reusable session (fresh here; reuse is exercised separately).
+    // 3. The reusable session (fresh here; reuse is exercised separately).
     let mut session = EncoderSession::new(cfg);
     let mut session_bytes = Vec::new();
     session
@@ -108,7 +92,7 @@ fn assert_all_paths_agree(img: &Image, cfg: &CodecConfig) {
         "EncoderSession diverged from compress"
     );
 
-    // Decode side: all four duals must reconstruct the image exactly.
+    // Decode side: all three duals must reconstruct the image exactly.
     assert_eq!(&decompress(&container).expect("own container"), img);
     assert_eq!(&decompress_from(&container[..]).expect("own stream"), img);
     let mut dec_session = DecoderSession::new();
@@ -116,18 +100,11 @@ fn assert_all_paths_agree(img: &Image, cfg: &CodecConfig) {
         &dec_session.decode(&mut &container[..]).expect("session"),
         img
     );
-    let mut hw_dec =
-        HwDecoder::with_source(BitReader::new(&raw), img.width(), img.bit_depth(), cfg);
-    for (y, row) in img.view().rows().enumerate() {
-        for (x, &px) in row.iter().enumerate() {
-            assert_eq!(hw_dec.next_pixel(), px, "HwDecoder at ({x},{y})");
-        }
-    }
 }
 
 proptest! {
-    /// The tentpole lock: all four encode paths and all four decode paths
-    /// agree on arbitrary content at arbitrary depth under the default
+    /// All three encode paths and all three decode paths agree on
+    /// arbitrary content at arbitrary depth under the default
     /// configuration.
     #[test]
     fn all_paths_agree_across_depths(img in arb_any_depth_image()) {

@@ -470,7 +470,7 @@ fn retired_wide_and_band_containers_fail_structurally() {
         );
     }
     assert!(matches!(
-        cbic::core::decode_roi_any(
+        cbic::core::decode_roi(
             &v5,
             cbic::Rect::new(0, 0, 8, 8),
             cbic::Parallelism::Sequential
@@ -553,6 +553,67 @@ fn cli_threads_without_tile_writes_a_grid_of_full_width_tiles() {
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
+#[test]
+fn cli_threads_defaults_to_one_worker_and_refuses_zero() {
+    let dir = std::env::temp_dir().join(format!("cbic-threads-one-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (pgm, container, back) = (
+        dir.join("in.pgm"),
+        dir.join("out.cbic"),
+        dir.join("back.pgm"),
+    );
+    cbic::image::pgm::write_file(&pgm, &CorpusImage::Barb.generate(32, 32)).expect("write input");
+    let run = |args: &[&std::path::Path]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .args(args)
+            .output()
+            .expect("run cbic")
+    };
+    let p = std::path::Path::new;
+    // Without --threads the grid is coded by one worker, and says so.
+    for args in [
+        vec![p("compress"), p("--tile"), p("16x16"), &pgm, &container],
+        vec![p("decompress"), &container, &back],
+    ] {
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert!(stderr.contains("1 thread)"), "{args:?}: {stderr}");
+    }
+    // --threads 0 is a usage error on every command that takes it, and
+    // no output is written.
+    let refused = dir.join("refused.out");
+    for args in [
+        vec![p("compress"), p("--threads"), p("0"), &pgm, &refused],
+        vec![
+            p("decompress"),
+            p("--threads"),
+            p("0"),
+            &container,
+            &refused,
+        ],
+        vec![
+            p("crop"),
+            p("--rect"),
+            p("0,0,4,4"),
+            p("--threads"),
+            p("0"),
+            &container,
+            &refused,
+        ],
+    ] {
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--threads must be at least 1"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!refused.exists(), "{args:?} wrote output");
+    }
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
 /// A small container whose header is forged to claim `side`×`side`
 /// pixels (16384 is the 2^28-pixel ceiling): its payload runs out within
 /// the first row.
@@ -591,7 +652,7 @@ fn buffered_decoders_report_a_forged_container_as_truncated() {
     // public entry point must answer Truncated. 4096x4096 keeps the
     // up-front image allocations small.
     use cbic::core::session::DecoderSession;
-    use cbic::core::{decode_roi_any, decompress};
+    use cbic::core::{decode_roi, decompress};
     let bytes = forged_container(4096);
     let roi = cbic::Rect::new(0, 0, 8, 8);
     let errors: [(&str, CbicError); 4] = [
@@ -601,8 +662,8 @@ fn buffered_decoders_report_a_forged_container_as_truncated() {
             DecoderSession::new().decode(&mut &bytes[..]).unwrap_err(),
         ),
         (
-            "decode_roi_any",
-            decode_roi_any(&bytes, roi, cbic::Parallelism::Sequential)
+            "decode_roi",
+            decode_roi(&bytes, roi, cbic::Parallelism::Sequential)
                 .unwrap_err()
                 .into(),
         ),
