@@ -22,8 +22,18 @@
 //! | Line 2 (e) — error feedback `X̃ = X̂ + ē` | the cached feedback bank of [`ContextStore`] |
 //! | Line 1 (a) — prediction error `e = X − X̃` | the engine's encode step |
 //! | Line 1 (c) — remap (wrap + zig-zag fold) | the per-depth fold ROM ([`FoldLut`]) |
-//! | Line 1 (c) — estimator + binary arithmetic coder | [`SampleCoder`] over the single-descent tree walk |
+//! | Line 1 (c) — estimator + binary arithmetic coder | [`SampleCoder`] over the single-descent tree walk; the streamed encoder's binary coder on a thread of its own (below) |
 //! | Line 1 (b)/(d) — sum/count update, `e_W` write-back | [`PixelEngine`]'s absorb stage |
+//!
+//! Every stage runs on the caller's thread, with one exception. The
+//! hardware runs its modelling lines beside the coder, and so does
+//! [`StreamEncoder`](crate::stream::StreamEncoder), the flat path of
+//! `cbic compress`: the model and the estimator trees run on the caller's
+//! thread, and when more than one CPU is available the binary arithmetic
+//! coder and the bit output run on one coder thread, fed packed decisions
+//! through a queue of constant size (640 KiB). The CLI's `--threads N`
+//! still counts the tile workers of the [`grid`](crate::grid), each of
+//! which runs all stages on its own thread.
 //!
 //! # Why tables
 //!

@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+mod coder_thread;
 pub mod container;
 pub mod context;
 pub mod engine;

@@ -20,6 +20,24 @@
 //! [`compress`](crate::compress) (same header, same arithmetic payload),
 //! which the differential test suite and the golden corpus pin down.
 //!
+//! # Two encoder stages
+//!
+//! The paper's modelling lines run beside its binary arithmetic coder,
+//! which is the serial stage at one decision per clock. The encoder makes
+//! the same cut. The model and the estimator trees run on the caller's
+//! thread. When [`std::thread::available_parallelism`] reports more than
+//! one CPU, the binary coder and the bit output run on one coder thread:
+//! the caller's thread packs each coded decision into a 64-bit word and
+//! ships chunks of 16 Ki words over a queue that holds at most 4, and the
+//! coder thread sends back the bytes it wrote, which the caller's thread
+//! writes into `W` (so `W` needs no `Send`). The queue adds a constant
+//! 640 KiB. On one CPU the two stages could only take turns, so the coder
+//! runs inline there. Either way the bytes are the same. The CLI's
+//! `--threads N` counts the tile workers of the [`grid`](crate::grid)
+//! container, not this thread. The decoder stays on one thread: each
+//! decoded bit steers the next tree step, so its coder cannot run ahead
+//! of its model.
+//!
 //! # Examples
 //!
 //! ```
@@ -49,6 +67,7 @@
 //! ```
 
 use crate::codec::{CodecConfig, MAX_CODE_PADDING_BITS};
+use crate::coder_thread::CoderThread;
 use crate::container::{header_bytes, read_header, CodecError, ContainerHeader};
 use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
@@ -59,18 +78,38 @@ use std::io::{self, Read, Write};
 /// Streaming encoder: consumes pixel rows, emits the standard `CBIC`
 /// container incrementally into an [`io::Write`].
 ///
+/// The model and the estimator trees run on the caller's thread. When
+/// more than one CPU is available, the binary arithmetic coder and the
+/// bit output run on one coder thread fed by a bounded queue of packed
+/// decisions, and the bytes it writes come back to be written to `W` on
+/// the caller's thread; on one CPU the coder runs inline. The bytes are
+/// the same either way.
+///
 /// Memory is bounded to the engine state (the context store, the
-/// estimator trees, the `e_W` row), the two rows above the next one, and
-/// a 4 KiB output buffer — nothing scales with image height.
+/// estimator trees, the `e_W` row), the two rows above the next one, a
+/// 4 KiB output buffer and, with the coder thread, its 640 KiB decision
+/// queue — nothing scales with image height.
 #[derive(Debug)]
 pub struct StreamEncoder<W: Write> {
     state: EncoderState,
-    enc: BinaryEncoder<StreamBitWriter<W>>,
+    coder: Coder<W>,
     /// Rows `y − 1` and `y − 2` for the next row `y`.
     above: [Vec<u16>; 2],
     height: usize,
     rows_in: usize,
     header_len: usize,
+    /// Kind of the first write error: the container has had a gap since.
+    failed: Option<io::ErrorKind>,
+}
+
+/// Where a [`StreamEncoder`]'s binary arithmetic coder runs.
+#[derive(Debug)]
+enum Coder<W: Write> {
+    /// On the caller's thread, writing straight into `W`.
+    Inline(BinaryEncoder<StreamBitWriter<W>>),
+    /// On its own thread; the bytes it hands back are written into `W`
+    /// here.
+    Threaded(CoderThread, W),
 }
 
 /// What one finished [`StreamEncoder`] wrote — the streaming counterpart
@@ -122,24 +161,46 @@ impl<W: Write> StreamEncoder<W> {
     /// Panics if either dimension is zero, the depth is outside `1..=16`,
     /// or the configuration is invalid.
     pub fn with_depth(
+        out: W,
+        width: usize,
+        height: usize,
+        bit_depth: u8,
+        cfg: &CodecConfig,
+    ) -> io::Result<Self> {
+        // On one CPU the two stages would only take turns, and the
+        // hand-off between them adds work: pinned to one CPU of a 2-vCPU
+        // host, a 2048² encode took 1.15× as long with the coder thread.
+        let several_cpus = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        Self::with_coder(out, width, height, bit_depth, cfg, several_cpus)
+    }
+
+    /// [`Self::with_depth`] with the coder on its own thread if
+    /// `coder_thread` (and the platform can start one), else inline.
+    pub(crate) fn with_coder(
         mut out: W,
         width: usize,
         height: usize,
         bit_depth: u8,
         cfg: &CodecConfig,
+        coder_thread: bool,
     ) -> io::Result<Self> {
         assert!(width > 0 && height > 0, "image dimensions must be nonzero");
         crate::container::check_container_dimensions(width, height)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let (hdr, len) = header_bytes(cfg, width, height, bit_depth);
         out.write_all(&hdr[..len])?;
+        let coder = match coder_thread.then(CoderThread::spawn).flatten() {
+            Some(thread) => Coder::Threaded(thread, out),
+            None => Coder::Inline(BinaryEncoder::new(StreamBitWriter::new(out))),
+        };
         Ok(Self {
             state: EncoderState::new(width, bit_depth, cfg),
-            enc: BinaryEncoder::new(StreamBitWriter::new(out)),
+            coder,
             above: [vec![0; width], vec![0; width]],
             height,
             rows_in: 0,
             header_len: len,
+            failed: None,
         })
     }
 
@@ -191,13 +252,25 @@ impl<W: Write> StreamEncoder<W> {
         self.rows_in
     }
 
+    /// Whether the binary arithmetic coder runs on its own thread (more
+    /// than one CPU was available) rather than inline on the caller's.
+    pub fn has_coder_thread(&self) -> bool {
+        matches!(self.coder, Coder::Threaded(..))
+    }
+
     /// Payload bits emitted so far (pre-padding) — the streaming
     /// equivalent of [`EncodeStats::payload_bits`](crate::EncodeStats),
     /// short only of the coder's final flush tail
     /// ([`finish_with_stats`](Self::finish_with_stats) settles the exact
     /// total including it).
-    pub fn payload_bits(&self) -> u64 {
-        self.enc.sink().bits_written()
+    ///
+    /// With the coder on its own thread this hands it the decisions still
+    /// queued and waits until it has coded them.
+    pub fn payload_bits(&mut self) -> u64 {
+        match &mut self.coder {
+            Coder::Inline(enc) => enc.sink().bits_written(),
+            Coder::Threaded(coder, _) => coder.sync(),
+        }
     }
 
     /// Encodes one raster row.
@@ -208,7 +281,9 @@ impl<W: Write> StreamEncoder<W> {
     /// bit depth (an oversized sample would silently wrap modulo the
     /// sample range and break losslessness — rejected before any of the
     /// row is coded), and any I/O error the underlying writer hit while
-    /// this row's bits were flushed.
+    /// this row's bits were flushed. Once a write has failed, the
+    /// container has a gap: this and every later call fails with that
+    /// error's kind.
     ///
     /// # Panics
     ///
@@ -232,17 +307,23 @@ impl<W: Write> StreamEncoder<W> {
             ));
         }
         let y = self.rows_in;
-        let (n1, n2) = (&self.above[0][..], &self.above[1][..]);
-        self.state.encode_row(
-            &mut self.enc,
-            row,
-            (y >= 1).then_some(n1),
-            (y >= 2).then_some(n2),
-        );
+        let n1 = (y >= 1).then_some(&self.above[0][..]);
+        let n2 = (y >= 2).then_some(&self.above[1][..]);
+        let written = match &mut self.coder {
+            Coder::Inline(enc) => {
+                self.state.encode_row(enc, row, n1, n2);
+                enc.sink_mut().take_error()
+            }
+            Coder::Threaded(coder, out) => {
+                self.state.encode_row(coder, row, n1, n2);
+                coder.poll();
+                write_back(out, coder.bytes(), self.failed)
+            }
+        };
         self.above.swap(0, 1);
         self.above[0].copy_from_slice(row);
         self.rows_in += 1;
-        self.enc.sink_mut().take_error()
+        latch(&mut self.failed, written)
     }
 
     /// Flushes the arithmetic coder and the transport, returning the
@@ -250,7 +331,8 @@ impl<W: Write> StreamEncoder<W> {
     ///
     /// # Errors
     ///
-    /// Returns any latched or final I/O error.
+    /// Returns the first I/O error of the stream (see
+    /// [`push_row`](Self::push_row)) or the final one.
     ///
     /// # Panics
     ///
@@ -273,19 +355,29 @@ impl<W: Write> StreamEncoder<W> {
     /// # Panics
     ///
     /// As [`finish`](Self::finish).
-    pub fn finish_with_stats(self) -> io::Result<(W, StreamEncodeStats)> {
+    pub fn finish_with_stats(mut self) -> io::Result<(W, StreamEncodeStats)> {
         assert_eq!(
             self.rows_in, self.height,
             "only {} of {} rows were pushed",
             self.rows_in, self.height
         );
-        let mut writer = self.enc.finish();
-        writer.take_error()?;
-        // The coder flush already ran, so this is the exact pre-padding
-        // total; `finish` pads to the byte boundary.
-        let payload_bits = writer.bits_written();
+        // After the coder flush the bit count is the exact pre-padding
+        // total; the bit writer's `finish` pads to the byte boundary.
+        let (out, payload_bits) = match self.coder {
+            Coder::Inline(enc) => {
+                let writer = enc.finish();
+                let bits = writer.bits_written();
+                (writer.finish(), bits)
+            }
+            Coder::Threaded(mut coder, mut out) => {
+                let bits = coder.finish();
+                let written =
+                    write_back(&mut out, coder.bytes(), self.failed).and_then(|()| out.flush());
+                (written.map(|()| out), bits)
+            }
+        };
+        let out = latch(&mut self.failed, out)?;
         let payload_bytes = payload_bits.div_ceil(8);
-        let out = writer.finish()?;
         Ok((
             out,
             StreamEncodeStats {
@@ -295,6 +387,34 @@ impl<W: Write> StreamEncoder<W> {
             },
         ))
     }
+}
+
+/// Writes the bytes the coder thread handed back into `out` and empties
+/// `bytes`. After a failed write they are dropped instead: the container
+/// already has a gap.
+fn write_back<W: Write>(
+    out: &mut W,
+    bytes: &mut Vec<u8>,
+    failed: Option<io::ErrorKind>,
+) -> io::Result<()> {
+    let written = match failed {
+        None => out.write_all(bytes),
+        Some(_) => Ok(()),
+    };
+    bytes.clear();
+    written
+}
+
+/// Passes `result` on and keeps the kind of the first error in `failed`:
+/// from then on every result is an error of that kind.
+fn latch<T>(failed: &mut Option<io::ErrorKind>, result: io::Result<T>) -> io::Result<T> {
+    if let Some(kind) = *failed {
+        return Err(io::Error::new(
+            kind,
+            "an earlier write failed, so the container is incomplete",
+        ));
+    }
+    result.inspect_err(|e| *failed = Some(e.kind()))
 }
 
 /// Streaming decoder: reads the standard `CBIC` container incrementally
@@ -477,8 +597,180 @@ pub fn decompress_from<R: Read>(mut input: R) -> Result<Image, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coder_thread::CHUNK;
     use crate::container::{compress, HEADER_LEN};
+    use cbic_bitio::BitWriter;
     use cbic_image::corpus::CorpusImage;
+
+    const _: () = {
+        const fn assert_send<T: Send>() {}
+        assert_send::<StreamEncoder<Vec<u8>>>();
+    };
+
+    /// Both coder placements: inline, then on its own thread.
+    const PLACEMENTS: [bool; 2] = [false, true];
+
+    /// `img` through a [`StreamEncoder`] whose coder runs on its own
+    /// thread if `coder_thread`, else inline.
+    fn stream_with(img: &Image, cfg: &CodecConfig, coder_thread: bool) -> Vec<u8> {
+        let (w, h) = img.dimensions();
+        let mut enc =
+            StreamEncoder::with_coder(Vec::new(), w, h, img.bit_depth(), cfg, coder_thread)
+                .unwrap();
+        for row in img.view().rows() {
+            enc.push_row(row).unwrap();
+        }
+        enc.finish().unwrap()
+    }
+
+    /// A reproducible pseudo-random byte for sample `i`.
+    fn noise(i: usize) -> u8 {
+        ((i as u64)
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407)
+            >> 56) as u8
+    }
+
+    #[test]
+    fn streams_spanning_many_chunks_match_compress_in_both_placements() {
+        let cfg = CodecConfig::default();
+        let mut inputs: Vec<(String, Image)> = cbic_image::corpus::generate(512)
+            .into_iter()
+            .map(|(class, img)| (format!("{class:?} 512x512"), img))
+            .collect();
+        let ramp = |i: usize| ((i / 97) as u8).wrapping_mul(13) ^ (noise(i) & 0x3F);
+        inputs.push(("1x40000".into(), Image::from_fn(1, 40_000, |_, y| ramp(y))));
+        inputs.push(("40000x1".into(), Image::from_fn(40_000, 1, |x, _| ramp(x))));
+        inputs.push((
+            "16-bit 300x200".into(),
+            Image::from_fn16(300, 200, 16, |x, y| {
+                ((x * 211 + y * 97) as u16) ^ u16::from(noise(x * 200 + y))
+            }),
+        ));
+        for (name, img) in &inputs {
+            let coded = crate::codec::encode_model_only(img.view(), &cfg).coded_decisions;
+            assert!(coded > 8 * CHUNK as u64, "{name}: {coded} coded decisions");
+            let expected = compress(img.view(), &cfg);
+            for coder_thread in PLACEMENTS {
+                assert!(
+                    stream_with(img, &cfg, coder_thread) == expected,
+                    "{name}, coder thread {coder_thread}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn payload_bits_are_exact_after_every_row_in_both_placements() {
+        let img = CorpusImage::Mandrill.generate(128, 128);
+        let (w, h) = img.dimensions();
+        let cfg = CodecConfig::default();
+        let above = |y: usize, k: usize| (y >= k).then(|| img.row(y - k));
+        for coder_thread in PLACEMENTS {
+            let mut enc =
+                StreamEncoder::with_coder(Vec::new(), w, h, 8, &cfg, coder_thread).unwrap();
+            let mut state = EncoderState::new(w, 8, &cfg);
+            let mut reference = BinaryEncoder::new(BitWriter::new());
+            for y in 0..h {
+                enc.push_row(img.row(y)).unwrap();
+                state.encode_row(&mut reference, img.row(y), above(y, 1), above(y, 2));
+                assert_eq!(
+                    enc.payload_bits(),
+                    reference.bits_written(),
+                    "row {y}, coder thread {coder_thread}"
+                );
+            }
+            assert!(reference.coded_decisions() > 4 * CHUNK as u64);
+            let (_, stats) = enc.finish_with_stats().unwrap();
+            assert_eq!(stats.payload_bits, reference.finish().bits_written());
+        }
+    }
+
+    /// A writer that takes `budget` bytes and then fails with `kind`;
+    /// with `flush_fails`, its `flush` fails instead.
+    struct Failing {
+        budget: usize,
+        kind: io::ErrorKind,
+        flush_fails: bool,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::new(self.kind, "planted write failure"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            match self.flush_fails {
+                true => Err(io::Error::new(self.kind, "planted flush failure")),
+                false => Ok(()),
+            }
+        }
+    }
+
+    #[test]
+    fn after_a_failed_write_every_call_fails_with_its_kind_in_both_placements() {
+        let img = CorpusImage::Barb.generate(128, 128);
+        let (w, h) = img.dimensions();
+        let cfg = CodecConfig::default();
+        let total = compress(img.view(), &cfg).len();
+        assert!(
+            total > 2 * 4096,
+            "the payload must outgrow the bit writer's buffer"
+        );
+        let kind = io::ErrorKind::StorageFull;
+        for coder_thread in PLACEMENTS {
+            for (at, budget, flush_fails) in [
+                ("the header", 0, false),
+                ("mid-payload", total / 2, false),
+                ("the last byte", total - 1, false),
+                ("the final flush", total, true),
+            ] {
+                let out = Failing {
+                    budget,
+                    kind,
+                    flush_fails,
+                };
+                let results: Vec<io::Result<()>> =
+                    match StreamEncoder::with_coder(out, w, h, 8, &cfg, coder_thread) {
+                        Err(e) => vec![Err(e)],
+                        Ok(mut enc) => {
+                            let mut results: Vec<_> =
+                                img.view().rows().map(|row| enc.push_row(row)).collect();
+                            results.push(enc.finish_with_stats().map(drop));
+                            results
+                        }
+                    };
+                let context = format!("failure at {at}, coder thread {coder_thread}");
+                let first = results.iter().position(Result::is_err);
+                let first = first.unwrap_or_else(|| panic!("{context}: every call returned Ok"));
+                for result in &results[first..] {
+                    let err = result.as_ref().expect_err(&context);
+                    assert_eq!(err.kind(), kind, "{context}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_an_unfinished_encoder_does_not_panic() {
+        let img = CorpusImage::Mandrill.generate(128, 128);
+        let cfg = CodecConfig::default();
+        for coder_thread in PLACEMENTS {
+            for rows in [0, 1, 100] {
+                let mut enc =
+                    StreamEncoder::with_coder(Vec::new(), 128, 128, 8, &cfg, coder_thread).unwrap();
+                for row in img.view().rows().take(rows) {
+                    enc.push_row(row).unwrap();
+                }
+                drop(enc);
+            }
+        }
+    }
 
     #[test]
     fn streaming_output_is_byte_identical_to_buffered() {

@@ -23,7 +23,13 @@
 //! For the default `proposed` codec both directions run the
 //! bounded-memory streaming pipeline (the current row and the two above
 //! it: the paper's three line buffers, Fig. 3), so image size is limited
-//! by the format, not by RAM.
+//! by the format, not by RAM. That `compress` runs in two stages, as the
+//! paper's modelling lines run beside its coder: the model and estimator
+//! on the main thread, and the binary arithmetic coder and bit output on
+//! one coder thread when more than one CPU is available (inline on one
+//! CPU), with a constant 640 KiB decision queue between them. `--threads
+//! N` counts the tile workers of the v4 grid only; the coder thread is
+//! not one of them.
 
 use cbic::core::stream::{StreamDecoder, StreamEncoder};
 use cbic::core::CodecConfig;
@@ -58,7 +64,9 @@ fn usage() -> ExitCode {
          cbic corpus [--size N] OUTDIR\n  cbic bench [--iters N] IN.pgm\n\
          (compress/decompress accept `-` for stdin/stdout piping; PGM may be 8- or 16-bit;\n \
          --tile writes the seekable tile grid, which `crop` decodes without reading other tiles;\n \
-         --threads N without --tile writes the grid as N full-width tiles)"
+         --threads N without --tile writes the grid as N full-width tiles;\n \
+         without either, compress streams: model here, coder on a second thread when more\n \
+         than one CPU is available, 640 KiB between them; --threads counts tile workers only)"
     );
     ExitCode::from(2)
 }
@@ -313,6 +321,7 @@ fn compress_streaming(input: &str, output: &str) -> CliResult {
     let out = open_output(output)?;
     let cfg = CodecConfig::default();
     let mut enc = StreamEncoder::with_depth(out, width, height, header.bit_depth(), &cfg)?;
+    let coder_thread = enc.has_coder_thread();
     let mut row = vec![0u16; width];
     for y in 0..height {
         pgm::read_row(&mut reader, &header, &mut row)
@@ -326,10 +335,14 @@ fn compress_streaming(input: &str, output: &str) -> CliResult {
     // finished container, so the two commands agree.
     eprintln!(
         "{input}: {pixels} pixels ({}-bit) -> {} bytes ({:.3} bpp) with proposed \
-         (streamed, O(3 lines) memory)",
+         (streamed, {})",
         header.bit_depth(),
         stats.container_bytes,
-        stats.payload_bytes as f64 * 8.0 / pixels as f64
+        stats.payload_bytes as f64 * 8.0 / pixels as f64,
+        match coder_thread {
+            true => "O(3 lines) + 640 KiB memory, coder on its own thread",
+            false => "O(3 lines) memory, coder inline",
+        }
     );
     Ok(())
 }

@@ -614,6 +614,51 @@ fn cli_threads_defaults_to_one_worker_and_refuses_zero() {
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
+/// `cbic compress` of `pgm` bytes fed on stdin into `output`: the exit
+/// code and stderr.
+fn cli_compress(pgm: &[u8], output: &str) -> (Option<i32>, String) {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cbic"))
+        .args(["compress", "-", output])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run cbic");
+    // cbic may stop reading early; a refused write is not the test's error.
+    let _ = child.stdin.take().expect("piped stdin").write_all(pgm);
+    let out = child.wait_with_output().expect("cbic exits");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn cli_compress_names_the_pgm_row_it_could_not_read() {
+    let pgm = cbic::image::pgm::encode(&CorpusImage::Lena.generate(64, 64));
+    let header = pgm.len() - 64 * 64;
+    let (code, stderr) = cli_compress(&pgm[..header + 10 * 64 + 30], "-");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("reading pixel row 10"), "{stderr}");
+}
+
+#[test]
+fn cli_compress_into_a_full_device_fails_with_the_os_error() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    // The small container fails at the final flush, the large one while
+    // rows are still being coded.
+    for side in [32, 512] {
+        let pgm = cbic::image::pgm::encode(&CorpusImage::Mandrill.generate(side, side));
+        let (code, stderr) = cli_compress(&pgm, "/dev/full");
+        assert_eq!(code, Some(1), "{side}: {stderr}");
+        assert!(stderr.contains("os error"), "{side}: {stderr}");
+    }
+}
+
 /// A small container whose header is forged to claim `side`×`side`
 /// pixels (16384 is the 2^28-pixel ceiling): its payload runs out within
 /// the first row.
