@@ -62,6 +62,13 @@
 //! The schedule can never change the bytes: outputs are reassembled in
 //! index order regardless of which worker coded what.
 //!
+//! When one worker codes every tile and more than one CPU is available,
+//! the encoder splits that worker in two stages, as the streamed encoder
+//! does: the worker models the tiles, and its binary coder runs on a
+//! thread of its own that codes them as a sequence of streams, one per
+//! tile, while the worker models the next tile. With several workers
+//! every worker codes its tiles inline.
+//!
 //! # Examples
 //!
 //! ```
@@ -88,6 +95,7 @@
 //! ```
 
 use crate::codec::{decode_rows_checked, CodecConfig};
+use crate::coder_thread::{use_coder_thread, CoderThread};
 use crate::container::{
     header_bytes, read_header, CodecError, ContainerHeader, HEADER_LEN, VERSION_V4,
 };
@@ -406,6 +414,26 @@ fn encode_tile(state: &mut EncoderState, tile: ImageView<'_>) -> (Vec<u8>, u64) 
     (writer.into_bytes(), bits)
 }
 
+/// Encodes `tiles` in order on one engine state, each a stream of
+/// `coder`'s thread, and returns what [`encode_tile`] returns per tile.
+/// The coder does not hold the model up: tile `k + 1` is modelled here
+/// while that thread codes tile `k`.
+fn encode_tiles_on<'a>(
+    mut coder: CoderThread,
+    mut state: EncoderState,
+    tiles: impl ExactSizeIterator<Item = ImageView<'a>>,
+) -> Vec<(Vec<u8>, u64)> {
+    let streams = tiles.len();
+    for tile in tiles {
+        state.reset(tile.width(), tile.bit_depth());
+        state.encode_view(tile, &mut coder);
+        coder.end_stream();
+    }
+    let coded = (0..streams).map(|_| coder.take_stream()).collect();
+    coder.join();
+    coded
+}
+
 /// Decodes one tile substream on a reused engine state into a fresh
 /// `w`×`h` tile image, the dual of [`encode_tile`]. A substream that runs
 /// dry stops the tile within a row ([`decode_rows_checked`]).
@@ -488,11 +516,31 @@ pub fn compress_grid(
 /// [`compress_grid`] that also returns the exact entropy-coded payload
 /// bits summed over every tile (flush tails included; excludes headers
 /// and the index) — what the bench harness reports as bits per pixel.
+///
+/// With one worker and more than one CPU, the worker's binary coder runs
+/// on a thread of its own (see "Scheduling" in the module docs); the
+/// bytes are the same either way.
 pub fn compress_grid_with_bits(
     img: ImageView<'_>,
     cfg: &CodecConfig,
     geom: TileGeometry,
     par: Parallelism,
+) -> (Vec<u8>, u64) {
+    let (cols, rows) = geom.grid(img.width(), img.height());
+    let coder_thread = use_coder_thread(par.workers(cols * rows));
+    encode_grid(img, cfg, geom, par, coder_thread)
+}
+
+/// [`compress_grid_with_bits`] with the coder placed by the caller: if
+/// `coder_thread` (and the platform can start one), one worker codes every
+/// tile with its binary coder on a thread of its own; otherwise `par`
+/// workers code the tiles inline.
+pub(crate) fn encode_grid(
+    img: ImageView<'_>,
+    cfg: &CodecConfig,
+    geom: TileGeometry,
+    par: Parallelism,
+    coder_thread: bool,
 ) -> (Vec<u8>, u64) {
     let (width, height) = img.dimensions();
     crate::container::check_container_dimensions(width, height)
@@ -505,16 +553,17 @@ pub fn compress_grid_with_bits(
     );
 
     let bit_depth = img.bit_depth();
-    let coded: Vec<(Vec<u8>, u64)> = run_tiles(
-        tiles,
-        par,
-        || EncoderState::new(1, bit_depth, cfg),
-        |state, idx| {
-            let (col, row) = (idx % cols, idx / cols);
-            let (x, y, w, h) = geom.tile_rect(col, row, width, height);
-            encode_tile(state, img.crop(x, y, w, h))
-        },
-    );
+    let tile = |idx: usize| {
+        let (x, y, w, h) = geom.tile_rect(idx % cols, idx / cols, width, height);
+        img.crop(x, y, w, h)
+    };
+    let state = || EncoderState::new(1, bit_depth, cfg);
+    let coded: Vec<(Vec<u8>, u64)> = match coder_thread.then(CoderThread::spawn).flatten() {
+        Some(coder) => encode_tiles_on(coder, state(), (0..tiles).map(tile)),
+        None => run_tiles(tiles, par, state, |state, idx| {
+            encode_tile(state, tile(idx))
+        }),
+    };
 
     let payload_bits: u64 = coded.iter().map(|(_, bits)| bits).sum();
     let body: usize = coded.iter().map(|(sub, _)| sub.len()).sum();
@@ -911,6 +960,65 @@ mod tests {
             decompress_grid(&seq, Parallelism::Threads(4)).unwrap(),
             decompress_grid(&seq, Parallelism::Sequential).unwrap()
         );
+    }
+
+    #[test]
+    fn grid_bytes_match_across_coder_placements_and_worker_counts() {
+        use crate::codec::{encode_model_only, encode_raw};
+        use crate::coder_thread::CHUNK;
+        let cfg = CodecConfig::default();
+        let noisy = |w: usize, h: usize, depth: u8| {
+            Image::from_fn16(w, h, depth, |x, y| {
+                let i = (y * w + x) as u64;
+                let hash = i.wrapping_mul(6_364_136_223_846_793_005) >> 40;
+                ((x * 29 + y * 13) as u64 ^ (hash & 0x3F)) as u16 & (u16::MAX >> (16 - depth))
+            })
+        };
+        // 1x1-px tiles, 1-px-wide columns, ragged edges and a 1x1 grid.
+        let mut cases: Vec<(Image, Vec<(u32, u32)>)> = [1u8, 8, 12, 16]
+            .into_iter()
+            .map(|depth| {
+                (
+                    noisy(37, 29, depth),
+                    vec![(1, 1), (1, 29), (16, 16), (10, 7), (37, 29)],
+                )
+            })
+            .collect();
+        // A tile over more than 8 chunks of coded decisions, and ragged
+        // neighbours.
+        let big = noisy(200, 180, 8);
+        let coded = encode_model_only(big.view().crop(0, 0, 160, 170), &cfg).coded_decisions;
+        assert!(coded > 8 * CHUNK as u64, "{coded} coded decisions");
+        cases.push((big, vec![(200, 180), (160, 170)]));
+        for (img, geometries) in &cases {
+            for &(tw, th) in geometries {
+                let context = format!("{}-bit, {tw}x{th} tiles", img.bit_depth());
+                let inline = |par| encode_grid(img.view(), &cfg, geom(tw, th), par, false);
+                let expected = inline(Parallelism::Sequential);
+                let threaded = encode_grid(
+                    img.view(),
+                    &cfg,
+                    geom(tw, th),
+                    Parallelism::Sequential,
+                    true,
+                );
+                assert!(threaded == expected, "{context}, coder thread");
+                for workers in [2, 7] {
+                    let got = inline(Parallelism::Threads(workers));
+                    assert!(got == expected, "{context}, {workers} workers");
+                }
+                let (_, index, payload) = parse_grid(&expected.0).unwrap();
+                if index.entries.len() == 1 {
+                    let (raw, stats) = encode_raw(img.view(), &cfg);
+                    assert!(payload == raw, "{context}: the flat payload");
+                    assert_eq!(expected.1, stats.payload_bits, "{context}");
+                }
+                assert_eq!(
+                    decompress_grid(&expected.0, Parallelism::Sequential).unwrap(),
+                    *img
+                );
+            }
+        }
     }
 
     #[test]

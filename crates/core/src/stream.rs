@@ -32,11 +32,12 @@
 //! coder thread sends back the bytes it wrote, which the caller's thread
 //! writes into `W` (so `W` needs no `Send`). The queue adds a constant
 //! 640 KiB. On one CPU the two stages could only take turns, so the coder
-//! runs inline there. Either way the bytes are the same. The CLI's
-//! `--threads N` counts the tile workers of the [`grid`](crate::grid)
-//! container, not this thread. The decoder stays on one thread: each
-//! decoded bit steers the next tree step, so its coder cannot run ahead
-//! of its model.
+//! runs inline there. Either way the bytes are the same. A
+//! [`grid`](crate::grid) coded by one tile worker makes the same cut, one
+//! coder stream per tile. The CLI's `--threads N` counts the tile workers
+//! of the grid container, not this thread. The decoder stays on one
+//! thread: each decoded bit steers the next tree step, so its coder
+//! cannot run ahead of its model.
 //!
 //! # Examples
 //!
@@ -67,7 +68,7 @@
 //! ```
 
 use crate::codec::{CodecConfig, MAX_CODE_PADDING_BITS};
-use crate::coder_thread::CoderThread;
+use crate::coder_thread::{use_coder_thread, CoderThread};
 use crate::container::{header_bytes, read_header, CodecError, ContainerHeader};
 use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
@@ -167,11 +168,7 @@ impl<W: Write> StreamEncoder<W> {
         bit_depth: u8,
         cfg: &CodecConfig,
     ) -> io::Result<Self> {
-        // On one CPU the two stages would only take turns, and the
-        // hand-off between them adds work: pinned to one CPU of a 2-vCPU
-        // host, a 2048² encode took 1.15× as long with the coder thread.
-        let several_cpus = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-        Self::with_coder(out, width, height, bit_depth, cfg, several_cpus)
+        Self::with_coder(out, width, height, bit_depth, cfg, use_coder_thread(1))
     }
 
     /// [`Self::with_depth`] with the coder on its own thread if
@@ -370,9 +367,11 @@ impl<W: Write> StreamEncoder<W> {
                 (writer.finish(), bits)
             }
             Coder::Threaded(mut coder, mut out) => {
-                let bits = coder.finish();
+                coder.end_stream();
+                let (mut tail, bits) = coder.take_stream();
+                coder.join();
                 let written =
-                    write_back(&mut out, coder.bytes(), self.failed).and_then(|()| out.flush());
+                    write_back(&mut out, &mut tail, self.failed).and_then(|()| out.flush());
                 (written.map(|()| out), bits)
             }
         };

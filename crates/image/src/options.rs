@@ -13,7 +13,11 @@
 /// Codecs without a parallel path ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One job after another on the calling thread (the reference path).
+    /// One worker, which takes the jobs one after another (the reference
+    /// path). It runs on the calling thread; a codec may still hand its
+    /// binary coder to one helper thread when more than one CPU is
+    /// available, as the proposed codec's tile grid does, with the same
+    /// bytes.
     #[default]
     Sequential,
     /// Up to this many worker threads via [`std::thread::scope`]. `0` and
@@ -25,8 +29,8 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// CLI helper: maps a `--threads N` value (`0`/`1` meaning "don't
-    /// spawn") onto the matching variant.
+    /// CLI helper: maps a `--threads N` value (`0`/`1` meaning one worker,
+    /// [`Parallelism::Sequential`]) onto the matching variant.
     pub fn from_threads(n: usize) -> Self {
         if n <= 1 {
             Self::Sequential

@@ -27,12 +27,16 @@
 //! paper's modelling lines run beside its coder: the model and estimator
 //! on the main thread, and the binary arithmetic coder and bit output on
 //! one coder thread when more than one CPU is available (inline on one
-//! CPU), with a constant 640 KiB decision queue between them. `--threads
-//! N` counts the tile workers of the v4 grid only; the coder thread is
-//! not one of them.
+//! CPU), with a constant 640 KiB decision queue between them. A v4 grid
+//! coded by one tile worker (`--tile WxH --threads 1`) takes the same cut:
+//! the worker models tile k + 1 while the coder thread codes tile k. With
+//! more workers every worker codes its tiles inline. `--threads N` counts
+//! the tile workers only; the coder thread is not one of them. Both
+//! status lines say where the coder ran (`coder on its own thread` or
+//! `coder inline`).
 
 use cbic::core::stream::{StreamDecoder, StreamEncoder};
-use cbic::core::CodecConfig;
+use cbic::core::{CodecConfig, TileGeometry};
 use cbic::image::pgm;
 use cbic::{DecodeOptions, EncodeOptions, Parallelism};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -65,8 +69,9 @@ fn usage() -> ExitCode {
          (compress/decompress accept `-` for stdin/stdout piping; PGM may be 8- or 16-bit;\n \
          --tile writes the seekable tile grid, which `crop` decodes without reading other tiles;\n \
          --threads N without --tile writes the grid as N full-width tiles;\n \
-         without either, compress streams: model here, coder on a second thread when more\n \
-         than one CPU is available, 640 KiB between them; --threads counts tile workers only)"
+         without either, compress streams; streamed or with one tile worker, the model runs\n \
+         here and the coder on a second thread when more than one CPU is available,\n \
+         640 KiB between them; --threads counts tile workers only)"
     );
     ExitCode::from(2)
 }
@@ -278,9 +283,15 @@ fn cmd_compress(args: &[String]) -> CliResult {
         let stats = registry
             .expect_name("proposed")?
             .encode(img.view(), &opts, &mut container)?;
+        // The library's placement rule: a lone tile worker's coder runs on
+        // its own thread when more than one CPU is available.
+        let (cols, rows) = TileGeometry::new(tile_w, tile_h).grid(img.width(), img.height());
+        let coder_thread = opts.parallelism.workers(cols * rows) == 1
+            && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
         let label = format!(
-            "proposed (v4 grid, {tile_w}x{tile_h} tiles, {})",
-            thread_count(threads)
+            "proposed (v4 grid, {tile_w}x{tile_h} tiles, {}, {})",
+            thread_count(threads),
+            coder_placement(coder_thread)
         );
         (stats, label)
     } else if near > 0 {
@@ -335,16 +346,25 @@ fn compress_streaming(input: &str, output: &str) -> CliResult {
     // finished container, so the two commands agree.
     eprintln!(
         "{input}: {pixels} pixels ({}-bit) -> {} bytes ({:.3} bpp) with proposed \
-         (streamed, {})",
+         (streamed, {}, {})",
         header.bit_depth(),
         stats.container_bytes,
         stats.payload_bytes as f64 * 8.0 / pixels as f64,
         match coder_thread {
-            true => "O(3 lines) + 640 KiB memory, coder on its own thread",
-            false => "O(3 lines) memory, coder inline",
-        }
+            true => "O(3 lines) + 640 KiB memory",
+            false => "O(3 lines) memory",
+        },
+        coder_placement(coder_thread)
     );
     Ok(())
+}
+
+/// Where the binary arithmetic coder ran, for the status lines.
+fn coder_placement(coder_thread: bool) -> &'static str {
+    match coder_thread {
+        true => "coder on its own thread",
+        false => "coder inline",
+    }
 }
 
 fn cmd_decompress(args: &[String]) -> CliResult {

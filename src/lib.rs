@@ -39,8 +39,9 @@
 //! # Ok::<(), cbic::core::CodecError>(())
 //! ```
 //!
-//! See `README.md` for the architecture overview and `EXPERIMENTS.md` for
-//! the paper-vs-measured record of every table and figure.
+//! See `README.md` for the architecture overview. Its Experiments section
+//! and `cargo bench -p cbic-bench --bench tables` give the paper-vs-measured
+//! record of every table and figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -571,14 +571,17 @@ fn cli_threads_defaults_to_one_worker_and_refuses_zero() {
     };
     let p = std::path::Path::new;
     // Without --threads the grid is coded by one worker, and says so.
-    for args in [
-        vec![p("compress"), p("--tile"), p("16x16"), &pgm, &container],
-        vec![p("decompress"), &container, &back],
+    for (args, says) in [
+        (
+            vec![p("compress"), p("--tile"), p("16x16"), &pgm, &container],
+            "1 thread, coder",
+        ),
+        (vec![p("decompress"), &container, &back], "1 thread)"),
     ] {
         let out = run(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{args:?}: {stderr}");
-        assert!(stderr.contains("1 thread)"), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
     }
     // --threads 0 is a usage error on every command that takes it, and
     // no output is written.
@@ -610,6 +613,40 @@ fn cli_threads_defaults_to_one_worker_and_refuses_zero() {
             "{args:?}: {stderr}"
         );
         assert!(!refused.exists(), "{args:?} wrote output");
+    }
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
+fn cli_compress_says_where_the_coder_ran() {
+    let dir = std::env::temp_dir().join(format!("cbic-coder-placement-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (pgm, container) = (dir.join("in.pgm"), dir.join("out.cbic"));
+    cbic::image::pgm::write_file(&pgm, &CorpusImage::Barb.generate(40, 30)).expect("write input");
+    // The library's rule: the binary coder gets a thread of its own iff
+    // one worker codes and more than one CPU is available.
+    let several_cpus = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+    let p = std::path::Path::new;
+    for (flags, one_worker) in [
+        (vec![], true),
+        (vec!["--tile", "16x16"], true),
+        (vec!["--tile", "16x16", "--threads", "2"], false),
+        (vec!["--tile", "64x64", "--threads", "2"], true),
+    ] {
+        let mut args = vec![p("compress")];
+        args.extend(flags.into_iter().map(p));
+        args.extend([pgm.as_path(), container.as_path()]);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .args(&args)
+            .output()
+            .expect("run cbic");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        let placement = match one_worker && several_cpus {
+            true => "coder on its own thread)",
+            false => "coder inline)",
+        };
+        assert!(stderr.contains(placement), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).expect("clean up");
 }

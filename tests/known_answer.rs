@@ -71,7 +71,9 @@ fn slp_bitstream_is_pinned() {
 #[test]
 fn corpus_is_pinned_by_checksum() {
     // The corpus generators feed every experiment; silent changes would
-    // invalidate EXPERIMENTS.md. FNV-1a over each 64x64 stand-in.
+    // invalidate the paper-vs-measured records (README's Experiments
+    // section, `cargo bench -p cbic-bench --bench tables`). FNV-1a over
+    // each 64x64 stand-in.
     fn fnv(img: &Image) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &p in img.samples() {
