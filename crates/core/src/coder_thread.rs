@@ -44,13 +44,13 @@ pub(crate) const CHUNK: usize = 16 * 1024;
 /// for one to come back.
 const IN_FLIGHT: usize = 4;
 
-/// Whether `workers` coding workers (1 for the streamed flat encoder)
-/// should hand their binary coder to a [`CoderThread`]: only when exactly
-/// one worker codes and more than one CPU is available. Several workers
-/// already keep the CPUs busy. On one CPU the two stages could only take
-/// turns, and the hand-off between them adds work: pinned to one CPU of a
-/// 2-vCPU host, a 2048² streamed encode took 1.15× as long with the coder
-/// thread.
+/// Whether a caller with the CPUs to itself, coding on `workers` workers
+/// (1 for the streamed flat encoder), should hand the binary coder to a
+/// [`CoderThread`]: only when exactly one worker codes and more than one
+/// CPU is available. Several workers, or a server's worker pool, already
+/// keep the CPUs busy. On one CPU the two stages could only take turns,
+/// and the hand-off adds work: pinned to one CPU of a 2-vCPU host, a 2048²
+/// encode took 1.15× (streamed) and 1.10× (256² tiles) as long with it.
 pub(crate) fn use_coder_thread(workers: usize) -> bool {
     workers == 1 && thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }

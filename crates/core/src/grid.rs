@@ -62,12 +62,13 @@
 //! The schedule can never change the bytes: outputs are reassembled in
 //! index order regardless of which worker coded what.
 //!
-//! When one worker codes every tile and more than one CPU is available,
-//! the encoder splits that worker in two stages, as the streamed encoder
-//! does: the worker models the tiles, and its binary coder runs on a
-//! thread of its own that codes them as a sequence of streams, one per
-//! tile, while the worker models the next tile. With several workers
-//! every worker codes its tiles inline.
+//! A caller that has the host's CPUs to itself, such as a one-shot
+//! command, can split a lone worker in two stages as the streamed encoder
+//! does ([`compress_grid_two_stage`]): the worker models the tiles while
+//! its binary coder, on a thread of its own, codes them as a sequence of
+//! streams, one per tile. [`compress_grid`] and [`compress_grid_with_bits`]
+//! code every tile on the workers, whose callers, such as a server's
+//! worker pool, may already keep every CPU busy.
 //!
 //! # Examples
 //!
@@ -516,31 +517,54 @@ pub fn compress_grid(
 /// [`compress_grid`] that also returns the exact entropy-coded payload
 /// bits summed over every tile (flush tails included; excludes headers
 /// and the index) — what the bench harness reports as bits per pixel.
-///
-/// With one worker and more than one CPU, the worker's binary coder runs
-/// on a thread of its own (see "Scheduling" in the module docs); the
-/// bytes are the same either way.
 pub fn compress_grid_with_bits(
     img: ImageView<'_>,
     cfg: &CodecConfig,
     geom: TileGeometry,
     par: Parallelism,
 ) -> (Vec<u8>, u64) {
-    let (cols, rows) = geom.grid(img.width(), img.height());
-    let coder_thread = use_coder_thread(par.workers(cols * rows));
-    encode_grid(img, cfg, geom, par, coder_thread)
+    encode_grid(img, cfg, geom, par, None)
 }
 
-/// [`compress_grid_with_bits`] with the coder placed by the caller: if
-/// `coder_thread` (and the platform can start one), one worker codes every
-/// tile with its binary coder on a thread of its own; otherwise `par`
-/// workers code the tiles inline.
+/// [`compress_grid_with_bits`] for a caller that has the host's CPUs to
+/// itself: when one worker codes every tile and more than one CPU is
+/// available, that worker's binary coder runs on a thread of its own (see
+/// "Scheduling" in the module docs). The third value says whether it did;
+/// the bytes are the same either way.
+///
+/// # Errors
+///
+/// [`CodecError::InvalidHeader`] if the image exceeds the container's
+/// 2^28-pixel ceiling.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid or the grid would exceed
+/// [`MAX_TILES`].
+pub fn compress_grid_two_stage(
+    img: ImageView<'_>,
+    cfg: &CodecConfig,
+    geom: TileGeometry,
+    par: Parallelism,
+) -> Result<(Vec<u8>, u64, bool), CodecError> {
+    crate::container::check_container_dimensions(img.width(), img.height())?;
+    let (cols, rows) = geom.grid(img.width(), img.height());
+    let coder = use_coder_thread(par.workers(cols * rows))
+        .then(CoderThread::spawn)
+        .flatten();
+    let coder_thread = coder.is_some();
+    let (bytes, bits) = encode_grid(img, cfg, geom, par, coder);
+    Ok((bytes, bits, coder_thread))
+}
+
+/// [`compress_grid_with_bits`] with every tile coded into `coder` by one
+/// worker if it is given, else inline on `par` workers.
 pub(crate) fn encode_grid(
     img: ImageView<'_>,
     cfg: &CodecConfig,
     geom: TileGeometry,
     par: Parallelism,
-    coder_thread: bool,
+    coder: Option<CoderThread>,
 ) -> (Vec<u8>, u64) {
     let (width, height) = img.dimensions();
     crate::container::check_container_dimensions(width, height)
@@ -558,7 +582,7 @@ pub(crate) fn encode_grid(
         img.crop(x, y, w, h)
     };
     let state = || EncoderState::new(1, bit_depth, cfg);
-    let coded: Vec<(Vec<u8>, u64)> = match coder_thread.then(CoderThread::spawn).flatten() {
+    let coded: Vec<(Vec<u8>, u64)> = match coder {
         Some(coder) => encode_tiles_on(coder, state(), (0..tiles).map(tile)),
         None => run_tiles(tiles, par, state, |state, idx| {
             encode_tile(state, tile(idx))
@@ -993,19 +1017,23 @@ mod tests {
         for (img, geometries) in &cases {
             for &(tw, th) in geometries {
                 let context = format!("{}-bit, {tw}x{th} tiles", img.bit_depth());
-                let inline = |par| encode_grid(img.view(), &cfg, geom(tw, th), par, false);
-                let expected = inline(Parallelism::Sequential);
-                let threaded = encode_grid(
-                    img.view(),
-                    &cfg,
-                    geom(tw, th),
-                    Parallelism::Sequential,
-                    true,
-                );
+                let placed = |par, coder| encode_grid(img.view(), &cfg, geom(tw, th), par, coder);
+                let expected = placed(Parallelism::Sequential, None);
+                let threaded = placed(Parallelism::Sequential, CoderThread::spawn());
                 assert!(threaded == expected, "{context}, coder thread");
                 for workers in [2, 7] {
-                    let got = inline(Parallelism::Threads(workers));
+                    let got = placed(Parallelism::Threads(workers), None);
                     assert!(got == expected, "{context}, {workers} workers");
+                }
+                // The two-stage entry point places the coder by the rule
+                // and says where it ran.
+                let (cols, rows) = geom(tw, th).grid(img.width(), img.height());
+                for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                    let (bytes, bits, coder_thread) =
+                        compress_grid_two_stage(img.view(), &cfg, geom(tw, th), par).unwrap();
+                    assert!((bytes, bits) == expected, "{context}, two stages, {par:?}");
+                    let rule = use_coder_thread(par.workers(cols * rows));
+                    assert_eq!(coder_thread, rule, "{context}, {par:?}");
                 }
                 let (_, index, payload) = parse_grid(&expected.0).unwrap();
                 if index.entries.len() == 1 {

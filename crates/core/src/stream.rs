@@ -32,12 +32,12 @@
 //! coder thread sends back the bytes it wrote, which the caller's thread
 //! writes into `W` (so `W` needs no `Send`). The queue adds a constant
 //! 640 KiB. On one CPU the two stages could only take turns, so the coder
-//! runs inline there. Either way the bytes are the same. A
-//! [`grid`](crate::grid) coded by one tile worker makes the same cut, one
-//! coder stream per tile. The CLI's `--threads N` counts the tile workers
-//! of the grid container, not this thread. The decoder stays on one
-//! thread: each decoded bit steers the next tree step, so its coder
-//! cannot run ahead of its model.
+//! runs inline there. Either way the bytes are the same. The grid's
+//! [`compress_grid_two_stage`](crate::grid::compress_grid_two_stage) makes
+//! the same cut for a lone tile worker, one coder stream per tile. The
+//! CLI's `--threads N` counts the grid's tile workers, not this thread.
+//! The decoder stays on one thread: each decoded bit steers the next tree
+//! step, so its coder cannot run ahead of its model.
 //!
 //! # Examples
 //!

@@ -14,10 +14,10 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// One worker, which takes the jobs one after another (the reference
-    /// path). It runs on the calling thread; a codec may still hand its
-    /// binary coder to one helper thread when more than one CPU is
-    /// available, as the proposed codec's tile grid does, with the same
-    /// bytes.
+    /// path). It runs on the calling thread; an encoder may still hand
+    /// its binary coder to one helper thread when more than one CPU is
+    /// available, as the proposed codec's two-stage grid entry point
+    /// does, with the same bytes.
     #[default]
     Sequential,
     /// Up to this many worker threads via [`std::thread::scope`]. `0` and

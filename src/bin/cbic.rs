@@ -28,12 +28,13 @@
 //! on the main thread, and the binary arithmetic coder and bit output on
 //! one coder thread when more than one CPU is available (inline on one
 //! CPU), with a constant 640 KiB decision queue between them. A v4 grid
-//! coded by one tile worker (`--tile WxH --threads 1`) takes the same cut:
+//! coded by one tile worker (`--tile WxH --threads 1`) takes the same cut
+//! ([`compress_grid_two_stage`](cbic::core::grid::compress_grid_two_stage)):
 //! the worker models tile k + 1 while the coder thread codes tile k. With
 //! more workers every worker codes its tiles inline. `--threads N` counts
 //! the tile workers only; the coder thread is not one of them. Both
-//! status lines say where the coder ran (`coder on its own thread` or
-//! `coder inline`).
+//! status lines say where the library ran the coder (`coder on its own
+//! thread` or `coder inline`).
 
 use cbic::core::stream::{StreamDecoder, StreamEncoder};
 use cbic::core::{CodecConfig, TileGeometry};
@@ -269,7 +270,9 @@ fn cmd_compress(args: &[String]) -> CliResult {
     let (stats, label) = if codec_name == "proposed" {
         // The v4 seekable tile grid: every tile an independently
         // decodable substream, coded on the tile scheduler. `--threads N`
-        // alone asks for N full-width tiles, one per worker.
+        // alone asks for N full-width tiles, one per worker. This process
+        // has the CPUs to itself, so a lone worker may hand its coder to
+        // a thread of its own.
         let (tile_w, tile_h) = match tile {
             Some(tile) => tile,
             None => (
@@ -277,17 +280,18 @@ fn cmd_compress(args: &[String]) -> CliResult {
                 u32::try_from(img.height().div_ceil(threads))?,
             ),
         };
-        let opts = EncodeOptions::new()
-            .with_tile(tile_w, tile_h)
-            .with_parallelism(Parallelism::from_threads(threads));
-        let stats = registry
-            .expect_name("proposed")?
-            .encode(img.view(), &opts, &mut container)?;
-        // The library's placement rule: a lone tile worker's coder runs on
-        // its own thread when more than one CPU is available.
-        let (cols, rows) = TileGeometry::new(tile_w, tile_h).grid(img.width(), img.height());
-        let coder_thread = opts.parallelism.workers(cols * rows) == 1
-            && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        let (bytes, payload_bits, coder_thread) = cbic::core::grid::compress_grid_two_stage(
+            img.view(),
+            &CodecConfig::default(),
+            TileGeometry::new(tile_w, tile_h),
+            Parallelism::from_threads(threads),
+        )?;
+        container = bytes;
+        let stats = cbic::image::EncodeStats::new(
+            img.pixel_count() as u64,
+            container.len() as u64,
+            Some(payload_bits),
+        );
         let label = format!(
             "proposed (v4 grid, {tile_w}x{tile_h} tiles, {}, {})",
             thread_count(threads),

@@ -623,8 +623,9 @@ fn cli_compress_says_where_the_coder_ran() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let (pgm, container) = (dir.join("in.pgm"), dir.join("out.cbic"));
     cbic::image::pgm::write_file(&pgm, &CorpusImage::Barb.generate(40, 30)).expect("write input");
-    // The library's rule: the binary coder gets a thread of its own iff
-    // one worker codes and more than one CPU is available.
+    // The status line reports where the library ran the coder; the
+    // documented placement is a thread of its own iff one worker codes
+    // and more than one CPU is available.
     let several_cpus = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
     let p = std::path::Path::new;
     for (flags, one_worker) in [
