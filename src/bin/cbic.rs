@@ -3,7 +3,9 @@
 //! Every codec-facing command is registry-driven: codecs are enumerated
 //! from [`cbic::all_codecs`] / [`cbic::default_registry`] and used through
 //! `&dyn Codec`, so a codec added to the registry appears in `compress`,
-//! `decompress`, `bench`, and `codecs` with no CLI changes.
+//! `decompress`, `bench`, and `codecs` with no CLI changes. Only
+//! `compress` of the `proposed` codec calls its streamed and two-stage
+//! grid encoders directly (see below).
 //!
 //! ```text
 //! cbic compress   [--codec NAME] [--near N] [--threads N] [--tile WxH] IN.pgm OUT
