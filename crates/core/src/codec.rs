@@ -350,27 +350,15 @@ pub fn decode_raw(
     cfg: &CodecConfig,
 ) -> Image {
     let mut img = Image::with_depth(width, height, bit_depth);
+    let mut state = DecoderState::new(width, bit_depth, cfg);
+    let mut dec = BinaryDecoder::new(BitReader::new(bytes));
     // A payload that runs dry leaves the remaining rows zero; this raw
     // entry point reports no errors, so the verdict is dropped.
-    let _ = decode_raw_into(bytes, &mut img.view_mut(), cfg);
+    let _ = decode_rows_checked(&mut state, &mut dec, &mut img.view_mut());
     img
 }
 
-/// [`decode_raw`] writing straight into a caller-provided view, through
-/// [`decode_rows_checked`]: a payload that ends mid-image is
-/// [`CodecError::Truncated`], which is how [`decompress`](crate::decompress)
-/// turns mid-stream EOF into an error instead of silent garbage.
-pub(crate) fn decode_raw_into(
-    bytes: &[u8],
-    out: &mut ImageViewMut<'_>,
-    cfg: &CodecConfig,
-) -> Result<(), CodecError> {
-    let mut state = DecoderState::new(out.width(), out.bit_depth(), cfg);
-    let mut dec = BinaryDecoder::new(BitReader::new(bytes));
-    decode_rows_checked(&mut state, &mut dec, out)
-}
-
-/// The row loop of every buffered decoder ([`decode_raw_into`], the
+/// The row loop of every buffered decoder ([`decode_raw`], the
 /// [`DecoderSession`](crate::DecoderSession) and the grid's tiles): decodes
 /// `out` row by row and stops at the first row after which the source has
 /// served more than [`MAX_CODE_PADDING_BITS`] zero-padding bits, answering
@@ -401,8 +389,10 @@ pub(crate) mod tests {
     use cbic_image::corpus::CorpusImage;
 
     thread_local! {
-        /// Rows the last [`decode_rows_checked`] call on this thread
-        /// decoded, so the truncation tests can count rows, not time.
+        /// Rows the last [`decode_rows_checked`] or
+        /// [`StreamDecoder::decode_all`](crate::StreamDecoder::decode_all)
+        /// call on this thread decoded, so the truncation tests can count
+        /// rows, not time.
         pub(crate) static ROWS_DECODED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
@@ -675,8 +665,10 @@ pub(crate) mod tests {
     #[test]
     fn buffered_decoders_stop_within_two_rows_of_a_forged_container() {
         // A 32x32 container whose header claims 4096x4096: its payload runs
-        // dry inside the first row, so every buffered loop must give up
-        // within two rows, not decode all 4096.
+        // dry inside the first row, so every decode loop must give up
+        // within two rows, not decode all 4096. `decompress` runs the
+        // stream decoder's rows, the session and the grid tiles the
+        // buffered row loop.
         use crate::container::{compress, decompress, CodecError};
         use crate::grid::{compress_grid, decompress_grid, TileGeometry};
         use crate::session::DecoderSession;

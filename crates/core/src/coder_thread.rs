@@ -71,11 +71,9 @@ struct Reply {
     chunk: Vec<u64>,
     /// Output bytes that became final since the previous reply.
     bytes: Vec<u8>,
-    /// Payload bits of the stream so far; if `end`, the exact total, the
-    /// flush tail included.
-    bits: u64,
-    /// The job ended the stream.
-    end: bool,
+    /// If the job ended the stream, its exact payload bits, the flush tail
+    /// included.
+    ended: Option<u64>,
 }
 
 /// The caller's side of the coder thread: packs the model's decisions
@@ -95,8 +93,6 @@ pub(crate) struct CoderThread {
     /// Output bytes of the oldest stream the coder has not ended, back
     /// from the coder and not yet taken.
     bytes: Vec<u8>,
-    /// That stream's payload bits as of the last reply.
-    bits: u64,
     /// Streams the coder has ended, oldest first: the bytes not yet taken
     /// and the exact payload bits.
     ended: VecDeque<(Vec<u8>, u64)>,
@@ -124,7 +120,6 @@ impl CoderThread {
             shipped: 0,
             in_flight: 0,
             bytes: Vec::new(),
-            bits: 0,
             ended: VecDeque::new(),
             jobs: Some(jobs),
             replies,
@@ -147,19 +142,6 @@ impl CoderThread {
     /// yet taken; the caller writes them out and clears the buffer.
     pub(crate) fn bytes(&mut self) -> &mut Vec<u8> {
         &mut self.bytes
-    }
-
-    /// Ships what the model has packed and waits until the coder has coded
-    /// all of it, so the returned payload bit count of the open stream is
-    /// exact.
-    pub(crate) fn sync(&mut self) -> u64 {
-        if !self.chunk.is_empty() {
-            self.ship(false);
-        }
-        while self.in_flight > 0 {
-            self.receive();
-        }
-        self.bits
     }
 
     /// Ends the stream the model is coding. Does not wait for the coder:
@@ -235,11 +217,9 @@ impl CoderThread {
         self.in_flight -= 1;
         self.free.push(reply.chunk);
         self.bytes.extend_from_slice(&reply.bytes);
-        self.bits = reply.bits;
-        if reply.end {
+        if let Some(bits) = reply.ended {
             self.ended
-                .push_back((std::mem::take(&mut self.bytes), self.bits));
-            self.bits = 0;
+                .push_back((std::mem::take(&mut self.bytes), bits));
         }
     }
 
@@ -327,20 +307,16 @@ fn code(jobs: &Receiver<Job>, replies: &Sender<Reply>) {
             enc.encode_coded(word >> 34 != 0, field(17), field(0));
         }
         words.clear();
-        let bits = match end {
-            true => {
-                let writer = std::mem::replace(&mut enc, open()).finish();
-                let bits = writer.bits_written();
-                writer.finish().expect("an in-memory outbox cannot fail");
-                bits
-            }
-            false => enc.bits_written(),
-        };
+        let ended = end.then(|| {
+            let writer = std::mem::replace(&mut enc, open()).finish();
+            let bits = writer.bits_written();
+            writer.finish().expect("an in-memory outbox cannot fail");
+            bits
+        });
         let reply = Reply {
             chunk: words,
             bytes: outbox.take(),
-            bits,
-            end,
+            ended,
         };
         if replies.send(reply).is_err() {
             return;
@@ -360,7 +336,8 @@ mod tests {
         // Packs, but beyond the coder's 2^16 total: only the coder thread
         // rejects it.
         coder.encode(false, 1, 70_000);
-        coder.sync();
+        coder.end_stream();
+        coder.take_stream();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Self-describing container format.
 //!
-//! The raw codec API ([`encode_raw`]) produces a bare
+//! The raw codec API ([`encode_raw`](crate::encode_raw)) produces a bare
 //! arithmetic-coded payload, as the FPGA core would on its output bus. For
 //! storage and interchange this module frames it with a small header
 //! carrying the dimensions and every model parameter the decoder must
@@ -50,9 +50,10 @@
 //! a decoder can seek to any tile in `O(1)` without touching the rest of
 //! the payload — random-access crop decodes and parallel whole-image
 //! decodes both fall out of that. The v4 read/write paths live in the
-//! [`grid`](crate::grid) module; this module's [`decompress`] and
-//! internal header reader recognize the version and dispatch.
-//!
+//! [`grid`](crate::grid) module. [`decompress`] and [`Proposed`]'s decode
+//! share one reader that reads the header once and hands a v4 grid to the
+//! grid's tile loop, everything else to the row-streaming
+//! [`StreamDecoder`].
 //!
 //! # Version 5: retired
 //!
@@ -69,11 +70,14 @@
 //! multi-threaded encodes now write the version-4 grid, and nothing
 //! decodes `CBTI` any more.
 
-use crate::codec::{decode_raw_into, encode_raw, CodecConfig};
+use crate::codec::CodecConfig;
 use crate::context::DivisionKind;
 use crate::session::EncoderSession;
+use crate::stream::StreamDecoder;
 use cbic_arith::EstimatorConfig;
-use cbic_image::{CbicError, Codec, CountingSink, DecodeOptions, EncodeOptions, Image, ImageView};
+use cbic_image::{
+    CbicError, Codec, CountingSink, DecodeOptions, EncodeOptions, Image, ImageView, Parallelism,
+};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -186,7 +190,8 @@ pub struct ContainerHeader {
     pub tile: Option<(u32, u32)>,
 }
 
-/// Compresses the pixels of a view into a self-describing container.
+/// Compresses the pixels of a view into a self-describing container: a
+/// one-shot [`EncoderSession::encode`] into a `Vec`.
 ///
 /// # Examples
 ///
@@ -203,12 +208,16 @@ pub struct ContainerHeader {
 /// assert_eq!(decompress(&bytes)?, deep);
 /// # Ok::<(), cbic_core::CodecError>(())
 /// ```
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid or the image exceeds the
+/// container's 2^28-pixel ceiling (before any pixel is coded).
 pub fn compress(img: ImageView<'_>, cfg: &CodecConfig) -> Vec<u8> {
-    let (payload, _) = encode_raw(img, cfg);
-    let (hdr, len) = header_bytes(cfg, img.width(), img.height(), img.bit_depth());
-    let mut out = Vec::with_capacity(len + payload.len());
-    out.extend_from_slice(&hdr[..len]);
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    if let Err(e) = EncoderSession::new(cfg).encode(img, &mut out) {
+        panic!("{e}");
+    }
     out
 }
 
@@ -217,7 +226,7 @@ pub fn compress(img: ImageView<'_>, cfg: &CodecConfig) -> Vec<u8> {
 /// length (23 bytes of version 1 for 8-bit samples — byte-identical to the
 /// historical format — and 24 bytes of version 2 for other depths; the
 /// grid writer keeps the first 23 bytes and appends its own extension).
-/// [`compress`], the sessions, and the streaming
+/// The [`EncoderSession`] (and so [`compress`]) and the streaming
 /// [`StreamEncoder`](crate::stream::StreamEncoder) share this, which is
 /// what keeps their outputs byte-identical.
 pub(crate) fn header_bytes(
@@ -261,9 +270,9 @@ pub(crate) const MAX_PIXELS: usize = 1 << 28;
 
 /// The single dimension gate every path shares — the decode-side header
 /// validation ([`parse_header`]) and the encode-side guards
-/// ([`StreamEncoder::new`](crate::stream::StreamEncoder::new), the
-/// sessions), so an hours-long encode cannot produce a container the
-/// decoder would refuse.
+/// ([`StreamEncoder::with_depth`](crate::stream::StreamEncoder::with_depth),
+/// the [`EncoderSession`], the grid writers), so an hours-long encode
+/// cannot produce a container the decoder would refuse.
 pub(crate) fn check_container_dimensions(width: usize, height: usize) -> Result<(), CodecError> {
     if width > u32::MAX as usize
         || height > u32::MAX as usize
@@ -276,24 +285,33 @@ pub(crate) fn check_container_dimensions(width: usize, height: usize) -> Result<
     Ok(())
 }
 
-/// Decompresses a container produced by [`compress`].
+/// Decompresses a container produced by [`compress`], or a version-4
+/// grid (its tiles on one worker).
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] when the header is malformed, or
 /// [`CodecError::Truncated`] when the arithmetic payload ends well before
 /// the header-declared pixel count was decoded (the decoder had to invent
-/// more padding bits than any complete payload requires).
+/// more padding bits than any complete payload requires). A grid fails as
+/// [`decompress_grid`](crate::grid::decompress_grid) does.
 pub fn decompress(bytes: &[u8]) -> Result<Image, CodecError> {
-    let (hdr, payload) = parse_header(bytes)?;
+    decode_container(&mut &bytes[..], Parallelism::Sequential)
+}
+
+/// The one whole-container reader behind [`decompress`] and
+/// [`Proposed`]'s decode: reads the header once, then streams a flat
+/// container row by row through a [`StreamDecoder`] and hands a version-4
+/// grid to the grid's tile loop, its tiles on `par` workers.
+pub(crate) fn decode_container<R: Read + ?Sized>(
+    input: &mut R,
+    par: Parallelism,
+) -> Result<Image, CodecError> {
+    let hdr = read_header(input)?;
     if hdr.tile.is_some() {
-        // Version 4: the bytes after the fixed header are the tile index
-        // plus per-tile substreams, decoded by the grid subsystem.
-        return crate::grid::decompress_grid(bytes, cbic_image::Parallelism::Sequential);
+        return crate::grid::decode_grid(&hdr, input, par);
     }
-    let mut img = Image::with_depth(hdr.width, hdr.height, hdr.bit_depth);
-    decode_raw_into(payload, &mut img.view_mut(), &hdr.cfg)?;
-    Ok(img)
+    StreamDecoder::with_header(hdr, input)?.decode_all()
 }
 
 /// Parses a container header, returning the declared header fields and
@@ -509,27 +527,19 @@ impl Codec for Proposed {
         ))
     }
 
-    /// True streaming: rows are reconstructed one at a time through
-    /// [`StreamDecoder`](crate::stream::StreamDecoder) without slurping
-    /// the compressed stream. Version-4 grid containers are dispatched to
-    /// the [`grid`](crate::grid) decoder instead (buffered, with tiles
-    /// decoded on `opts.parallelism` workers), and `opts.roi` requests a
-    /// crop ([`decode_roi`](crate::decode_roi)) — tile-selective on v4,
-    /// only the rows it needs on the flat formats.
+    /// True streaming through [`decompress`]'s reader: rows of a flat
+    /// container are reconstructed one at a time through a
+    /// [`StreamDecoder`] without slurping the compressed stream, and a
+    /// version-4 grid has its tiles decoded on `opts.parallelism` workers.
+    /// `opts.roi` requests a crop ([`decode_roi`](crate::decode_roi)) —
+    /// tile-selective on v4, only the rows it needs on the flat formats.
     fn decode(&self, source: &mut dyn Read, opts: &DecodeOptions) -> Result<Image, CbicError> {
         if let Some(roi) = opts.roi {
             let mut bytes = Vec::new();
             source.read_to_end(&mut bytes).map_err(CbicError::from)?;
             return crate::grid::decode_roi(&bytes, roi, opts.parallelism).map_err(CbicError::from);
         }
-        let hdr = read_header(source).map_err(CbicError::from)?;
-        if hdr.tile.is_some() {
-            return crate::grid::decode_grid_after_header(&hdr, source, opts.parallelism)
-                .map_err(CbicError::from);
-        }
-        crate::stream::StreamDecoder::with_header(hdr, source)
-            .and_then(crate::stream::StreamDecoder::decode_all)
-            .map_err(CbicError::from)
+        decode_container(source, opts.parallelism).map_err(CbicError::from)
     }
 }
 
@@ -543,6 +553,15 @@ mod tests {
         let img = CorpusImage::Lena.generate(40, 40);
         let bytes = compress(img.view(), &CodecConfig::default());
         assert_eq!(decompress(&bytes).unwrap(), img);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 2^28-pixel container limit")]
+    fn compress_refuses_an_image_over_the_pixel_ceiling() {
+        // 2^28 + 2^14 zero samples straight from `calloc`: refused before
+        // any pixel is coded, so none of the pages is ever touched.
+        let img = Image::with_depth(16_385, 16_384, 8);
+        compress(img.view(), &CodecConfig::default());
     }
 
     #[test]

@@ -223,12 +223,6 @@ impl PixelEngine {
         self.bit_depth
     }
 
-    /// `2^(depth-1)`: the first-pixel mid-gray fallback.
-    #[inline]
-    pub fn half(&self) -> i32 {
-        self.half
-    }
-
     /// First-pixel mid-gray as a sample.
     #[inline]
     pub(crate) fn mid(&self) -> u16 {

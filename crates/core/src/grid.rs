@@ -21,6 +21,13 @@
 //! The price is model cold-start per tile (every tile re-learns its
 //! statistics), bounded by this module's tests.
 //!
+//! One reader validates every tile index, and one tile loop serves every
+//! decode: a whole image — [`decompress_grid`], and the grid leg of
+//! [`decompress`](crate::decompress), the proposed codec's
+//! `Codec::decode` and the [`DecoderSession`](crate::DecoderSession) — is
+//! the crop of the full rectangle. Each tile's CRC-32 is checked by the
+//! worker that decodes it.
+//!
 //! # Container v4 layout
 //!
 //! ```text
@@ -104,7 +111,7 @@ use crate::engine::{DecoderState, EncoderState};
 use crate::stream::StreamDecoder;
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
 use cbic_bitio::{BitReader, BitWriter};
-use cbic_image::{Image, ImageView, ImageViewMut, Parallelism, Rect};
+use cbic_image::{Image, ImageView, Parallelism, Rect};
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -250,14 +257,20 @@ impl TileIndex {
         Ok((c0, c1, r0, r1))
     }
 
-    /// Reads and validates a serialized index (`cols × rows` entries) off
-    /// a stream positioned right after the v4 fixed header.
+    /// Reads and validates the serialized index (`cols × rows` entries) of
+    /// the v4 container whose fixed header `hdr` was just read off `input`
+    /// — the one index reader behind every grid decode.
     fn read_from<R: Read + ?Sized>(
         input: &mut R,
-        geometry: TileGeometry,
-        width: usize,
-        height: usize,
+        hdr: &ContainerHeader,
     ) -> Result<Self, CodecError> {
+        let Some((tile_w, tile_h)) = hdr.tile else {
+            return Err(CodecError::InvalidHeader(
+                "not a version-4 tiled container".into(),
+            ));
+        };
+        let geometry = TileGeometry::new(tile_w, tile_h);
+        let (width, height) = (hdr.width, hdr.height);
         let (cols, rows) = geometry.grid(width, height);
         let tiles = cols
             .checked_mul(rows)
@@ -300,20 +313,31 @@ impl TileIndex {
             entries,
         })
     }
+
+    /// Checks that `found` payload bytes follow the index: fewer is
+    /// [`CodecError::Truncated`], more a structured
+    /// [`CodecError::InvalidHeader`].
+    fn check_payload_len(&self, found: u64) -> Result<(), CodecError> {
+        let promised = self.payload_len();
+        match found.cmp(&promised) {
+            std::cmp::Ordering::Less => Err(CodecError::Truncated),
+            std::cmp::Ordering::Greater => Err(CodecError::InvalidHeader(format!(
+                "{found} payload bytes but the tile index accounts for {promised}"
+            ))),
+            std::cmp::Ordering::Equal => Ok(()),
+        }
+    }
 }
 
-/// Rejects an empty or out-of-bounds region of interest with a
-/// structured error naming both rectangles.
+/// Rejects an empty or out-of-bounds region of interest ([`Rect::fits`])
+/// with a structured error naming both rectangles.
 fn check_roi(roi: Rect, width: usize, height: usize) -> Result<(), CodecError> {
-    let x1 = u64::from(roi.x) + u64::from(roi.w);
-    let y1 = u64::from(roi.y) + u64::from(roi.h);
-    if roi.w == 0 || roi.h == 0 || x1 > width as u64 || y1 > height as u64 {
-        return Err(CodecError::InvalidHeader(format!(
-            "ROI {}x{} at ({}, {}) outside the {width}x{height} image",
-            roi.w, roi.h, roi.x, roi.y
-        )));
+    if roi.fits(width, height) {
+        return Ok(());
     }
-    Ok(())
+    Err(CodecError::InvalidHeader(format!(
+        "ROI {roi} outside the {width}x{height} image"
+    )))
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes` —
@@ -433,42 +457,6 @@ fn encode_tiles_on<'a>(
     let coded = (0..streams).map(|_| coder.take_stream()).collect();
     coder.join();
     coded
-}
-
-/// Decodes one tile substream on a reused engine state into a fresh
-/// `w`×`h` tile image, the dual of [`encode_tile`]. A substream that runs
-/// dry stops the tile within a row ([`decode_rows_checked`]).
-fn decode_tile(
-    state: &mut DecoderState,
-    hdr: &ContainerHeader,
-    sub: &[u8],
-    w: usize,
-    h: usize,
-) -> Result<Image, CodecError> {
-    state.reset(w, hdr.bit_depth);
-    let mut img = Image::with_depth(w, h, hdr.bit_depth);
-    let mut dec = BinaryDecoder::new(BitReader::new(sub));
-    decode_rows_checked(state, &mut dec, &mut img.view_mut())?;
-    Ok(img)
-}
-
-/// Copies a `w`×`h` window of `src` (anchored at `src_xy`) into `dst` at
-/// `dst_xy` — the row-wise reassembly every tile decode shares, since
-/// safe code cannot hand workers disjoint 2D windows of one buffer.
-fn blit(
-    dst: &mut ImageViewMut<'_>,
-    dst_xy: (usize, usize),
-    src: &Image,
-    src_xy: (usize, usize),
-    w: usize,
-    h: usize,
-) {
-    let (dst_x, dst_y) = dst_xy;
-    let (src_x, src_y) = src_xy;
-    for y in 0..h {
-        let src_row = &src.row(src_y + y)[src_x..src_x + w];
-        dst.row_mut(dst_y + y)[dst_x..dst_x + w].copy_from_slice(src_row);
-    }
 }
 
 /// Compresses a view into a version-4 grid container: fixed header, tile
@@ -628,37 +616,9 @@ pub(crate) fn encode_grid(
 pub fn parse_grid(bytes: &[u8]) -> Result<(ContainerHeader, TileIndex, &[u8]), CodecError> {
     let mut source = bytes;
     let hdr = read_header(&mut source)?;
-    let Some((tile_w, tile_h)) = hdr.tile else {
-        return Err(CodecError::InvalidHeader(
-            "not a version-4 tiled container".into(),
-        ));
-    };
-    let geom = TileGeometry::new(tile_w, tile_h);
-    let index = TileIndex::read_from(&mut source, geom, hdr.width, hdr.height)?;
-    let promised = index.payload_len();
-    match (source.len() as u64).cmp(&promised) {
-        std::cmp::Ordering::Less => Err(CodecError::Truncated),
-        std::cmp::Ordering::Greater => Err(CodecError::InvalidHeader(format!(
-            "{} payload bytes but the tile index accounts for {promised}",
-            source.len()
-        ))),
-        std::cmp::Ordering::Equal => Ok((hdr, index, source)),
-    }
-}
-
-/// The substream slice of tile `idx`, CRC-checked against its index entry.
-fn tile_substream<'a>(
-    index: &TileIndex,
-    payload: &'a [u8],
-    idx: usize,
-) -> Result<&'a [u8], CodecError> {
-    let entry = &index.entries[idx];
-    let start = entry.offset as usize;
-    let sub = payload
-        .get(start..start + entry.len as usize)
-        .ok_or(CodecError::Truncated)?;
-    check_crc(index, idx, sub)?;
-    Ok(sub)
+    let index = TileIndex::read_from(&mut source, &hdr)?;
+    index.check_payload_len(source.len() as u64)?;
+    Ok((hdr, index, source))
 }
 
 /// Checks a tile substream against the CRC-32 its index entry records.
@@ -673,36 +633,70 @@ fn check_crc(index: &TileIndex, idx: usize, sub: &[u8]) -> Result<(), CodecError
     )))
 }
 
-/// Decodes every tile of a parsed v4 container into one image, tiles on
-/// `par` workers. Each worker decodes into per-tile buffers (safe code
-/// cannot split one buffer into disjoint 2D windows), reassembled
-/// row-wise afterwards — the copy is linear in pixels and vanishes next
-/// to the arithmetic decode.
-fn decode_all_tiles(
+/// The one tile loop of every grid decode: decodes `subs` — the
+/// `(tile index, substream)` pairs of the tiles covering `roi`, in
+/// row-major order — on `par` workers and assembles the `roi` crop. A
+/// whole-image decode is the full rectangle. Each job checks its
+/// substream's CRC-32 before decoding it, so the checks run on the
+/// workers too. Safe code cannot hand workers disjoint 2D windows of one
+/// buffer, so each tile decodes into its own image and is copied into
+/// place afterwards — linear in pixels, and small next to the arithmetic
+/// decode. A substream that runs dry stops its tile within a row
+/// ([`decode_rows_checked`]).
+fn decode_tiles(
+    hdr: &ContainerHeader,
+    index: &TileIndex,
+    roi: Rect,
+    subs: &[(usize, &[u8])],
+    par: Parallelism,
+) -> Result<Image, CodecError> {
+    let decoded: Vec<Result<Image, CodecError>> = run_tiles(
+        subs.len(),
+        par,
+        || DecoderState::new(1, hdr.bit_depth, &hdr.cfg),
+        |state, i| {
+            let (idx, sub) = subs[i];
+            check_crc(index, idx, sub)?;
+            let (_, _, w, h) = index.tile_rect(idx % index.cols, idx / index.cols);
+            state.reset(w, hdr.bit_depth);
+            let mut tile = Image::with_depth(w, h, hdr.bit_depth);
+            let mut dec = BinaryDecoder::new(BitReader::new(sub));
+            decode_rows_checked(state, &mut dec, &mut tile.view_mut())?;
+            Ok(tile)
+        },
+    );
+    let (rx, ry) = (roi.x as usize, roi.y as usize);
+    let (rw, rh) = (roi.w as usize, roi.h as usize);
+    let mut out = Image::with_depth(rw, rh, hdr.bit_depth);
+    for (&(idx, _), tile) in subs.iter().zip(decoded) {
+        let tile = tile?;
+        let (tx, ty, tw, th) = index.tile_rect(idx % index.cols, idx / index.cols);
+        // Intersection of the tile with the ROI, in both coordinate frames.
+        let (x0, x1) = (rx.max(tx), (rx + rw).min(tx + tw));
+        let (y0, y1) = (ry.max(ty), (ry + rh).min(ty + th));
+        for y in y0..y1 {
+            out.row_mut(y - ry)[x0 - rx..x1 - rx]
+                .copy_from_slice(&tile.row(y - ty)[x0 - tx..x1 - tx]);
+        }
+    }
+    Ok(out)
+}
+
+/// Decodes every tile of a parsed grid whose substreams are `payload`.
+fn decode_whole(
     hdr: &ContainerHeader,
     index: &TileIndex,
     payload: &[u8],
     par: Parallelism,
 ) -> Result<Image, CodecError> {
-    let tiles = index.entries.len();
-    let decoded: Vec<Result<Image, CodecError>> = run_tiles(
-        tiles,
-        par,
-        || DecoderState::new(1, hdr.bit_depth, &hdr.cfg),
-        |state, idx| {
-            let sub = tile_substream(index, payload, idx)?;
-            let (_, _, w, h) = index.tile_rect(idx % index.cols, idx / index.cols);
-            decode_tile(state, hdr, sub, w, h)
-        },
-    );
-    let mut out = Image::with_depth(hdr.width, hdr.height, hdr.bit_depth);
-    let mut view = out.view_mut();
-    for (idx, tile) in decoded.into_iter().enumerate() {
-        let tile = tile?;
-        let (x, y, w, h) = index.tile_rect(idx % index.cols, idx / index.cols);
-        blit(&mut view, (x, y), &tile, (0, 0), w, h);
-    }
-    Ok(out)
+    let subs: Vec<(usize, &[u8])> = index
+        .entries
+        .iter()
+        .enumerate()
+        .map(|(idx, e)| (idx, &payload[e.offset as usize..][..e.len as usize]))
+        .collect();
+    let full = Rect::new(0, 0, hdr.width as u32, hdr.height as u32);
+    decode_tiles(hdr, index, full, &subs, par)
 }
 
 /// Decompresses a version-4 grid container produced by [`compress_grid`],
@@ -716,80 +710,27 @@ fn decode_all_tiles(
 /// [`CodecError::InvalidHeader`] on a checksum mismatch.
 pub fn decompress_grid(bytes: &[u8], par: Parallelism) -> Result<Image, CodecError> {
     let (hdr, index, payload) = parse_grid(bytes)?;
-    decode_all_tiles(&hdr, &index, payload, par)
+    decode_whole(&hdr, &index, payload, par)
 }
 
-/// Decodes a v4 container whose fixed header was already consumed off
-/// `input` — the dispatch point for the streaming entry paths
-/// ([`decompress_from`](crate::stream::decompress_from), the sessions,
-/// [`Proposed::decode`](crate::Proposed)). The index and payload are
-/// buffered (random access needs them resident), then decoded like
-/// [`decompress_grid`].
-pub(crate) fn decode_grid_after_header<R: Read + ?Sized>(
+/// The grid leg of the whole-container readers
+/// ([`decode_container`](crate::container::decode_container), the
+/// [`DecoderSession`](crate::DecoderSession)): reads the rest of `input`,
+/// whose fixed header `hdr` was already consumed, and decodes it as
+/// [`decompress_grid`] does, with the same errors.
+pub(crate) fn decode_grid<R: Read + ?Sized>(
     hdr: &ContainerHeader,
     input: &mut R,
     par: Parallelism,
 ) -> Result<Image, CodecError> {
-    let Some((tile_w, tile_h)) = hdr.tile else {
-        return Err(CodecError::InvalidHeader(
-            "not a version-4 tiled container".into(),
-        ));
-    };
-    let geom = TileGeometry::new(tile_w, tile_h);
-    let index = TileIndex::read_from(input, geom, hdr.width, hdr.height)?;
-    let promised = index.payload_len();
-    let mut payload = Vec::new();
+    let mut rest = Vec::new();
     input
-        .take(promised)
-        .read_to_end(&mut payload)
+        .read_to_end(&mut rest)
         .map_err(|e| CodecError::io(&e))?;
-    if (payload.len() as u64) < promised {
-        return Err(CodecError::Truncated);
-    }
-    decode_all_tiles(hdr, &index, &payload, par)
-}
-
-/// Decodes the covering tiles of `roi` and assembles the crop.
-fn decode_roi_tiles(
-    hdr: &ContainerHeader,
-    index: &TileIndex,
-    roi: Rect,
-    subs: &[(usize, &[u8])],
-    par: Parallelism,
-) -> Result<Image, CodecError> {
-    // `subs` is in row-major covering order; workers claim it in order.
-    let decoded: Vec<Result<Image, CodecError>> = run_tiles(
-        subs.len(),
-        par,
-        || DecoderState::new(1, hdr.bit_depth, &hdr.cfg),
-        |state, i| {
-            let (idx, sub) = subs[i];
-            let (_, _, w, h) = index.tile_rect(idx % index.cols, idx / index.cols);
-            decode_tile(state, hdr, sub, w, h)
-        },
-    );
-    let mut out = Image::with_depth(roi.w as usize, roi.h as usize, hdr.bit_depth);
-    let mut view = out.view_mut();
-    let (rx, ry) = (roi.x as usize, roi.y as usize);
-    let (rw, rh) = (roi.w as usize, roi.h as usize);
-    for (&(idx, _), tile) in subs.iter().zip(decoded) {
-        let tile = tile?;
-        let (tx, ty, tw, th) = index.tile_rect(idx % index.cols, idx / index.cols);
-        // Intersection of the tile with the ROI, in both coordinate frames.
-        let x0 = rx.max(tx);
-        let y0 = ry.max(ty);
-        let x1 = (rx + rw).min(tx + tw);
-        let y1 = (ry + rh).min(ty + th);
-        blit(
-            &mut view,
-            (x0 - rx, y0 - ry),
-            &tile,
-            (x0 - tx, y0 - ty),
-            x1 - x0,
-            y1 - y0,
-        );
-    }
-    Ok(out)
+    let mut source = &rest[..];
+    let index = TileIndex::read_from(&mut source, hdr)?;
+    index.check_payload_len(source.len() as u64)?;
+    decode_whole(hdr, &index, source, par)
 }
 
 /// Row-major indices of the tiles covering `roi`.
@@ -843,11 +784,10 @@ pub fn decode_roi_from<R: Read + Seek>(
     par: Parallelism,
 ) -> Result<Image, CodecError> {
     let hdr = read_header(input)?;
-    let Some((tile_w, tile_h)) = hdr.tile else {
+    if hdr.tile.is_none() {
         return decode_flat_roi(hdr, input, roi);
-    };
-    let geom = TileGeometry::new(tile_w, tile_h);
-    let index = TileIndex::read_from(input, geom, hdr.width, hdr.height)?;
+    }
+    let index = TileIndex::read_from(input, &hdr)?;
     let base = input.stream_position().map_err(|e| CodecError::io(&e))?;
     // Validate the source length against the index *by seeking*, not
     // reading: the whole point of the index is that non-covering tiles'
@@ -855,17 +795,7 @@ pub fn decode_roi_from<R: Read + Seek>(
     let end = input
         .seek(SeekFrom::End(0))
         .map_err(|e| CodecError::io(&e))?;
-    let promised = index.payload_len();
-    match (end - base).cmp(&promised) {
-        std::cmp::Ordering::Less => return Err(CodecError::Truncated),
-        std::cmp::Ordering::Greater => {
-            return Err(CodecError::InvalidHeader(format!(
-                "{} payload bytes but the tile index accounts for {promised}",
-                end - base
-            )))
-        }
-        std::cmp::Ordering::Equal => {}
-    }
+    index.check_payload_len(end - base)?;
     let indices = covering_indices(&index, roi)?;
     let mut bufs: Vec<(usize, Vec<u8>)> = Vec::with_capacity(indices.len());
     for idx in indices {
@@ -881,11 +811,10 @@ pub fn decode_roi_from<R: Read + Seek>(
         if buf.len() != entry.len as usize {
             return Err(CodecError::Truncated);
         }
-        check_crc(&index, idx, &buf)?;
         bufs.push((idx, buf));
     }
     let subs: Vec<(usize, &[u8])> = bufs.iter().map(|(i, b)| (*i, b.as_slice())).collect();
-    decode_roi_tiles(&hdr, &index, roi, &subs, par)
+    decode_tiles(&hdr, &index, roi, &subs, par)
 }
 
 /// The flat-container leg of [`decode_roi_from`]: streams rows
@@ -1171,13 +1100,19 @@ mod tests {
             matches!(&err, CodecError::InvalidHeader(m) if m.contains("checksum")),
             "{err:?}"
         );
-        // Trailing bytes beyond the index's accounting are rejected.
+        // Trailing bytes beyond the index's accounting are rejected, by
+        // the whole-container reader too.
         let mut bad = bytes.clone();
         bad.push(0);
         assert!(matches!(
             decompress_grid(&bad, Parallelism::Sequential),
             Err(CodecError::InvalidHeader(_))
         ));
+        let err = decompress(&bad).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::InvalidHeader(m) if m.contains("tile index accounts")),
+            "{err:?}"
+        );
         // Zero tile dimensions are rejected at the header.
         let mut bad = bytes;
         bad[MAX_HEADER_LEN..MAX_HEADER_LEN + 4].copy_from_slice(&0u32.to_le_bytes());

@@ -42,6 +42,22 @@
 //! of independently decodable tiles with a seekable index, coded on one
 //! tile scheduler.
 //!
+//! # Entry points
+//!
+//! One call per use case. Every whole-container decode reads the header
+//! once, then streams a flat container through [`StreamDecoder`] or hands
+//! a grid to the grid's one tile loop.
+//!
+//! | use case | encode | decode |
+//! |---|---|---|
+//! | one-shot buffer | [`compress`] | [`decompress`] |
+//! | streamed rows | [`StreamEncoder`] | [`StreamDecoder`] |
+//! | reusable session | [`EncoderSession`] | [`DecoderSession`] |
+//! | tile grid (v4) | [`grid::compress_grid_with_bits`] | [`decompress_grid`] |
+//! | crop | — | [`decode_roi`], [`decode_roi_from`] |
+//! | codec registry | [`Proposed`] | [`Proposed`] |
+//! | ledger stages | [`encode_raw`], [`encode_model_only`] | [`decode_raw`], [`DecoderState`] |
+//!
 //! # Examples
 //!
 //! ```

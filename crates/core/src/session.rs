@@ -188,16 +188,12 @@ impl DecoderSession {
         let hdr = read_header(source).map_err(CbicError::from)?;
 
         if hdr.tile.is_some() {
-            // A version-4 grid container: the tile index wants random
-            // access, not the session's row-streaming state, so hand it
-            // to the grid decoder (sequential — the session is the
-            // latency-oriented path).
-            return crate::grid::decode_grid_after_header(
-                &hdr,
-                source,
-                cbic_image::Parallelism::Sequential,
-            )
-            .map_err(CbicError::from);
+            // A version-4 grid takes the grid leg every whole-container
+            // reader shares (sequential — the session is the
+            // latency-oriented path); the held state serves flat
+            // containers only.
+            return crate::grid::decode_grid(&hdr, source, cbic_image::Parallelism::Sequential)
+                .map_err(CbicError::from);
         }
 
         let state = match &mut self.state {

@@ -3,12 +3,14 @@
 //! The paper's Fig. 3 architecture is a stream machine: three rotating line
 //! buffers, one pixel per cycle, bits trickling out of the arithmetic coder
 //! as they resolve. [`compress`](crate::compress)/[`decompress`](crate::decompress)
-//! hide that behind fully materialized `Vec<u8>` buffers, which caps image
-//! size by RAM. This module exposes the hardware's actual shape in
-//! software:
+//! hand over fully materialized buffers, which caps image size by RAM.
+//! This module exposes the hardware's actual shape in software:
 //!
 //! * [`StreamEncoder`] — feed pixel rows, bits flow into any `io::Write`;
 //! * [`StreamDecoder`] — pull reconstructed rows out of any `io::Read`.
+//!   It is also the flat leg of every whole-container reader:
+//!   [`decompress`](crate::decompress) and the proposed codec's
+//!   `Codec::decode` run [`StreamDecoder::decode_all`].
 //!
 //! Both keep **O(width + estimator tables)** of state — the two rows above
 //! the current one (with the caller's row, the paper's three line buffers)
@@ -17,8 +19,10 @@
 //! memory. Each row runs through the engine's row step, the same pixel
 //! loop every buffered path runs. Rows are `u16` samples at any 8–16-bit
 //! depth; the emitted container is **byte-identical** to
-//! [`compress`](crate::compress) (same header, same arithmetic payload),
-//! which the differential test suite and the golden corpus pin down.
+//! [`compress`](crate::compress) and the
+//! [`EncoderSession`](crate::EncoderSession) (same header, same
+//! arithmetic payload), which the differential test suite and the golden
+//! corpus pin down.
 //!
 //! # Two encoder stages
 //!
@@ -50,7 +54,7 @@
 //! let cfg = CodecConfig::default();
 //!
 //! // Encode row-at-a-time into any io::Write.
-//! let mut enc = StreamEncoder::new(Vec::new(), 32, 32, &cfg)?;
+//! let mut enc = StreamEncoder::with_depth(Vec::new(), 32, 32, 8, &cfg)?;
 //! for y in 0..32 {
 //!     enc.push_row(img.row(y))?;
 //! }
@@ -73,7 +77,7 @@ use crate::container::{header_bytes, read_header, CodecError, ContainerHeader};
 use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
 use cbic_bitio::{BitSink, BitSource, StreamBitReader, StreamBitWriter};
-use cbic_image::{Image, ImageView};
+use cbic_image::Image;
 use std::io::{self, Read, Write};
 
 /// Streaming encoder: consumes pixel rows, emits the standard `CBIC`
@@ -132,8 +136,9 @@ pub struct StreamEncodeStats {
 }
 
 impl<W: Write> StreamEncoder<W> {
-    /// Writes the container header for a `width`×`height` 8-bit image and
-    /// prepares the pixel pipeline.
+    /// Writes the container header for a `width`×`height` image of
+    /// `bit_depth`-bit samples (version 1 for 8 bits; other depths get the
+    /// version-2 bit-depth field) and prepares the pixel pipeline.
     ///
     /// # Errors
     ///
@@ -142,20 +147,6 @@ impl<W: Write> StreamEncoder<W> {
     /// accept — beyond the container's 2^28-pixel ceiling (or a `u32`
     /// header field) — so an hours-long encode cannot end in an
     /// undecodable container.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero or the configuration is invalid.
-    pub fn new(out: W, width: usize, height: usize, cfg: &CodecConfig) -> io::Result<Self> {
-        Self::with_depth(out, width, height, 8, cfg)
-    }
-
-    /// [`Self::new`] for an arbitrary 8–16-bit sample depth (the header
-    /// gains the version-2 bit-depth field for depths other than 8).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::new`].
     ///
     /// # Panics
     ///
@@ -207,7 +198,7 @@ impl<W: Write> StreamEncoder<W> {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`] for any other `lanes`, otherwise as
-    /// [`Self::new`].
+    /// [`Self::with_depth`].
     ///
     /// # Panics
     ///
@@ -253,21 +244,6 @@ impl<W: Write> StreamEncoder<W> {
     /// than one CPU was available) rather than inline on the caller's.
     pub fn has_coder_thread(&self) -> bool {
         matches!(self.coder, Coder::Threaded(..))
-    }
-
-    /// Payload bits emitted so far (pre-padding) — the streaming
-    /// equivalent of [`EncodeStats::payload_bits`](crate::EncodeStats),
-    /// short only of the coder's final flush tail
-    /// ([`finish_with_stats`](Self::finish_with_stats) settles the exact
-    /// total including it).
-    ///
-    /// With the coder on its own thread this hands it the decisions still
-    /// queued and waits until it has coded them.
-    pub fn payload_bits(&mut self) -> u64 {
-        match &mut self.coder {
-            Coder::Inline(enc) => enc.sink().bits_written(),
-            Coder::Threaded(coder, _) => coder.sync(),
-        }
     }
 
     /// Encodes one raster row.
@@ -450,9 +426,9 @@ impl<R: Read> StreamDecoder<R> {
     }
 
     /// [`StreamDecoder::new`] for a source whose header was already
-    /// consumed — the shared entry point of the dispatching callers
-    /// ([`decompress_from`], the sessions), which must inspect the header
-    /// before choosing a decoder.
+    /// consumed — the flat leg of the readers that inspect the header
+    /// before choosing a decoder ([`decompress`](crate::decompress), the
+    /// proposed codec's `Codec::decode`, the ROI decoder).
     ///
     /// # Errors
     ///
@@ -542,7 +518,7 @@ impl<R: Read> StreamDecoder<R> {
 
     /// Decodes every remaining row into a full [`Image`] (convenience for
     /// callers that want the bounded-memory transport but a materialized
-    /// result).
+    /// result), stopping at the first row that fails.
     ///
     /// # Errors
     ///
@@ -550,47 +526,11 @@ impl<R: Read> StreamDecoder<R> {
     pub fn decode_all(mut self) -> Result<Image, CodecError> {
         let (width, height) = self.dimensions();
         let mut img = Image::with_depth(width, height, self.bit_depth());
-        for y in self.rows_out..height {
-            self.next_row(img.row_mut(y))?;
-        }
-        Ok(img)
+        let decoded = (self.rows_out..height).try_for_each(|y| self.next_row(img.row_mut(y)));
+        #[cfg(test)]
+        crate::codec::tests::ROWS_DECODED.with(|r| r.set(self.rows_out));
+        decoded.map(|()| img)
     }
-}
-
-/// Streams the pixels of `img` into `out` as a standard container,
-/// byte-identical to [`compress`](crate::compress) but without
-/// materializing the output.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `out`.
-pub fn compress_to<W: Write>(img: ImageView<'_>, cfg: &CodecConfig, out: W) -> io::Result<W> {
-    let mut enc = StreamEncoder::with_depth(out, img.width(), img.height(), img.bit_depth(), cfg)?;
-    for row in img.rows() {
-        enc.push_row(row)?;
-    }
-    enc.finish()
-}
-
-/// Decodes a standard container from `input` without slurping it.
-///
-/// # Errors
-///
-/// As [`StreamDecoder::new`] and [`StreamDecoder::next_row`]. A
-/// version-4 tiled container is routed to the grid decoder
-/// (sequentially — pass a [`Parallelism`](cbic_image::Parallelism) via
-/// [`grid::decompress_grid`](crate::grid::decompress_grid) to decode its
-/// tiles in parallel).
-pub fn decompress_from<R: Read>(mut input: R) -> Result<Image, CodecError> {
-    let hdr = read_header(&mut input)?;
-    if hdr.tile.is_some() {
-        return crate::grid::decode_grid_after_header(
-            &hdr,
-            &mut input,
-            cbic_image::Parallelism::Sequential,
-        );
-    }
-    StreamDecoder::with_header(hdr, input)?.decode_all()
 }
 
 #[cfg(test)]
@@ -620,6 +560,16 @@ mod tests {
             enc.push_row(row).unwrap();
         }
         enc.finish().unwrap()
+    }
+
+    /// `img` through a [`StreamEncoder`] with its coder placed by the rule.
+    fn stream(img: &Image, cfg: &CodecConfig) -> Vec<u8> {
+        stream_with(img, cfg, use_coder_thread(1))
+    }
+
+    /// The rows of a container pulled out of a [`StreamDecoder`].
+    fn stream_decode<R: Read>(input: R) -> Result<Image, CodecError> {
+        StreamDecoder::new(input)?.decode_all()
     }
 
     /// A reproducible pseudo-random byte for sample `i`.
@@ -660,28 +610,22 @@ mod tests {
     }
 
     #[test]
-    fn payload_bits_are_exact_after_every_row_in_both_placements() {
+    fn finished_payload_bits_are_exact_in_both_placements() {
         let img = CorpusImage::Mandrill.generate(128, 128);
         let (w, h) = img.dimensions();
         let cfg = CodecConfig::default();
-        let above = |y: usize, k: usize| (y >= k).then(|| img.row(y - k));
+        let mut reference = BinaryEncoder::new(BitWriter::new());
+        EncoderState::new(w, 8, &cfg).encode_view(img.view(), &mut reference);
+        assert!(reference.coded_decisions() > 4 * CHUNK as u64);
+        let bits = reference.finish().bits_written();
         for coder_thread in PLACEMENTS {
             let mut enc =
                 StreamEncoder::with_coder(Vec::new(), w, h, 8, &cfg, coder_thread).unwrap();
-            let mut state = EncoderState::new(w, 8, &cfg);
-            let mut reference = BinaryEncoder::new(BitWriter::new());
-            for y in 0..h {
-                enc.push_row(img.row(y)).unwrap();
-                state.encode_row(&mut reference, img.row(y), above(y, 1), above(y, 2));
-                assert_eq!(
-                    enc.payload_bits(),
-                    reference.bits_written(),
-                    "row {y}, coder thread {coder_thread}"
-                );
+            for row in img.view().rows() {
+                enc.push_row(row).unwrap();
             }
-            assert!(reference.coded_decisions() > 4 * CHUNK as u64);
             let (_, stats) = enc.finish_with_stats().unwrap();
-            assert_eq!(stats.payload_bits, reference.finish().bits_written());
+            assert_eq!(stats.payload_bits, bits, "coder thread {coder_thread}");
         }
     }
 
@@ -776,7 +720,7 @@ mod tests {
         let cfg = CodecConfig::default();
         for (name, img) in cbic_image::corpus::generate(48) {
             let buffered = compress(img.view(), &cfg);
-            let streamed = compress_to(img.view(), &cfg, Vec::new()).unwrap();
+            let streamed = stream(&img, &cfg);
             assert_eq!(streamed, buffered, "{name:?}");
         }
     }
@@ -786,8 +730,8 @@ mod tests {
         let cfg = CodecConfig::default();
         for (w, h) in [(1, 1), (1, 17), (17, 1), (3, 5), (64, 2)] {
             let img = Image::from_fn(w, h, |x, y| (x * 41 + y * 13) as u8);
-            let bytes = compress_to(img.view(), &cfg, Vec::new()).unwrap();
-            assert_eq!(decompress_from(&bytes[..]).unwrap(), img, "{w}x{h}");
+            let bytes = stream(&img, &cfg);
+            assert_eq!(stream_decode(&bytes[..]).unwrap(), img, "{w}x{h}");
         }
     }
 
@@ -799,9 +743,9 @@ mod tests {
                 ((x as u32 * 331 + y as u32 * 911) % (1u32 << depth.min(15))) as u16
             });
             let buffered = compress(img.view(), &cfg);
-            let streamed = compress_to(img.view(), &cfg, Vec::new()).unwrap();
+            let streamed = stream(&img, &cfg);
             assert_eq!(streamed, buffered, "depth {depth}");
-            let back = decompress_from(&streamed[..]).unwrap();
+            let back = stream_decode(&streamed[..]).unwrap();
             assert_eq!(back, img, "depth {depth}");
             assert_eq!(back.bit_depth(), depth);
         }
@@ -816,10 +760,11 @@ mod tests {
         };
         let buffered = compress(img.view(), &cfg);
         // Streaming decoder on buffered bytes.
-        assert_eq!(decompress_from(&buffered[..]).unwrap(), img);
-        // Buffered decoder on streamed bytes.
-        let streamed = compress_to(img.view(), &cfg, Vec::new()).unwrap();
-        assert_eq!(crate::container::decompress(&streamed).unwrap(), img);
+        assert_eq!(stream_decode(&buffered[..]).unwrap(), img);
+        // Buffered raw decoder on streamed bytes.
+        let streamed = stream(&img, &cfg);
+        let back = crate::codec::decode_raw(&streamed[HEADER_LEN..], 40, 40, 8, &cfg);
+        assert_eq!(back, img);
     }
 
     #[test]
@@ -829,7 +774,7 @@ mod tests {
             error_feedback: false,
             ..CodecConfig::default()
         };
-        let bytes = compress_to(img.view(), &cfg, Vec::new()).unwrap();
+        let bytes = stream(&img, &cfg);
         let dec = StreamDecoder::new(&bytes[..]).unwrap();
         assert_eq!(dec.dimensions(), (16, 16));
         assert_eq!(dec.bit_depth(), 8);
@@ -858,7 +803,7 @@ mod tests {
         assert!(bytes.len() > HEADER_LEN + 64, "test needs a real payload");
         let cut = &bytes[..bytes.len() / 2];
         assert_eq!(
-            decompress_from(cut).err(),
+            stream_decode(cut).err(),
             Some(CodecError::Truncated),
             "mid-payload EOF must surface as Truncated"
         );
@@ -892,7 +837,7 @@ mod tests {
         let img = CorpusImage::Lena.generate(64, 64);
         let bytes = compress(img.view(), &CodecConfig::default());
         let half = bytes.len() / 2;
-        let result = decompress_from(FailAfter(bytes[..half].to_vec(), 0));
+        let result = stream_decode(FailAfter(bytes[..half].to_vec(), 0));
         assert!(matches!(result, Err(CodecError::Io(..))), "got {result:?}");
     }
 
@@ -919,7 +864,7 @@ mod tests {
                 let img = Image::from_fn16(width, 6, depth, |x, y| {
                     ((x as u32 * 7919 + y as u32 * 104_729) % (u32::from(max) + 1)) as u16
                 });
-                let bytes = compress_to(img.view(), &cfg, Vec::new()).unwrap();
+                let bytes = stream(&img, &cfg);
                 let mut dec = StreamDecoder::new(&bytes[..]).unwrap();
                 for y in 0..img.height() {
                     let mut row = vec![max; width];
@@ -950,22 +895,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "rows were pushed")]
     fn finishing_early_panics() {
-        let enc = StreamEncoder::new(Vec::new(), 4, 4, &CodecConfig::default()).unwrap();
+        let enc = StreamEncoder::with_depth(Vec::new(), 4, 4, 8, &CodecConfig::default()).unwrap();
         let _ = enc.finish();
-    }
-
-    #[test]
-    fn payload_bits_match_buffered_stats() {
-        let img = CorpusImage::Peppers.generate(32, 32);
-        let cfg = CodecConfig::default();
-        let (_, stats) = crate::codec::encode_raw(img.view(), &cfg);
-        let mut enc = StreamEncoder::new(Vec::new(), 32, 32, &cfg).unwrap();
-        for y in 0..32 {
-            enc.push_row(img.row(y)).unwrap();
-        }
-        // The final coder flush adds a few bits after the last row, so the
-        // running count must be within the flush slack of the exact total.
-        assert!(enc.payload_bits() <= stats.payload_bits);
-        assert!(enc.payload_bits() + 64 > stats.payload_bits);
     }
 }

@@ -2,6 +2,7 @@
 //! 8–16-bit depth, lending zero-copy [`ImageView`]s to the codecs.
 
 use crate::view::{ImageView, ImageViewMut};
+use crate::{CbicError, Rect};
 use std::fmt;
 
 /// Errors produced by image construction and I/O.
@@ -318,6 +319,41 @@ impl Image {
             self.bit_depth,
         )
         .expect("owned images always have valid view geometry")
+    }
+
+    /// The `roi` crop of a fully decoded image — how a codec without
+    /// random access answers [`DecodeOptions::roi`](crate::DecodeOptions::roi).
+    /// `None` returns the image itself.
+    ///
+    /// # Errors
+    ///
+    /// [`CbicError::InvalidContainer`] for a rectangle that is empty or
+    /// reaches outside the image (the bounds rule of [`Rect::fits`]).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cbic_image::{Image, Rect};
+    ///
+    /// let img = Image::from_fn(8, 8, |x, y| (x * 8 + y) as u8);
+    /// let crop = img.clone().crop_to(Some(Rect::new(2, 3, 4, 5)))?;
+    /// assert_eq!(crop, img.view().crop(2, 3, 4, 5).to_image());
+    /// assert!(img.crop_to(Some(Rect::new(6, 0, 4, 1))).is_err());
+    /// # Ok::<(), cbic_image::CbicError>(())
+    /// ```
+    pub fn crop_to(self, roi: Option<Rect>) -> Result<Self, CbicError> {
+        let Some(roi) = roi else { return Ok(self) };
+        if !roi.fits(self.width, self.height) {
+            return Err(CbicError::InvalidContainer(format!(
+                "ROI {roi} outside the {}x{} image",
+                self.width, self.height
+            )));
+        }
+        let (x, y) = (roi.x as usize, roi.y as usize);
+        Ok(self
+            .view()
+            .crop(x, y, roi.w as usize, roi.h as usize)
+            .to_image())
     }
 
     /// Pixel at `(x, y)`.

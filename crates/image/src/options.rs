@@ -83,6 +83,30 @@ impl Rect {
     pub fn new(x: u32, y: u32, w: u32, h: u32) -> Self {
         Self { x, y, w, h }
     }
+
+    /// Whether the rectangle is nonempty and lies inside a
+    /// `width`×`height` image: the bounds rule of every ROI decode.
+    ///
+    /// ```
+    /// use cbic_image::Rect;
+    ///
+    /// assert!(Rect::new(30, 0, 2, 32).fits(32, 32));
+    /// assert!(!Rect::new(30, 0, 3, 32).fits(32, 32));
+    /// assert!(!Rect::new(0, 0, 0, 1).fits(32, 32));
+    /// assert!(!Rect::new(u32::MAX, 0, 1, 1).fits(32, 32));
+    /// ```
+    pub fn fits(&self, width: usize, height: usize) -> bool {
+        let x1 = u64::from(self.x) + u64::from(self.w);
+        let y1 = u64::from(self.y) + u64::from(self.h);
+        self.w > 0 && self.h > 0 && x1 <= width as u64 && y1 <= height as u64
+    }
+}
+
+impl std::fmt::Display for Rect {
+    /// `WxH at (X, Y)`, the form error messages name a rectangle in.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}x{} at ({}, {})", self.w, self.h, self.x, self.y)
+    }
 }
 
 /// Typed knobs for [`Codec::encode`](crate::Codec::encode).

@@ -4,7 +4,7 @@
 //! row-major `u16` sample buffer: a slice, a width, a height, a row
 //! *stride* (samples between the starts of consecutive rows), and a bit
 //! depth. Every codec in the workspace consumes [`ImageView`] — an owned
-//! [`Image`](crate::Image) lends one with [`Image::view`](crate::Image::view) —
+//! [`Image`] lends one with [`Image::view`](crate::Image::view) —
 //! so sub-images (tile bands, crops, regions of interest) are coded
 //! **without copying a single pixel**.
 //!

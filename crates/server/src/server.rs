@@ -693,44 +693,22 @@ fn handle_decode(rest: &[u8], state: &mut WorkerState, metrics: &Metrics) -> Vec
             return error_body(Status::BadRequest, &msg);
         }
     };
-    let img = if let Some((x, y, w, h)) = roi {
-        let rect = cbic_image::Rect::new(x, y, w, h);
-        if rest.get(..4) == Some(&state.proposed_magic[..]) {
-            // Proposed-codec containers: over a v4 grid only the
-            // covering tiles are decoded; flat containers decode the rows
-            // down to the rect's last and crop. Out-of-bounds rects come
-            // back as structured errors.
-            match cbic_core::decode_roi(rest, rect, Parallelism::Sequential) {
-                Ok(img) => img,
-                Err(e) => return codec_error(metrics, &e),
-            }
-        } else {
-            // Other codecs have no random-access path: decode, then crop.
-            let full = match decode_container(rest, state) {
-                Ok(img) => img,
-                Err(e) => return codec_error(metrics, &e),
-            };
-            let (x1, y1) = (u64::from(x) + u64::from(w), u64::from(y) + u64::from(h));
-            if w == 0 || h == 0 || x1 > full.width() as u64 || y1 > full.height() as u64 {
-                metrics.bad_requests.fetch_add(1, Relaxed);
-                return error_body(
-                    Status::BadRequest,
-                    &format!(
-                        "ROI {w}x{h} at ({x}, {y}) outside the {}x{} image",
-                        full.width(),
-                        full.height()
-                    ),
-                );
-            }
-            full.view()
-                .crop(x as usize, y as usize, w as usize, h as usize)
-                .to_image()
+    let decoded = match roi {
+        // Every codec answers an ROI through the registry: the proposed
+        // codec decodes only the covering tiles of a v4 grid (or the rows
+        // down to the rect's last of a flat container), the others decode
+        // fully and crop. An empty or out-of-bounds rect is a codec error.
+        Some((x, y, w, h)) => {
+            let opts = DecodeOptions::new()
+                .with_parallelism(Parallelism::Sequential)
+                .with_roi(cbic_image::Rect::new(x, y, w, h));
+            state.registry.decode_stream(&mut &rest[..], &opts)
         }
-    } else {
-        match decode_container(rest, state) {
-            Ok(img) => img,
-            Err(e) => return codec_error(metrics, &e),
-        }
+        None => decode_container(rest, state),
+    };
+    let img = match decoded {
+        Ok(img) => img,
+        Err(e) => return codec_error(metrics, &e),
     };
     metrics.decode_ok.fetch_add(1, Relaxed);
     metrics

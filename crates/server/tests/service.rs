@@ -498,6 +498,30 @@ fn tiled_encode_and_roi_decode_over_a_live_socket() {
     };
     assert_eq!(status, Status::CodecError);
 
+    // The codecs without random access decode fully and crop, and refuse
+    // an out-of-bounds rect with the same status.
+    for codec in default_registry().codecs() {
+        let bytes = codec
+            .encode_vec(img.view(), &cbic_image::EncodeOptions::default())
+            .expect("local encode");
+        let Reply::Decoded(crop) = client.decode_roi(&bytes, 5, 5, 10, 10).expect("roi rpc") else {
+            panic!("{} roi refused", codec.name());
+        };
+        assert_eq!(
+            crop,
+            img.view().crop(5, 5, 10, 10).to_image(),
+            "{}",
+            codec.name()
+        );
+        let Reply::Error { status, .. } = client
+            .decode_roi(&bytes, 60, 40, 10, 10)
+            .expect("oob roi rpc")
+        else {
+            panic!("{}: out-of-bounds roi must be refused", codec.name());
+        };
+        assert_eq!(status, Status::CodecError, "{}", codec.name());
+    }
+
     // Tile geometry on a codec without a grid path is a BadRequest.
     let Reply::Error { status, .. } = client
         .encode_tiled(img.view(), *b"CBT1", 0, Some((16, 16)))

@@ -373,14 +373,18 @@ impl cbic_image::Codec for Slp {
         ))
     }
 
+    /// Decodes the whole image; `opts.roi` crops it afterwards
+    /// ([`Image::crop_to`]).
     fn decode(
         &self,
         source: &mut dyn std::io::Read,
-        _opts: &cbic_image::DecodeOptions,
+        opts: &cbic_image::DecodeOptions,
     ) -> Result<Image, cbic_image::CbicError> {
         let mut bytes = Vec::new();
         source.read_to_end(&mut bytes)?;
-        decompress(&bytes).map_err(cbic_image::CbicError::from)
+        decompress(&bytes)
+            .map_err(cbic_image::CbicError::from)?
+            .crop_to(opts.roi)
     }
 }
 

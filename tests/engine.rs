@@ -12,8 +12,8 @@
 //! corrupted stream in the wild.
 
 use cbic::core::session::{DecoderSession, EncoderSession};
-use cbic::core::stream::{compress_to, decompress_from};
-use cbic::core::{compress, decompress, encode_raw, CodecConfig, DivisionKind};
+use cbic::core::stream::StreamEncoder;
+use cbic::core::{compress, decode_raw, decompress, encode_raw, CodecConfig, DivisionKind};
 use cbic::image::Image;
 use cbic_arith::EstimatorConfig;
 use proptest::prelude::*;
@@ -73,7 +73,12 @@ fn assert_all_paths_agree(img: &Image, cfg: &CodecConfig) {
 
     // 2. The bounded-memory streaming encoder (emits the container).
     let container = compress(img.view(), cfg);
-    let streamed = compress_to(img.view(), cfg, Vec::new()).expect("Vec sink");
+    let (w, h) = img.dimensions();
+    let mut enc = StreamEncoder::with_depth(Vec::new(), w, h, img.bit_depth(), cfg).unwrap();
+    for row in img.view().rows() {
+        enc.push_row(row).expect("Vec sink");
+    }
+    let streamed = enc.finish().expect("Vec sink");
     assert_eq!(streamed, container, "StreamEncoder diverged from compress");
     assert_eq!(
         &container[container.len() - raw.len()..],
@@ -92,9 +97,11 @@ fn assert_all_paths_agree(img: &Image, cfg: &CodecConfig) {
         "EncoderSession diverged from compress"
     );
 
-    // Decode side: all three duals must reconstruct the image exactly.
+    // Decode side: all three duals must reconstruct the image exactly —
+    // the row-streaming `decompress`, the raw buffered decoder, and the
+    // session.
     assert_eq!(&decompress(&container).expect("own container"), img);
-    assert_eq!(&decompress_from(&container[..]).expect("own stream"), img);
+    assert_eq!(&decode_raw(&raw, w, h, img.bit_depth(), cfg), img);
     let mut dec_session = DecoderSession::new();
     assert_eq!(
         &dec_session.decode(&mut &container[..]).expect("session"),

@@ -460,6 +460,33 @@ fn retired_lane_containers_fail_structurally_on_every_decode_path() {
 }
 
 #[test]
+fn bytes_after_a_grid_payload_fail_on_every_decode_path() {
+    // Every grid leg reads the index the same way, so one byte more than
+    // the index accounts for is refused everywhere, not only by the
+    // slice decoders.
+    use cbic::core::{compress_grid, CodecConfig, TileGeometry};
+    let img = CorpusImage::Lena.generate(32, 32);
+    let mut grid = compress_grid(
+        img.view(),
+        &CodecConfig::default(),
+        TileGeometry::new(16, 16),
+        1,
+        cbic::image::Parallelism::Sequential,
+    );
+    grid.push(0);
+    for (path, err) in every_decode_path_error(&grid) {
+        let refused = match path {
+            // The row-streaming decoder refuses every grid.
+            "StreamDecoder::new" => matches!(err, CbicError::InvalidContainer(_)),
+            _ => {
+                matches!(&err, CbicError::InvalidContainer(m) if m.contains("tile index accounts"))
+            }
+        };
+        assert!(refused, "{path}: {err:?}");
+    }
+}
+
+#[test]
 fn retired_wide_and_band_containers_fail_structurally() {
     // Version 5: every CBIC decode path answers UnsupportedVersion(5).
     let v5 = std::fs::read(RETIRED_V5).expect("committed v5 fixture");

@@ -242,10 +242,15 @@ fn pre_v5_fixtures_stay_byte_identical() {
 fn streaming_encoder_matches_the_proposed_golden_fixtures() {
     // The streaming path must produce the exact fixture bytes too — the
     // golden corpus pins the format for *both* transports.
-    use cbic::core::{stream::compress_to, CodecConfig};
+    use cbic::core::{stream::StreamEncoder, CodecConfig};
     for class in CLASSES {
         let img = class.generate(SIZE, SIZE);
-        let bytes = compress_to(img.view(), &CodecConfig::default(), Vec::new()).unwrap();
+        let cfg = CodecConfig::default();
+        let mut enc = StreamEncoder::with_depth(Vec::new(), SIZE, SIZE, 8, &cfg).unwrap();
+        for row in img.view().rows() {
+            enc.push_row(row).unwrap();
+        }
+        let bytes = enc.finish().unwrap();
         check(&format!("proposed_{}_{}", class.name(), SIZE), &bytes);
     }
 }

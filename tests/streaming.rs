@@ -11,13 +11,30 @@
 //! never unbounded allocation.
 
 use cbic::core::grid::{compress_grid, crc32, decompress_grid, TileGeometry};
-use cbic::core::stream::{compress_to, decompress_from, StreamDecoder, StreamEncoder};
-use cbic::core::{compress, decompress, encode_raw, CodecConfig, CodecError, EncoderSession};
+use cbic::core::stream::{StreamDecoder, StreamEncoder};
+use cbic::core::{
+    compress, decompress, encode_raw, CodecConfig, CodecError, DecoderSession, EncoderSession,
+};
 use cbic::image::corpus::CorpusImage;
 use cbic::image::Image;
 use cbic::universal::dispatch::{Chunk, UniversalCodec};
-use cbic::{Codec, DecodeOptions, EncodeOptions, Parallelism};
+use cbic::{CbicError, Codec, DecodeOptions, EncodeOptions, Parallelism, Rect};
 use proptest::prelude::*;
+
+/// `img` pushed row by row through a [`StreamEncoder`] into a `Vec`.
+fn stream(img: &Image, cfg: &CodecConfig) -> Vec<u8> {
+    let (w, h) = img.dimensions();
+    let mut enc = StreamEncoder::with_depth(Vec::new(), w, h, img.bit_depth(), cfg).unwrap();
+    for row in img.view().rows() {
+        enc.push_row(row).unwrap();
+    }
+    enc.finish().unwrap()
+}
+
+/// `bytes` pulled row by row out of a [`StreamDecoder`].
+fn stream_decode(bytes: &[u8]) -> Result<Image, CodecError> {
+    StreamDecoder::new(bytes)?.decode_all()
+}
 
 fn arb_image() -> impl Strategy<Value = Image> {
     (1usize..40, 1usize..40).prop_flat_map(|(w, h)| {
@@ -34,7 +51,7 @@ proptest! {
     fn stream_encoder_is_byte_identical_to_all_buffered_encoders(img in arb_image()) {
         let cfg = CodecConfig::default();
         let buffered = compress(img.view(), &cfg);
-        let streamed = compress_to(img.view(), &cfg, Vec::new()).expect("Vec sink");
+        let streamed = stream(&img, &cfg);
         prop_assert_eq!(&streamed, &buffered);
         let mut session_out = Vec::new();
         EncoderSession::new(&cfg)
@@ -50,18 +67,20 @@ proptest! {
     #[test]
     fn stream_roundtrip_is_lossless(img in arb_image()) {
         let cfg = CodecConfig::default();
-        let bytes = compress_to(img.view(), &cfg, Vec::new()).expect("Vec sink");
-        prop_assert_eq!(decompress_from(&bytes[..]).expect("own stream"), img);
+        let bytes = stream(&img, &cfg);
+        prop_assert_eq!(stream_decode(&bytes).expect("own stream"), img);
     }
 
-    /// Cross-matrix: buffered decoder reads streamed bytes and vice versa.
+    /// Cross-matrix: the buffered session decoder reads streamed bytes and
+    /// the stream decoder reads the session encoder's bytes.
     #[test]
     fn stream_and_buffered_decoders_are_interchangeable(img in arb_image()) {
         let cfg = CodecConfig::default();
         let bytes = compress(img.view(), &cfg);
-        prop_assert_eq!(decompress_from(&bytes[..]).expect("buffered bytes"), img.clone());
-        let streamed = compress_to(img.view(), &cfg, Vec::new()).expect("Vec sink");
-        prop_assert_eq!(decompress(&streamed).expect("streamed bytes"), img);
+        prop_assert_eq!(stream_decode(&bytes).expect("buffered bytes"), img.clone());
+        let streamed = stream(&img, &cfg);
+        let back = DecoderSession::new().decode(&mut &streamed[..]).expect("streamed bytes");
+        prop_assert_eq!(back, img);
     }
 }
 
@@ -84,9 +103,9 @@ fn equivalence_holds_on_edge_shapes() {
     ] {
         let img = Image::from_fn(w, h, |x, y| (x * 31 + y * 17) as u8);
         let buffered = compress(img.view(), &cfg);
-        let streamed = compress_to(img.view(), &cfg, Vec::new()).unwrap();
+        let streamed = stream(&img, &cfg);
         assert_eq!(streamed, buffered, "{w}x{h}");
-        assert_eq!(decompress_from(&streamed[..]).unwrap(), img, "{w}x{h}");
+        assert_eq!(stream_decode(&streamed).unwrap(), img, "{w}x{h}");
     }
 }
 
@@ -109,7 +128,7 @@ fn equivalence_holds_across_configs() {
         },
     ] {
         let buffered = compress(img.view(), &cfg);
-        let streamed = compress_to(img.view(), &cfg, Vec::new()).unwrap();
+        let streamed = stream(&img, &cfg);
         assert_eq!(streamed, buffered, "{cfg:?}");
     }
 }
@@ -145,6 +164,17 @@ fn sink_and_buffered_paths_match_for_every_registry_codec() {
             "{}",
             codec.name()
         );
+        // A region of interest comes back as exactly the crop, and a
+        // rectangle reaching outside the image as a structured error.
+        let crop = codec.decode_vec(&buffered, &dec.with_roi(Rect::new(3, 5, 8, 8)));
+        let reference = img.view().crop(3, 5, 8, 8).to_image();
+        assert_eq!(crop.unwrap(), reference, "{}", codec.name());
+        let outside = codec.decode_vec(&buffered, &dec.with_roi(Rect::new(30, 0, 8, 8)));
+        assert!(
+            matches!(outside, Err(CbicError::InvalidContainer(_))),
+            "{}: {outside:?}",
+            codec.name()
+        );
     }
 }
 
@@ -164,11 +194,13 @@ fn core_decoder_errors_on_mid_stream_eof() {
             matches!(err, CodecError::Truncated),
             "cut {cut}: got {err:?}"
         );
-        // The streaming decoder agrees.
-        let stream_err = decompress_from(&bytes[..cut]).expect_err("truncated must error");
+        // The buffered session decoder agrees.
+        let session_err = DecoderSession::new()
+            .decode(&mut &bytes[..cut])
+            .expect_err("truncated must error");
         assert!(
-            matches!(stream_err, CodecError::Truncated),
-            "stream cut {cut}: got {stream_err:?}"
+            matches!(session_err, CbicError::Truncated),
+            "session cut {cut}: got {session_err:?}"
         );
     }
 }
@@ -250,7 +282,7 @@ fn every_decoder_rejects_flipped_magic() {
     core_bytes[0] ^= 0x20;
     assert_eq!(decompress(&core_bytes), Err(CodecError::BadMagic));
     assert_eq!(
-        decompress_from(&core_bytes[..]).expect_err("flipped magic"),
+        StreamDecoder::new(&core_bytes[..]).expect_err("flipped magic"),
         CodecError::BadMagic
     );
 
@@ -309,7 +341,7 @@ fn sixty_four_megapixel_roundtrip_in_bounded_memory() {
         u16::from(((x / 7) as u8).wrapping_add((y / 5) as u8).wrapping_mul(31))
     };
 
-    let mut enc = StreamEncoder::new(Vec::new(), N, N, &cfg).unwrap();
+    let mut enc = StreamEncoder::with_depth(Vec::new(), N, N, 8, &cfg).unwrap();
     let mut row = vec![0u16; N];
     for y in 0..N {
         for (x, slot) in row.iter_mut().enumerate() {
@@ -368,29 +400,23 @@ fn sixty_four_megapixel_tiled_roundtrip_and_roi() {
     assert_eq!(crop, img.view().crop(4000, 4000, 300, 200).to_image());
 }
 
-/// `StreamEncoder::payload_bits()` is live mid-stream, and the finished
-/// stream's exact count is shared by every encode path, with
-/// `StreamEncodeStats` payload/container byte totals that match the
-/// finished container (the quantities `cbic info` prints).
+/// The finished stream's exact payload bits are shared by every encode
+/// path, with `StreamEncodeStats` payload/container byte totals that match
+/// the finished container (the quantities `cbic info` prints).
 #[test]
 fn payload_bits_match_the_container_payload_exactly() {
     let img = CorpusImage::Lena.generate(32, 32);
     let cfg = CodecConfig::default();
     let buffered = compress(img.view(), &cfg);
 
-    let mut enc = StreamEncoder::new(Vec::new(), img.width(), img.height(), &cfg).unwrap();
-    let mut mid_stream_bits = 0;
-    for (y, row) in img.view().rows().enumerate() {
+    let mut enc =
+        StreamEncoder::with_depth(Vec::new(), img.width(), img.height(), 8, &cfg).unwrap();
+    for row in img.view().rows() {
         enc.push_row(row).unwrap();
-        if y == img.height() / 2 {
-            mid_stream_bits = enc.payload_bits();
-        }
     }
-    assert!(mid_stream_bits > 0, "payload_bits() must count mid-stream");
     let (out, stats) = enc.finish_with_stats().unwrap();
     assert_eq!(out, buffered);
     assert_eq!(stats.container_bytes as usize, buffered.len());
-    assert!(stats.payload_bits >= mid_stream_bits);
 
     // `cbic info`'s payload is the container minus its 23-byte v1
     // header — `payload_bytes` must be exactly that, so the CLI's bpp
@@ -419,7 +445,7 @@ fn payload_bits_match_the_container_payload_exactly() {
 #[test]
 fn stream_encoder_counts_rows_and_rejects_overflow() {
     let cfg = CodecConfig::default();
-    let mut enc = StreamEncoder::new(Vec::new(), 8, 2, &cfg).unwrap();
+    let mut enc = StreamEncoder::with_depth(Vec::new(), 8, 2, 8, &cfg).unwrap();
     assert_eq!((enc.width(), enc.height()), (8, 2));
     enc.push_row(&[1; 8]).unwrap();
     enc.push_row(&[2; 8]).unwrap();

@@ -5,7 +5,7 @@
 //! the tile-grid + streaming paths.
 
 use cbic::core::grid::{compress_grid, decompress_grid, TileGeometry};
-use cbic::core::stream::{compress_to, decompress_from};
+use cbic::core::stream::{StreamDecoder, StreamEncoder};
 use cbic::core::CodecConfig;
 use cbic::image::corpus::CorpusImage;
 use cbic::image::{pgm, Image, ImageView};
@@ -125,9 +125,14 @@ fn sixteen_bit_tiled_and_streaming_paths_roundtrip() {
             );
         }
         // Row streaming, byte-identical to buffered.
-        let streamed = compress_to(img.view(), &cfg, Vec::new()).unwrap();
+        let mut enc = StreamEncoder::with_depth(Vec::new(), 40, 33, depth, &cfg).unwrap();
+        for row in img.view().rows() {
+            enc.push_row(row).unwrap();
+        }
+        let streamed = enc.finish().unwrap();
         assert_eq!(streamed, cbic::core::compress(img.view(), &cfg));
-        assert_eq!(decompress_from(&streamed[..]).unwrap(), img);
+        let back = StreamDecoder::new(&streamed[..]).and_then(StreamDecoder::decode_all);
+        assert_eq!(back.unwrap(), img);
     }
 }
 
