@@ -279,9 +279,8 @@ pub trait DecisionEncoder {
 ///
 /// Driving the full model pipeline into this encoder measures the *model*
 /// stage alone — prediction, context formation, tree descents — with the
-/// interval arithmetic and output path removed. The throughput harness
-/// subtracts such a pass from a real encode to split per-pixel time into
-/// model and coder shares.
+/// interval arithmetic and output path removed. The benchmark's layer
+/// ledger times the model and the tree layers into it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingEncoder {
     decisions: u64,

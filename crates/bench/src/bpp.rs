@@ -2,16 +2,20 @@
 //! class, emitted as JSON so the repository tracks its compression
 //! trajectory across PRs (`BENCH_bpp.json` at the repo root).
 //!
-//! Unlike `BENCH_throughput.json` (wall-clock numbers that drift with
-//! the host), every number here is a deterministic function of the
-//! codec and the synthetic corpus, so the regression gate compares the
-//! regenerated document **byte-for-byte** against the committed one: a
-//! mismatch means the coding behavior changed and the file must be
-//! regenerated and reviewed, not that a runner was slow.
+//! Every number here is a deterministic function of the codec and the
+//! synthetic corpus, so the regression gate compares the regenerated
+//! document **byte-for-byte** against the committed one: a mismatch means
+//! the coding behavior changed and the file must be regenerated and
+//! reviewed, not that a runner was slow. Speed is measured elsewhere, by
+//! the benchmark of record (`benchmark/`).
 
+use cbic_image::corpus::CorpusImage;
 use cbic_image::{EncodeOptions, Image};
 
-use crate::perf::CLASSES;
+/// The corpus classes the harness measures: a smooth portrait stand-in,
+/// an oriented texture, and a high-frequency one — the same panel the
+/// golden fixtures pin.
+pub const CLASSES: [CorpusImage; 3] = [CorpusImage::Lena, CorpusImage::Barb, CorpusImage::Mandrill];
 
 /// One measured bit-rate cell: a codec on a corpus class.
 #[derive(Debug, Clone, PartialEq)]

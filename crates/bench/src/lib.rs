@@ -7,17 +7,20 @@
 //! | Fig. 4 (bpp vs counter bits) | [`fig4_series`] | `fig4` | `--bench tables` |
 //! | Table 2 (utilization, memory, throughput) | [`table2_report`] | `table2` | `--bench tables` |
 //! | Ablations A1–A4 | [`ablation_report`] | `ablations` | `--bench tables` |
+//! | `BENCH_bpp.json` (bpp per codec and class) | [`bpp::measure_bpp`] | `bpp_json` | — |
 //!
 //! Numbers are measured on the synthetic corpus (see `cbic-image`), so
 //! absolute bit rates differ from the paper; each printer shows the paper's
 //! values side by side and the *shape* claims (orderings, deltas,
 //! crossovers) are asserted in `tests/` at the workspace root.
+//!
+//! Nothing here times the codecs: speed is measured one way, by the
+//! benchmark of record in `benchmark/` (see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bpp;
-pub mod perf;
 
 use cbic_arith::EstimatorConfig;
 use cbic_core::{CodecConfig, DivisionKind};

@@ -309,8 +309,8 @@ pub fn encode_raw(img: ImageView<'_>, cfg: &CodecConfig) -> (Vec<u8>, EncodeStat
 ///
 /// The decision stream this pass classifies is identical to a real
 /// encode's, so its wall time is the model stage's share of
-/// [`encode_raw`]; the throughput harness subtracts it from a full encode
-/// to report model-vs-coder per-pixel timings.
+/// [`encode_raw`]; the benchmark's layer ledger (`benchmark/src/ledger.rs`)
+/// times it alone as its model + tree span.
 ///
 /// # Panics
 ///

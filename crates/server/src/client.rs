@@ -105,7 +105,7 @@ impl Client {
     ) -> io::Result<Reply> {
         self.send_encode(EncodeRequest {
             lanes,
-            ..encode_request(img, magic, threads, None)
+            ..EncodeRequest::new(img, magic, threads, None)
         })
     }
 
@@ -122,7 +122,7 @@ impl Client {
         threads: u8,
         tile: Option<(u16, u16)>,
     ) -> io::Result<Reply> {
-        self.send_encode(encode_request(img, magic, threads, tile))
+        self.send_encode(EncodeRequest::new(img, magic, threads, tile))
     }
 
     /// Sends one ENCODE request and parses its reply.
@@ -285,27 +285,6 @@ impl Client {
     /// Reads until the server closes the connection, discarding bytes.
     pub fn drain(&mut self) {
         let _ = io::copy(&mut self.stream, &mut io::sink());
-    }
-}
-
-/// The ENCODE request for `img`, with the lane byte at its only valid
-/// value, 1.
-fn encode_request(
-    img: ImageView<'_>,
-    magic: [u8; 4],
-    threads: u8,
-    tile: Option<(u16, u16)>,
-) -> EncodeRequest {
-    EncodeRequest {
-        magic,
-        lanes: 1,
-        threads,
-        bit_depth: img.bit_depth(),
-        width: img.width() as u32,
-        height: img.height() as u32,
-        tile,
-        model: 0,
-        samples: img.rows().flat_map(<[u16]>::to_vec).collect(),
     }
 }
 

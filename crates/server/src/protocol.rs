@@ -46,6 +46,8 @@
 
 use std::io::{self, IoSlice, Read, Write};
 
+use cbic_image::ImageView;
+
 /// Sentinel `payload_bits` value in an ENCODE reply: the codec does not
 /// track exact payload bits for this container.
 pub const PAYLOAD_BITS_UNTRACKED: u64 = u64::MAX;
@@ -198,6 +200,24 @@ pub struct EncodeRequest {
 }
 
 impl EncodeRequest {
+    /// The request to compress `img` with the codec owning `magic`, on
+    /// `threads` workers, as a v4 grid of `tile` tiles (`None` keeps the
+    /// flat container). The retired lane and model bytes take their only
+    /// accepted values, 1 and 0.
+    pub fn new(img: ImageView<'_>, magic: [u8; 4], threads: u8, tile: Option<(u16, u16)>) -> Self {
+        Self {
+            magic,
+            lanes: 1,
+            threads,
+            bit_depth: img.bit_depth(),
+            width: img.width() as u32,
+            height: img.height() as u32,
+            tile,
+            model: 0,
+            samples: img.rows().flat_map(<[u16]>::to_vec).collect(),
+        }
+    }
+
     /// Serializes the full request body (op byte included).
     pub fn to_body(&self) -> Vec<u8> {
         let wide = self.bit_depth > 8;
@@ -345,6 +365,7 @@ pub fn parse_error_msg(rest: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbic_image::Image;
 
     #[test]
     fn frame_roundtrip() {
@@ -456,18 +477,10 @@ mod tests {
 
     #[test]
     fn encode_request_rejects_sample_count_mismatch() {
-        let req = EncodeRequest {
-            magic: *b"CBIC",
-            lanes: 1,
-            threads: 0,
-            bit_depth: 8,
-            width: 4,
-            height: 4,
-            tile: None,
-            model: 0,
-            samples: vec![0; 16],
-        };
+        let req = EncodeRequest::new(Image::new(4, 4).view(), *b"CBIC", 0, None);
+        assert_eq!((req.lanes, req.model, req.samples.len()), (1, 0, 16));
         let mut body = req.to_body();
+        assert_eq!(EncodeRequest::parse(&body[1..]).unwrap(), req);
         body.pop();
         assert!(EncodeRequest::parse(&body[1..]).is_err());
         assert!(EncodeRequest::parse(&[0u8; 3]).is_err());
@@ -475,17 +488,7 @@ mod tests {
 
     #[test]
     fn encode_request_rejects_half_zero_tile() {
-        let req = EncodeRequest {
-            magic: *b"CBIC",
-            lanes: 1,
-            threads: 0,
-            bit_depth: 8,
-            width: 2,
-            height: 2,
-            tile: Some((16, 16)),
-            model: 0,
-            samples: vec![0; 4],
-        };
+        let req = EncodeRequest::new(Image::new(2, 2).view(), *b"CBIC", 0, Some((16, 16)));
         let mut body = req.to_body();
         body[18] = 0; // tile_w low byte -> 0x0000 while tile_h stays nonzero
         body[19] = 0;

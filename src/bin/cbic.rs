@@ -14,7 +14,7 @@
 //! cbic info       IN                         (describe a compressed container)
 //! cbic codecs                                (list registered codecs)
 //! cbic corpus     [--size N] OUTDIR          (write the synthetic corpus as PGM)
-//! cbic bench      [--iters N] IN.pgm         (bit rate + encode/decode MP/s of all codecs)
+//! cbic bench      IN.pgm                     (bit rate of all codecs, decision profile)
 //! ```
 //!
 //! PGM input may be 8-bit (`maxval ≤ 255`) or deep (two big-endian bytes
@@ -68,7 +68,7 @@ fn usage() -> ExitCode {
          IN.pgm OUT\n  \
          cbic decompress [--threads N] IN OUT.pgm\n  \
          cbic crop --rect X,Y,W,H [--threads N] IN OUT.pgm\n  cbic info IN\n  cbic codecs\n  \
-         cbic corpus [--size N] OUTDIR\n  cbic bench [--iters N] IN.pgm\n\
+         cbic corpus [--size N] OUTDIR\n  cbic bench IN.pgm\n\
          (compress/decompress accept `-` for stdin/stdout piping; PGM may be 8- or 16-bit;\n \
          --tile writes the seekable tile grid, which `crop` decodes without reading other tiles;\n \
          --threads N without --tile writes the grid as N full-width tiles;\n \
@@ -662,17 +662,9 @@ fn cmd_corpus(args: &[String]) -> CliResult {
 }
 
 fn cmd_bench(args: &[String]) -> CliResult {
-    let (flags, pos) = parse_flags(args, &["iters"]);
-    let [input] = pos.as_slice() else {
-        return Err("bench needs IN.pgm (optional: --iters N, default 5)".into());
+    let [input] = args else {
+        return Err("bench needs IN.pgm".into());
     };
-    let iters: u32 = flag_value(&flags, "iters")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(5);
-    if iters == 0 {
-        return Err("--iters must be at least 1".into());
-    }
     let img = pgm::read_file(input)?;
     say!(
         "{input}: {}x{} at {} bits/sample, order-0 entropy {:.3} bpp",
@@ -682,50 +674,14 @@ fn cmd_bench(args: &[String]) -> CliResult {
         img.entropy()
     );
     let raw_bits = f64::from(img.bit_depth());
-    let pixels = img.pixel_count() as f64;
-    // Best-of-N wall-clock per direction: the minimum is robust against
-    // background load, and N stays small because `bench` is interactive.
-    let min_time = |f: &mut dyn FnMut()| -> f64 {
-        let mut best = f64::MAX;
-        for _ in 0..iters {
-            let t = std::time::Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    };
-    say!(
-        "  {:<10} {:>9} {:>7} {:>12} {:>12}",
-        "codec",
-        "bpp",
-        "ratio",
-        "enc MP/s",
-        "dec MP/s"
-    );
+    say!("  {:<10} {:>9} {:>7}", "codec", "bpp", "ratio");
     let opts = EncodeOptions::default();
     for codec in cbic::all_codecs() {
-        let bytes = codec.encode_vec(img.view(), &opts)?;
         // The bpp column stays payload-only (as it always was), so bench
         // numbers remain comparable across versions; container framing is
         // not charged to the codec.
         let bpp = codec.payload_bits_per_pixel(img.view(), &opts)?;
-        let enc_secs = min_time(&mut || {
-            std::hint::black_box(codec.encode_vec(img.view(), &opts).expect("Vec sink"));
-        });
-        let dec_secs = min_time(&mut || {
-            std::hint::black_box(
-                codec
-                    .decode_vec(&bytes, &DecodeOptions::default())
-                    .expect("own container"),
-            );
-        });
-        say!(
-            "  {:<10} {bpp:>9.3} {:>7.2} {:>12.2} {:>12.2}",
-            codec.name(),
-            raw_bits / bpp,
-            pixels / enc_secs / 1e6,
-            pixels / dec_secs / 1e6
-        );
+        say!("  {:<10} {bpp:>9.3} {:>7.2}", codec.name(), raw_bits / bpp);
     }
     // Decision profile of the proposed codec's estimator: the static
     // per-pixel budget (the paper's 1 escape + 8 tree levels for 8-bit

@@ -679,6 +679,51 @@ fn cli_compress_says_where_the_coder_ran() {
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
+#[test]
+fn cli_bench_prints_each_codecs_bit_rate_and_no_timings() {
+    let dir = std::env::temp_dir().join(format!("cbic-bench-rows-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let pgm = dir.join("in.pgm");
+    let img = CorpusImage::Barb.generate(40, 30);
+    cbic::image::pgm::write_file(&pgm, &img).expect("write input");
+    let bench = |args: &[&std::ffi::OsStr]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .arg("bench")
+            .args(args)
+            .output()
+            .expect("run cbic")
+    };
+    let out = bench(&[pgm.as_os_str()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // A codec row is `NAME BPP RATIO`; the decision-profile line is longer.
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .map(|line| line.split_whitespace().collect::<Vec<_>>())
+        .filter(|row| row.len() == 3 && row[1].parse::<f64>().is_ok())
+        .collect();
+    let codecs = cbic::all_codecs();
+    assert_eq!(rows.len(), codecs.len(), "{stdout}");
+    for (row, codec) in rows.iter().zip(&codecs) {
+        let bpp = codec
+            .payload_bits_per_pixel(img.view(), &EncodeOptions::default())
+            .expect("corpus image encodes");
+        assert_eq!(row[..2], [codec.name(), &format!("{bpp:.3}")], "{stdout}");
+    }
+    assert!(stdout.contains("decisions/px budget"), "{stdout}");
+    assert!(!stdout.contains("MP/s"), "{stdout}");
+    // The retired `--iters` is refused, not taken as the input path.
+    let out = bench(&["--iters".as_ref(), "5".as_ref(), pgm.as_os_str()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bench needs IN.pgm"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
 /// `cbic compress` of `pgm` bytes fed on stdin into `output`: the exit
 /// code and stderr.
 fn cli_compress(pgm: &[u8], output: &str) -> (Option<i32>, String) {
