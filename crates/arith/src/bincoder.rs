@@ -24,6 +24,9 @@ const QUARTER: u32 = 1 << 30;
 /// always at least a quarter of the 32-bit range, i.e. 2^30 ≥ 2^16·2^14).
 pub(crate) const MAX_TOTAL: u32 = 1 << 16;
 
+/// Entries of [`recip_table`]: one per total `0..=MAX_TOTAL`.
+pub(crate) const RECIP_LEN: usize = MAX_TOTAL as usize + 1;
+
 /// Reciprocal ROM for the interval split: entry `d` holds `⌈2⁶⁴ / d⌉`, so
 /// the per-decision `⌊range·c0 / total⌋` becomes one widening multiply and
 /// a shift instead of a hardware divide — the division-free datapath a
@@ -39,15 +42,19 @@ pub(crate) const MAX_TOTAL: u32 = 1 << 16;
 ///
 /// Entry 1 would need `2⁶⁴` and stays 0 — a divisor of 1 forces `c0 = 0`
 /// or `c0 = total`, which the deterministic-decision shortcut retires
-/// before any division.
-pub(crate) fn recip_table() -> &'static [u64] {
-    static RECIP: OnceLock<Vec<u64>> = OnceLock::new();
+/// before any division. Entries from 2 on are built as `u64::MAX / d + 1`,
+/// which is `⌈2⁶⁴/d⌉` for every `d ≥ 2` without 128-bit arithmetic.
+///
+/// The table has a fixed length, so an index of type `u16` needs no bounds
+/// check.
+pub(crate) fn recip_table() -> &'static [u64; RECIP_LEN] {
+    static RECIP: OnceLock<Box<[u64; RECIP_LEN]>> = OnceLock::new();
     RECIP.get_or_init(|| {
-        let mut t = vec![0u64; MAX_TOTAL as usize + 1];
+        let mut t = vec![0u64; RECIP_LEN];
         for (d, slot) in t.iter_mut().enumerate().skip(2) {
-            *slot = (1u128 << 64).div_ceil(d as u128) as u64;
+            *slot = u64::MAX / d as u64 + 1;
         }
-        t
+        t.into_boxed_slice().try_into().expect("RECIP_LEN entries")
     })
 }
 
@@ -344,6 +351,18 @@ pub trait DecisionDecoder {
     fn decode_nondeterministic(&mut self, c0: u32, total: u32) -> bool {
         self.decode(c0, total)
     }
+
+    /// [`decode_nondeterministic`](Self::decode_nondeterministic) with
+    /// `P(0)` already scaled by the caller: `f = c0·⌈2⁶⁴/total⌉`. The
+    /// tree descent forms `f` for both children of a node while the
+    /// node's own bit decodes, so a coder that splits on it directly
+    /// keeps the reciprocal load and the multiply off the chain between
+    /// two decisions. The default ignores `f`.
+    #[inline]
+    fn decode_scaled(&mut self, c0: u32, total: u32, f: u64) -> bool {
+        let _ = f;
+        self.decode_nondeterministic(c0, total)
+    }
 }
 
 /// Encoding half of the binary arithmetic coder.
@@ -588,14 +607,17 @@ impl<S: BitSource> BinaryDecoder<S> {
             c0 > 0 && c0 < total,
             "decode_coded requires a non-deterministic decision (c0={c0}, total={total})"
         );
+        self.decode_step(scale(c0, self.recip[total as usize]))
+    }
+
+    /// One coded decision on a pre-scaled `P(0)` (`f` from [`scale`]):
+    /// the kernel step, then the refill.
+    #[inline(always)]
+    fn decode_step(&mut self, f: u64) -> bool {
         self.decisions += 1;
         self.coded += 1;
         let value = self.value;
-        let step = self
-            .interval
-            .step(scale(c0, self.recip[total as usize]), |split| {
-                value >= split
-            });
+        let step = self.interval.step(f, |split| value >= split);
         // `s` does not depend on the input bits, so the settled and the E3
         // refills (consecutive in the stream) are one `read_bits` call.
         // The invariant `low ≤ value ≤ high` holds for *any* input bits
@@ -658,6 +680,21 @@ impl<S: BitSource> DecisionDecoder for BinaryDecoder<S> {
     #[inline]
     fn decode_nondeterministic(&mut self, c0: u32, total: u32) -> bool {
         self.decode_coded(c0, total)
+    }
+
+    /// Splits on `f` directly: no table read, no multiply.
+    #[inline(always)]
+    fn decode_scaled(&mut self, c0: u32, total: u32, f: u64) -> bool {
+        debug_assert!(
+            c0 > 0 && c0 < total && total <= MAX_TOTAL,
+            "decode_scaled requires a non-deterministic decision (c0={c0}, total={total})"
+        );
+        debug_assert_eq!(
+            f,
+            scale(c0, self.recip[total as usize]),
+            "f is not c0·recip[total] (c0={c0}, total={total})"
+        );
+        self.decode_step(f)
     }
 }
 
@@ -956,6 +993,60 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Splitting on a caller-scaled `f` is the same decision as splitting
+    /// on `(c0, total)`: the same bit and the same registers after each of
+    /// random decisions, with the corner totals 2, 3 and 65 535 mixed in.
+    #[test]
+    fn decode_scaled_matches_decode_nondeterministic() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(n)) as u32
+        };
+        let decisions: Vec<(bool, u32, u32)> = (0..4000)
+            .map(|i| {
+                let total = match i % 4 {
+                    0 => [2, 3, 65_535][(i / 4) % 3],
+                    _ => 2 + next(65_534),
+                };
+                (next(2) == 1, 1 + next(total - 1), total)
+            })
+            .collect();
+        let mut enc = BinaryEncoder::new(BitWriter::new());
+        for &(bit, c0, total) in &decisions {
+            enc.encode(bit, c0, total);
+        }
+        let bytes = enc.finish().into_bytes();
+        let recip = recip_table();
+        let mut plain = BinaryDecoder::new(BitReader::new(&bytes));
+        let mut scaled = BinaryDecoder::new(BitReader::new(&bytes));
+        for (i, &(bit, c0, total)) in decisions.iter().enumerate() {
+            let f = scale(c0, recip[total as usize]);
+            assert_eq!(
+                plain.decode_nondeterministic(c0, total),
+                bit,
+                "decision {i}"
+            );
+            assert_eq!(scaled.decode_scaled(c0, total, f), bit, "decision {i}");
+            assert_eq!(scaled.registers(), plain.registers(), "decision {i}");
+        }
+        assert_eq!(scaled.coded_decisions(), plain.coded_decisions());
+    }
+
+    /// `u64::MAX / d + 1` is `⌈2⁶⁴/d⌉` for every `d ≥ 2`: with
+    /// `2⁶⁴ = q·d + r`, it is `q + 1` when `r > 0` and `q` when `d`
+    /// divides `2⁶⁴`. Checked against 128-bit arithmetic over the table.
+    #[test]
+    fn reciprocal_rom_holds_the_ceiling_at_every_entry() {
+        let recip = recip_table();
+        assert_eq!(recip[..2], [0, 0]);
+        for (d, &m) in recip.iter().enumerate().skip(2) {
+            assert_eq!(u128::from(m), (1u128 << 64).div_ceil(d as u128), "d {d}");
         }
     }
 

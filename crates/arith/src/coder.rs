@@ -226,6 +226,7 @@ impl SymbolCoder {
     /// # Panics
     ///
     /// Panics if `ctx` is out of range.
+    #[inline(always)]
     pub fn decode<D: DecisionDecoder>(&mut self, dec: &mut D, ctx: usize) -> u8 {
         self.stats.symbols += 1;
         self.stats.decisions += 1 + u64::from(self.depth);

@@ -4,7 +4,10 @@ use proptest::prelude::*;
 
 use crate::bincoder::oracle::{OracleDecoder, OracleEncoder};
 use crate::bincoder::{mulhi, recip_table, HALF};
-use crate::{AdaptiveBit, BinaryDecoder, BinaryEncoder, EstimatorConfig, SymbolCoder, TreeModel};
+use crate::{
+    AdaptiveBit, BinaryDecoder, BinaryEncoder, DecisionDecoder, DecisionEncoder, EstimatorConfig,
+    SymbolCoder, TreeModel,
+};
 use cbic_bitio::{BitReader, BitWriter};
 
 /// Strategy: a sequence of (bit, c0, total) decisions with valid counts and
@@ -55,6 +58,193 @@ fn estimator_config() -> impl Strategy<Value = EstimatorConfig> {
         increment,
         escape_init: (noesc, 1),
     })
+}
+
+/// Contexts of the symbol-coder checks below.
+const CONTEXTS: usize = 4;
+
+/// Masks `stream`'s symbols to a `depth`-bit alphabet.
+fn masked(depth: u32, stream: &[(usize, u8)]) -> Vec<(usize, u8)> {
+    let mask = ((1u32 << depth) - 1) as u8;
+    stream.iter().map(|&(ctx, sym)| (ctx, sym & mask)).collect()
+}
+
+/// Asserts that every context's tree of `a` equals `b`'s: decoded symbols
+/// can match while the counts drift.
+fn assert_same_trees(a: &SymbolCoder, b: &SymbolCoder) {
+    for ctx in 0..CONTEXTS {
+        assert_eq!(a.tree(ctx), b.tree(ctx), "context {ctx}");
+    }
+}
+
+/// `SymbolCoder::encode`/`decode` against `encode_reference`/
+/// `decode_reference`: the same bytes, statistics, decision counts and
+/// trees.
+fn fast_path_matches_reference(cfg: EstimatorConfig, depth: u32, stream: &[(usize, u8)]) {
+    let stream = masked(depth, stream);
+    let mut fast_model = SymbolCoder::with_depth(CONTEXTS, depth, cfg);
+    let mut ref_model = SymbolCoder::with_depth(CONTEXTS, depth, cfg);
+    let mut fast_enc = BinaryEncoder::new(BitWriter::new());
+    let mut ref_enc = BinaryEncoder::new(BitWriter::new());
+    for &(ctx, sym) in &stream {
+        fast_model.encode(&mut fast_enc, ctx, sym);
+        ref_model.encode_reference(&mut ref_enc, ctx, sym);
+    }
+    assert_eq!(fast_model.stats(), ref_model.stats());
+    assert_same_trees(&fast_model, &ref_model);
+    let fast_bytes = fast_enc.finish().into_bytes();
+    let ref_bytes = ref_enc.finish().into_bytes();
+    assert_eq!(&fast_bytes, &ref_bytes);
+
+    let mut fast_dec_model = SymbolCoder::with_depth(CONTEXTS, depth, cfg);
+    let mut fast_dec = BinaryDecoder::new(BitReader::new(&fast_bytes));
+    let mut ref_dec_model = SymbolCoder::with_depth(CONTEXTS, depth, cfg);
+    let mut ref_dec = BinaryDecoder::new(BitReader::new(&ref_bytes));
+    for &(ctx, sym) in &stream {
+        assert_eq!(fast_dec_model.decode(&mut fast_dec, ctx), sym);
+        assert_eq!(ref_dec_model.decode_reference(&mut ref_dec, ctx), sym);
+    }
+    assert_eq!(fast_dec_model.stats(), fast_model.stats());
+    assert_eq!(ref_dec_model.stats(), fast_model.stats());
+    assert_eq!(fast_dec.decisions(), fast_model.stats().decisions);
+    assert_eq!(fast_dec.coded_decisions(), ref_dec.coded_decisions());
+    assert_same_trees(&fast_dec_model, &fast_model);
+    assert_same_trees(&ref_dec_model, &fast_model);
+}
+
+/// A `DecisionEncoder` that keeps each coded decision `(bit, c0, total)`
+/// and only counts the deterministic ones.
+#[derive(Default)]
+struct Recorder {
+    coded: Vec<(bool, u32, u32)>,
+    decisions: u64,
+}
+
+impl DecisionEncoder for Recorder {
+    fn encode(&mut self, bit: bool, c0: u32, total: u32) {
+        self.decisions += 1;
+        if c0 != 0 && c0 != total {
+            self.coded.push((bit, c0, total));
+        }
+    }
+
+    fn decisions(&self) -> u64 {
+        self.decisions
+    }
+
+    fn coded_decisions(&self) -> u64 {
+        self.coded.len() as u64
+    }
+
+    fn note_deterministic(&mut self, n: u64) {
+        self.decisions += n;
+    }
+}
+
+/// A `DecisionDecoder` answering each coded decision with the recorded
+/// bit. It implements only the required methods, so the model reaches it
+/// through the trait's defaults; a decision asked with other counts than
+/// the encoder coded is counted in `mismatched`.
+struct Replay<'a> {
+    coded: &'a [(bool, u32, u32)],
+    next: usize,
+    decisions: u64,
+    mismatched: usize,
+}
+
+impl DecisionDecoder for Replay<'_> {
+    fn decode(&mut self, c0: u32, total: u32) -> bool {
+        self.decisions += 1;
+        if c0 == 0 || c0 == total {
+            return c0 == 0;
+        }
+        let (bit, rec_c0, rec_total) = self.coded[self.next];
+        self.next += 1;
+        self.mismatched += usize::from((c0, total) != (rec_c0, rec_total));
+        bit
+    }
+
+    fn decisions(&self) -> u64 {
+        self.decisions
+    }
+
+    fn coded_decisions(&self) -> u64 {
+        self.next as u64
+    }
+
+    fn note_deterministic(&mut self, n: u64) {
+        self.decisions += n;
+    }
+}
+
+/// `SymbolCoder::decode` through [`Replay`] against the encoder: the same
+/// symbols, statistics, decision counts and trees, every coded decision
+/// asked with the encoder's counts.
+fn replay_matches_encoder(cfg: EstimatorConfig, depth: u32, stream: &[(usize, u8)]) {
+    let stream = masked(depth, stream);
+    let mut enc_model = SymbolCoder::with_depth(CONTEXTS, depth, cfg);
+    let mut rec = Recorder::default();
+    for &(ctx, sym) in &stream {
+        enc_model.encode(&mut rec, ctx, sym);
+    }
+    let mut dec_model = SymbolCoder::with_depth(CONTEXTS, depth, cfg);
+    let mut replay = Replay {
+        coded: &rec.coded,
+        next: 0,
+        decisions: 0,
+        mismatched: 0,
+    };
+    for &(ctx, sym) in &stream {
+        assert_eq!(dec_model.decode(&mut replay, ctx), sym);
+    }
+    assert_eq!(replay.mismatched, 0, "decisions asked with other counts");
+    assert_eq!(replay.next, rec.coded.len(), "coded decisions left over");
+    assert_eq!(replay.decisions, rec.decisions);
+    assert_eq!(dec_model.stats(), enc_model.stats());
+    assert_same_trees(&dec_model, &enc_model);
+}
+
+/// The two ends of the sweeps, pinned: depth 1 (a level with no
+/// children) and depth 8, each at `count_bits` 10 and 16 with a stream
+/// long enough to age the trees; the root's visits come within one
+/// increment of the cap, at 16 bits 65 535, the top of the reciprocal
+/// table in use.
+#[test]
+fn symbol_coder_corners_match_reference_and_replay() {
+    let stream: Vec<(usize, u8)> = (0..6000u32)
+        .map(|i| {
+            (
+                (i % 7 / 5) as usize,
+                (i.wrapping_mul(2_654_435_761) >> 20) as u8 & 0x3F,
+            )
+        })
+        .collect();
+    for depth in [1, 8] {
+        for count_bits in [10, 16] {
+            let cfg = EstimatorConfig {
+                count_bits,
+                increment: 48,
+                ..EstimatorConfig::default()
+            };
+            fast_path_matches_reference(cfg, depth, &stream);
+            replay_matches_encoder(cfg, depth, &stream);
+            let mut model = SymbolCoder::with_depth(CONTEXTS, depth, cfg);
+            let mut rec = Recorder::default();
+            for &(ctx, sym) in &masked(depth, &stream) {
+                model.encode(&mut rec, ctx, sym);
+            }
+            assert!(
+                model.stats().rescales > 0,
+                "depth {depth}, {count_bits} bits"
+            );
+            assert!(
+                rec.coded
+                    .iter()
+                    .any(|&(_, _, total)| total > cfg.max_total() - 48),
+                "depth {depth}, {count_bits} bits: no total near the cap"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -154,37 +344,28 @@ proptest! {
     /// The fused descents behind `SymbolCoder::encode`/`decode` are byte-
     /// and statistics-identical to the historical per-decision reference
     /// sequence, for every depth, estimator configuration (aging-heavy
-    /// 10-bit counters with large increments included), and symbol stream.
+    /// 10-bit counters with large increments included), and symbol stream;
+    /// and the decoder's trees end equal to the encoder's.
     #[test]
     fn symbol_coder_fast_path_matches_reference(
         cfg in estimator_config(),
         depth in 1u32..=8,
         stream in proptest::collection::vec((0usize..4, any::<u8>()), 0..800),
     ) {
-        let mask = ((1u32 << depth) - 1) as u8;
-        let mut fast_model = SymbolCoder::with_depth(4, depth, cfg);
-        let mut ref_model = SymbolCoder::with_depth(4, depth, cfg);
-        let mut fast_enc = BinaryEncoder::new(BitWriter::new());
-        let mut ref_enc = BinaryEncoder::new(BitWriter::new());
-        for &(ctx, sym) in &stream {
-            fast_model.encode(&mut fast_enc, ctx, sym & mask);
-            ref_model.encode_reference(&mut ref_enc, ctx, sym & mask);
-        }
-        prop_assert_eq!(fast_model.stats(), ref_model.stats());
-        let fast_bytes = fast_enc.finish().into_bytes();
-        let ref_bytes = ref_enc.finish().into_bytes();
-        prop_assert_eq!(&fast_bytes, &ref_bytes);
+        fast_path_matches_reference(cfg, depth, &stream);
+    }
 
-        let mut fast_dec_model = SymbolCoder::with_depth(4, depth, cfg);
-        let mut fast_dec = BinaryDecoder::new(BitReader::new(&fast_bytes));
-        let mut ref_dec_model = SymbolCoder::with_depth(4, depth, cfg);
-        let mut ref_dec = BinaryDecoder::new(BitReader::new(&ref_bytes));
-        for &(ctx, sym) in &stream {
-            prop_assert_eq!(fast_dec_model.decode(&mut fast_dec, ctx), sym & mask);
-            prop_assert_eq!(ref_dec_model.decode_reference(&mut ref_dec, ctx), sym & mask);
-        }
-        prop_assert_eq!(fast_dec_model.stats(), fast_model.stats());
-        prop_assert_eq!(ref_dec_model.stats(), fast_model.stats());
+    /// A decoder that implements only the required `DecisionDecoder`
+    /// methods decodes through the trait's defaults (`decode_scaled` and
+    /// `decode_nondeterministic` fall back to `decode`) to the same
+    /// symbols, trees and statistics.
+    #[test]
+    fn symbol_coder_decodes_through_trait_defaults(
+        cfg in estimator_config(),
+        depth in 1u32..=8,
+        stream in proptest::collection::vec((0usize..4, any::<u8>()), 0..800),
+    ) {
+        replay_matches_encoder(cfg, depth, &stream);
     }
 
     /// The interval kernel is the two-step arithmetic it replaced: the

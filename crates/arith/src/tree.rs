@@ -15,7 +15,7 @@
 //! ≈ 4 KBytes of SRAM, exactly the figure the paper reports. Storing
 //! (left, right) pairs would double that.
 
-use crate::bincoder::{DecisionDecoder, DecisionEncoder};
+use crate::bincoder::{recip_table, DecisionDecoder, DecisionEncoder};
 use crate::coder::EstimatorConfig;
 use std::sync::OnceLock;
 
@@ -43,6 +43,21 @@ fn path_rom(depth: u32) -> &'static [u64] {
             })
             .collect()
     })
+}
+
+/// One level of [`TreeModel::decode_and_update`]: a one-sided count pins
+/// the bit without touching the coder (deterministic-prefix skipping,
+/// decode side); any other decision goes to the coder with its
+/// pre-scaled `P(0)`, `f`.
+#[inline(always)]
+fn decide<D: DecisionDecoder>(dec: &mut D, c0: u16, visits: u16, f: u64) -> bool {
+    if c0 == 0 {
+        true
+    } else if c0 == visits {
+        false
+    } else {
+        dec.decode_scaled(c0.into(), visits.into(), f)
+    }
 }
 
 /// Captured per-level decision probabilities of one symbol's root-to-leaf
@@ -374,7 +389,21 @@ impl TreeModel {
     /// here at the model layer — the encoder emitted zero bits for them,
     /// so the decoder never consults the bitstream; only the coder's
     /// decision counters are advanced (in one batched
-    /// [`note_deterministic`](DecisionDecoder::note_deterministic) call).
+    /// [`note_deterministic`](DecisionDecoder::note_deterministic) call,
+    /// for the levels the coder's own coded count did not take).
+    ///
+    /// **Look-ahead.** Each decoded bit picks the next node, so a plain
+    /// descent puts the node's counter load, its reciprocal load and the
+    /// `c0·⌈2⁶⁴/visits⌉` multiply between two interval splits. Here, while
+    /// a level's bit decodes, both children's counters (adjacent at `2n`
+    /// and `2n + 1`) are loaded and both children's `P(0)` pre-scaled —
+    /// the left child's visits are `c0`, the right child's `visits − c0` —
+    /// so the bit only selects the taken child's `(c0, visits, f)` and the
+    /// coder splits on `f` through
+    /// [`decode_scaled`](DecisionDecoder::decode_scaled). The products
+    /// wrap: a deterministic child gets an `f` that is never used. The
+    /// coded probabilities are the ones the plain descent forms, so the
+    /// decoded bits are too.
     #[inline]
     pub fn decode_and_update<D: DecisionDecoder>(&mut self, dec: &mut D) -> u8 {
         if self.total + self.increment > self.max_total {
@@ -382,31 +411,37 @@ impl TreeModel {
             self.update(symbol);
             return symbol;
         }
+        let recip = recip_table();
+        let scaled = |c0: u16, visits: u16| u64::from(c0).wrapping_mul(recip[usize::from(visits)]);
         let inc = self.increment as u16;
+        let coded_before = dec.coded_decisions();
+        let left = &mut self.left[..];
         let mut node = 1usize;
-        let mut visits = self.total;
-        let mut symbol = 0u8;
-        let mut deterministic = 0u64;
-        for _ in 0..self.depth {
-            let c0 = u32::from(self.left[node]);
-            // Deterministic-prefix skipping, decode side: a one-sided
-            // count pins the bit without touching the coder.
-            let bit = if c0 == 0 {
-                deterministic += 1;
-                true
-            } else if c0 == visits {
-                deterministic += 1;
-                false
-            } else {
-                dec.decode_nondeterministic(c0, visits)
-            };
-            visits = if bit { visits - c0 } else { c0 };
+        // No rescale is due, so the total is under the counter cap, which
+        // is below 2^16.
+        let mut visits = self.total as u16;
+        let mut c0 = left[node];
+        let mut f = scaled(c0, visits);
+        // Down to the last internal level, whose children are leaves.
+        while let Some(&[l, r]) = left.get(2 * node..2 * node + 2) {
+            let (fl, fr) = (scaled(l, c0), scaled(r, visits - c0));
+            let bit = decide(dec, c0, visits, f);
             // Branchless conditional bump (see `capture_and_update`).
-            self.left[node] += inc & u16::from(bit).wrapping_sub(1);
-            symbol = (symbol << 1) | u8::from(bit);
+            left[node] += inc & u16::from(bit).wrapping_sub(1);
             node = node * 2 + usize::from(bit);
+            // The taken child, picked with masks: an `if` on the bit
+            // compiled to a branch on it (see `Interval::step`).
+            let (one, one64) = (u16::from(bit).wrapping_neg(), u64::from(bit).wrapping_neg());
+            visits = ((visits - c0) & one) | (c0 & !one);
+            c0 = (r & one) | (l & !one);
+            f = (fr & one64) | (fl & !one64);
         }
-        dec.note_deterministic(deterministic);
+        let bit = decide(dec, c0, visits, f);
+        left[node] += inc & u16::from(bit).wrapping_sub(1);
+        // The leaf below the last node, counted from the first leaf.
+        let symbol = (node * 2 + usize::from(bit) - left.len()) as u8;
+        let coded = dec.coded_decisions() - coded_before;
+        dec.note_deterministic(u64::from(self.depth) - coded);
         self.total += self.increment;
         symbol
     }

@@ -22,7 +22,7 @@
 //! | Line 2 (e) — error feedback `X̃ = X̂ + ē` | the cached feedback bank of [`ContextStore`] |
 //! | Line 1 (a) — prediction error `e = X − X̃` | the engine's encode step |
 //! | Line 1 (c) — remap (wrap + zig-zag fold) | the per-depth fold ROM ([`FoldLut`]) |
-//! | Line 1 (c) — estimator + binary arithmetic coder | [`SampleCoder`] over the single-descent tree walk; the streamed encoder's binary coder on a thread of its own (below) |
+//! | Line 1 (c) — estimator + binary arithmetic coder | [`SampleCoder`] over the single-descent tree walk; the streamed encoder's binary coder on a thread of its own (below); the decoder's walk prepares both children of each level while the level's bit decodes ([`TreeModel::decode_and_update`](cbic_arith::TreeModel::decode_and_update)) |
 //! | Line 1 (b)/(d) — sum/count update, `e_W` write-back | [`PixelEngine`]'s absorb stage |
 //!
 //! Every stage runs on the caller's thread, with one exception. The

@@ -41,7 +41,7 @@
 //! the same cut for a lone tile worker, one coder stream per tile. The
 //! CLI's `--threads N` counts the grid's tile workers, not this thread.
 //! The decoder stays on one thread: each decoded bit steers the next tree
-//! step, so its coder cannot run ahead of its model.
+//! step, so it overlaps the next level's loads and scaling, not the bit.
 //!
 //! # Examples
 //!

@@ -87,12 +87,34 @@ fn append_samples(out: &mut Vec<u8>, samples: &[u16], bytes_per_sample: usize) {
     }
 }
 
-/// Converts one raster row to its wire bytes (used by the CLI's streaming
-/// writer).
-pub fn row_bytes(row: &[u16], maxval: u16) -> Vec<u8> {
-    let mut out = Vec::with_capacity(row.len() * if maxval > 255 { 2 } else { 1 });
-    append_samples(&mut out, row, if maxval > 255 { 2 } else { 1 });
-    out
+/// Writes raster rows in the wire encoding `maxval` implies, through one
+/// buffer that every row reuses: the rows that follow a
+/// [`write_header`], one call per row.
+#[derive(Debug)]
+pub struct RowWriter {
+    buf: Vec<u8>,
+    bytes_per_sample: usize,
+}
+
+impl RowWriter {
+    /// A writer for rows of an image with this `maxval`.
+    pub fn new(maxval: u16) -> Self {
+        Self {
+            buf: Vec::new(),
+            bytes_per_sample: if maxval > 255 { 2 } else { 1 },
+        }
+    }
+
+    /// Writes one row's samples to `out`.
+    ///
+    /// # Errors
+    ///
+    /// The error `out` returns.
+    pub fn write_row<W: Write>(&mut self, out: &mut W, row: &[u16]) -> std::io::Result<()> {
+        self.buf.clear();
+        append_samples(&mut self.buf, row, self.bytes_per_sample);
+        out.write_all(&self.buf)
+    }
 }
 
 /// Parses a binary PGM stream (maxval `1..=65535`; `#` comments allowed;
@@ -505,7 +527,22 @@ mod tests {
         let img = Image::from_fn(5, 4, |x, y| (x + y) as u8);
         let mut out = Vec::new();
         write_header(&mut out, 5, 4, 255).unwrap();
-        out.extend_from_slice(&row_bytes(img.samples(), 255));
+        let mut rows = RowWriter::new(255);
+        for y in 0..img.height() {
+            rows.write_row(&mut out, img.row(y)).unwrap();
+        }
+        assert_eq!(out, encode(&img));
+    }
+
+    #[test]
+    fn row_writer_matches_encode_at_16_bits() {
+        let img = Image::from_fn16(7, 3, 12, |x, y| (x * 600 + y) as u16);
+        let mut out = Vec::new();
+        write_header(&mut out, 7, 3, img.max_val()).unwrap();
+        let mut rows = RowWriter::new(img.max_val());
+        for y in 0..img.height() {
+            rows.write_row(&mut out, img.row(y)).unwrap();
+        }
         assert_eq!(out, encode(&img));
     }
 

@@ -403,8 +403,9 @@ fn cmd_decompress(args: &[String]) -> CliResult {
             let img = cbic::core::decompress_grid(&bytes, Parallelism::from_threads(threads))?;
             let mut out = open_output(output)?;
             pgm::write_header(&mut out, img.width(), img.height(), img.max_val())?;
+            let mut rows = pgm::RowWriter::new(img.max_val());
             for y in 0..img.height() {
-                out.write_all(&pgm::row_bytes(img.row(y), img.max_val()))?;
+                rows.write_row(&mut out, img.row(y))?;
             }
             out.flush()?;
             eprintln!(
@@ -425,9 +426,10 @@ fn cmd_decompress(args: &[String]) -> CliResult {
         let mut out = open_output(output)?;
         pgm::write_header(&mut out, width, height, maxval)?;
         let mut row = vec![0u16; width];
+        let mut rows = pgm::RowWriter::new(maxval);
         for _ in 0..height {
             dec.next_row(&mut row)?;
-            out.write_all(&pgm::row_bytes(&row, maxval))?;
+            rows.write_row(&mut out, &row)?;
         }
         out.flush()?;
         eprintln!(
@@ -449,8 +451,9 @@ fn cmd_decompress(args: &[String]) -> CliResult {
     let mut out = open_output(output)?;
     // Header then row-by-row wire conversion: no second image-sized buffer.
     pgm::write_header(&mut out, img.width(), img.height(), img.max_val())?;
+    let mut rows = pgm::RowWriter::new(img.max_val());
     for y in 0..img.height() {
-        out.write_all(&pgm::row_bytes(img.row(y), img.max_val()))?;
+        rows.write_row(&mut out, img.row(y))?;
     }
     out.flush()?;
     eprintln!(
@@ -490,8 +493,9 @@ fn cmd_crop(args: &[String]) -> CliResult {
     };
     let mut out = open_output(output)?;
     pgm::write_header(&mut out, img.width(), img.height(), img.max_val())?;
+    let mut rows = pgm::RowWriter::new(img.max_val());
     for y in 0..img.height() {
-        out.write_all(&pgm::row_bytes(img.row(y), img.max_val()))?;
+        rows.write_row(&mut out, img.row(y))?;
     }
     out.flush()?;
     eprintln!(
