@@ -368,10 +368,10 @@ pub trait DecisionDecoder {
 /// Encoding half of the binary arithmetic coder.
 ///
 /// Decisions are pushed with [`encode`](Self::encode); the coder emits bits
-/// into the wrapped [`BitSink`] as the interval narrows (a [`BitWriter`] by
-/// default; a [`StreamBitWriter`](cbic_bitio::StreamBitWriter) for the
-/// bounded-memory streaming pipeline). [`finish`](Self::finish) flushes the
-/// final disambiguating bits and returns the sink.
+/// into the wrapped [`BitSink`] as the interval narrows: a
+/// [`StreamBitWriter`](cbic_bitio::StreamBitWriter) over any `io::Write`,
+/// by default the in-memory [`BitWriter`]. [`finish`](Self::finish)
+/// flushes the final disambiguating bits and returns the sink.
 ///
 /// # Examples
 ///
@@ -533,9 +533,9 @@ impl<S: BitSink> DecisionEncoder for BinaryEncoder<S> {
 ///
 /// Must be fed the same `(c0, total)` sequence the encoder used; adaptive
 /// models guarantee this by updating identically on both sides. The bit
-/// source is generic: a [`BitReader`](cbic_bitio::BitReader) over a buffered
-/// payload, or a [`StreamBitReader`](cbic_bitio::StreamBitReader) refilled
-/// incrementally from `std::io::Read`.
+/// source is generic: a [`StreamBitReader`](cbic_bitio::StreamBitReader)
+/// refilled incrementally from any `std::io::BufRead`, such as the
+/// [`BitReader`](cbic_bitio::BitReader) over a payload in memory.
 #[derive(Debug)]
 pub struct BinaryDecoder<S> {
     interval: Interval,
@@ -706,7 +706,7 @@ impl<S: BitSource> DecisionDecoder for BinaryDecoder<S> {
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::{mask64, mulhi, recip_table, HALF, MAX_TOTAL, QUARTER};
-    use cbic_bitio::{BitReader, BitWriter};
+    use cbic_bitio::{BitReader, BitSink, BitSource, BitWriter};
 
     /// The encoder of the two-step arithmetic, over a [`BitWriter`].
     pub(crate) struct OracleEncoder {

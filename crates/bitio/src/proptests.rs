@@ -1,10 +1,11 @@
 //! Property-based tests: whatever a `BitWriter` produces, a `BitReader`
 //! must read back verbatim, regardless of how the bit stream is chunked —
-//! and the streaming adapters must be bit-for-bit interchangeable with
-//! the buffered pair.
+//! and the writer and the reader must agree bit for bit with the
+//! bit-at-a-time model.
 
 use proptest::prelude::*;
 
+use crate::model::Buffered;
 use crate::{BitReader, BitSink, BitSource, BitWriter, StreamBitReader, StreamBitWriter};
 
 proptest! {
@@ -22,8 +23,8 @@ proptest! {
             prop_assert_eq!(r.read_bit(), b);
         }
         // Padding (if any) must read as zero.
-        while !r.is_exhausted() {
-            prop_assert!(!r.read_bit());
+        while let Some(bit) = r.try_read_bit() {
+            prop_assert!(!bit);
         }
     }
 
@@ -64,14 +65,14 @@ proptest! {
         }
     }
 
-    /// byte_len is always ceil(bits/8).
+    /// The output is always ceil(bits/8) bytes long.
     #[test]
     fn byte_len_matches_bits(nbits in 0u64..1000) {
         let mut w = BitWriter::new();
         for i in 0..nbits {
             w.write_bit(i % 3 == 0);
         }
-        prop_assert_eq!(w.byte_len() as u64, nbits.div_ceil(8));
+        prop_assert_eq!(w.into_bytes().len() as u64, nbits.div_ceil(8));
     }
 
     /// Strict reads see exactly the number of written bits, then None.
@@ -90,36 +91,38 @@ proptest! {
         prop_assert_eq!(seen, nbits.div_ceil(8) * 8);
     }
 
-    /// The streaming writer produces the exact bytes the buffered writer
-    /// does for an arbitrary chunk sequence, and the streaming reader
-    /// reads them back identically to the buffered reader.
+    /// The writer produces the exact bytes the bit-at-a-time model packs
+    /// for an arbitrary chunk sequence, and the reader reads them back as
+    /// the model does — through the strict reads too, and on past the end.
     #[test]
     fn streaming_adapters_match_buffered(chunks in proptest::collection::vec((any::<u64>(), 0u32..=64), 0..256)) {
         let chunks: Vec<(u64, u32)> = chunks
             .into_iter()
             .map(|(v, n)| (if n == 64 { v } else { v & ((1u64 << n) - 1) }, n))
             .collect();
-        let mut buffered = BitWriter::new();
-        let mut streamed = StreamBitWriter::new(Vec::new());
+        let mut model = Buffered::default();
+        let mut streamed = StreamBitWriter::wrap(Vec::new());
         for &(v, n) in &chunks {
-            BitWriter::write_bits(&mut buffered, v, n);
+            model.write_bits(v, n);
             streamed.write_bits(v, n);
         }
-        prop_assert_eq!(BitWriter::bits_written(&buffered), BitSink::bits_written(&streamed));
-        let expected = buffered.into_bytes();
+        prop_assert_eq!(model.bits_written(), streamed.bits_written());
         let bytes = streamed.finish().expect("Vec sink");
-        prop_assert_eq!(&bytes, &expected);
+        prop_assert_eq!(&bytes, &model.bytes());
 
-        let mut br = BitReader::new(&bytes);
-        let mut sr = StreamBitReader::new(&bytes[..]);
-        for &(v, n) in &chunks {
-            prop_assert_eq!(BitReader::read_bits(&mut br, n), v);
-            prop_assert_eq!(sr.read_bits(n), v);
+        let mut model = Buffered::reading(&bytes);
+        let mut sr = StreamBitReader::buffered(&bytes[..]);
+        for (i, &(v, n)) in chunks.iter().enumerate() {
+            let got = if i % 2 == 0 { sr.read_bits(n) } else { sr.try_read_bits(n).expect("real bits") };
+            prop_assert_eq!(got, v);
+            prop_assert_eq!(model.read_bits(n), v);
         }
-        // Both pad identically past the end.
+        // Both end and pad identically.
+        prop_assert_eq!(sr.try_read_bits(64), model.try_read_bits(64));
         for _ in 0..16 {
-            prop_assert_eq!(BitReader::read_bit(&mut br), sr.read_bit());
+            prop_assert_eq!(model.read_bit(), sr.read_bit());
         }
-        prop_assert_eq!(BitReader::padding_bits(&br), sr.padding_bits());
+        prop_assert_eq!(model.padding_bits(), sr.padding_bits());
+        prop_assert_eq!(model.bits_read(), sr.bits_read());
     }
 }

@@ -1,15 +1,18 @@
-//! Bounded-memory bit I/O over `std::io::Write` / `std::io::Read`.
+//! The one MSB-first bit writer and the one bit reader, over `std::io`.
 //!
-//! [`BitWriter`](crate::BitWriter) and [`BitReader`](crate::BitReader)
-//! materialize the whole stream in memory. The adapters here keep only a
-//! small fixed buffer and move bytes through the wrapped `io` object as
-//! they fill or drain, so a codec built on them runs in O(1) memory no
-//! matter how long the bit stream gets — the software shape of the paper's
-//! one-pixel-per-cycle hardware output bus.
+//! [`StreamBitWriter`] stages bits in a 64-bit register, collects whole
+//! registers in a small fixed buffer and hands the buffer to the wrapped
+//! [`io::Write`] as it fills; [`StreamBitReader`] takes bytes out of the
+//! wrapped [`io::BufRead`]'s buffer as it drains and serves bits out of
+//! a 64-bit cache. A codec built on them runs in O(1) memory no matter
+//! how long the bit stream gets — the software shape of the paper's
+//! one-pixel-per-cycle hardware output bus — and a multi-bit transfer
+//! (the arithmetic coder's bulk renormalization, a Golomb remainder)
+//! costs one shift-or instead of a bit loop.
 //!
-//! Like their buffered counterparts, both adapters stage bits in a 64-bit
-//! register so multi-bit transfers (the arithmetic coder's bulk
-//! renormalization) cost one shift-or instead of a bit loop.
+//! The in-memory coders use the same code: [`BitWriter`] is the writer
+//! over a `Vec<u8>` and [`BitReader`] the reader over a byte slice, whose
+//! bytes it reads in place.
 //!
 //! # Error handling
 //!
@@ -22,31 +25,62 @@
 //! [`StreamBitReader::io_error`].
 
 use crate::{BitSink, BitSource};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 
-/// Bytes held before handing them to the wrapped writer / after pulling
-/// them from the wrapped reader. One page: small enough to be "bounded",
-/// large enough to amortize `write`/`read` calls.
+/// Bytes held before handing them to the wrapped writer, and the size of
+/// the buffer [`StreamBitReader::buffered`] puts in front of a reader. One
+/// page: small enough to be "bounded", large enough to amortize
+/// `write`/`read` calls.
 const CHUNK: usize = 4096;
 
-/// Low-bits mask for `count` in `1..=64`.
+/// Low-bits mask for `count` in `0..=63`, without a branch on zero.
 #[inline]
-fn mask(count: u32) -> u64 {
-    u64::MAX >> (64 - count)
+fn low_mask(count: u32) -> u64 {
+    1u64.wrapping_shl(count).wrapping_sub(1)
 }
+
+/// The in-memory bit writer: a [`StreamBitWriter`] over a `Vec<u8>`,
+/// whose bytes [`StreamBitWriter::into_bytes`] returns.
+///
+/// # Examples
+///
+/// ```
+/// use cbic_bitio::{BitSink, BitWriter};
+///
+/// let mut w = BitWriter::new();
+/// w.write_bits(0b101, 3);
+/// assert_eq!(w.bits_written(), 3);
+/// // The partial byte is zero-padded: 0b1010_0000.
+/// assert_eq!(w.into_bytes(), vec![0xA0]);
+/// ```
+pub type BitWriter = StreamBitWriter<Vec<u8>>;
+
+/// The in-memory bit reader: a [`StreamBitReader`] over a byte slice.
+///
+/// # Examples
+///
+/// ```
+/// use cbic_bitio::{BitReader, BitSource};
+///
+/// let mut r = BitReader::new(&[0b1011_0000]);
+/// assert_eq!(r.read_bits(4), 0b1011);
+/// assert_eq!(r.try_read_bits(5), None, "only four real bits are left");
+/// assert_eq!(r.read_bits(5), 0);
+/// assert_eq!(r.padding_bits(), 1);
+/// ```
+pub type BitReader<'a> = StreamBitReader<&'a [u8]>;
 
 /// An MSB-first bit sink that streams its bytes into an [`io::Write`].
 ///
-/// Produces byte-for-byte the stream [`BitWriter`](crate::BitWriter) would
-/// buffer, including the zero-padded final partial byte emitted by
-/// [`Self::finish`].
+/// The first bit written becomes bit 7 of the first byte, and
+/// [`Self::finish`] zero-pads the final partial byte.
 ///
 /// # Examples
 ///
 /// ```
 /// use cbic_bitio::{BitSink, StreamBitWriter};
 ///
-/// let mut w = StreamBitWriter::new(Vec::new());
+/// let mut w = StreamBitWriter::wrap(Vec::new());
 /// w.write_bits(0b101, 3);
 /// assert_eq!(w.bits_written(), 3);
 /// assert_eq!(w.finish().unwrap(), vec![0xA0]);
@@ -68,9 +102,30 @@ pub struct StreamBitWriter<W: Write> {
     poisoned: bool,
 }
 
+impl<W: Write + Default> Default for StreamBitWriter<W> {
+    fn default() -> Self {
+        Self::wrap(W::default())
+    }
+}
+
+impl<W: Write + Default> StreamBitWriter<W> {
+    /// A fresh bit sink over `W::default()`: for [`BitWriter`], an empty
+    /// `Vec<u8>`.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl StreamBitWriter<Vec<u8>> {
+    /// Flushes the partial byte (zero-padded) and returns the bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.finish().expect("writes into a Vec<u8> cannot fail")
+    }
+}
+
 impl<W: Write> StreamBitWriter<W> {
     /// Wraps `inner` in a fresh bit sink.
-    pub fn new(inner: W) -> Self {
+    pub fn wrap(inner: W) -> Self {
         Self {
             inner,
             buf: Vec::with_capacity(CHUNK),
@@ -119,7 +174,7 @@ impl<W: Write> StreamBitWriter<W> {
             (self.acc << space) | (value >> spill)
         };
         self.nacc = spill;
-        self.acc = if spill == 0 { 0 } else { value & mask(spill) };
+        self.acc = value & low_mask(spill);
         self.push_acc(filled);
     }
 
@@ -241,10 +296,14 @@ impl<W: Write> BitSink for StreamBitWriter<W> {
     }
 }
 
-/// An MSB-first bit source that pulls its bytes from an [`io::Read`].
+/// An MSB-first bit source that pulls its bytes from an [`io::BufRead`].
 ///
-/// Mirrors [`BitReader`](crate::BitReader): padded reads return `0` bits
-/// once the underlying reader is exhausted, strict reads report
+/// It takes bytes straight out of the source's buffer, so the reader over
+/// a byte slice ([`BitReader`]) copies and allocates nothing;
+/// [`Self::buffered`] puts a 4 KiB buffer in front of any other
+/// [`io::Read`]. Padded reads return `0` bits once the underlying reader
+/// is exhausted (the convention arithmetic decoders rely on when the final
+/// code word was truncated at a byte boundary); strict reads report
 /// exhaustion. An I/O error is treated as end-of-input and kept for
 /// inspection via [`Self::io_error`].
 ///
@@ -253,18 +312,14 @@ impl<W: Write> BitSink for StreamBitWriter<W> {
 /// ```
 /// use cbic_bitio::{BitSource, StreamBitReader};
 ///
-/// let mut r = StreamBitReader::new(&[0b1011_0000u8][..]);
+/// let mut r = StreamBitReader::buffered(std::io::repeat(0b1011_0000));
 /// assert_eq!(r.read_bits(4), 0b1011);
 /// assert_eq!(r.bits_read(), 4);
 /// assert_eq!(r.padding_bits(), 0);
 /// ```
 #[derive(Debug)]
-pub struct StreamBitReader<R: Read> {
+pub struct StreamBitReader<R: BufRead> {
     inner: R,
-    buf: Box<[u8; CHUNK]>,
-    /// Valid prefix of `buf` is `pos..len`.
-    pos: usize,
-    len: usize,
     /// Valid bits remaining in `acc`, in `0..=64`.
     nacc: u32,
     /// Bit cache: the next bit to serve is bit `nacc - 1`; bits at or above
@@ -276,14 +331,18 @@ pub struct StreamBitReader<R: Read> {
     error: Option<io::Error>,
 }
 
-impl<R: Read> StreamBitReader<R> {
+impl<R: Read> StreamBitReader<BufReader<R>> {
+    /// Wraps `inner` in a fresh bit source that reads it 4 KiB at a time.
+    pub fn buffered(inner: R) -> Self {
+        Self::new(BufReader::with_capacity(CHUNK, inner))
+    }
+}
+
+impl<R: BufRead> StreamBitReader<R> {
     /// Wraps `inner` in a fresh bit source.
     pub fn new(inner: R) -> Self {
         Self {
             inner,
-            buf: Box::new([0; CHUNK]),
-            pos: 0,
-            len: 0,
             nacc: 0,
             acc: 0,
             bits_read: 0,
@@ -299,105 +358,113 @@ impl<R: Read> StreamBitReader<R> {
         self.error.as_ref()
     }
 
-    /// Refills the byte buffer. Returns `false` at end of input.
-    fn refill_buf(&mut self) -> bool {
-        if self.eof {
-            return false;
-        }
-        loop {
-            match self.inner.read(&mut self.buf[..]) {
-                Ok(0) => {
-                    self.eof = true;
-                    return false;
-                }
-                Ok(n) => {
-                    self.pos = 0;
-                    self.len = n;
-                    return true;
-                }
+    /// Reloads the empty bit cache from the source's buffer, topping up to
+    /// 64 bits from the bytes it holds. The source is asked to fill its
+    /// buffer (a blocking `read` on the reader behind it) only while fewer
+    /// than `need` bits are cached, so the adapter never stalls on bits
+    /// the decoder has not demanded (the reader may be a pipe that stays
+    /// open after the last byte).
+    ///
+    /// Returning with `nacc < need` therefore means true end of input,
+    /// with every real bit left in the cache.
+    #[inline]
+    fn refill_acc(&mut self, need: u32) {
+        debug_assert!((1..=64).contains(&need) && self.nacc == 0);
+        while self.nacc < need && !self.eof {
+            let avail = match self.inner.fill_buf() {
+                Ok(avail) => avail,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
                     self.error = Some(e);
                     self.eof = true;
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Reloads the bit cache from the byte buffer, topping up to 64 bits
-    /// from bytes already buffered. A blocking `read` on the wrapped reader
-    /// is only issued while fewer than `need` bits are cached, so the
-    /// adapter never stalls on bits the decoder has not demanded (the
-    /// wrapped reader may be a pipe that stays open after the last byte).
-    ///
-    /// Returning with `nacc < need` therefore means true end of input.
-    #[inline]
-    fn refill_acc(&mut self, need: u32) {
-        debug_assert!((1..=64).contains(&need));
-        while self.nacc < 64 {
-            if self.pos == self.len && (self.nacc >= need || !self.refill_buf()) {
-                return;
-            }
-            let avail = &self.buf[self.pos..self.len];
-            if self.nacc == 0 {
-                if let Some(chunk) = avail.first_chunk::<8>() {
-                    self.acc = u64::from_be_bytes(*chunk);
-                    self.nacc = 64;
-                    self.pos += 8;
                     return;
                 }
-            }
-            // Near a buffer boundary: take whole bytes while they fit.
-            let take = (((64 - self.nacc) / 8) as usize).min(avail.len());
-            for _ in 0..take {
-                self.acc = (self.acc << 8) | u64::from(self.buf[self.pos]);
-                self.pos += 1;
-                self.nacc += 8;
-            }
+            };
+            let take = match avail.first_chunk::<8>() {
+                Some(chunk) if self.nacc == 0 => {
+                    self.acc = u64::from_be_bytes(*chunk);
+                    8
+                }
+                // Near the end of the buffer: take whole bytes while they fit.
+                _ => {
+                    let take = (((64 - self.nacc) / 8) as usize).min(avail.len());
+                    for &byte in &avail[..take] {
+                        self.acc = (self.acc << 8) | u64::from(byte);
+                    }
+                    take
+                }
+            };
+            // The loop keeps `nacc <= 56`, so a byte always fits: taking
+            // none means the source handed back an empty buffer, its end.
+            self.eof = take == 0;
+            self.nacc += 8 * take as u32;
+            self.inner.consume(take);
         }
     }
 
-    /// Cold tail of [`BitSource::read_bits`]: the read straddles the cached
-    /// accumulator, so drain it, refill from the underlying reader, and take
-    /// the remainder (padding with zeros if the input runs out). Kept out of
-    /// line so the fast path stays small enough to inline into the
-    /// arithmetic decoder's per-decision loop.
+    /// Serves `count <= nacc` bits from the cache. Branch-free in `count`
+    /// (the arithmetic decoder passes a patternless count, often 0, so an
+    /// early-out here would mispredict constantly): the mask zeroes the
+    /// result when `count == 0` even though the shift amount wraps, and
+    /// the `== 64` term widens full-width reads.
+    #[inline(always)]
+    fn take_cached(&mut self, count: u32) -> u64 {
+        self.nacc -= count;
+        self.bits_read += u64::from(count);
+        let m = low_mask(count) | 0u64.wrapping_sub(u64::from(count == 64));
+        self.acc.wrapping_shr(self.nacc) & m
+    }
+
+    /// Cold tail of [`BitSource::try_read_bits`]: the read straddles the
+    /// cached word, so drain it, refill from the underlying reader and take
+    /// the remainder. When fewer than `count` real bits remain, the drained
+    /// bits go back in front of the rest (together they are fewer than 64)
+    /// and nothing is consumed.
     #[cold]
-    fn read_bits_spanning(&mut self, count: u32) -> u64 {
+    fn try_read_bits_spanning(&mut self, count: u32) -> Option<u64> {
         let have = self.nacc;
-        let mut v = if have > 0 {
-            self.nacc = 0;
-            self.bits_read += u64::from(have);
-            self.acc & mask(have)
-        } else {
-            0
-        };
+        let head = self.acc & low_mask(have);
+        self.nacc = 0;
         let rem = count - have;
         self.refill_acc(rem);
-        if rem > self.nacc {
-            let tail = self.nacc;
-            if tail > 0 {
-                v = (v << tail) | (self.acc & mask(tail));
-                self.nacc = 0;
-                self.bits_read += u64::from(tail);
-            }
-            let pad = rem - tail;
-            self.bits_read += u64::from(pad);
-            self.padding += u64::from(pad);
-            return if pad == 64 { 0 } else { v << pad };
+        if self.nacc < rem {
+            self.acc = (head << self.nacc) | (self.acc & low_mask(self.nacc));
+            self.nacc += have;
+            return None;
         }
         self.nacc -= rem;
-        self.bits_read += u64::from(rem);
-        if rem == 64 {
+        self.bits_read += u64::from(count);
+        Some(if rem == 64 {
             self.acc
         } else {
-            (v << rem) | ((self.acc >> self.nacc) & mask(rem))
+            (head << rem) | ((self.acc >> self.nacc) & low_mask(rem))
+        })
+    }
+
+    /// Cold tail of [`BitSource::read_bits`]: [`Self::try_read_bits_spanning`],
+    /// and at the end of input the bits that are left, padded with zeros.
+    /// Kept out of line so the fast path stays small enough to inline into
+    /// the arithmetic decoder's per-decision loop.
+    #[cold]
+    fn read_bits_spanning(&mut self, count: u32) -> u64 {
+        if let Some(v) = self.try_read_bits_spanning(count) {
+            return v;
+        }
+        let tail = self.nacc;
+        let v = self.acc & low_mask(tail);
+        self.nacc = 0;
+        let pad = count - tail;
+        self.bits_read += u64::from(count);
+        self.padding += u64::from(pad);
+        if pad == 64 {
+            0
+        } else {
+            v << pad
         }
     }
 }
 
-impl<R: Read> BitSource for StreamBitReader<R> {
+impl<R: BufRead> BitSource for StreamBitReader<R> {
     #[inline]
     fn try_read_bit(&mut self) -> Option<bool> {
         if self.nacc == 0 {
@@ -437,18 +504,20 @@ impl<R: Read> BitSource for StreamBitReader<R> {
     fn read_bits(&mut self, count: u32) -> u64 {
         assert!(count <= 64, "cannot read more than 64 bits at once");
         if count <= self.nacc {
-            // Fast path: the whole read is cached. Branch-free in `count`
-            // (the arithmetic decoder passes a patternless count, often 0,
-            // so an early-out here would mispredict constantly): the mask
-            // zeroes the result when count == 0 even though the shift
-            // amount wraps, and the `== 64` term widens full-width reads.
-            self.nacc -= count;
-            self.bits_read += u64::from(count);
-            let m = (1u64.wrapping_shl(count)).wrapping_sub(1)
-                | 0u64.wrapping_sub(u64::from(count == 64));
-            return self.acc.wrapping_shr(self.nacc) & m;
+            return self.take_cached(count);
         }
         self.read_bits_spanning(count)
+    }
+
+    /// Exact: `None` means fewer than `count` real bits remain, and then
+    /// nothing was consumed.
+    #[inline]
+    fn try_read_bits(&mut self, count: u32) -> Option<u64> {
+        assert!(count <= 64, "cannot read more than 64 bits at once");
+        if count <= self.nacc {
+            return Some(self.take_cached(count));
+        }
+        self.try_read_bits_spanning(count)
     }
 
     fn read_unary(&mut self) -> Option<u64> {
@@ -460,9 +529,12 @@ impl<R: Read> BitSource for StreamBitReader<R> {
                     return None;
                 }
             }
+            // Left-align the unread bits so their leading zeros are the
+            // run's continuation.
             let window = self.acc << (64 - self.nacc);
             let lz = window.leading_zeros();
             if lz >= self.nacc {
+                // The whole cache is zeros: absorb it and keep scanning.
                 zeros += u64::from(self.nacc);
                 self.bits_read += u64::from(self.nacc);
                 self.nacc = 0;
@@ -479,72 +551,104 @@ impl<R: Read> BitSource for StreamBitReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BitReader, BitWriter};
+    use crate::model::Buffered;
+
+    /// A reader that serves 1–7 bytes per `read`, and fails its third call
+    /// with [`io::ErrorKind::Interrupted`] once, so the cache refills at
+    /// every byte offset and through a retried read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    /// A reader over `bytes` through a [`Trickle`].
+    fn trickled(bytes: &[u8]) -> StreamBitReader<BufReader<Trickle<'_>>> {
+        StreamBitReader::buffered(Trickle { bytes, calls: 0 })
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls == 3 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = (self.calls % 7 + 1).min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Pseudo-random bytes.
+    fn noise(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
+            .collect()
+    }
 
     #[test]
     fn stream_writer_matches_buffered_writer() {
-        let mut buffered = BitWriter::new();
-        let mut streamed = StreamBitWriter::new(Vec::new());
+        let mut model = Buffered::default();
+        let mut streamed = StreamBitWriter::wrap(Vec::new());
         for i in 0..1000u64 {
             let count = (i % 13) as u32 + 1;
             let value = i.wrapping_mul(0x9e37_79b9) & ((1 << count) - 1);
-            BitWriter::write_bits(&mut buffered, value, count);
+            model.write_bits(value, count);
             streamed.write_bits(value, count);
         }
-        assert_eq!(streamed.bits_written(), buffered.bits_written());
-        assert_eq!(streamed.finish().unwrap(), buffered.into_bytes());
+        assert_eq!(streamed.bits_written(), model.bits_written());
+        assert_eq!(streamed.finish().unwrap(), model.bytes());
     }
 
     #[test]
     fn stream_writer_handles_full_width_appends() {
-        let mut buffered = BitWriter::new();
-        let mut streamed = StreamBitWriter::new(Vec::new());
+        let mut model = Buffered::default();
+        let mut streamed = StreamBitWriter::wrap(Vec::new());
         for i in 0..300u64 {
             let count = (i % 65) as u32;
             let value = if count == 64 {
                 i.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             } else {
-                i.wrapping_mul(0x9e37_79b9_7f4a_7c15) & ((1u64 << count) - 1)
+                i.wrapping_mul(0x9e37_79b9_7f4a_7c15) & low_mask(count)
             };
-            BitWriter::write_bits(&mut buffered, value, count);
+            model.write_bits(value, count);
             streamed.write_bits(value, count);
             if i % 17 == 0 {
-                BitWriter::write_run(&mut buffered, i % 2 == 0, i % 130);
+                model.write_run(i % 2 == 0, i % 130);
                 streamed.write_run(i % 2 == 0, i % 130);
             }
         }
-        assert_eq!(streamed.bits_written(), buffered.bits_written());
-        assert_eq!(streamed.finish().unwrap(), buffered.into_bytes());
+        assert_eq!(streamed.bits_written(), model.bits_written());
+        assert_eq!(streamed.finish().unwrap(), model.bytes());
     }
 
     #[test]
     fn stream_writer_aligns_like_buffered() {
-        let mut buffered = BitWriter::new();
-        let mut streamed = StreamBitWriter::new(Vec::new());
-        for w in [&mut buffered as &mut dyn BitSink, &mut streamed] {
-            w.write_bits(0b11, 2);
-        }
-        buffered.align_to_byte();
+        let mut streamed = StreamBitWriter::wrap(Vec::new());
+        streamed.write_bits(0b11, 2);
         streamed.align_to_byte();
-        for w in [&mut buffered as &mut dyn BitSink, &mut streamed] {
-            w.write_bit(true);
-        }
-        assert_eq!(streamed.finish().unwrap(), buffered.into_bytes());
+        streamed.write_bit(true);
+        assert_eq!(streamed.bits_written(), 3, "padding is not counted");
+        // The model pads by hand: two bits, six zeros, then the last bit.
+        let mut model = Buffered::default();
+        model.write_bits(0b1100_0000, 8);
+        model.write_bit(true);
+        assert_eq!(streamed.finish().unwrap(), model.bytes());
     }
 
     #[test]
     fn stream_writer_crosses_chunk_boundary() {
         // More than CHUNK bytes forces at least one mid-stream flush.
         let n = (CHUNK + 100) * 8;
-        let mut w = StreamBitWriter::new(Vec::new());
+        let mut w = StreamBitWriter::wrap(Vec::new());
         for i in 0..n {
             w.write_bit(i % 3 == 0);
         }
         let out = w.finish().unwrap();
         assert_eq!(out.len(), CHUNK + 100);
-        let mut r = BitReader::new(&out);
+        let mut r = Buffered::reading(&out);
         for i in 0..n {
-            assert_eq!(BitReader::read_bit(&mut r), i % 3 == 0, "bit {i}");
+            assert_eq!(r.read_bit(), i % 3 == 0, "bit {i}");
         }
     }
 
@@ -559,7 +663,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut w = StreamBitWriter::new(Failing);
+        let mut w = StreamBitWriter::wrap(Failing);
         for _ in 0..(CHUNK + 1) * 8 {
             w.write_bit(true);
         }
@@ -573,37 +677,34 @@ mod tests {
     #[test]
     fn stream_reader_matches_buffered_reader() {
         let bytes: Vec<u8> = (0..=255u8).cycle().take(3 * CHUNK + 17).collect();
-        let mut buffered = BitReader::new(&bytes);
-        let mut streamed = StreamBitReader::new(&bytes[..]);
+        let mut model = Buffered::reading(&bytes);
+        let mut streamed = StreamBitReader::buffered(&bytes[..]);
         for _ in 0..bytes.len() * 8 {
-            assert_eq!(BitReader::read_bit(&mut buffered), streamed.read_bit());
+            assert_eq!(streamed.read_bit(), model.read_bit());
         }
         // Both pad with zeros past the end.
         assert_eq!(streamed.try_read_bit(), None);
         assert!(!streamed.read_bit());
+        assert!(!model.read_bit());
         assert_eq!(streamed.padding_bits(), 1);
+        assert_eq!(model.padding_bits(), 1);
     }
 
     #[test]
     fn stream_reader_chunked_reads_match_buffered() {
-        let bytes: Vec<u8> = (0..(2 * CHUNK + 11) as u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
-            .collect();
-        let mut buffered = BitReader::new(&bytes);
-        let mut streamed = StreamBitReader::new(&bytes[..]);
+        let bytes = noise(2 * CHUNK + 11);
+        let mut model = Buffered::reading(&bytes);
+        let mut streamed = StreamBitReader::buffered(&bytes[..]);
         let mut state = 1u64;
         let mut left = bytes.len() as u64 * 8 + 100;
         while left > 0 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let count = ((state >> 59) as u32 + 1).min(left as u32);
-            assert_eq!(
-                streamed.read_bits(count),
-                BitReader::read_bits(&mut buffered, count)
-            );
+            assert_eq!(streamed.read_bits(count), model.read_bits(count));
             left -= u64::from(count);
         }
-        assert_eq!(streamed.bits_read(), buffered.bits_read());
-        assert_eq!(streamed.padding_bits(), buffered.padding_bits());
+        assert_eq!(streamed.bits_read(), model.bits_read());
+        assert_eq!(streamed.padding_bits(), model.padding_bits());
     }
 
     #[test]
@@ -619,7 +720,7 @@ mod tests {
     fn stream_reader_unary_across_chunks() {
         let mut bytes = vec![0u8; CHUNK + 3];
         bytes[CHUNK + 2] = 0b0100_0000;
-        let mut r = StreamBitReader::new(&bytes[..]);
+        let mut r = StreamBitReader::buffered(&bytes[..]);
         assert_eq!(r.read_unary(), Some((CHUNK as u64 + 2) * 8 + 1));
     }
 
@@ -631,7 +732,7 @@ mod tests {
                 Err(io::Error::other("broken pipe"))
             }
         }
-        let mut r = StreamBitReader::new(Failing);
+        let mut r = StreamBitReader::buffered(Failing);
         assert_eq!(r.try_read_bit(), None);
         assert!(!r.read_bit());
         assert!(r.io_error().is_some());
@@ -644,5 +745,87 @@ mod tests {
         assert_eq!(r.read_bits(16), 0);
         assert_eq!(r.bits_read(), 16);
         assert_eq!(r.padding_bits(), 16);
+    }
+
+    /// Every width in `0..=64`, from every cache offset the rotation
+    /// reaches, and on past the end: through refills of 1–7 bytes, and
+    /// through a 13-byte buffer, whose boundaries leave part of a word to
+    /// finish from a buffer that holds a whole one.
+    #[test]
+    fn trickled_reads_match_the_model_at_every_width() {
+        fn check<R: BufRead>(mut r: StreamBitReader<R>, bytes: &[u8]) {
+            let mut model = Buffered::reading(bytes);
+            let mut count = 0;
+            while model.padding_bits() < 200 {
+                assert_eq!(r.read_bits(count), model.read_bits(count), "width {count}");
+                count = (count + 1) % 65;
+            }
+            assert_eq!(r.bits_read(), model.bits_read());
+            assert_eq!(r.padding_bits(), model.padding_bits());
+            assert!(!r.read_bit());
+            assert_eq!(r.padding_bits(), model.padding_bits() + 1);
+        }
+        let bytes = noise(301);
+        check(trickled(&bytes), &bytes);
+        check(
+            StreamBitReader::new(BufReader::with_capacity(13, &bytes[..])),
+            &bytes,
+        );
+    }
+
+    /// `try_read_bits` answers `None` exactly when fewer than `count` real
+    /// bits remain, and then leaves the next read as it was.
+    #[test]
+    fn trickled_strict_reads_are_exact() {
+        let bytes = noise(23);
+        let total = bytes.len() * 8;
+        for skip in (0..total).step_by(5).chain(total - 70..=total) {
+            for count in 0..=64u32 {
+                let mut model = Buffered::reading(&bytes);
+                let mut r = trickled(&bytes);
+                for _ in 0..skip {
+                    assert_eq!(r.read_bit(), model.read_bit());
+                }
+                let left = total - skip;
+                let got = r.try_read_bits(count);
+                if (count as usize) > left {
+                    assert_eq!(got, None, "skip {skip} count {count}");
+                    let rest = left as u32;
+                    assert_eq!(r.try_read_bits(rest), model.try_read_bits(rest));
+                    assert_eq!(r.try_read_bit(), None);
+                } else {
+                    assert_eq!(got, model.try_read_bits(count), "skip {skip} count {count}");
+                    assert_eq!(r.read_bits(64), model.read_bits(64));
+                }
+                assert_eq!(r.bits_read(), model.bits_read());
+                assert_eq!(r.padding_bits(), model.padding_bits());
+            }
+        }
+    }
+
+    /// Unary runs of every length up to a few hundred bits, ending at
+    /// every offset of a 1–7-byte refill, then the unterminated tail.
+    #[test]
+    fn trickled_unary_runs_cross_refills() {
+        let mut model = Buffered::default();
+        for run in (0..300).step_by(7) {
+            model.write_run(false, run);
+            model.write_bit(true);
+        }
+        model.write_run(false, 13);
+        let bytes = model.bytes();
+        let mut model = Buffered::reading(&bytes);
+        let mut r = trickled(&bytes);
+        loop {
+            let run = r.read_unary();
+            assert_eq!(run, model.read_unary());
+            if run.is_none() {
+                break;
+            }
+        }
+        assert_eq!(r.bits_read(), (bytes.len() * 8) as u64);
+        assert_eq!(r.bits_read(), model.bits_read());
+        assert_eq!(r.read_bits(3), 0);
+        assert_eq!(r.padding_bits(), 3);
     }
 }

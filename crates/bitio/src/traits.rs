@@ -1,11 +1,12 @@
 //! The abstract bit-sink/bit-source interfaces every coder codes against.
 //!
-//! [`BitWriter`](crate::BitWriter) / [`BitReader`](crate::BitReader) buffer
-//! whole streams in memory; [`StreamBitWriter`](crate::StreamBitWriter) /
-//! [`StreamBitReader`](crate::StreamBitReader) move bits incrementally
-//! through `std::io`. These traits let the arithmetic coder (and everything
-//! above it) be written once over either backing, which is what makes the
-//! bounded-memory streaming pipeline byte-identical to the buffered one.
+//! [`StreamBitWriter`](crate::StreamBitWriter) and
+//! [`StreamBitReader`](crate::StreamBitReader) are the one implementation
+//! of each, over any `std::io` writer or reader; [`BitWriter`](crate::BitWriter)
+//! and [`BitReader`](crate::BitReader) name their in-memory instances. The
+//! traits keep the arithmetic coder (and everything above it) apart from
+//! the transport, so test doubles and recorders can stand in for the bit
+//! I/O.
 
 /// An MSB-first sink of individual bits.
 ///
@@ -50,8 +51,7 @@ pub trait BitSink {
 
 /// An MSB-first source of individual bits.
 ///
-/// Two read flavours are required, mirroring [`BitReader`](crate::BitReader):
-/// padded reads yield `0` bits once the real input is exhausted (the
+/// Two read flavours are required: padded reads yield `0` bits once the real input is exhausted (the
 /// convention arithmetic decoders rely on when the final code word was
 /// truncated at a byte boundary), while the `try_` variants report
 /// exhaustion.

@@ -1,7 +1,7 @@
 //! The CALIC continuous-tone coding flow, at 8–16-bit sample depths.
 
 use cbic_arith::{BinaryDecoder, BinaryEncoder, EstimatorConfig};
-use cbic_bitio::{BitReader, BitWriter};
+use cbic_bitio::{BitReader, BitSink, BitWriter};
 use cbic_core::codec::SampleCoder;
 use cbic_core::context::QE_THRESHOLDS;
 use cbic_core::neighborhood::Neighborhood;

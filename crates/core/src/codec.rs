@@ -15,7 +15,7 @@ use cbic_arith::{
     BinaryDecoder, BinaryEncoder, CoderStats, CountingEncoder, DecisionDecoder, DecisionEncoder,
     EstimatorConfig, SymbolCoder,
 };
-use cbic_bitio::{BitReader, BitSource, BitWriter};
+use cbic_bitio::{BitReader, BitSink, BitSource, BitWriter};
 use cbic_image::{Image, ImageView, ImageViewMut};
 
 /// Upper bound on the zero-padding bits a decoder may legally read past the

@@ -299,7 +299,7 @@ impl Write for Outbox {
 /// up.
 fn code(jobs: &Receiver<Job>, replies: &Sender<Reply>) {
     let outbox = Rc::new(RefCell::new(Vec::new()));
-    let open = || BinaryEncoder::new(StreamBitWriter::new(Outbox(Rc::clone(&outbox))));
+    let open = || BinaryEncoder::new(StreamBitWriter::wrap(Outbox(Rc::clone(&outbox))));
     let mut enc = open();
     while let Ok(Job { mut words, end }) = jobs.recv() {
         for &word in &words {

@@ -77,6 +77,7 @@ use crate::stream::StreamDecoder;
 use cbic_arith::EstimatorConfig;
 use cbic_image::{
     CbicError, Codec, CountingSink, DecodeOptions, EncodeOptions, Image, ImageView, Parallelism,
+    Rect,
 };
 use std::fmt;
 use std::io::{Read, Write};
@@ -296,22 +297,27 @@ pub(crate) fn check_container_dimensions(width: usize, height: usize) -> Result<
 /// more padding bits than any complete payload requires). A grid fails as
 /// [`decompress_grid`](crate::grid::decompress_grid) does.
 pub fn decompress(bytes: &[u8]) -> Result<Image, CodecError> {
-    decode_container(&mut &bytes[..], Parallelism::Sequential)
+    decode_container(&mut &bytes[..], None, Parallelism::Sequential)
 }
 
-/// The one whole-container reader behind [`decompress`] and
-/// [`Proposed`]'s decode: reads the header once, then streams a flat
-/// container row by row through a [`StreamDecoder`] and hands a version-4
-/// grid to the grid's tile loop, its tiles on `par` workers.
+/// The one container reader behind [`decompress`] and [`Proposed`]'s
+/// decode: reads the header once, then streams a flat container row by
+/// row through a [`StreamDecoder`] (only down to the last row of `roi`
+/// when a crop is asked for) and hands a version-4 grid and `roi` to the
+/// grid's tile loop, its tiles on `par` workers.
 pub(crate) fn decode_container<R: Read + ?Sized>(
     input: &mut R,
+    roi: Option<Rect>,
     par: Parallelism,
 ) -> Result<Image, CodecError> {
     let hdr = read_header(input)?;
     if hdr.tile.is_some() {
-        return crate::grid::decode_grid(&hdr, input, par);
+        return crate::grid::decode_grid(&hdr, input, roi, par);
     }
-    StreamDecoder::with_header(hdr, input)?.decode_all()
+    match roi {
+        Some(roi) => crate::grid::decode_flat_roi(hdr, input, roi),
+        None => StreamDecoder::with_header(hdr, input)?.decode_all(),
+    }
 }
 
 /// Parses a container header, returning the declared header fields and
@@ -531,15 +537,12 @@ impl Codec for Proposed {
     /// container are reconstructed one at a time through a
     /// [`StreamDecoder`] without slurping the compressed stream, and a
     /// version-4 grid has its tiles decoded on `opts.parallelism` workers.
-    /// `opts.roi` requests a crop ([`decode_roi`](crate::decode_roi)) —
-    /// tile-selective on v4, only the rows it needs on the flat formats.
+    /// `opts.roi` requests a crop: a flat container is read only down to
+    /// the rectangle's last row, and a grid decodes only the covering
+    /// tiles (the source is not seekable, so a grid is read whole; for
+    /// seeking past the other tiles see [`decode_roi_from`](crate::decode_roi_from)).
     fn decode(&self, source: &mut dyn Read, opts: &DecodeOptions) -> Result<Image, CbicError> {
-        if let Some(roi) = opts.roi {
-            let mut bytes = Vec::new();
-            source.read_to_end(&mut bytes).map_err(CbicError::from)?;
-            return crate::grid::decode_roi(&bytes, roi, opts.parallelism).map_err(CbicError::from);
-        }
-        decode_container(source, opts.parallelism).map_err(CbicError::from)
+        decode_container(source, opts.roi, opts.parallelism).map_err(CbicError::from)
     }
 }
 
@@ -547,6 +550,41 @@ impl Codec for Proposed {
 mod tests {
     use super::*;
     use cbic_image::corpus::CorpusImage;
+
+    /// A crop through the `Codec` trait reads a flat container only as far
+    /// as the rectangle's rows need: the top rows of a container of more
+    /// than 32 KiB cost the header and at most two 4 KiB transport reads.
+    #[test]
+    fn codec_crop_reads_a_flat_container_only_down_to_its_rows() {
+        struct Counting<'a> {
+            inner: &'a [u8],
+            read: usize,
+        }
+        impl Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.inner.read(buf)?;
+                self.read += n;
+                Ok(n)
+            }
+        }
+        let img = CorpusImage::Lena.generate(512, 256);
+        let bytes = compress(img.view(), &CodecConfig::default());
+        assert!(bytes.len() >= 32 << 10, "{} bytes", bytes.len());
+        let header = bytes.len() - parse_header(&bytes).unwrap().1.len();
+        let opts = DecodeOptions::new().with_roi(Rect::new(0, 0, 512, 4));
+        let mut source = Counting {
+            inner: &bytes,
+            read: 0,
+        };
+        let crop = Proposed::default().decode(&mut source, &opts).unwrap();
+        assert_eq!(crop, img.view().crop(0, 0, 512, 4).to_image());
+        assert!(
+            source.read <= header + (8 << 10),
+            "read {} of {} bytes",
+            source.read,
+            bytes.len()
+        );
+    }
 
     #[test]
     fn container_roundtrip_default_config() {

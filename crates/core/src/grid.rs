@@ -110,7 +110,7 @@ use crate::container::{
 use crate::engine::{DecoderState, EncoderState};
 use crate::stream::StreamDecoder;
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
-use cbic_bitio::{BitReader, BitWriter};
+use cbic_bitio::{BitReader, BitSink, BitWriter};
 use cbic_image::{Image, ImageView, Parallelism, Rect};
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -682,23 +682,6 @@ fn decode_tiles(
     Ok(out)
 }
 
-/// Decodes every tile of a parsed grid whose substreams are `payload`.
-fn decode_whole(
-    hdr: &ContainerHeader,
-    index: &TileIndex,
-    payload: &[u8],
-    par: Parallelism,
-) -> Result<Image, CodecError> {
-    let subs: Vec<(usize, &[u8])> = index
-        .entries
-        .iter()
-        .enumerate()
-        .map(|(idx, e)| (idx, &payload[e.offset as usize..][..e.len as usize]))
-        .collect();
-    let full = Rect::new(0, 0, hdr.width as u32, hdr.height as u32);
-    decode_tiles(hdr, index, full, &subs, par)
-}
-
 /// Decompresses a version-4 grid container produced by [`compress_grid`],
 /// decoding tiles on `par` worker threads. The pixels never depend on the
 /// schedule.
@@ -709,28 +692,50 @@ fn decode_whole(
 /// arithmetic payload ends before its pixels do and
 /// [`CodecError::InvalidHeader`] on a checksum mismatch.
 pub fn decompress_grid(bytes: &[u8], par: Parallelism) -> Result<Image, CodecError> {
-    let (hdr, index, payload) = parse_grid(bytes)?;
-    decode_whole(&hdr, &index, payload, par)
+    let mut source = bytes;
+    let hdr = read_header(&mut source)?;
+    decode_grid_bytes(&hdr, source, None, par)
 }
 
-/// The grid leg of the whole-container readers
+/// The grid leg of the readers that are not seekable
 /// ([`decode_container`](crate::container::decode_container), the
 /// [`DecoderSession`](crate::DecoderSession)): reads the rest of `input`,
-/// whose fixed header `hdr` was already consumed, and decodes it as
-/// [`decompress_grid`] does, with the same errors.
+/// whose fixed header `hdr` was already consumed, once, and decodes it as
+/// [`decode_grid_bytes`] does.
 pub(crate) fn decode_grid<R: Read + ?Sized>(
     hdr: &ContainerHeader,
     input: &mut R,
+    roi: Option<Rect>,
     par: Parallelism,
 ) -> Result<Image, CodecError> {
     let mut rest = Vec::new();
     input
         .read_to_end(&mut rest)
         .map_err(|e| CodecError::io(&e))?;
-    let mut source = &rest[..];
-    let index = TileIndex::read_from(&mut source, hdr)?;
-    index.check_payload_len(source.len() as u64)?;
-    decode_whole(hdr, &index, source, par)
+    decode_grid_bytes(hdr, &rest, roi, par)
+}
+
+/// Decodes the tiles covering `roi` (the whole image when `None`) of the
+/// grid whose fixed header `hdr` precedes `rest`, its tile index and
+/// substreams; each tile decodes from its slice of `rest`. Errors as
+/// [`decompress_grid`], and as [`decode_roi_from`] for the rectangle.
+fn decode_grid_bytes(
+    hdr: &ContainerHeader,
+    mut rest: &[u8],
+    roi: Option<Rect>,
+    par: Parallelism,
+) -> Result<Image, CodecError> {
+    let index = TileIndex::read_from(&mut rest, hdr)?;
+    index.check_payload_len(rest.len() as u64)?;
+    let roi = roi.unwrap_or(Rect::new(0, 0, hdr.width as u32, hdr.height as u32));
+    let subs: Vec<(usize, &[u8])> = covering_indices(&index, roi)?
+        .into_iter()
+        .map(|idx| {
+            let e = &index.entries[idx];
+            (idx, &rest[e.offset as usize..][..e.len as usize])
+        })
+        .collect();
+    decode_tiles(hdr, &index, roi, &subs, par)
 }
 
 /// Row-major indices of the tiles covering `roi`.
@@ -817,10 +822,12 @@ pub fn decode_roi_from<R: Read + Seek>(
     decode_tiles(&hdr, &index, roi, &subs, par)
 }
 
-/// The flat-container leg of [`decode_roi_from`]: streams rows
-/// `0..roi.y + roi.h` through a [`StreamDecoder`] (with its per-row
-/// padding-budget check) and keeps the rectangle's columns of its rows.
-fn decode_flat_roi<R: Read>(
+/// The flat-container leg of every crop ([`decode_roi_from`],
+/// [`decode_container`](crate::container::decode_container)): streams
+/// rows `0..roi.y + roi.h` through a [`StreamDecoder`] (with its per-row
+/// padding-budget check) and keeps the rectangle's columns of its rows,
+/// so it reads the input only as far as those rows need.
+pub(crate) fn decode_flat_roi<R: Read>(
     hdr: ContainerHeader,
     input: R,
     roi: Rect,

@@ -112,7 +112,7 @@ impl EncoderSession {
         let (hdr, len) = header_bytes(&self.cfg, width, height, img.bit_depth());
         sink.write_all(&hdr[..len]).map_err(CbicError::from)?;
 
-        let mut enc = BinaryEncoder::new(StreamBitWriter::new(sink));
+        let mut enc = BinaryEncoder::new(StreamBitWriter::wrap(sink));
         self.state.encode_view(img, &mut enc);
         let decisions = enc.decisions();
         let coded_decisions = enc.coded_decisions();
@@ -192,8 +192,13 @@ impl DecoderSession {
             // reader shares (sequential — the session is the
             // latency-oriented path); the held state serves flat
             // containers only.
-            return crate::grid::decode_grid(&hdr, source, cbic_image::Parallelism::Sequential)
-                .map_err(CbicError::from);
+            return crate::grid::decode_grid(
+                &hdr,
+                source,
+                None,
+                cbic_image::Parallelism::Sequential,
+            )
+            .map_err(CbicError::from);
         }
 
         let state = match &mut self.state {
@@ -212,7 +217,7 @@ impl DecoderSession {
 
         let mut img = Image::with_depth(hdr.width, hdr.height, hdr.bit_depth);
 
-        let mut dec = BinaryDecoder::new(StreamBitReader::new(source));
+        let mut dec = BinaryDecoder::new(StreamBitReader::buffered(source));
         // A transport failure ends the input, so padding piles up and the
         // loop stops within a row; the I/O error is the better report.
         let decoded = decode_rows_checked(state, &mut dec, &mut img.view_mut());

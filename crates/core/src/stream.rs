@@ -78,7 +78,7 @@ use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{BinaryDecoder, BinaryEncoder};
 use cbic_bitio::{BitSink, BitSource, StreamBitReader, StreamBitWriter};
 use cbic_image::Image;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 
 /// Streaming encoder: consumes pixel rows, emits the standard `CBIC`
 /// container incrementally into an [`io::Write`].
@@ -179,7 +179,7 @@ impl<W: Write> StreamEncoder<W> {
         out.write_all(&hdr[..len])?;
         let coder = match coder_thread.then(CoderThread::spawn).flatten() {
             Some(thread) => Coder::Threaded(thread, out),
-            None => Coder::Inline(BinaryEncoder::new(StreamBitWriter::new(out))),
+            None => Coder::Inline(BinaryEncoder::new(StreamBitWriter::wrap(out))),
         };
         Ok(Self {
             state: EncoderState::new(width, bit_depth, cfg),
@@ -402,7 +402,7 @@ fn latch<T>(failed: &mut Option<io::ErrorKind>, result: io::Result<T>) -> io::Re
 #[derive(Debug)]
 pub struct StreamDecoder<R: Read> {
     state: DecoderState,
-    dec: BinaryDecoder<StreamBitReader<R>>,
+    dec: BinaryDecoder<StreamBitReader<BufReader<R>>>,
     /// Rows `y − 1` and `y − 2` for the next row `y`.
     above: [Vec<u16>; 2],
     cfg: CodecConfig,
@@ -443,7 +443,7 @@ impl<R: Read> StreamDecoder<R> {
         }
         Ok(Self {
             state: DecoderState::new(hdr.width, hdr.bit_depth, &hdr.cfg),
-            dec: BinaryDecoder::new(StreamBitReader::new(input)),
+            dec: BinaryDecoder::new(StreamBitReader::buffered(input)),
             above: [vec![0; hdr.width], vec![0; hdr.width]],
             cfg: hdr.cfg,
             height: hdr.height,

@@ -8,7 +8,7 @@
 //! equals the source and the codec is lossless.
 
 use crate::params::{JpeglsConfig, J, MAX_C, MIN_C};
-use cbic_bitio::{BitReader, BitWriter};
+use cbic_bitio::{BitReader, BitSink, BitSource, BitWriter};
 use cbic_image::{Image, ImageView};
 use cbic_rice::{decode_limited, encode_limited};
 

@@ -28,7 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cbic_bitio::{BitReader, BitWriter};
+use cbic_bitio::{BitReader, BitSink, BitSource, BitWriter};
 
 /// Encodes `value` with Rice parameter `k`: the quotient `value >> k` in
 /// unary (that many `0`s and a terminating `1`), then the low `k` bits.

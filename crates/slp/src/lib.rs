@@ -44,7 +44,7 @@
 #[cfg(test)]
 mod proptests;
 
-use cbic_bitio::{BitReader, BitWriter};
+use cbic_bitio::{BitReader, BitSink, BitWriter};
 use cbic_image::framing::{self, FramingError};
 use cbic_image::{Image, ImageView, ImageViewMut};
 use cbic_rice::{decode_limited, encode_limited, unzigzag, zigzag, AdaptiveRice};

@@ -11,7 +11,7 @@ use cbic::core::{CodecConfig, EncoderState};
 use cbic::image::corpus::CorpusImage;
 use cbic::image::Image;
 use cbic_arith::{BinaryEncoder, DecisionEncoder};
-use cbic_bitio::BitWriter;
+use cbic_bitio::{BitSink, BitWriter};
 
 /// A [`DecisionEncoder`] that forwards every decision to the real binary
 /// coder and sums its ideal cost `−log2 p` on the way through.
