@@ -10,8 +10,8 @@ use crate::bincoder::{DecisionDecoder, DecisionEncoder};
 /// so neither side ever reaches probability zero (this context must always
 /// be able to code either outcome — it guards the escape path).
 ///
-/// Used for the per-tree escape decision here, and reused by the CALIC
-/// baseline and the universal system for mode flags.
+/// Used for the per-tree escape decision of [`SymbolCoder`](crate::SymbolCoder),
+/// its only user.
 ///
 /// # Examples
 ///

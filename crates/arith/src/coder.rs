@@ -90,8 +90,8 @@ impl EstimatorConfig {
 /// Adaptive symbol coder: `N` dynamic context trees + escape + static tree.
 ///
 /// This is the paper's Section IV estimator in full. For the image codec
-/// `N = 8` (the quantized coding contexts `QE`); other front ends (the
-/// general-data model of the Fig. 1 universal system) instantiate more.
+/// `N = 8` (the quantized coding contexts `QE`); the CALIC baseline
+/// instantiates 16 (its energy contexts).
 ///
 /// Symbols whose probability has decayed to zero in their context tree are
 /// *escaped*: an adaptive per-context binary decision signals the escape and

@@ -1059,7 +1059,8 @@ mod tests {
 
     #[test]
     fn decompress_dispatches_v4() {
-        // The universal slice decoder must route v4 to the grid path.
+        // `decompress`, the slice decoder of every version, must route v4
+        // to the grid path.
         let img = CorpusImage::Zelda.generate(33, 47);
         let bytes = compress_grid(
             img.view(),

@@ -4,8 +4,7 @@
 //! returns [`CbicError`], so a service front end can hold one `match` for
 //! every codec in the registry instead of juggling four per-crate enums.
 //! The legacy enums ([`ImageError`], [`RegistryError`], `cbic-core`'s
-//! `CodecError`, `cbic-universal`'s `UniversalError`) all convert into it
-//! via `From`.
+//! `CodecError`) all convert into it via `From`.
 
 use crate::{ImageError, RegistryError};
 use std::fmt;

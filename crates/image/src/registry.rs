@@ -1,9 +1,9 @@
 //! A registry of [`Codec`] implementations with name lookup and magic-byte
 //! auto-detection.
 //!
-//! Tools that work over *every* codec — the CLI, the Table 1 benchmark
-//! harness, the universal multiplexer's image front end — are written once
-//! against this registry instead of hard-coding one `match` arm per codec.
+//! Tools that work over *every* codec — the CLI, the server, the Table 1
+//! benchmark harness — are written once against this registry instead of
+//! hard-coding one `match` arm per codec.
 //! Adding a codec to the workspace then means implementing [`Codec`] and
 //! registering it in one place (`cbic_universal::codecs::all_codecs`), not
 //! editing every front end.

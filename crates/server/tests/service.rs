@@ -147,15 +147,16 @@ fn retired_lanes_get_error_replies_and_the_connection_keeps_serving() {
 
 #[test]
 fn retired_formats_get_error_replies_and_the_connection_keeps_serving() {
-    // The retired band container and a container of the retired
-    // wide-hash model (version 5).
+    // The retired band container, a container of the retired wide-hash
+    // model (version 5) and the retired universal container.
     const CBTI: &[u8] = include_bytes!("../../../tests/golden/tiled_lena_32.bin");
     const V5: &[u8] = include_bytes!("../../../tests/golden/proposed_wide_lena_32.bin");
+    const CBUN: &[u8] = include_bytes!("../../../tests/golden/universal_mixed.bin");
     let handle = spawn_server(test_config());
     let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
     let img = CorpusImage::Lena.generate(32, 32);
     for _ in 0..2 {
-        for (container, expect) in [(CBTI, "CBTI"), (V5, "version 5")] {
+        for (container, expect) in [(CBTI, "CBTI"), (V5, "version 5"), (CBUN, "CBUN")] {
             let Reply::Error { status, message } = client.decode(container).expect("decode rpc")
             else {
                 panic!("a retired {expect} container must be refused");

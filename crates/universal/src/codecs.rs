@@ -1,10 +1,8 @@
-//! The workspace codec registry: every [`Codec`] the universal system can
-//! reconfigure its image front end to.
+//! The workspace codec registry: every [`Codec`] the workspace ships.
 //!
 //! This is the single place a new codec is registered. The CLI, the
-//! Table 1 benchmark harness, and the chunk multiplexer in
-//! [`dispatch`](crate::dispatch) all enumerate codecs from here instead of
-//! hard-coding per-codec `match` arms.
+//! server, and the Table 1 benchmark harness all enumerate codecs from
+//! here instead of hard-coding per-codec `match` arms.
 
 use cbic_image::{Codec, CodecRegistry};
 

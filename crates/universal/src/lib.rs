@@ -1,88 +1,12 @@
-//! The universal lossless compression system of the paper's Fig. 1.
+//! The workspace codec registry.
 //!
-//! The SOCC 2007 paper presents its image codec as one front end of a
-//! *dynamically reconfigurable* universal compressor: uncompressed data is
-//! time-multiplexed into one of three modeling front ends — **lossless data
-//! modeling** (context modeling), **lossless image modeling** (context
-//! modeling + predictive coding), or **lossless video modeling** (motion
-//! estimation + predictive coding) — all driving the *same* probability
-//! estimator and binary arithmetic coder.
-//!
-//! This crate completes that architecture:
-//!
-//! * [`data`] — an order-0/1/2 adaptive byte model over the shared
-//!   tree-estimator back end (`cbic-arith`), standing in for the
-//!   general-data core of the paper's reference \[7\];
-//! * [`video`] — block motion estimation (full search) + lossless residual
-//!   coding, where the motion-compensated residual is folded into an 8-bit
-//!   image and fed through the *image* codec — exactly the reuse Fig. 1
-//!   draws;
-//! * [`dispatch`] — the time multiplexer: a typed container that selects
-//!   the front end per chunk ("dynamic modeling reconfiguration") and
-//!   reports which model compressed what.
-//!
-//! # Examples
-//!
-//! ```
-//! use cbic_universal::dispatch::{Chunk, UniversalCodec};
-//! use cbic_image::corpus::CorpusImage;
-//!
-//! let chunks = vec![
-//!     Chunk::Data(b"hello hello hello hello".to_vec()),
-//!     Chunk::Image(CorpusImage::Lena.generate(32, 32)),
-//! ];
-//! let codec = UniversalCodec::default();
-//! let bytes = codec.encode(&chunks);
-//! assert_eq!(codec.decode(&bytes)?, chunks);
-//! # Ok::<(), cbic_universal::UniversalError>(())
-//! ```
+//! [`codecs::all_codecs`] lists the four Table 1 codecs — the paper's
+//! scheme and its three baselines — and [`codecs::default_registry`]
+//! registers them for name lookup and magic-byte auto-detection. The CLI,
+//! the server, the bench harnesses and the benchmark of record all
+//! enumerate codecs from here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codecs;
-pub mod data;
-pub mod dispatch;
-pub mod video;
-
-use std::fmt;
-
-/// Errors returned by the universal container.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum UniversalError {
-    /// Stream does not start with the `CBUN` magic.
-    BadMagic,
-    /// Stream ended before the declared content.
-    Truncated,
-    /// Unknown chunk tag or malformed field.
-    InvalidStream(String),
-    /// Underlying I/O failure on a streaming source (message form, to keep
-    /// the error `Clone`).
-    Io(String),
-}
-
-impl fmt::Display for UniversalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::BadMagic => write!(f, "missing CBUN magic"),
-            Self::Truncated => write!(f, "truncated stream"),
-            Self::InvalidStream(m) => write!(f, "invalid stream: {m}"),
-            Self::Io(m) => write!(f, "i/o error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for UniversalError {}
-
-impl From<UniversalError> for cbic_image::CbicError {
-    fn from(e: UniversalError) -> Self {
-        use cbic_image::CbicError;
-        match e {
-            UniversalError::BadMagic => CbicError::BadMagic { found: None },
-            UniversalError::Truncated => CbicError::Truncated,
-            UniversalError::InvalidStream(msg) => CbicError::InvalidContainer(msg),
-            UniversalError::Io(msg) => CbicError::Io(std::io::Error::other(msg)),
-        }
-    }
-}

@@ -186,13 +186,16 @@ fn parse_tile(value: &str) -> Result<(u32, u32), Box<dyn std::error::Error>> {
 }
 
 /// The error for a container magic no registered codec claims. The
-/// retired `CBTI` band container gets its own message: multi-threaded
-/// encodes wrote it before they wrote the v4 tile grid.
+/// retired formats get their own messages: multi-threaded encodes wrote
+/// the `CBTI` band container before they wrote the v4 tile grid, and
+/// `CBUN` multiplexed byte, image and video chunks.
 fn unrecognized_magic(magic: &[u8]) -> String {
     if magic.starts_with(b"CBTI") {
         "the CBTI band container is retired and no longer decodes; re-encode the image \
          (`cbic compress --threads N` now writes the v4 tile grid)"
             .into()
+    } else if magic.starts_with(b"CBUN") {
+        "the CBUN universal container is retired and no longer decodes".into()
     } else {
         "unrecognized container magic".into()
     }
@@ -224,23 +227,20 @@ fn cmd_compress(args: &[String]) -> CliResult {
         .unwrap_or(0);
     let threads = parse_threads(&flags)?;
     let tile = flag_value(&flags, "tile").map(parse_tile).transpose()?;
-    if tile.is_some() && (codec_name != "proposed" || near > 0) {
-        return Err(format!("--tile applies to the proposed codec, not {codec_name}").into());
-    }
 
     // Validate every flag combination *before* touching the output path,
-    // so a typo cannot truncate an existing output file.
+    // so a typo cannot truncate an existing output file. `--tile` and
+    // `--threads N` both shape the proposed codec's tile grid.
     let registry = cbic::default_registry();
-    if threads > 1 {
-        if codec_name != "proposed" {
-            return Err(
-                format!("--threads applies to the proposed codec, not {codec_name}").into(),
-            );
+    for (flag, given) in [("--tile", tile.is_some()), ("--threads", threads > 1)] {
+        if given && codec_name != "proposed" {
+            return Err(format!("{flag} applies to the proposed codec, not {codec_name}").into());
         }
-        if near > 0 {
-            return Err("--near (jpegls) cannot be combined with --threads".into());
+        if given && near > 0 {
+            return Err(format!("--near (jpegls) cannot be combined with {flag}").into());
         }
-    } else if near > 0 && codec_name != "jpegls" {
+    }
+    if near > 0 && codec_name != "jpegls" {
         return Err(format!("--near applies to jpegls, not {codec_name}").into());
     }
     if near == 0 && registry.by_name(codec_name).is_none() {
@@ -384,9 +384,6 @@ fn cmd_decompress(args: &[String]) -> CliResult {
     reader
         .read_exact(&mut magic)
         .map_err(|e| format!("reading container magic: {e}"))?;
-    if &magic == b"CBUN" {
-        return Err("universal containers hold more than one image; use the library API".into());
-    }
 
     if &magic == b"CBIC" {
         // Peek the version byte: a v4 tile grid wants the (optionally
@@ -516,25 +513,27 @@ fn cmd_info(args: &[String]) -> CliResult {
         return Err("info needs IN".into());
     };
     let bytes = std::fs::read(input)?;
-    let kind = if bytes.get(..4) == Some(b"CBUN") {
-        "universal"
-    } else {
-        cbic::default_registry()
-            .detect(&bytes)
-            .map(|c| c.name())
-            .ok_or_else(|| unrecognized_magic(&bytes))?
-    };
+    let kind = cbic::default_registry()
+        .detect(&bytes)
+        .map(|c| c.name())
+        .ok_or_else(|| unrecognized_magic(&bytes))?;
     say!("container: {kind}, {} bytes", bytes.len());
     match kind {
         "proposed" => {
             let (hdr, payload) = cbic::core::container::parse_header(&bytes)?;
-            print_proposed_header(&hdr, payload.len());
-            if hdr.tile.is_some() {
+            // The header parsed, so the version byte after the magic is there.
+            let version = bytes[4];
+            if hdr.tile.is_none() {
+                print_proposed_header(version, &hdr, payload.len());
+            } else {
                 // v4: validate and print the tile index. Length
                 // mismatches and malformed indexes surface as the
                 // library's structured InvalidHeader/Truncated errors.
-                let (_, index, grid_payload) = cbic::core::grid::parse_grid(&bytes)?;
-                print_grid_index(&index, grid_payload.len());
+                // The payload is the tile substreams, index excluded, so
+                // a 1x1 grid reports its flat container's payload.
+                let (_, index, substreams) = cbic::core::grid::parse_grid(&bytes)?;
+                print_proposed_header(version, &hdr, substreams.len());
+                print_grid_index(&index, substreams.len());
             }
         }
         "calic" => {
@@ -549,26 +548,16 @@ fn cmd_info(args: &[String]) -> CliResult {
             let (w, h, depth, near, payload) = cbic::jpegls::parse_container(&bytes)?;
             print_baseline_header(w, h, depth, payload.len(), Some(near));
         }
-        "universal" => {
-            let count = bytes
-                .get(5..9)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("sized")))
-                .ok_or("container truncated inside the universal header")?;
-            say!("version: {}, chunks: {count}", bytes[4]);
-        }
         _ => {}
     }
     Ok(())
 }
 
-fn print_proposed_header(hdr: &cbic::core::container::ContainerHeader, payload_len: usize) {
-    let version = if hdr.tile.is_some() {
-        4
-    } else if hdr.bit_depth != 8 {
-        2
-    } else {
-        1
-    };
+fn print_proposed_header(
+    version: u8,
+    hdr: &cbic::core::container::ContainerHeader,
+    payload_len: usize,
+) {
     say!(
         "version: {version}, dimensions: {}x{}, {}-bit samples",
         hdr.width,

@@ -20,7 +20,6 @@
 //! | [`jpegls`] | `cbic-jpegls` | JPEG-LS (LOCO-I) baseline |
 //! | [`calic`] | `cbic-calic` | CALIC baseline |
 //! | [`slp`] | `cbic-slp` | SLP(M0) baseline (reconstruction) |
-//! | [`universal`] | `cbic-universal` | the Fig. 1 universal system (data/image/video multiplexer) |
 //!
 //! # Quickstart
 //!
@@ -55,7 +54,6 @@ pub use cbic_image as image;
 pub use cbic_jpegls as jpegls;
 pub use cbic_rice as rice;
 pub use cbic_slp as slp;
-pub use cbic_universal as universal;
 
 pub use cbic_image::{
     CbicError, Codec, CodecRegistry, CountingSink, DecodeOptions, EncodeOptions, Parallelism, Rect,

@@ -5,9 +5,7 @@
 
 use cbic::core::CodecError;
 use cbic::image::corpus::CorpusImage;
-use cbic::image::{Image, ImageError, RegistryError};
-use cbic::universal::dispatch::{Chunk, UniversalCodec};
-use cbic::universal::UniversalError;
+use cbic::image::{ImageError, RegistryError};
 use cbic::{CbicError, Codec, DecodeOptions, EncodeOptions};
 use proptest::prelude::*;
 use std::io;
@@ -91,7 +89,7 @@ fn image_error_conversions_cover_every_variant() {
 }
 
 #[test]
-fn registry_and_universal_error_conversions_cover_every_variant() {
+fn registry_error_conversions_cover_every_variant() {
     let dup = CbicError::from(RegistryError::DuplicateName("x".into()));
     assert!(matches!(
         dup,
@@ -106,27 +104,6 @@ fn registry_and_universal_error_conversions_cover_every_variant() {
         clash,
         CbicError::Registry(RegistryError::MagicCollision { .. })
     ));
-
-    let cases: ConversionCases<UniversalError> = vec![
-        (UniversalError::BadMagic, |e| {
-            matches!(e, CbicError::BadMagic { found: None })
-        }),
-        (UniversalError::Truncated, |e| {
-            matches!(e, CbicError::Truncated)
-        }),
-        (
-            UniversalError::InvalidStream("tag 9".into()),
-            |e| matches!(e, CbicError::InvalidContainer(m) if m == "tag 9"),
-        ),
-        (UniversalError::Io("reset".into()), |e| {
-            matches!(e, CbicError::Io(_))
-        }),
-    ];
-    for (src, check) in cases {
-        let msg = format!("{src:?}");
-        let converted = CbicError::from(src);
-        assert!(check(&converted), "{msg} became {converted:?}");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -317,11 +294,6 @@ proptest! {
         if let Err(e) = registry.decode_stream(&mut source, &dec) {
             assert_structured(&e, "decode_stream");
         }
-        // The universal container decoder has its own framing; its errors
-        // convert into the same hierarchy.
-        if let Err(e) = UniversalCodec::default().decode(&bytes) {
-            assert_structured(&CbicError::from(e), "universal");
-        }
     }
 }
 
@@ -358,8 +330,9 @@ fn v5_model_header_corruption_yields_structured_errors() {
 
 // ---------------------------------------------------------------------------
 // Retired formats — the lane-interleaved container (version 3) and the lane
-// byte version 4 keeps, the wide-hash model (version 5), and the `CBTI`
-// band container: readers refuse them with structured errors.
+// byte version 4 keeps, the wide-hash model (version 5), the `CBTI` band
+// container and the `CBUN` universal container: readers refuse them with
+// structured errors.
 // ---------------------------------------------------------------------------
 
 /// The one committed container of the retired version 3 (four coder lanes).
@@ -379,6 +352,13 @@ const RETIRED_V5: &str = concat!(
 const RETIRED_CBTI: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/tiled_lena_32.bin"
+);
+
+/// The one committed container of the retired `CBUN` universal format
+/// (a byte chunk and an image chunk).
+const RETIRED_CBUN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/universal_mixed.bin"
 );
 
 /// The v3 fixture, plus a v4 grid whose lane byte is forged to 0, 2
@@ -504,19 +484,22 @@ fn retired_wide_and_band_containers_fail_structurally() {
         ),
         Err(CodecError::UnsupportedVersion(5))
     ));
-    // CBTI: no registered codec claims the band container's magic.
-    let cbti = std::fs::read(RETIRED_CBTI).expect("committed CBTI fixture");
+    // CBTI and CBUN: no registered codec claims the band or the
+    // universal container's magic.
     let registry = cbic::default_registry();
     let dec = DecodeOptions::default();
-    let errors = [
-        registry.decode_stream(&mut &cbti[..], &dec).unwrap_err(),
-        registry.decode_auto(&cbti, &dec).unwrap_err(),
-    ];
-    for err in errors {
-        assert!(
-            matches!(err, CbicError::BadMagic { found: Some(m) } if &m == b"CBTI"),
-            "{err:?}"
-        );
+    for (fixture, magic) in [(RETIRED_CBTI, b"CBTI"), (RETIRED_CBUN, b"CBUN")] {
+        let bytes = std::fs::read(fixture).expect("committed fixture");
+        let errors = [
+            registry.decode_stream(&mut &bytes[..], &dec).unwrap_err(),
+            registry.decode_auto(&bytes, &dec).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(err, CbicError::BadMagic { found: Some(m) } if &m == magic),
+                "{err:?}"
+            );
+        }
     }
 }
 
@@ -526,6 +509,7 @@ fn cli_names_the_retired_version() {
         (RETIRED_V3, ["version 3", "retired"]),
         (RETIRED_V5, ["version 5", "wide-hash"]),
         (RETIRED_CBTI, ["CBTI", "band container"]),
+        (RETIRED_CBUN, ["CBUN", "universal"]),
     ] {
         for args in [vec!["info", fixture], vec!["decompress", fixture, "-"]] {
             let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
@@ -540,6 +524,105 @@ fn cli_names_the_retired_version() {
             );
         }
     }
+}
+
+#[test]
+fn cli_tile_names_the_flag_it_cannot_be_combined_with() {
+    let dir = std::env::temp_dir().join(format!("cbic-tile-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (pgm, refused) = (dir.join("in.pgm"), dir.join("refused.cbic"));
+    cbic::image::pgm::write_file(&pgm, &CorpusImage::Lena.generate(32, 32)).expect("write input");
+    let p = std::path::Path::new;
+    for (flags, says) in [
+        (
+            ["--near", "3"],
+            "--near (jpegls) cannot be combined with --tile",
+        ),
+        (
+            ["--codec", "calic"],
+            "--tile applies to the proposed codec, not calic",
+        ),
+    ] {
+        let mut args = vec![p("compress")];
+        args.extend(flags.map(p));
+        args.extend([p("--tile"), p("8x8"), &pgm, &refused]);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .args(&args)
+            .output()
+            .expect("run cbic");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        assert!(!refused.exists(), "{args:?} wrote output");
+    }
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
+fn cli_info_prints_the_version_byte_and_the_substream_payload() {
+    use cbic::core::{compress, compress_grid, CodecConfig, TileGeometry};
+    let dir = std::env::temp_dir().join(format!("cbic-info-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let cfg = CodecConfig::default();
+    let lena = CorpusImage::Lena.generate(32, 32);
+    let deep = cbic::image::Image::from_fn16(32, 32, 12, |x, y| ((x * 97 + y * 31) % 4096) as u16);
+    let one_tile = TileGeometry::new(32, 32);
+    for (name, bytes) in [
+        ("flat.cbic", compress(lena.view(), &cfg)),
+        (
+            "grid1x1.cbic",
+            compress_grid(
+                lena.view(),
+                &cfg,
+                one_tile,
+                1,
+                cbic::Parallelism::Sequential,
+            ),
+        ),
+        ("deep.cbic", compress(deep.view(), &cfg)),
+    ] {
+        std::fs::write(dir.join(name), bytes).expect("write container");
+    }
+    let info = |path: std::path::PathBuf| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .arg("info")
+            .arg(&path)
+            .output()
+            .expect("run cbic");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{}: {stderr}", path.display());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let payload = |stdout: &str| {
+        let line = stdout.lines().find(|l| l.starts_with("payload: "));
+        line.unwrap_or_else(|| panic!("no payload line: {stdout}"))
+            .to_owned()
+    };
+    // The version line echoes the container's version byte.
+    for (path, version) in [
+        (golden.join("proposed_lena_32.bin"), "version: 1,"),
+        (dir.join("deep.cbic"), "version: 2,"),
+        (golden.join("proposed_grid2x2_lena_32.bin"), "version: 4,"),
+    ] {
+        let stdout = info(path);
+        assert!(stdout.contains(version), "{version}: {stdout}");
+    }
+    // A grid's payload is its tile substreams, index excluded: one tile
+    // covering the image reports the flat container's payload, and a 2x2
+    // grid reports what its `grid:` line counts.
+    let flat = info(dir.join("flat.cbic"));
+    assert_eq!(payload(&flat), payload(&info(dir.join("grid1x1.cbic"))));
+    let grid = info(golden.join("proposed_grid2x2_lena_32.bin"));
+    let line = payload(&grid);
+    let bytes = line.split(' ').nth(1).expect("a byte count");
+    assert!(
+        grid.contains(&format!("substreams {bytes} bytes")),
+        "{grid}"
+    );
+    let calic = info(golden.join("calic_lena_32.bin"));
+    assert!(calic.starts_with("container: calic,"), "{calic}");
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
 #[test]
@@ -860,18 +943,5 @@ fn cli_reports_a_forged_huge_container_as_truncated() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("truncated container"), "{args:?}: {stderr}");
-    }
-}
-
-#[test]
-fn universal_decode_errors_convert_structurally() {
-    let codec = UniversalCodec::default();
-    let bytes = codec.encode(&[
-        Chunk::Data(b"payload".repeat(40)),
-        Chunk::Image(Image::from_fn(16, 16, |x, y| (x * y) as u8)),
-    ]);
-    for cut in [0, 3, 8, 20, bytes.len() - 1] {
-        let err = codec.decode(&bytes[..cut]).expect_err("truncated");
-        assert_structured(&CbicError::from(err), "universal truncation");
     }
 }

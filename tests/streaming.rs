@@ -17,7 +17,6 @@ use cbic::core::{
 };
 use cbic::image::corpus::CorpusImage;
 use cbic::image::Image;
-use cbic::universal::dispatch::{Chunk, UniversalCodec};
 use cbic::{CbicError, Codec, DecodeOptions, EncodeOptions, Parallelism, Rect};
 use proptest::prelude::*;
 
@@ -262,18 +261,6 @@ fn tiled_decoder_errors_on_truncated_final_band_payload() {
 }
 
 #[test]
-fn universal_decoder_errors_on_mid_stream_eof() {
-    let codec = UniversalCodec::default();
-    let bytes = codec.encode(&[
-        Chunk::Data(b"telemetry ".repeat(30)),
-        Chunk::Image(CorpusImage::Zelda.generate(24, 24)),
-    ]);
-    for cut in 0..bytes.len() {
-        assert!(codec.decode(&bytes[..cut]).is_err(), "cut {cut}");
-    }
-}
-
-#[test]
 fn every_decoder_rejects_flipped_magic() {
     let img = CorpusImage::Zelda.generate(24, 24);
     let cfg = CodecConfig::default();
@@ -297,14 +284,6 @@ fn every_decoder_rejects_flipped_magic() {
     assert_eq!(
         decompress_grid(&grid_bytes, Parallelism::Sequential),
         Err(CodecError::BadMagic)
-    );
-
-    let universal = UniversalCodec::default();
-    let mut uni_bytes = universal.encode(&[Chunk::Data(vec![1, 2, 3])]);
-    uni_bytes[2] ^= 0x01;
-    assert_eq!(
-        universal.decode(&uni_bytes),
-        Err(cbic::universal::UniversalError::BadMagic)
     );
 }
 

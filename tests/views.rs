@@ -1,15 +1,14 @@
 //! The view-API redesign, locked down: encoding through borrowed, strided
 //! [`ImageView`]s is byte-identical to encoding owned copies (stride can
 //! never leak into the bits), and 8–16-bit sample depths round-trip
-//! losslessly through every registry codec, the universal dispatcher, and
-//! the tile-grid + streaming paths.
+//! losslessly through every registry codec and the tile-grid + streaming
+//! paths.
 
 use cbic::core::grid::{compress_grid, decompress_grid, TileGeometry};
 use cbic::core::stream::{StreamDecoder, StreamEncoder};
 use cbic::core::CodecConfig;
 use cbic::image::corpus::CorpusImage;
 use cbic::image::{pgm, Image, ImageView};
-use cbic::universal::dispatch::{Chunk, UniversalCodec};
 use cbic::{DecodeOptions, EncodeOptions, Parallelism};
 use proptest::prelude::*;
 
@@ -94,19 +93,6 @@ fn sixteen_bit_roundtrips_through_every_registry_codec() {
             assert_eq!(registry.decode_auto(&bytes, &dec).unwrap(), img);
         }
     }
-}
-
-#[test]
-fn sixteen_bit_universal_dispatch_roundtrips() {
-    let codec = UniversalCodec::default();
-    let chunks = vec![
-        Chunk::Data(b"deep imagery manifest\n".repeat(10)),
-        Chunk::Image(deep_image(24, 24, 16)),
-        Chunk::Image(CorpusImage::Zelda.generate(24, 24)),
-        Chunk::Image(deep_image(16, 31, 12)),
-    ];
-    let bytes = codec.encode(&chunks);
-    assert_eq!(codec.decode(&bytes).unwrap(), chunks);
 }
 
 #[test]
