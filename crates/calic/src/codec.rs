@@ -1,7 +1,8 @@
 //! The CALIC continuous-tone coding flow, at 8–16-bit sample depths.
 
+use crate::CalicError;
 use cbic_arith::{BinaryDecoder, BinaryEncoder, EstimatorConfig};
-use cbic_bitio::{BitReader, BitSink, BitWriter};
+use cbic_bitio::{BitReader, BitSink, BitSource, BitWriter};
 use cbic_core::codec::SampleCoder;
 use cbic_core::context::QE_THRESHOLDS;
 use cbic_core::neighborhood::Neighborhood;
@@ -22,34 +23,16 @@ const ENERGY_LEVELS: usize = 4;
 /// quotes 576 *reachable* contexts in CALIC — the 2N−NN / 2W−WW events are
 /// correlated with the rest, so many patterns never occur).
 const COMPOUND_CONTEXTS: usize = TEXTURE_PATTERNS * ENERGY_LEVELS;
-
-/// CALIC configuration.
-///
-/// # Examples
-///
-/// ```
-/// use cbic_calic::CalicConfig;
-///
-/// let cfg = CalicConfig::default();
-/// assert_eq!(cfg.count_cap, 255);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CalicConfig {
-    /// Probability-estimator tuning for the arithmetic back end.
-    pub estimator: EstimatorConfig,
-    /// Feedback count saturation (CALIC uses full 8-bit counts; the
-    /// hardware codec of `cbic-core` can only afford 5 bits).
-    pub count_cap: u16,
-}
-
-impl Default for CalicConfig {
-    fn default() -> Self {
-        Self {
-            estimator: EstimatorConfig::default(),
-            count_cap: 255,
-        }
-    }
-}
+/// Feedback count saturation: CALIC uses full 8-bit counts (the hardware
+/// codec of `cbic-core` can only afford 5 bits).
+const COUNT_CAP: u16 = 255;
+/// Zero-padding bits a decoder may read past the end of a well-formed
+/// payload. The decoder reads 32 code bits ahead of the encoder's
+/// interval, and the encoder's flush (`BinaryEncoder::finish`) writes its
+/// banked follow bits plus 3, so the decoder ends at most `32 − 3` bits
+/// past the payload, fewer when the last byte is padded. More means the
+/// payload was cut short.
+const MAX_PADDING_BITS: u64 = 32 - 3;
 
 /// Statistics accumulated while encoding one image.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,18 +61,16 @@ impl EncodeStats {
 struct FeedbackStore {
     sums: Vec<i32>,
     counts: Vec<u16>,
-    cap: u16,
     /// Mean magnitude clamp: `2^(n-1)` for `n`-bit samples (never binds at
     /// 8 bits, where |mean| ≤ 128).
     max_mean: i32,
 }
 
 impl FeedbackStore {
-    fn new(contexts: usize, cap: u16, max_mean: i32) -> Self {
+    fn new(contexts: usize, max_mean: i32) -> Self {
         Self {
             sums: vec![0; contexts],
             counts: vec![0; contexts],
-            cap,
             max_mean,
         }
     }
@@ -118,7 +99,7 @@ impl FeedbackStore {
 
     #[inline]
     fn update(&mut self, ctx: usize, err: i32) {
-        if self.counts[ctx] >= self.cap {
+        if self.counts[ctx] >= COUNT_CAP {
             self.sums[ctx] >>= 1;
             self.counts[ctx] >>= 1;
         }
@@ -196,10 +177,10 @@ struct PixelModel {
 }
 
 impl Modeler {
-    fn new(width: usize, bit_depth: u8, cfg: &CalicConfig) -> Self {
+    fn new(width: usize, bit_depth: u8) -> Self {
         let half = half_for_depth(bit_depth);
         Self {
-            store: FeedbackStore::new(COMPOUND_CONTEXTS, cfg.count_cap, half),
+            store: FeedbackStore::new(COMPOUND_CONTEXTS, half),
             abs_err: vec![0; width],
             bit_depth,
             half,
@@ -240,11 +221,11 @@ impl Modeler {
 }
 
 /// Encodes the pixels of `img`, returning the raw payload and statistics.
-pub fn encode_raw(img: ImageView<'_>, cfg: &CalicConfig) -> (Vec<u8>, EncodeStats) {
+pub fn encode_raw(img: ImageView<'_>) -> (Vec<u8>, EncodeStats) {
     let (width, height) = img.dimensions();
-    let mut modeler = Modeler::new(width, img.bit_depth(), cfg);
+    let mut modeler = Modeler::new(width, img.bit_depth());
     let half = modeler.half;
-    let mut coder = SampleCoder::new(CODING_CONTEXTS, img.bit_depth(), cfg.estimator);
+    let mut coder = SampleCoder::new(CODING_CONTEXTS, img.bit_depth(), EstimatorConfig::default());
     let mut enc = BinaryEncoder::new(BitWriter::new());
 
     for y in 0..height {
@@ -276,18 +257,27 @@ pub fn encode_raw(img: ImageView<'_>, cfg: &CalicConfig) -> (Vec<u8>, EncodeStat
     (writer.into_bytes(), stats)
 }
 
-/// Decodes a payload produced by [`encode_raw`] with matching dimensions,
-/// bit depth, and configuration.
+/// Decodes a payload produced by [`encode_raw`] with matching dimensions
+/// and bit depth.
+///
+/// # Errors
+///
+/// [`CalicError::Truncated`] when a row ends more zero-padding bits past
+/// the payload than the encoder's flush accounts for: the payload was cut
+/// short, or the header promises more pixels than it holds.
+///
+/// # Panics
+///
+/// Panics if `bit_depth` is outside `1..=16`.
 pub fn decode_raw(
     bytes: &[u8],
     width: usize,
     height: usize,
     bit_depth: u8,
-    cfg: &CalicConfig,
-) -> Image {
-    let mut modeler = Modeler::new(width, bit_depth, cfg);
+) -> Result<Image, CalicError> {
+    let mut modeler = Modeler::new(width, bit_depth);
     let half = modeler.half;
-    let mut coder = SampleCoder::new(CODING_CONTEXTS, bit_depth, cfg.estimator);
+    let mut coder = SampleCoder::new(CODING_CONTEXTS, bit_depth, EstimatorConfig::default());
     let mut dec = BinaryDecoder::new(BitReader::new(bytes));
     let mut img = Image::with_depth(width, height, bit_depth);
     let mut out: ImageViewMut<'_> = img.view_mut();
@@ -306,8 +296,11 @@ pub fn decode_raw(
             cur[x] = reconstruct(m.x_tilde, wrapped, half);
             modeler.absorb(x, m.ctx, wrapped);
         }
+        if dec.source().padding_bits() > MAX_PADDING_BITS {
+            return Err(CalicError::Truncated);
+        }
     }
-    img
+    Ok(img)
 }
 
 #[cfg(test)]
@@ -316,10 +309,9 @@ mod tests {
     use cbic_image::corpus::CorpusImage;
 
     fn roundtrip(img: &Image) -> EncodeStats {
-        let cfg = CalicConfig::default();
-        let (bytes, stats) = encode_raw(img.view(), &cfg);
-        let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth(), &cfg);
-        assert_eq!(&back, img, "lossless roundtrip failed");
+        let (bytes, stats) = encode_raw(img.view());
+        let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth());
+        assert_eq!(back.as_ref(), Ok(img), "lossless roundtrip failed");
         stats
     }
 
@@ -352,9 +344,8 @@ mod tests {
     fn strided_views_encode_identically() {
         let img = CorpusImage::Boat.generate(32, 32);
         let window = img.view().crop(4, 6, 20, 18);
-        let cfg = CalicConfig::default();
-        let (v, _) = encode_raw(window, &cfg);
-        let (c, _) = encode_raw(window.to_image().view(), &cfg);
+        let (v, _) = encode_raw(window);
+        let (c, _) = encode_raw(window.to_image().view());
         assert_eq!(v, c);
     }
 
@@ -394,11 +385,11 @@ mod tests {
 
     #[test]
     fn feedback_store_saturates_at_cap() {
-        let mut s = FeedbackStore::new(4, 255, 128);
+        let mut s = FeedbackStore::new(4, 128);
         for _ in 0..1000 {
             s.update(2, 10);
         }
-        assert!(s.counts[2] <= 255);
+        assert!(s.counts[2] <= COUNT_CAP);
         assert_eq!(s.mean(2), 10);
     }
 

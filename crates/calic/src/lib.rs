@@ -42,7 +42,7 @@ mod codec;
 #[cfg(test)]
 mod proptests;
 
-pub use codec::{decode_raw, encode_raw, CalicConfig, EncodeStats};
+pub use codec::{decode_raw, encode_raw, EncodeStats};
 
 use cbic_image::framing::{self, FramingError};
 use cbic_image::{Image, ImageView};
@@ -54,7 +54,8 @@ use std::fmt;
 pub enum CalicError {
     /// Stream does not start with the `CBCA` magic.
     BadMagic,
-    /// Stream shorter than a header.
+    /// Stream shorter than a header, or a payload that runs out before
+    /// the last sample.
     Truncated,
     /// A header field is invalid.
     InvalidHeader(String),
@@ -115,10 +116,9 @@ pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, &[u8]), CalicE
     Ok(framing::parse_dims_header(bytes, MAGIC)?)
 }
 
-/// Compresses the pixels of a view with the default CALIC configuration
-/// into a self-describing container.
+/// Compresses the pixels of a view into a self-describing container.
 pub fn compress(img: ImageView<'_>) -> Vec<u8> {
-    let (payload, _) = encode_raw(img, &CalicConfig::default());
+    let (payload, _) = encode_raw(img);
     let mut out = Vec::with_capacity(payload.len() + 17);
     write_container(img, &payload, &mut out).expect("Vec writes cannot fail");
     out
@@ -128,16 +128,11 @@ pub fn compress(img: ImageView<'_>) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`CalicError`] on malformed headers.
+/// Returns [`CalicError`] on malformed headers and payloads that run out
+/// before the last sample.
 pub fn decompress(bytes: &[u8]) -> Result<Image, CalicError> {
     let (width, height, bit_depth, payload) = parse_container(bytes)?;
-    Ok(decode_raw(
-        payload,
-        width,
-        height,
-        bit_depth,
-        &CalicConfig::default(),
-    ))
+    decode_raw(payload, width, height, bit_depth)
 }
 
 /// CALIC on the unified [`cbic_image::Codec`] surface.
@@ -164,7 +159,7 @@ impl cbic_image::Codec for Calic {
         _opts: &cbic_image::EncodeOptions,
         sink: &mut dyn std::io::Write,
     ) -> Result<cbic_image::EncodeStats, cbic_image::CbicError> {
-        let (payload, stats) = encode_raw(img, &CalicConfig::default());
+        let (payload, stats) = encode_raw(img);
         write_container(img, &payload, sink)?;
         Ok(cbic_image::EncodeStats::new(
             stats.pixels,
@@ -203,5 +198,19 @@ mod container_tests {
     fn rejects_garbage() {
         assert_eq!(decompress(b"xx"), Err(CalicError::Truncated));
         assert_eq!(decompress(b"AAAA00000000"), Err(CalicError::BadMagic));
+    }
+
+    #[test]
+    fn a_payload_cut_in_half_is_truncated() {
+        for img in [
+            CorpusImage::Lena.generate(32, 32),
+            Image::from_fn(32, 32, |_, _| 9),
+        ] {
+            let bytes = compress(img.view());
+            assert_eq!(
+                decompress(&bytes[..bytes.len() / 2]),
+                Err(CalicError::Truncated)
+            );
+        }
     }
 }

@@ -1,10 +1,8 @@
-//! Property-based tests: CALIC losslessness over arbitrary images and
-//! configurations.
+//! Property-based tests: CALIC losslessness over arbitrary images.
 
 use proptest::prelude::*;
 
-use crate::codec::{decode_raw, encode_raw, CalicConfig};
-use cbic_arith::EstimatorConfig;
+use crate::codec::{decode_raw, encode_raw};
 use cbic_image::Image;
 
 fn arb_image() -> impl Strategy<Value = Image> {
@@ -15,38 +13,20 @@ fn arb_image() -> impl Strategy<Value = Image> {
 }
 
 proptest! {
-    /// Arbitrary pixels round-trip under the default configuration.
+    /// Arbitrary pixels round-trip.
     #[test]
     fn roundtrip_arbitrary_images(img in arb_image()) {
-        let cfg = CalicConfig::default();
-        let (bytes, _) = encode_raw(img.view(), &cfg);
-        prop_assert_eq!(decode_raw(&bytes, img.width(), img.height(), img.bit_depth(), &cfg), img);
-    }
-
-    /// Arbitrary configurations (count caps, estimator widths) round-trip.
-    #[test]
-    fn roundtrip_arbitrary_configs(
-        img in arb_image(),
-        cap in 1u16..=1024,
-        count_bits in 10u8..=16,
-        increment in 1u16..=64,
-    ) {
-        let cfg = CalicConfig {
-            estimator: EstimatorConfig { count_bits, increment, ..EstimatorConfig::default() },
-            count_cap: cap,
-        };
-        let (bytes, _) = encode_raw(img.view(), &cfg);
-        prop_assert_eq!(decode_raw(&bytes, img.width(), img.height(), img.bit_depth(), &cfg), img);
+        let (bytes, _) = encode_raw(img.view());
+        prop_assert_eq!(decode_raw(&bytes, img.width(), img.height(), img.bit_depth()), Ok(img));
     }
 
     /// The sign-flipping trick is an involution: encoder and decoder agree
     /// on every flip, so stats match exactly.
     #[test]
     fn encoder_decoder_stats_agree(img in arb_image()) {
-        let cfg = CalicConfig::default();
-        let (bytes, enc_stats) = encode_raw(img.view(), &cfg);
-        let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth(), &cfg);
-        prop_assert_eq!(back, img);
+        let (bytes, enc_stats) = encode_raw(img.view());
+        let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth());
+        prop_assert_eq!(back, Ok(img));
         prop_assert!(enc_stats.payload_bits <= bytes.len() as u64 * 8);
     }
 }

@@ -173,8 +173,6 @@ impl EncodeStats {
 /// exactly, under *any* decode options — options select schedules and
 /// transports, never bits. The bits may not depend on the view's stride:
 /// a strided window encodes identically to its contiguous copy.
-/// Near-lossless codecs implement the trait only in their lossless
-/// configuration.
 ///
 /// # Examples
 ///

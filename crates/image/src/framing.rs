@@ -39,8 +39,8 @@ pub enum FramingError {
 }
 
 /// Writes the magic, the optional deep-sample extension, and the
-/// dimensions. The caller appends any codec-specific fields (e.g.
-/// JPEG-LS's NEAR byte) and the payload.
+/// dimensions. The caller appends any codec-specific fields (JPEG-LS's
+/// reserved byte) and the payload.
 ///
 /// # Errors
 ///

@@ -1,13 +1,12 @@
-//! The LOCO-I / JPEG-LS coding flow (ITU-T T.87 Annexes A.2–A.7).
+//! The lossless LOCO-I / JPEG-LS coding flow (ITU-T T.87 Annexes A.2–A.7
+//! at `NEAR = 0`).
 //!
 //! Encoder and decoder share every model rule (context quantization, MED
 //! prediction, bias correction, run-length state machine); they differ only
-//! in the direction of the Golomb-coded residual. Both sides operate on
-//! *reconstructed* samples, which makes the near-lossless mode (`NEAR > 0`)
-//! work with the identical code path — for `NEAR = 0` the reconstruction
-//! equals the source and the codec is lossless.
+//! in the direction of the Golomb-coded residual. The coding is lossless,
+//! so the encoder's causal rows are the source samples themselves.
 
-use crate::params::{JpeglsConfig, J, MAX_C, MIN_C};
+use crate::params::{JpeglsError, Params, J, MAX_C, MIN_C, RESET};
 use cbic_bitio::{BitReader, BitSink, BitSource, BitWriter};
 use cbic_image::{Image, ImageView};
 use cbic_rice::{decode_limited, encode_limited};
@@ -44,12 +43,11 @@ impl EncodeStats {
 
 /// The adaptive state shared by encoder and decoder.
 struct State {
-    cfg: JpeglsConfig,
+    params: Params,
     maxval: i32,
     range: i32,
     qbpp: u32,
     limit: u32,
-    near: i32,
     a: [u32; CONTEXTS],
     b: [i32; CONTEXTS],
     c: [i32; CONTEXTS],
@@ -60,16 +58,15 @@ struct State {
 }
 
 impl State {
-    fn new(cfg: &JpeglsConfig) -> Self {
-        let a_init = cfg.a_init();
+    fn new(bit_depth: u8) -> Self {
+        let params = Params::for_depth(bit_depth);
         Self {
-            cfg: *cfg,
-            maxval: cfg.maxval(),
-            range: cfg.range(),
-            qbpp: cfg.qbpp(),
-            limit: cfg.limit(),
-            near: i32::from(cfg.near),
-            a: [a_init; CONTEXTS],
+            params,
+            maxval: params.maxval(),
+            range: params.range(),
+            qbpp: params.qbpp(),
+            limit: params.limit(),
+            a: [params.a_init(); CONTEXTS],
             b: [0; CONTEXTS],
             c: [0; CONTEXTS],
             n: [1; CONTEXTS],
@@ -78,18 +75,18 @@ impl State {
         }
     }
 
-    /// Gradient quantizer (A.3.3) with the NEAR dead zone.
+    /// Gradient quantizer (A.3.3).
     fn quantize_gradient(&self, g: i32) -> i32 {
-        let c = &self.cfg;
+        let c = &self.params;
         if g <= -c.t3 {
             -4
         } else if g <= -c.t2 {
             -3
         } else if g <= -c.t1 {
             -2
-        } else if g < -self.near {
+        } else if g < 0 {
             -1
-        } else if g <= self.near {
+        } else if g == 0 {
             0
         } else if g < c.t1 {
             1
@@ -145,18 +142,7 @@ impl State {
         k
     }
 
-    /// NEAR quantization of a raw error (A.4.4).
-    fn quantize_error(&self, e: i32) -> i32 {
-        if self.near == 0 {
-            e
-        } else if e > 0 {
-            (self.near + e) / (2 * self.near + 1)
-        } else {
-            -((self.near - e) / (2 * self.near + 1))
-        }
-    }
-
-    /// Modulo-RANGE reduction of a quantized error (A.4.5).
+    /// Modulo-RANGE reduction of an error (A.4.5).
     fn mod_range(&self, mut e: i32) -> i32 {
         if e < 0 {
             e += self.range;
@@ -167,23 +153,23 @@ impl State {
         e
     }
 
-    /// Reconstruction shared by both sides (A.4.4 / F.2): prediction plus
-    /// de-quantized error, fixed back into the sample range.
+    /// The decoder's reconstruction (A.4.4 / F.2): prediction plus the
+    /// modulo-reduced error, fixed back into the sample range.
     fn reconstruct(&self, px: i32, sign: i32, errval: i32) -> i32 {
-        let mut rx = px + sign * errval * (2 * self.near + 1);
-        if rx < -self.near {
-            rx += self.range * (2 * self.near + 1);
-        } else if rx > self.maxval + self.near {
-            rx -= self.range * (2 * self.near + 1);
+        let mut rx = px + sign * errval;
+        if rx < 0 {
+            rx += self.range;
+        } else if rx > self.maxval {
+            rx -= self.range;
         }
         rx.clamp(0, self.maxval)
     }
 
     /// A/B/N update + bias computation of a regular context (A.6).
     fn update_regular(&mut self, q: usize, errval: i32) {
-        self.b[q] += errval * (2 * self.near + 1);
+        self.b[q] += errval;
         self.a[q] += errval.unsigned_abs();
-        if self.n[q] == self.cfg.reset {
+        if self.n[q] == RESET {
             self.a[q] >>= 1;
             self.b[q] = if self.b[q] >= 0 {
                 self.b[q] >> 1
@@ -241,7 +227,7 @@ impl State {
             self.nn[ritype] += 1;
         }
         self.a[q] += (emerr + 1 - ritype as u32) >> 1;
-        if self.n[q] == self.cfg.reset {
+        if self.n[q] == RESET {
             self.a[q] >>= 1;
             self.n[q] >>= 1;
             self.nn[ritype] >>= 1;
@@ -250,17 +236,11 @@ impl State {
     }
 }
 
-/// Encodes the pixels of `img`, returning the raw payload and statistics.
-///
-/// The configuration's `bit_depth` must match the view's.
-pub fn encode_raw(img: ImageView<'_>, cfg: &JpeglsConfig) -> (Vec<u8>, EncodeStats) {
-    assert_eq!(
-        cfg.bit_depth,
-        img.bit_depth(),
-        "configuration depth must match the image"
-    );
+/// Encodes the pixels of `img` at the parameters of its sample depth,
+/// returning the raw payload and statistics.
+pub fn encode_raw(img: ImageView<'_>) -> (Vec<u8>, EncodeStats) {
     let (width, height) = img.dimensions();
-    let mut st = State::new(cfg);
+    let mut st = State::new(img.bit_depth());
     let mut w = BitWriter::new();
     let mut stats = EncodeStats {
         pixels: (width * height) as u64,
@@ -289,7 +269,7 @@ pub fn encode_raw(img: ImageView<'_>, cfg: &JpeglsConfig) -> (Vec<u8>, EncodeSta
                 // ---- Run mode (A.7) ----
                 let runval = ra;
                 let mut runcnt = 0usize;
-                while x + runcnt < width && (i32::from(src[x + runcnt]) - runval).abs() <= st.near {
+                while x + runcnt < width && i32::from(src[x + runcnt]) == runval {
                     cur[x + runcnt + 1] = runval;
                     runcnt += 1;
                 }
@@ -319,16 +299,14 @@ pub fn encode_raw(img: ImageView<'_>, cfg: &JpeglsConfig) -> (Vec<u8>, EncodeSta
                 let idx = x + 1;
                 let ra = runval;
                 let rb = prev[idx];
-                let ritype = usize::from((ra - rb).abs() <= st.near);
+                let ritype = usize::from(ra == rb);
                 let px = if ritype == 1 { ra } else { rb };
                 let mut errval = i32::from(src[x]) - px;
-                let flip = ritype == 0 && ra > rb;
-                if flip {
+                if ritype == 0 && ra > rb {
                     errval = -errval;
                 }
-                let sign = if flip { -1 } else { 1 };
-                let errq = st.mod_range(st.quantize_error(errval));
-                cur[idx] = st.reconstruct(px, sign, errq);
+                let errq = st.mod_range(errval);
+                cur[idx] = i32::from(src[x]);
                 let k = st.interruption_k(ritype);
                 let cond_pos = st.interruption_cond_pos(ritype, k);
                 let map = if errq == 0 {
@@ -356,12 +334,10 @@ pub fn encode_raw(img: ImageView<'_>, cfg: &JpeglsConfig) -> (Vec<u8>, EncodeSta
                 // ---- Regular mode (A.4–A.6) ----
                 let (q, sign) = st.context(q1, q2, q3);
                 let px = (State::med(ra, rb, rc) + sign * st.c[q]).clamp(0, st.maxval);
-                let raw = (i32::from(src[x]) - px) * sign;
-                let errq = st.quantize_error(raw);
-                cur[idx] = st.reconstruct(px, sign, errq);
-                let errval = st.mod_range(errq);
+                let errval = st.mod_range((i32::from(src[x]) - px) * sign);
+                cur[idx] = i32::from(src[x]);
                 let k = st.golomb_k(q);
-                let merr = if st.near == 0 && k == 0 && 2 * st.b[q] <= -(st.n[q] as i32) {
+                let merr = if k == 0 && 2 * st.b[q] <= -(st.n[q] as i32) {
                     if errval >= 0 {
                         2 * errval + 1
                     } else {
@@ -385,12 +361,29 @@ pub fn encode_raw(img: ImageView<'_>, cfg: &JpeglsConfig) -> (Vec<u8>, EncodeSta
 }
 
 /// Decodes a payload produced by [`encode_raw`] with matching dimensions
-/// and configuration (the configuration's `bit_depth` fixes the output
-/// depth).
-pub fn decode_raw(bytes: &[u8], width: usize, height: usize, cfg: &JpeglsConfig) -> Image {
-    let mut st = State::new(cfg);
+/// and bit depth.
+///
+/// Every read is exact: the encoder's only flush is the zero padding of
+/// the last byte, which no code word reaches, so a well-formed payload
+/// never needs a bit past its end.
+///
+/// # Errors
+///
+/// [`JpeglsError::Truncated`] when the payload runs out before the last
+/// sample.
+///
+/// # Panics
+///
+/// Panics if `bit_depth` is outside `1..=16`.
+pub fn decode_raw(
+    bytes: &[u8],
+    width: usize,
+    height: usize,
+    bit_depth: u8,
+) -> Result<Image, JpeglsError> {
+    let mut st = State::new(bit_depth);
     let mut r = BitReader::new(bytes);
-    let mut out = Image::with_depth(width, height, cfg.bit_depth);
+    let mut out = Image::with_depth(width, height, bit_depth);
 
     let mut prev = vec![0i32; width + 2];
     let mut cur = vec![0i32; width + 2];
@@ -420,7 +413,7 @@ pub fn decode_raw(bytes: &[u8], width: usize, height: usize, cfg: &JpeglsConfig)
                         eol = true;
                         break;
                     }
-                    if r.read_bit() {
+                    if r.try_read_bit().ok_or(JpeglsError::Truncated)? {
                         let rg = 1usize << J[st.run_index];
                         if rg < remaining {
                             run += rg;
@@ -440,7 +433,9 @@ pub fn decode_raw(bytes: &[u8], width: usize, height: usize, cfg: &JpeglsConfig)
                             break;
                         }
                     } else {
-                        run += r.read_bits(J[st.run_index]) as usize;
+                        run += r
+                            .try_read_bits(J[st.run_index])
+                            .ok_or(JpeglsError::Truncated)? as usize;
                         break;
                     }
                 }
@@ -457,13 +452,12 @@ pub fn decode_raw(bytes: &[u8], width: usize, height: usize, cfg: &JpeglsConfig)
                 let idx = x + 1;
                 let ra = runval;
                 let rb = prev[idx];
-                let ritype = usize::from((ra - rb).abs() <= st.near);
+                let ritype = usize::from(ra == rb);
                 let px = if ritype == 1 { ra } else { rb };
-                let flip = ritype == 0 && ra > rb;
-                let sign = if flip { -1 } else { 1 };
+                let sign = if ritype == 0 && ra > rb { -1 } else { 1 };
                 let k = st.interruption_k(ritype);
-                let emerr =
-                    decode_limited(&mut r, k, st.limit - J[st.run_index] - 1, st.qbpp).unwrap_or(0);
+                let emerr = decode_limited(&mut r, k, st.limit - J[st.run_index] - 1, st.qbpp)
+                    .ok_or(JpeglsError::Truncated)?;
                 // Invert the A.7.2.2 mapping: parity of emerr + RItype
                 // recovers `map`, the predicate recovers the sign.
                 let tmp = emerr as i32 + ritype as i32;
@@ -490,8 +484,9 @@ pub fn decode_raw(bytes: &[u8], width: usize, height: usize, cfg: &JpeglsConfig)
                 let (q, sign) = st.context(q1, q2, q3);
                 let px = (State::med(ra, rb, rc) + sign * st.c[q]).clamp(0, st.maxval);
                 let k = st.golomb_k(q);
-                let merr = decode_limited(&mut r, k, st.limit, st.qbpp).unwrap_or(0) as i32;
-                let errval = if st.near == 0 && k == 0 && 2 * st.b[q] <= -(st.n[q] as i32) {
+                let merr = decode_limited(&mut r, k, st.limit, st.qbpp)
+                    .ok_or(JpeglsError::Truncated)? as i32;
+                let errval = if k == 0 && 2 * st.b[q] <= -(st.n[q] as i32) {
                     if merr % 2 == 1 {
                         (merr - 1) / 2
                     } else {
@@ -511,7 +506,7 @@ pub fn decode_raw(bytes: &[u8], width: usize, height: usize, cfg: &JpeglsConfig)
         }
         std::mem::swap(&mut prev, &mut cur);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -519,26 +514,17 @@ mod tests {
     use super::*;
     use cbic_image::corpus::CorpusImage;
 
-    fn roundtrip(img: &Image, cfg: &JpeglsConfig) -> EncodeStats {
-        let (bytes, stats) = encode_raw(img.view(), cfg);
-        let back = decode_raw(&bytes, img.width(), img.height(), cfg);
-        if cfg.near == 0 {
-            assert_eq!(&back, img, "lossless roundtrip failed");
-        } else {
-            for (p, q) in img.samples().iter().zip(back.samples()) {
-                assert!(
-                    (i32::from(*p) - i32::from(*q)).abs() <= i32::from(cfg.near),
-                    "near-lossless bound violated"
-                );
-            }
-        }
+    fn roundtrip(img: &Image) -> EncodeStats {
+        let (bytes, stats) = encode_raw(img.view());
+        let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth());
+        assert_eq!(back.as_ref(), Ok(img), "lossless roundtrip failed");
         stats
     }
 
     #[test]
     fn roundtrip_corpus() {
         for (name, img) in cbic_image::corpus::generate(48) {
-            let stats = roundtrip(&img, &JpeglsConfig::default());
+            let stats = roundtrip(&img);
             assert!(stats.payload_bits > 0, "{name:?}");
         }
     }
@@ -547,18 +533,17 @@ mod tests {
     fn roundtrip_tiny_shapes() {
         for (w, h) in [(1, 1), (1, 9), (9, 1), (3, 2), (16, 16)] {
             let img = Image::from_fn(w, h, |x, y| (x * 37 + y * 11) as u8);
-            roundtrip(&img, &JpeglsConfig::default());
+            roundtrip(&img);
         }
     }
 
     #[test]
     fn roundtrip_deep_depths() {
         for depth in [10u8, 12, 16] {
-            let cfg = JpeglsConfig::for_depth(depth, 0);
             let img = Image::from_fn16(24, 24, depth, |x, y| {
                 ((x as u32 * 709 + y as u32 * 6151) % (1u32 << depth.min(15))) as u16
             });
-            roundtrip(&img, &cfg);
+            roundtrip(&img);
         }
     }
 
@@ -568,9 +553,8 @@ mod tests {
         // so the Golomb parameter starts high and decays over the image —
         // small frames pay a warm-up cost but must still clearly beat the
         // 16 bpp raw rate on predictable content.
-        let cfg = JpeglsConfig::for_depth(16, 0);
         let img = Image::from_fn16(96, 96, 16, |x, y| ((x + y) * 300) as u16);
-        let stats = roundtrip(&img, &cfg);
+        let stats = roundtrip(&img);
         assert!(
             stats.bits_per_pixel() < 12.0,
             "smooth 16-bit ramp cost {} bpp",
@@ -581,7 +565,7 @@ mod tests {
     #[test]
     fn constant_image_uses_run_mode() {
         let img = Image::from_fn(128, 128, |_, _| 77);
-        let stats = roundtrip(&img, &JpeglsConfig::default());
+        let stats = roundtrip(&img);
         assert!(stats.run_pixels as usize >= 16_000, "runs: {stats:?}");
         assert!(
             stats.bits_per_pixel() < 0.05,
@@ -594,14 +578,14 @@ mod tests {
     fn vertical_stripes_interrupt_runs() {
         // Flat runs of 8 then a step: run mode + interruption samples.
         let img = Image::from_fn(64, 64, |x, _| ((x / 8) * 32) as u8);
-        let stats = roundtrip(&img, &JpeglsConfig::default());
+        let stats = roundtrip(&img);
         assert!(stats.run_interruptions > 0);
     }
 
     #[test]
     fn gradient_image_compresses() {
         let img = Image::from_fn(128, 128, |x, y| ((x + 2 * y) / 2 % 256) as u8);
-        let stats = roundtrip(&img, &JpeglsConfig::default());
+        let stats = roundtrip(&img);
         assert!(
             stats.bits_per_pixel() < 1.5,
             "got {} bpp",
@@ -614,7 +598,7 @@ mod tests {
         let img = Image::from_fn(64, 64, |x, y| {
             (cbic_image::synth::lattice(3, x as i64, y as i64) * 256.0) as u8
         });
-        let stats = roundtrip(&img, &JpeglsConfig::default());
+        let stats = roundtrip(&img);
         assert!(
             stats.bits_per_pixel() < 9.5,
             "noise cost {} bpp",
@@ -623,41 +607,8 @@ mod tests {
     }
 
     #[test]
-    fn near_lossless_reduces_rate() {
-        let img = CorpusImage::Goldhill.generate(96, 96);
-        let lossless = roundtrip(&img, &JpeglsConfig::default());
-        let near2 = roundtrip(
-            &img,
-            &JpeglsConfig {
-                near: 2,
-                ..JpeglsConfig::default()
-            },
-        );
-        assert!(
-            near2.bits_per_pixel() < lossless.bits_per_pixel() - 0.5,
-            "near {} vs lossless {}",
-            near2.bits_per_pixel(),
-            lossless.bits_per_pixel()
-        );
-    }
-
-    #[test]
-    fn near_bound_is_respected_for_all_near_values() {
-        let img = CorpusImage::Barb.generate(48, 48);
-        for near in 1..=4u8 {
-            roundtrip(
-                &img,
-                &JpeglsConfig {
-                    near,
-                    ..JpeglsConfig::default()
-                },
-            );
-        }
-    }
-
-    #[test]
     fn context_mapping_is_dense_and_unique() {
-        let st = State::new(&JpeglsConfig::default());
+        let st = State::new(8);
         let mut seen = vec![false; REGULAR_CONTEXTS];
         for q1 in -4i32..=4 {
             for q2 in -4i32..=4 {
@@ -689,7 +640,7 @@ mod tests {
     #[test]
     fn beats_order0_entropy_on_structured_content() {
         let img = CorpusImage::Lena.generate(96, 96);
-        let stats = roundtrip(&img, &JpeglsConfig::default());
+        let stats = roundtrip(&img);
         assert!(
             stats.bits_per_pixel() < img.entropy(),
             "JPEG-LS {} bpp vs order-0 {} bpp",

@@ -13,9 +13,14 @@
 //! * **length-limited Golomb-Rice coding** of the mapped residual
 //!   (via `cbic-rice`);
 //! * **run mode** (gradient-flat contexts) with the `J[32]` run-length
-//!   table and the two run-interruption contexts;
-//! * optional **near-lossless** operation (`NEAR > 0`), guaranteeing
-//!   `|x − x̂| ≤ NEAR` per sample.
+//!   table and the two run-interruption contexts.
+//!
+//! Coding is lossless (`NEAR = 0`), at the T.87 default parameters of the
+//! sample depth, so the depth is the only input besides the pixels: the
+//! API is [`compress`]/[`decompress`] and [`encode_raw`]/[`decode_raw`],
+//! as in the other baselines. Near-lossless coding is retired: no writer
+//! emits it, and [`decompress`] refuses a container whose NEAR byte is not
+//! 0.
 //!
 //! The bitstream is this crate's own framing (not the T.87 marker syntax):
 //! the reproduction needs the *algorithm*'s bit rate, not interchange with
@@ -25,10 +30,10 @@
 //!
 //! ```
 //! use cbic_image::corpus::CorpusImage;
-//! use cbic_jpegls::{compress, decompress, JpeglsConfig};
+//! use cbic_jpegls::{compress, decompress};
 //!
 //! let img = CorpusImage::Boat.generate(64, 64);
-//! let bytes = compress(img.view(), &JpeglsConfig::default());
+//! let bytes = compress(img.view());
 //! assert_eq!(decompress(&bytes)?, img);
 //! # Ok::<(), cbic_jpegls::JpeglsError>(())
 //! ```
@@ -43,7 +48,7 @@ mod params;
 mod proptests;
 
 pub use codec::{decode_raw, encode_raw, EncodeStats};
-pub use params::{JpeglsConfig, JpeglsError};
+pub use params::JpeglsError;
 
 use cbic_image::framing::{self, FramingError};
 use cbic_image::{Image, ImageView};
@@ -62,16 +67,16 @@ impl From<FramingError> for JpeglsError {
 
 /// This crate's container framing — the shared dimensioned header of
 /// [`cbic_image::framing`] (legacy 8-bit layout, deep-sentinel extension)
-/// followed by this codec's NEAR byte and the payload — written once here
-/// so [`compress`] and the [`cbic_image::Codec`] impl cannot drift apart.
+/// followed by this codec's NEAR byte, always 0, and the payload —
+/// written once here so [`compress`] and the [`cbic_image::Codec`] impl
+/// cannot drift apart.
 fn write_container(
     img: ImageView<'_>,
-    near: u8,
     payload: &[u8],
     out: &mut dyn std::io::Write,
 ) -> std::io::Result<()> {
     framing::write_dims_header(out, MAGIC, img.width(), img.height(), img.bit_depth())?;
-    out.write_all(&[near])?;
+    out.write_all(&[0])?;
     out.write_all(payload)
 }
 
@@ -81,26 +86,31 @@ fn container_overhead(bit_depth: u8) -> u64 {
 }
 
 /// Parses this crate's container framing, returning
-/// `(width, height, bit_depth, near, payload)`. Shared by [`decompress`]
-/// and the CLI's `info` reporting.
-pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, u8, &[u8]), JpeglsError> {
+/// `(width, height, bit_depth, payload)`. Shared by [`decompress`] and
+/// the CLI's `info` reporting.
+///
+/// # Errors
+///
+/// The framing's errors, and [`JpeglsError::InvalidHeader`] for a NEAR
+/// byte other than 0: near-lossless containers are retired.
+pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, &[u8]), JpeglsError> {
     let (width, height, bit_depth, rest) = framing::parse_dims_header(bytes, MAGIC)?;
-    let (&near, payload) = rest.split_first().ok_or(JpeglsError::Truncated)?;
-    Ok((width, height, bit_depth, near, payload))
+    match rest.split_first() {
+        Some((0, payload)) => Ok((width, height, bit_depth, payload)),
+        Some((near, _)) => Err(JpeglsError::InvalidHeader(format!(
+            "NEAR {near}: near-lossless JPEG-LS is retired and no longer decodes"
+        ))),
+        None => Err(JpeglsError::Truncated),
+    }
 }
 
 /// Compresses the pixels of a view into a self-describing container
-/// (`CBLS` magic, width/height, NEAR, then the entropy-coded payload).
-///
-/// The container records only the depth and the NEAR bound; the decoder
-/// rebuilds the configuration as [`JpeglsConfig::for_depth`] of that
-/// pair (whose thresholds are depth-only, matching every stream this
-/// crate has ever written). Encode with a `for_depth` configuration — as
-/// [`Jpegls`] and the CLI do — for self-describing streams.
-pub fn compress(img: ImageView<'_>, cfg: &JpeglsConfig) -> Vec<u8> {
-    let (payload, _) = encode_raw(img, cfg);
+/// (`CBLS` magic, width/height, a NEAR byte of 0, then the entropy-coded
+/// payload).
+pub fn compress(img: ImageView<'_>) -> Vec<u8> {
+    let (payload, _) = encode_raw(img);
     let mut out = Vec::with_capacity(payload.len() + 18);
-    write_container(img, cfg.near, &payload, &mut out).expect("Vec writes cannot fail");
+    write_container(img, &payload, &mut out).expect("Vec writes cannot fail");
     out
 }
 
@@ -108,18 +118,11 @@ pub fn compress(img: ImageView<'_>, cfg: &JpeglsConfig) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`JpeglsError`] on malformed headers.
+/// Returns [`JpeglsError`] on malformed headers, retired near-lossless
+/// containers and payloads that run out before the last sample.
 pub fn decompress(bytes: &[u8]) -> Result<Image, JpeglsError> {
-    let (width, height, bit_depth, near, payload) = parse_container(bytes)?;
-    // `for_depth` thresholds depend only on the depth, so this rebuilds
-    // the encoder's configuration exactly — including for every 8-bit
-    // near-lossless stream the pre-view-API crate ever wrote.
-    Ok(decode_raw(
-        payload,
-        width,
-        height,
-        &JpeglsConfig::for_depth(bit_depth, near),
-    ))
+    let (width, height, bit_depth, payload) = parse_container(bytes)?;
+    decode_raw(payload, width, height, bit_depth)
 }
 
 impl From<JpeglsError> for cbic_image::CbicError {
@@ -133,11 +136,7 @@ impl From<JpeglsError> for cbic_image::CbicError {
     }
 }
 
-/// Lossless JPEG-LS on the unified [`cbic_image::Codec`] surface.
-///
-/// Only the lossless configuration implements the trait (the trait's
-/// contract is exact reconstruction); use [`compress`]/[`decompress`]
-/// directly for near-lossless operation.
+/// JPEG-LS on the unified [`cbic_image::Codec`] surface.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Jpegls;
 
@@ -156,9 +155,8 @@ impl cbic_image::Codec for Jpegls {
         _opts: &cbic_image::EncodeOptions,
         sink: &mut dyn std::io::Write,
     ) -> Result<cbic_image::EncodeStats, cbic_image::CbicError> {
-        let cfg = JpeglsConfig::for_depth(img.bit_depth(), 0);
-        let (payload, stats) = encode_raw(img, &cfg);
-        write_container(img, cfg.near, &payload, sink)?;
+        let (payload, stats) = encode_raw(img);
+        write_container(img, &payload, sink)?;
         Ok(cbic_image::EncodeStats::new(
             stats.pixels,
             container_overhead(img.bit_depth()) + payload.len() as u64,
@@ -189,7 +187,7 @@ mod container_tests {
     #[test]
     fn container_roundtrip() {
         let img = CorpusImage::Peppers.generate(32, 32);
-        let bytes = compress(img.view(), &JpeglsConfig::default());
+        let bytes = compress(img.view());
         assert_eq!(decompress(&bytes).unwrap(), img);
     }
 
@@ -200,39 +198,30 @@ mod container_tests {
     }
 
     #[test]
-    fn legacy_default_threshold_near_streams_decode() {
-        // Pre-view-API encoders (and direct compress calls with the Annex C
-        // defaults) wrote near-lossless streams at thresholds (3,7,21);
-        // decompress must rebuild exactly that configuration for 8-bit
-        // containers or the context models diverge.
-        let img = CorpusImage::Goldhill.generate(40, 40);
-        let legacy_cfg = JpeglsConfig {
-            near: 3,
-            ..JpeglsConfig::default()
-        };
-        let bytes = compress(img.view(), &legacy_cfg);
-        let out = decompress(&bytes).unwrap();
-        for (p, q) in img.samples().iter().zip(out.samples()) {
-            assert!(
-                (i32::from(*p) - i32::from(*q)).abs() <= 3,
-                "NEAR bound violated on a legacy-config stream"
-            );
-        }
+    fn near_lossless_containers_are_refused() {
+        let img = CorpusImage::Lena.generate(32, 32);
+        let mut bytes = compress(img.view());
+        assert_eq!(bytes[12], 0, "writers emit NEAR 0");
+        bytes[12] = 3;
+        let err = decompress(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, JpeglsError::InvalidHeader(m) if m.contains("NEAR 3")
+                && m.contains("near-lossless") && m.contains("retired")),
+            "{err:?}"
+        );
     }
 
     #[test]
-    fn near_travels_in_header() {
-        let img = CorpusImage::Lena.generate(32, 32);
-        // 8-bit near-lossless streams use the Annex C default thresholds
-        // (the historical format decompress rebuilds).
-        let cfg = JpeglsConfig {
-            near: 2,
-            ..JpeglsConfig::default()
-        };
-        let bytes = compress(img.view(), &cfg);
-        let out = decompress(&bytes).unwrap();
-        for (p, q) in img.samples().iter().zip(out.samples()) {
-            assert!((i32::from(*p) - i32::from(*q)).abs() <= 2);
+    fn a_payload_cut_in_half_is_truncated() {
+        for img in [
+            CorpusImage::Lena.generate(32, 32),
+            cbic_image::Image::from_fn(32, 32, |_, _| 9),
+        ] {
+            let bytes = compress(img.view());
+            assert_eq!(
+                decompress(&bytes[..bytes.len() / 2]),
+                Err(JpeglsError::Truncated)
+            );
         }
     }
 }

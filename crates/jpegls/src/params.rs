@@ -1,5 +1,5 @@
-//! JPEG-LS coding parameters (ITU-T T.87 Annex C defaults, parameterized
-//! over the 1–16-bit sample depth).
+//! JPEG-LS coding parameters of a sample depth (ITU-T T.87 Annex C
+//! defaults, parameterized over the 1–16-bit sample depth).
 
 use std::fmt;
 
@@ -9,7 +9,8 @@ use std::fmt;
 pub enum JpeglsError {
     /// Stream does not start with the `CBLS` magic.
     BadMagic,
-    /// Stream shorter than a header.
+    /// Stream shorter than a header, or a payload that runs out before
+    /// the last sample.
     Truncated,
     /// A header field is invalid.
     InvalidHeader(String),
@@ -27,74 +28,34 @@ impl fmt::Display for JpeglsError {
 
 impl std::error::Error for JpeglsError {}
 
-/// JPEG-LS parameters. The defaults are the T.87 Annex C values for 8-bit
-/// samples: `T1=3, T2=7, T3=21, RESET=64, NEAR=0` (lossless). For other
-/// depths, [`JpeglsConfig::for_depth`] derives the standard's scaled
-/// default thresholds (C.2.4.1.1.1), so 12/16-bit medical imagery gets a
-/// properly calibrated gradient quantizer.
-///
-/// # Examples
-///
-/// ```
-/// use cbic_jpegls::JpeglsConfig;
-///
-/// let lossless = JpeglsConfig::default();
-/// assert_eq!(lossless.near, 0);
-/// assert_eq!(lossless.range(), 256);
-/// assert_eq!(lossless.limit(), 32);
-///
-/// let deep = JpeglsConfig::for_depth(16, 0);
-/// assert_eq!(deep.maxval(), 65535);
-/// assert_eq!(deep.qbpp(), 16);
-/// assert_eq!(deep.limit(), 64);
-/// assert!(deep.t3 > deep.t2 && deep.t2 > deep.t1);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct JpeglsConfig {
-    /// Near-lossless bound (0 = lossless).
-    pub near: u8,
-    /// Sample bit depth (`1..=16`; `MAXVAL = 2^bit_depth − 1`).
-    pub bit_depth: u8,
+/// Context halving interval (`RESET`, T.87 Annex C default).
+pub(crate) const RESET: u32 = 64;
+
+/// The lossless (`NEAR = 0`) coding parameters of one sample depth: the
+/// T.87 C.2.4.1.1.1 depth-scaled default thresholds and the A.2.1
+/// derived values. At 8 bits they are the Annex C defaults
+/// `T1=3, T2=7, T3=21`, so 12/16-bit medical imagery gets a properly
+/// calibrated gradient quantizer while every parameter still follows from
+/// the depth a container records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Params {
+    /// Sample bit depth (`1..=16`).
+    pub(crate) bit_depth: u8,
     /// First gradient quantizer threshold.
-    pub t1: i32,
+    pub(crate) t1: i32,
     /// Second gradient quantizer threshold.
-    pub t2: i32,
+    pub(crate) t2: i32,
     /// Third gradient quantizer threshold.
-    pub t3: i32,
-    /// Context halving interval.
-    pub reset: u32,
+    pub(crate) t3: i32,
 }
 
-impl Default for JpeglsConfig {
-    fn default() -> Self {
-        Self {
-            near: 0,
-            bit_depth: 8,
-            t1: 3,
-            t2: 7,
-            t3: 21,
-            reset: 64,
-        }
-    }
-}
-
-impl JpeglsConfig {
-    /// The default operating point for a sample depth: the T.87
-    /// C.2.4.1.1.1 depth-scaled default thresholds with `RESET = 64`. At
-    /// `bit_depth = 8, near = 0` this is exactly [`Self::default`].
-    ///
-    /// Deviation from T.87: the thresholds depend **only on the depth**,
-    /// never on `NEAR` (whose dead zone the gradient quantizer applies
-    /// separately). That makes the `(depth, NEAR)` pair a container
-    /// records sufficient to reconstruct the whole configuration — 8-bit
-    /// near-lossless streams stay compatible with every stream this crate
-    /// has ever written — and `for_depth` total: no `NEAR` value can make
-    /// the threshold ladder collapse.
+impl Params {
+    /// The parameters of a sample depth.
     ///
     /// # Panics
     ///
     /// Panics if `bit_depth` is outside `1..=16`.
-    pub fn for_depth(bit_depth: u8, near: u8) -> Self {
+    pub(crate) fn for_depth(bit_depth: u8) -> Self {
         assert!(
             (1..=16).contains(&bit_depth),
             "bit depth {bit_depth} outside 1..=16"
@@ -119,62 +80,52 @@ impl JpeglsConfig {
             (t1, t2, t3)
         };
         Self {
-            near,
             bit_depth,
             t1,
             t2,
             t3,
-            reset: 64,
         }
     }
 
     /// Maximum sample value, `2^bit_depth − 1`.
-    pub fn maxval(&self) -> i32 {
+    pub(crate) fn maxval(&self) -> i32 {
         i32::from(cbic_image::max_val_for(self.bit_depth))
     }
 
-    /// `RANGE = floor((MAXVAL + 2*NEAR) / (2*NEAR + 1)) + 1` (A.2.1).
-    pub fn range(&self) -> i32 {
-        (self.maxval() + 2 * i32::from(self.near)) / (2 * i32::from(self.near) + 1) + 1
+    /// `RANGE = MAXVAL + 1` (A.2.1 at `NEAR = 0`).
+    pub(crate) fn range(&self) -> i32 {
+        self.maxval() + 1
     }
 
-    /// `qbpp = ceil(log2(RANGE))`.
-    pub fn qbpp(&self) -> u32 {
-        let mut q = 1;
-        while (1 << q) < self.range() {
-            q += 1;
-        }
-        q
+    /// `qbpp = ceil(log2(RANGE))`, the sample depth.
+    pub(crate) fn qbpp(&self) -> u32 {
+        u32::from(self.bit_depth)
     }
 
-    /// `bpp = max(2, ceil(log2(MAXVAL + 1)))` (A.2.1).
-    pub fn bpp(&self) -> u32 {
-        u32::from(self.bit_depth).max(2)
-    }
-
-    /// `LIMIT = 2 * (bpp + max(8, bpp))` — 32 for 8-bit samples, 64 for
-    /// 16-bit ones.
-    pub fn limit(&self) -> u32 {
-        2 * (self.bpp() + self.bpp().max(8))
+    /// `LIMIT = 2 * (bpp + max(8, bpp))` with `bpp = max(2, depth)`
+    /// (A.2.1) — 32 for 8-bit samples, 64 for 16-bit ones.
+    pub(crate) fn limit(&self) -> u32 {
+        let bpp = u32::from(self.bit_depth).max(2);
+        2 * (bpp + bpp.max(8))
     }
 
     /// Initial value of the `A` accumulators:
     /// `max(2, (RANGE + 32) / 64)` (A.2.1).
-    pub fn a_init(&self) -> u32 {
+    pub(crate) fn a_init(&self) -> u32 {
         ((self.range() + 32) / 64).max(2) as u32
     }
 }
 
 /// The T.87 run-length code order table `J` (A.2.1).
-pub const J: [u32; 32] = [
+pub(crate) const J: [u32; 32] = [
     0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 9, 10, 11, 12, 13,
     14, 15,
 ];
 
 /// Bias-correction clamp bounds (A.2.1).
-pub const MIN_C: i32 = -128;
+pub(crate) const MIN_C: i32 = -128;
 /// Upper bias-correction clamp bound.
-pub const MAX_C: i32 = 127;
+pub(crate) const MAX_C: i32 = 127;
 
 #[cfg(test)]
 mod tests {
@@ -182,7 +133,7 @@ mod tests {
 
     #[test]
     fn lossless_derived_parameters() {
-        let c = JpeglsConfig::default();
+        let c = Params::for_depth(8);
         assert_eq!(c.maxval(), 255);
         assert_eq!(c.range(), 256);
         assert_eq!(c.qbpp(), 8);
@@ -192,16 +143,19 @@ mod tests {
 
     #[test]
     fn for_depth_eight_is_the_default() {
-        assert_eq!(JpeglsConfig::for_depth(8, 0), JpeglsConfig::default());
+        // The Annex C defaults for 8-bit samples.
+        let c = Params::for_depth(8);
+        assert_eq!((c.t1, c.t2, c.t3), (3, 7, 21));
+        assert_eq!(RESET, 64);
     }
 
     #[test]
     fn for_depth_scales_thresholds_with_the_range() {
-        let c12 = JpeglsConfig::for_depth(12, 0);
+        let c12 = Params::for_depth(12);
         assert_eq!(c12.maxval(), 4095);
         // FACTOR = (4095 + 128) / 256 = 16.
         assert_eq!((c12.t1, c12.t2, c12.t3), (18, 67, 276));
-        let c16 = JpeglsConfig::for_depth(16, 0);
+        let c16 = Params::for_depth(16);
         assert_eq!(c16.maxval(), 65535);
         // FACTOR saturates at (4095 + 128) / 256 = 16 per the standard.
         assert_eq!((c16.t1, c16.t2, c16.t3), (18, 67, 276));
@@ -212,44 +166,20 @@ mod tests {
     #[test]
     fn for_depth_low_depths_stay_ordered() {
         for depth in 1..=7u8 {
-            let c = JpeglsConfig::for_depth(depth, 0);
+            let c = Params::for_depth(depth);
             assert!(c.t1 >= 1 && c.t1 <= c.t2 && c.t2 <= c.t3, "{c:?}");
             assert!(c.t3 <= c.maxval().max(4), "{c:?}");
         }
     }
 
     #[test]
-    fn near_lossless_shrinks_range() {
-        let c = JpeglsConfig {
-            near: 2,
-            ..JpeglsConfig::default()
-        };
-        assert_eq!(c.range(), (255 + 4) / 5 + 1);
-        assert!(c.qbpp() <= 8);
-    }
-
-    #[test]
-    fn thresholds_ignore_near_so_containers_self_describe() {
-        // The (depth, NEAR) pair a container records must reconstruct the
-        // configuration exactly: thresholds are depth-only.
-        let c = JpeglsConfig::for_depth(8, 2);
-        assert_eq!((c.t1, c.t2, c.t3), (3, 7, 21));
-        assert_eq!(c.near, 2);
-        assert_eq!(
-            JpeglsConfig::for_depth(12, 5).t1,
-            JpeglsConfig::for_depth(12, 0).t1
-        );
-    }
-
-    #[test]
-    fn for_depth_is_total_over_extreme_near_values() {
-        // No (depth, NEAR) combination may panic: a hostile container can
-        // carry any NEAR byte.
+    fn for_depth_is_total_over_every_depth() {
+        // A hostile container can carry any depth the framing accepts.
         for depth in 1..=16u8 {
-            for near in [0u8, 1, 2, 127, 255] {
-                let c = JpeglsConfig::for_depth(depth, near);
-                assert!(c.t1 >= 1 && c.t1 <= c.t2 && c.t2 <= c.t3, "{c:?}");
-            }
+            let c = Params::for_depth(depth);
+            assert!(c.t1 >= 1 && c.t1 <= c.t2 && c.t2 <= c.t3, "{c:?}");
+            assert_eq!(c.qbpp(), u32::from(depth), "{c:?}");
+            assert!((1u32 << c.qbpp()) >= c.range() as u32, "{c:?}");
         }
     }
 

@@ -1,9 +1,8 @@
-//! Property-based tests: JPEG-LS losslessness and the NEAR bound over
-//! arbitrary images.
+//! Property-based tests: JPEG-LS losslessness over arbitrary images.
 
 use proptest::prelude::*;
 
-use crate::{decode_raw, encode_raw, JpeglsConfig};
+use crate::{decode_raw, encode_raw};
 use cbic_image::Image;
 
 fn arb_image() -> impl Strategy<Value = Image> {
@@ -14,56 +13,20 @@ fn arb_image() -> impl Strategy<Value = Image> {
 }
 
 proptest! {
-    /// NEAR = 0 round-trips arbitrary pixel content exactly.
+    /// Arbitrary pixel content round-trips exactly.
     #[test]
     fn lossless_roundtrip(img in arb_image()) {
-        let cfg = JpeglsConfig::default();
-        let (bytes, stats) = encode_raw(img.view(), &cfg);
+        let (bytes, stats) = encode_raw(img.view());
         prop_assert_eq!(stats.pixels as usize, img.pixel_count());
-        let back = decode_raw(&bytes, img.width(), img.height(), &cfg);
-        prop_assert_eq!(back, img);
-    }
-
-    /// NEAR > 0 honours the per-pixel error bound on arbitrary content.
-    #[test]
-    fn near_bound_holds(img in arb_image(), near in 1u8..=6) {
-        let cfg = JpeglsConfig { near, ..JpeglsConfig::default() };
-        let (bytes, _) = encode_raw(img.view(), &cfg);
-        let back = decode_raw(&bytes, img.width(), img.height(), &cfg);
-        for (p, q) in img.samples().iter().zip(back.samples()) {
-            prop_assert!(
-                (i32::from(*p) - i32::from(*q)).abs() <= i32::from(near),
-                "pixel {p} decoded as {q} with NEAR {near}"
-            );
-        }
+        let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth());
+        prop_assert_eq!(back, Ok(img));
     }
 
     /// The length limit bounds worst-case expansion: never more than
     /// LIMIT bits per pixel plus run-mode framing.
     #[test]
     fn expansion_is_bounded(img in arb_image()) {
-        let cfg = JpeglsConfig::default();
-        let (bytes, _) = encode_raw(img.view(), &cfg);
+        let (bytes, _) = encode_raw(img.view());
         prop_assert!(bytes.len() * 8 <= img.pixel_count() * 33 + 64);
-    }
-
-    /// Raising NEAR never increases the coded size on the same image
-    /// (monotone rate-distortion trade).
-    #[test]
-    fn near_is_monotone_in_rate(seed in 0u64..1000) {
-        let img = Image::from_fn(32, 32, |x, y| {
-            (128.0 + 60.0 * cbic_image::synth::fbm(seed, x as f64, y as f64, 8.0, 3, 0.5)) as u8
-        });
-        let mut prev: Option<usize> = None;
-        for near in [0u8, 1, 2, 4] {
-            let cfg = JpeglsConfig { near, ..JpeglsConfig::default() };
-            let (bytes, _) = encode_raw(img.view(), &cfg);
-            if let Some(p) = prev {
-                // Allow a small tolerance: run-mode boundaries can shift.
-                prop_assert!(bytes.len() <= p + p / 8,
-                    "near {near}: {} bytes after {p}", bytes.len());
-            }
-            prev = Some(bytes.len());
-        }
     }
 }

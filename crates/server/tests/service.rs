@@ -148,15 +148,24 @@ fn retired_lanes_get_error_replies_and_the_connection_keeps_serving() {
 #[test]
 fn retired_formats_get_error_replies_and_the_connection_keeps_serving() {
     // The retired band container, a container of the retired wide-hash
-    // model (version 5) and the retired universal container.
+    // model (version 5), the retired universal container and a JPEG-LS
+    // container of the retired near-lossless mode (the lossless fixture
+    // with its NEAR byte forged to 3).
     const CBTI: &[u8] = include_bytes!("../../../tests/golden/tiled_lena_32.bin");
     const V5: &[u8] = include_bytes!("../../../tests/golden/proposed_wide_lena_32.bin");
     const CBUN: &[u8] = include_bytes!("../../../tests/golden/universal_mixed.bin");
+    let mut near = include_bytes!("../../../tests/golden/jpegls_lena_32.bin").to_vec();
+    near[12] = 3;
     let handle = spawn_server(test_config());
     let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
     let img = CorpusImage::Lena.generate(32, 32);
     for _ in 0..2 {
-        for (container, expect) in [(CBTI, "CBTI"), (V5, "version 5"), (CBUN, "CBUN")] {
+        for (container, expect) in [
+            (CBTI, "CBTI"),
+            (V5, "version 5"),
+            (CBUN, "CBUN"),
+            (&near[..], "near-lossless"),
+        ] {
             let Reply::Error { status, message } = client.decode(container).expect("decode rpc")
             else {
                 panic!("a retired {expect} container must be refused");

@@ -56,7 +56,8 @@ use std::fmt;
 pub enum SlpError {
     /// Stream does not start with the `CBSL` magic.
     BadMagic,
-    /// Stream shorter than a header.
+    /// Stream shorter than a header, or a payload that runs out before
+    /// the last sample.
     Truncated,
     /// A header field is invalid.
     InvalidHeader(String),
@@ -266,7 +267,25 @@ pub fn encode_raw(img: ImageView<'_>) -> (Vec<u8>, EncodeStats) {
 
 /// Decodes a payload produced by [`encode_raw`] with matching dimensions
 /// and bit depth.
-pub fn decode_raw(bytes: &[u8], width: usize, height: usize, bit_depth: u8) -> Image {
+///
+/// Every read is exact: the encoder's only flush is the zero padding of
+/// the last byte, which no code word reaches, so a well-formed payload
+/// never needs a bit past its end.
+///
+/// # Errors
+///
+/// [`SlpError::Truncated`] when the payload runs out before the last
+/// sample.
+///
+/// # Panics
+///
+/// Panics if `bit_depth` is outside `1..=16`.
+pub fn decode_raw(
+    bytes: &[u8],
+    width: usize,
+    height: usize,
+    bit_depth: u8,
+) -> Result<Image, SlpError> {
     let (half, shift) = (
         half_for_depth(bit_depth),
         u32::from(bit_depth.saturating_sub(8)),
@@ -285,14 +304,14 @@ pub fn decode_raw(bytes: &[u8], width: usize, height: usize, bit_depth: u8) -> I
             let bctx = class * 4 + pidx;
             let p = (p + bias[bctx].c).clamp(0, 2 * half - 1);
             let k = contexts[bctx].k();
-            let v = decode_limited(&mut r, k, limit, qbpp).unwrap_or(0);
+            let v = decode_limited(&mut r, k, limit, qbpp).ok_or(SlpError::Truncated)?;
             let e = unzigzag(v);
             cur[x] = (p + e).rem_euclid(2 * half) as u16;
             contexts[bctx].update(e.unsigned_abs());
             bias[bctx].update(e);
         }
     }
-    img
+    Ok(img)
 }
 
 const MAGIC: &[u8; 4] = b"CBSL";
@@ -339,10 +358,11 @@ pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, &[u8]), SlpErr
 ///
 /// # Errors
 ///
-/// Returns [`SlpError`] on malformed headers.
+/// Returns [`SlpError`] on malformed headers and payloads that run out
+/// before the last sample.
 pub fn decompress(bytes: &[u8]) -> Result<Image, SlpError> {
     let (width, height, bit_depth, payload) = parse_container(bytes)?;
-    Ok(decode_raw(payload, width, height, bit_depth))
+    decode_raw(payload, width, height, bit_depth)
 }
 
 /// SLP(M0) on the unified [`cbic_image::Codec`] surface.
@@ -396,7 +416,7 @@ mod tests {
     fn roundtrip(img: &Image) -> EncodeStats {
         let (bytes, stats) = encode_raw(img.view());
         let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth());
-        assert_eq!(&back, img, "lossless roundtrip failed");
+        assert_eq!(back.as_ref(), Ok(img), "lossless roundtrip failed");
         stats
     }
 
@@ -437,6 +457,20 @@ mod tests {
     fn container_rejects_garbage() {
         assert_eq!(decompress(b"x"), Err(SlpError::Truncated));
         assert_eq!(decompress(b"YYYY00000000"), Err(SlpError::BadMagic));
+    }
+
+    #[test]
+    fn a_payload_cut_in_half_is_truncated() {
+        for img in [
+            CorpusImage::Lena.generate(32, 32),
+            Image::from_fn(32, 32, |_, _| 9),
+        ] {
+            let bytes = compress(img.view());
+            assert_eq!(
+                decompress(&bytes[..bytes.len() / 2]),
+                Err(SlpError::Truncated)
+            );
+        }
     }
 
     #[test]

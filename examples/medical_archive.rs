@@ -92,7 +92,7 @@ fn main() {
 
     let mut jpegls_total = 0usize;
     for img in &study {
-        let bytes = cbic::jpegls::compress(img.view(), &cbic::jpegls::JpeglsConfig::default());
+        let bytes = cbic::jpegls::compress(img.view());
         assert_eq!(
             checksum(&cbic::jpegls::decompress(&bytes).expect("valid")),
             checksum(img)

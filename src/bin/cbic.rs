@@ -8,7 +8,7 @@
 //! grid encoders directly (see below).
 //!
 //! ```text
-//! cbic compress   [--codec NAME] [--near N] [--threads N] [--tile WxH] IN.pgm OUT
+//! cbic compress   [--codec NAME] [--threads N] [--tile WxH] IN.pgm OUT
 //! cbic decompress [--threads N] IN OUT.pgm   (codec auto-detected)
 //! cbic crop       --rect X,Y,W,H [--threads N] IN OUT.pgm  (random-access ROI decode)
 //! cbic info       IN                         (describe a compressed container)
@@ -22,6 +22,9 @@
 //! codec and back out to PGM. `compress` and `decompress` accept `-` for
 //! stdin/stdout and print their status lines to stderr, so containers pipe
 //! cleanly: `cbic compress - - < in.pgm | cbic decompress - - > out.pgm`.
+//! A file OUT appears only once its command succeeds: `compress`,
+//! `decompress` and `crop` write beside it and rename on success, so a
+//! failed run leaves no partial file and an existing OUT untouched.
 //! For the default `proposed` codec both directions run the
 //! bounded-memory streaming pipeline (the current row and the two above
 //! it: the paper's three line buffers, Fig. 3), so image size is limited
@@ -42,7 +45,9 @@ use cbic::core::stream::{StreamDecoder, StreamEncoder};
 use cbic::core::{CodecConfig, TileGeometry};
 use cbic::image::pgm;
 use cbic::{DecodeOptions, EncodeOptions, Parallelism};
+use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// `println!` that tolerates a closed stdout (e.g. `cbic info … | head`):
@@ -64,8 +69,7 @@ macro_rules! say {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  cbic compress [--codec NAME] [--near N] [--threads N] [--tile WxH] \
-         IN.pgm OUT\n  \
+        "usage:\n  cbic compress [--codec NAME] [--threads N] [--tile WxH] IN.pgm OUT\n  \
          cbic decompress [--threads N] IN OUT.pgm\n  \
          cbic crop --rect X,Y,W,H [--threads N] IN OUT.pgm\n  cbic info IN\n  cbic codecs\n  \
          cbic corpus [--size N] OUTDIR\n  cbic bench IN.pgm\n\
@@ -158,19 +162,92 @@ fn open_input(path: &str) -> std::io::Result<BufReader<Box<dyn Read>>> {
     let inner: Box<dyn Read> = if path == "-" {
         Box::new(std::io::stdin().lock())
     } else {
-        Box::new(std::fs::File::open(path)?)
+        Box::new(File::open(path)?)
     };
     Ok(BufReader::new(inner))
 }
 
-/// Opens `path` for buffered writing, with `-` meaning stdout.
-fn open_output(path: &str) -> std::io::Result<BufWriter<Box<dyn Write>>> {
-    let inner: Box<dyn Write> = if path == "-" {
-        Box::new(std::io::stdout().lock())
-    } else {
-        Box::new(std::fs::File::create(path)?)
-    };
-    Ok(BufWriter::new(inner))
+/// A command's output: stdout for `-`, written as it goes, else a file
+/// that appears at its path only on [`Output::commit`]. The bytes go to a
+/// temporary file beside the target, renamed over it on success and
+/// removed on drop, so a failed command leaves no partial file and an
+/// existing target untouched. A target that exists but is not a regular
+/// file (a device, a FIFO, a symlink) is written in place.
+struct Output {
+    out: BufWriter<Box<dyn Write>>,
+    /// `(temporary, target)` while a rename is pending.
+    rename: Option<(PathBuf, PathBuf)>,
+}
+
+impl Output {
+    fn create(path: &str) -> std::io::Result<Self> {
+        if path == "-" {
+            return Ok(Self::new(Box::new(std::io::stdout().lock()), None));
+        }
+        let target = Path::new(path);
+        match std::fs::symlink_metadata(target) {
+            Ok(meta) if !meta.is_file() => {
+                return Ok(Self::new(Box::new(File::create(target)?), None));
+            }
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+        let mut name = std::ffi::OsString::from(".");
+        name.push(target.file_name().unwrap_or(target.as_os_str()));
+        name.push(format!(".{}.part", std::process::id()));
+        let temp = target.with_file_name(name);
+        let file = File::options().write(true).create_new(true).open(&temp)?;
+        Ok(Self::new(Box::new(file), Some((temp, target.to_owned()))))
+    }
+
+    fn new(inner: Box<dyn Write>, rename: Option<(PathBuf, PathBuf)>) -> Self {
+        Self {
+            out: BufWriter::new(inner),
+            rename,
+        }
+    }
+
+    /// Flushes the output and puts a file in place.
+    fn commit(mut self) -> std::io::Result<()> {
+        self.out.flush()?;
+        if let Some((temp, target)) = self.rename.take() {
+            if let Err(e) = std::fs::rename(&temp, target) {
+                let _ = std::fs::remove_file(temp);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Write for Output {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.out.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.out.flush()
+    }
+}
+
+impl Drop for Output {
+    fn drop(&mut self) {
+        if let Some((temp, _)) = &self.rename {
+            let _ = std::fs::remove_file(temp);
+        }
+    }
+}
+
+/// Writes `img` to `output` as a PGM, header then row by row: no second
+/// image-sized buffer.
+fn write_pgm(output: &str, img: &cbic::image::Image) -> CliResult {
+    let mut out = Output::create(output)?;
+    pgm::write_header(&mut out, img.width(), img.height(), img.max_val())?;
+    let mut rows = pgm::RowWriter::new(img.max_val());
+    for y in 0..img.height() {
+        rows.write_row(&mut out, img.row(y))?;
+    }
+    Ok(out.commit()?)
 }
 
 /// Parses a `--tile WxH` value like `256x256`.
@@ -216,15 +293,11 @@ fn parse_rect(value: &str) -> Result<cbic::Rect, Box<dyn std::error::Error>> {
 }
 
 fn cmd_compress(args: &[String]) -> CliResult {
-    let (flags, pos) = parse_flags(args, &["codec", "near", "threads", "tile"]);
+    let (flags, pos) = parse_flags(args, &["codec", "threads", "tile"]);
     let [input, output] = pos.as_slice() else {
         return Err("compress needs IN.pgm and OUT (either may be `-`)".into());
     };
     let codec_name = flag_value(&flags, "codec").unwrap_or("proposed");
-    let near: u8 = flag_value(&flags, "near")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(0);
     let threads = parse_threads(&flags)?;
     let tile = flag_value(&flags, "tile").map(parse_tile).transpose()?;
 
@@ -236,14 +309,8 @@ fn cmd_compress(args: &[String]) -> CliResult {
         if given && codec_name != "proposed" {
             return Err(format!("{flag} applies to the proposed codec, not {codec_name}").into());
         }
-        if given && near > 0 {
-            return Err(format!("--near (jpegls) cannot be combined with {flag}").into());
-        }
     }
-    if near > 0 && codec_name != "jpegls" {
-        return Err(format!("--near applies to jpegls, not {codec_name}").into());
-    }
-    if near == 0 && registry.by_name(codec_name).is_none() {
+    if registry.by_name(codec_name).is_none() {
         return Err(format!(
             "unknown codec {codec_name} (available: {})",
             registry.names().join(", ")
@@ -251,7 +318,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
         .into());
     }
 
-    if tile.is_none() && codec_name == "proposed" && near == 0 && threads <= 1 {
+    if tile.is_none() && codec_name == "proposed" && threads <= 1 {
         // Bounded-memory path: PGM rows flow one at a time through the
         // stream encoder, which keeps only the two rows above, into the
         // output — neither the image nor the container is ever
@@ -265,11 +332,9 @@ fn cmd_compress(args: &[String]) -> CliResult {
     reader.read_to_end(&mut pgm_bytes)?;
     let img = pgm::decode(&pgm_bytes)?;
     // The image is already fully resident here, so encode into memory and
-    // only open (truncate) the output once the encode has succeeded — a
-    // failed encode must not destroy an existing output file. (The
-    // streaming path above trades this for bounded memory.)
+    // only write the output once the encode has succeeded.
     let mut container = Vec::new();
-    let (stats, label) = if codec_name == "proposed" {
+    let (payload_len, label) = if codec_name == "proposed" {
         // The v4 seekable tile grid: every tile an independently
         // decodable substream, coded on the tile scheduler. `--threads N`
         // alone asks for N full-width tiles, one per worker. This process
@@ -282,51 +347,48 @@ fn cmd_compress(args: &[String]) -> CliResult {
                 u32::try_from(img.height().div_ceil(threads))?,
             ),
         };
-        let (bytes, payload_bits, coder_thread) = cbic::core::grid::compress_grid_two_stage(
+        let (bytes, _, coder_thread) = cbic::core::grid::compress_grid_two_stage(
             img.view(),
             &CodecConfig::default(),
             TileGeometry::new(tile_w, tile_h),
             Parallelism::from_threads(threads),
         )?;
         container = bytes;
-        let stats = cbic::image::EncodeStats::new(
-            img.pixel_count() as u64,
-            container.len() as u64,
-            Some(payload_bits),
-        );
+        let (_, _, substreams) = cbic::core::grid::parse_grid(&container)?;
         let label = format!(
             "proposed (v4 grid, {tile_w}x{tile_h} tiles, {}, {})",
             thread_count(threads),
             coder_placement(coder_thread)
         );
-        (stats, label)
-    } else if near > 0 {
-        // Near-lossless operation is outside the lossless Codec contract;
-        // reach the JPEG-LS crate directly, with exactly the configuration
-        // `decompress` will rebuild from the container's (depth, NEAR).
-        container = cbic::jpegls::compress(
-            img.view(),
-            &cbic::jpegls::JpeglsConfig::for_depth(img.bit_depth(), near),
-        );
-        let stats =
-            cbic::image::EncodeStats::new(img.pixel_count() as u64, container.len() as u64, None);
-        (stats, codec_name.to_string())
+        (substreams.len(), label)
     } else {
         let codec = registry.expect_name(codec_name)?;
         let stats = codec.encode(img.view(), &EncodeOptions::default(), &mut container)?;
-        (stats, codec_name.to_string())
+        // A baseline's payload is one byte-padded stream: its exact bits
+        // rounded up to bytes are the payload `info` counts.
+        let payload = stats
+            .payload_bits
+            .map_or(container.len(), |bits| bits.div_ceil(8) as usize);
+        (payload, codec_name.to_string())
     };
-    let mut out = open_output(output)?;
+    let mut out = Output::create(output)?;
     out.write_all(&container)?;
-    out.flush()?;
+    out.commit()?;
     eprintln!(
         "{input}: {} pixels ({}-bit) -> {} bytes ({:.3} bpp) with {label}",
-        stats.pixels,
+        img.pixel_count(),
         img.bit_depth(),
-        stats.container_bytes,
-        stats.bits_per_pixel()
+        container.len(),
+        payload_bpp(payload_len, img.pixel_count())
     );
     Ok(())
+}
+
+/// The payload rate the status lines and `info` print: payload bytes
+/// (a grid's tile substreams, index excluded) over pixels, so every
+/// path of one image reads the same rate.
+fn payload_bpp(payload_len: usize, pixels: usize) -> f64 {
+    payload_len as f64 * 8.0 / pixels as f64
 }
 
 /// The bounded-memory compress path: PGM header off the reader, rows
@@ -335,7 +397,7 @@ fn compress_streaming(input: &str, output: &str) -> CliResult {
     let mut reader = open_input(input)?;
     let header = pgm::read_header(&mut reader)?;
     let (width, height) = (header.width, header.height);
-    let out = open_output(output)?;
+    let out = Output::create(output)?;
     let cfg = CodecConfig::default();
     let mut enc = StreamEncoder::with_depth(out, width, height, header.bit_depth(), &cfg)?;
     let coder_thread = enc.has_coder_thread();
@@ -345,17 +407,15 @@ fn compress_streaming(input: &str, output: &str) -> CliResult {
             .map_err(|e| format!("reading pixel row {y}: {e}"))?;
         enc.push_row(&row)?;
     }
-    let (mut out, stats) = enc.finish_with_stats()?;
-    out.flush()?;
+    let (out, stats) = enc.finish_with_stats()?;
+    out.commit()?;
     let pixels = width * height;
-    // Same payload-bytes-over-pixels rate `cbic info` reports for the
-    // finished container, so the two commands agree.
     eprintln!(
         "{input}: {pixels} pixels ({}-bit) -> {} bytes ({:.3} bpp) with proposed \
          (streamed, {}, {})",
         header.bit_depth(),
         stats.container_bytes,
-        stats.payload_bytes as f64 * 8.0 / pixels as f64,
+        payload_bpp(stats.payload_bytes as usize, pixels),
         match coder_thread {
             true => "O(3 lines) + 640 KiB memory",
             false => "O(3 lines) memory",
@@ -398,13 +458,7 @@ fn cmd_decompress(args: &[String]) -> CliResult {
             let mut bytes = prefix;
             reader.read_to_end(&mut bytes)?;
             let img = cbic::core::decompress_grid(&bytes, Parallelism::from_threads(threads))?;
-            let mut out = open_output(output)?;
-            pgm::write_header(&mut out, img.width(), img.height(), img.max_val())?;
-            let mut rows = pgm::RowWriter::new(img.max_val());
-            for y in 0..img.height() {
-                rows.write_row(&mut out, img.row(y))?;
-            }
-            out.flush()?;
+            write_pgm(output, &img)?;
             eprintln!(
                 "{input}: proposed (v4 grid, {}) -> {}x{} {}-bit PGM",
                 thread_count(threads),
@@ -420,7 +474,7 @@ fn cmd_decompress(args: &[String]) -> CliResult {
         let mut dec = StreamDecoder::new(&mut chained)?;
         let (width, height) = dec.dimensions();
         let maxval = cbic::image::max_val_for(dec.bit_depth());
-        let mut out = open_output(output)?;
+        let mut out = Output::create(output)?;
         pgm::write_header(&mut out, width, height, maxval)?;
         let mut row = vec![0u16; width];
         let mut rows = pgm::RowWriter::new(maxval);
@@ -428,7 +482,7 @@ fn cmd_decompress(args: &[String]) -> CliResult {
             dec.next_row(&mut row)?;
             rows.write_row(&mut out, &row)?;
         }
-        out.flush()?;
+        out.commit()?;
         eprintln!(
             "{input}: proposed (streamed) -> {width}x{height} {}-bit PGM",
             dec.bit_depth()
@@ -445,14 +499,7 @@ fn cmd_decompress(args: &[String]) -> CliResult {
     let opts = DecodeOptions::new().with_parallelism(Parallelism::from_threads(threads));
     let mut chained = (&magic[..]).chain(reader);
     let img = codec.decode(&mut chained, &opts)?;
-    let mut out = open_output(output)?;
-    // Header then row-by-row wire conversion: no second image-sized buffer.
-    pgm::write_header(&mut out, img.width(), img.height(), img.max_val())?;
-    let mut rows = pgm::RowWriter::new(img.max_val());
-    for y in 0..img.height() {
-        rows.write_row(&mut out, img.row(y))?;
-    }
-    out.flush()?;
+    write_pgm(output, &img)?;
     eprintln!(
         "{input}: {} -> {}x{} {}-bit PGM",
         codec.name(),
@@ -485,16 +532,10 @@ fn cmd_crop(args: &[String]) -> CliResult {
         (cbic::core::decode_roi(&bytes, rect, par)?, "buffered")
     } else {
         // A real file seeks: non-covering tiles' bytes are never read.
-        let mut file = std::fs::File::open(input)?;
+        let mut file = File::open(input)?;
         (cbic::core::decode_roi_from(&mut file, rect, par)?, "seek")
     };
-    let mut out = open_output(output)?;
-    pgm::write_header(&mut out, img.width(), img.height(), img.max_val())?;
-    let mut rows = pgm::RowWriter::new(img.max_val());
-    for y in 0..img.height() {
-        rows.write_row(&mut out, img.row(y))?;
-    }
-    out.flush()?;
+    write_pgm(output, &img)?;
     eprintln!(
         "{input}: {}x{} crop at ({}, {}) -> {}-bit PGM ({how} path)",
         rect.w,
@@ -536,19 +577,20 @@ fn cmd_info(args: &[String]) -> CliResult {
                 print_grid_index(&index, substreams.len());
             }
         }
-        "calic" => {
-            let (w, h, depth, payload) = cbic::calic::parse_container(&bytes)?;
-            print_baseline_header(w, h, depth, payload.len(), None);
+        baseline => {
+            let (w, h, depth, payload) = match baseline {
+                "calic" => cbic::calic::parse_container(&bytes)?,
+                "jpegls" => cbic::jpegls::parse_container(&bytes)?,
+                "slp" => cbic::slp::parse_container(&bytes)?,
+                _ => return Err(format!("info cannot describe {baseline} containers").into()),
+            };
+            say!("dimensions: {w}x{h}, {depth}-bit samples");
+            say!(
+                "payload: {} bytes = {:.3} bpp",
+                payload.len(),
+                payload_bpp(payload.len(), w * h)
+            );
         }
-        "slp" => {
-            let (w, h, depth, payload) = cbic::slp::parse_container(&bytes)?;
-            print_baseline_header(w, h, depth, payload.len(), None);
-        }
-        "jpegls" => {
-            let (w, h, depth, near, payload) = cbic::jpegls::parse_container(&bytes)?;
-            print_baseline_header(w, h, depth, payload.len(), Some(near));
-        }
-        _ => {}
     }
     Ok(())
 }
@@ -576,7 +618,7 @@ fn print_proposed_header(
     );
     say!(
         "payload: {payload_len} bytes = {:.3} bpp",
-        payload_len as f64 * 8.0 / (hdr.width * hdr.height) as f64
+        payload_bpp(payload_len, hdr.width * hdr.height)
     );
 }
 
@@ -602,24 +644,6 @@ fn print_grid_index(index: &cbic::core::grid::TileIndex, payload_len: usize) {
             e.crc32
         );
     }
-}
-
-fn print_baseline_header(w: usize, h: usize, depth: u8, payload_len: usize, near: Option<u8>) {
-    say!("dimensions: {w}x{h}, {depth}-bit samples");
-    if let Some(near) = near {
-        say!(
-            "near: {near} ({})",
-            if near == 0 {
-                "lossless"
-            } else {
-                "near-lossless"
-            }
-        );
-    }
-    say!(
-        "payload: {payload_len} bytes = {:.3} bpp",
-        payload_len as f64 * 8.0 / (w * h) as f64
-    );
 }
 
 fn cmd_codecs() -> CliResult {

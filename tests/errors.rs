@@ -154,6 +154,21 @@ fn unexpected_eof_survives_a_truncated_decode() {
             "{name}: {err:?}"
         );
     }
+
+    // Half the container, every codec: the baselines' Golomb decoders
+    // read no bit past the payload and CALIC's arithmetic decoder keeps
+    // to its flush's padding budget, so none returns an image.
+    for codec in cbic::all_codecs() {
+        let bytes = codec.encode_vec(img.view(), &enc).unwrap();
+        let err = codec
+            .decode_vec(&bytes[..bytes.len() / 2], &dec)
+            .expect_err("a half container must error");
+        assert!(
+            matches!(err, CbicError::Truncated),
+            "{}: {err:?}",
+            codec.name()
+        );
+    }
 }
 
 #[test]
@@ -501,15 +516,49 @@ fn retired_wide_and_band_containers_fail_structurally() {
             );
         }
     }
+    // Near-lossless JPEG-LS: the codec claims the magic and refuses the
+    // NEAR byte.
+    let near = retired_near_lossless();
+    let errors = [
+        registry.decode_stream(&mut &near[..], &dec).unwrap_err(),
+        registry.decode_auto(&near, &dec).unwrap_err(),
+    ];
+    for err in errors {
+        assert!(
+            matches!(&err, CbicError::InvalidContainer(m) if m.contains("near-lossless")
+                && m.contains("retired")),
+            "{err:?}"
+        );
+    }
+}
+
+/// The committed lossless JPEG-LS fixture with its NEAR byte forged to 3:
+/// a container of the retired near-lossless mode (no fixture of one was
+/// ever committed).
+fn retired_near_lossless() -> Vec<u8> {
+    let mut bytes = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/jpegls_lena_32.bin"
+    ))
+    .expect("committed fixture");
+    assert_eq!(bytes[12], 0, "lossless fixtures carry NEAR 0");
+    bytes[12] = 3;
+    bytes
 }
 
 #[test]
 fn cli_names_the_retired_version() {
+    let dir = std::env::temp_dir().join(format!("cbic-retired-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let near = dir.join("near3.cbls");
+    std::fs::write(&near, retired_near_lossless()).expect("write forged container");
+    let near = near.to_str().expect("a UTF-8 temp path");
     for (fixture, names) in [
         (RETIRED_V3, ["version 3", "retired"]),
         (RETIRED_V5, ["version 5", "wide-hash"]),
         (RETIRED_CBTI, ["CBTI", "band container"]),
         (RETIRED_CBUN, ["CBUN", "universal"]),
+        (near, ["NEAR 3", "near-lossless"]),
     ] {
         for args in [vec!["info", fixture], vec!["decompress", fixture, "-"]] {
             let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
@@ -524,6 +573,7 @@ fn cli_names_the_retired_version() {
             );
         }
     }
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
 #[test]
@@ -535,12 +585,12 @@ fn cli_tile_names_the_flag_it_cannot_be_combined_with() {
     let p = std::path::Path::new;
     for (flags, says) in [
         (
-            ["--near", "3"],
-            "--near (jpegls) cannot be combined with --tile",
-        ),
-        (
             ["--codec", "calic"],
             "--tile applies to the proposed codec, not calic",
+        ),
+        (
+            ["--codec", "jpegls"],
+            "--tile applies to the proposed codec, not jpegls",
         ),
     ] {
         let mut args = vec![p("compress")];
@@ -745,7 +795,7 @@ fn cli_compress_says_where_the_coder_ran() {
         (vec!["--tile", "64x64", "--threads", "2"], true),
     ] {
         let mut args = vec![p("compress")];
-        args.extend(flags.into_iter().map(p));
+        args.extend(flags.iter().copied().map(p));
         args.extend([pgm.as_path(), container.as_path()]);
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
             .args(&args)
@@ -944,4 +994,113 @@ fn cli_reports_a_forged_huge_container_as_truncated() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("truncated container"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn cli_failed_commands_leave_no_output_file() {
+    let dir = std::env::temp_dir().join(format!("cbic-no-partial-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let img = CorpusImage::Lena.generate(64, 64);
+    let (out, kept) = (dir.join("out.pgm"), b"an earlier output".as_slice());
+    let run = |args: &[&std::ffi::OsStr]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .args(args)
+            .output()
+            .expect("run cbic");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    // Half of each codec's container: `decompress` (streamed for the
+    // proposed codec, buffered for the others) and `crop` exit 1.
+    let mut cases = Vec::new();
+    for codec in cbic::all_codecs() {
+        let bytes = codec
+            .encode_vec(img.view(), &EncodeOptions::default())
+            .unwrap();
+        let half = dir.join(format!("half.{}", codec.name()));
+        std::fs::write(&half, &bytes[..bytes.len() / 2]).expect("write half container");
+        cases.push(vec!["decompress".into(), half.clone().into_os_string()]);
+        if codec.name() == "proposed" {
+            cases.push(vec![
+                "crop".into(),
+                "--rect".into(),
+                "0,0,64,64".into(),
+                half.into(),
+            ]);
+        }
+    }
+    // A PGM cut inside its pixel rows, through the streamed compress.
+    let pgm = cbic::image::pgm::encode(&img);
+    let cut = dir.join("cut.pgm");
+    std::fs::write(&cut, &pgm[..pgm.len() / 2]).expect("write cut PGM");
+    cases.push(vec!["compress".into(), cut.into_os_string()]);
+    for mut args in cases {
+        args.push(out.clone().into_os_string());
+        let args: Vec<&std::ffi::OsStr> = args.iter().map(|a| a.as_os_str()).collect();
+        let _ = std::fs::remove_file(&out);
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(!out.exists(), "{args:?} left a partial output");
+        std::fs::write(&out, kept).expect("write an earlier output");
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(std::fs::read(&out).unwrap(), kept, "{args:?} touched OUT");
+    }
+    // Nothing is left beside the target either.
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list scratch dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    names.retain(|n| n.to_string_lossy().starts_with('.'));
+    assert!(names.is_empty(), "{names:?}");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
+fn cli_compress_prints_the_payload_rate_on_every_path() {
+    let dir = std::env::temp_dir().join(format!("cbic-payload-rate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (pgm, container) = (dir.join("in.pgm"), dir.join("out.bin"));
+    cbic::image::pgm::write_file(&pgm, &CorpusImage::Lena.generate(32, 32)).expect("write input");
+    let p = std::path::Path::new;
+    let run = |args: &[&std::path::Path]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
+            .args(args)
+            .output()
+            .expect("run cbic");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+    };
+    // `... -> N bytes (R bpp) with ...` and `payload: N bytes = R bpp`.
+    let status_rate = |stderr: &str| {
+        let (_, rest) = stderr.split_once(" bytes (").expect("a rate");
+        rest.split_once(" bpp)").expect("a rate").0.to_owned()
+    };
+    let info_rate = |stdout: &str| {
+        let line = stdout.lines().find(|l| l.starts_with("payload: "));
+        let line = line.unwrap_or_else(|| panic!("no payload line: {stdout}"));
+        line.rsplit(' ').nth(1).expect("a rate").to_owned()
+    };
+    let mut rates = Vec::new();
+    for flags in [
+        vec![],
+        vec!["--tile", "32x32"],
+        vec!["--codec", "calic"],
+        vec!["--codec", "jpegls"],
+        vec!["--codec", "slp"],
+    ] {
+        let mut args = vec![p("compress")];
+        args.extend(flags.iter().copied().map(p));
+        args.extend([pgm.as_path(), container.as_path()]);
+        let (_, stderr) = run(&args);
+        let (stdout, _) = run(&[p("info"), &container]);
+        assert_eq!(status_rate(&stderr), info_rate(&stdout), "{flags:?}");
+        rates.push(status_rate(&stderr));
+    }
+    // The flat container and a grid of one tile carry the same payload.
+    assert_eq!(rates[0], rates[1]);
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }

@@ -242,3 +242,44 @@ fn streaming_encoder_matches_the_proposed_golden_fixtures() {
         check(&format!("proposed_{}_{}", class.name(), SIZE), &bytes);
     }
 }
+
+#[test]
+fn baseline_fixtures_and_corpus_decode_within_the_truncation_budgets() {
+    // The baseline decoders refuse a payload that runs out: the Golomb
+    // coders (JPEG-LS, SLP) read no bit past its end, and CALIC reads at
+    // most the 29 zero bits its arithmetic coder's flush leaves to its
+    // 32-bit preload. Every committed fixture, read straight off disk,
+    // and every corpus round trip at 8, 12 and 16 bits must stay within
+    // those budgets.
+    let registry = cbic::default_registry();
+    let (enc, dec) = (
+        cbic::EncodeOptions::default(),
+        cbic::DecodeOptions::default(),
+    );
+    for name in ["calic", "jpegls", "slp"] {
+        let codec = registry.by_name(name).expect("a registered baseline");
+        if std::env::var_os("UPDATE_GOLDEN").is_none() {
+            for class in CLASSES {
+                let path = golden_dir().join(format!("{name}_{}_{SIZE}.bin", class.name()));
+                let bytes = std::fs::read(&path).expect("committed fixture");
+                let img = codec.decode_vec(&bytes, &dec);
+                assert_eq!(
+                    img.ok(),
+                    Some(class.generate(SIZE, SIZE)),
+                    "{name} on {class:?}"
+                );
+            }
+        }
+        for depth in [8u8, 12, 16] {
+            let low = (1u16 << (depth - 8)) - 1;
+            for (class, img) in cbic::image::corpus::generate(48) {
+                let img = cbic::image::Image::from_fn16(48, 48, depth, |x, y| {
+                    (img.get(x, y) << (depth - 8)) | ((x * 7 + y) as u16 & low)
+                });
+                let bytes = codec.encode_vec(img.view(), &enc).unwrap();
+                let back = codec.decode_vec(&bytes, &dec);
+                assert_eq!(back.ok(), Some(img), "{name} on {class:?} at {depth} bits");
+            }
+        }
+    }
+}

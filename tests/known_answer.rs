@@ -28,7 +28,7 @@ fn proposed_codec_bitstream_is_pinned() {
 
 #[test]
 fn jpegls_bitstream_is_pinned() {
-    let (bytes, _) = cbic::jpegls::encode_raw(reference_image().view(), &Default::default());
+    let (bytes, _) = cbic::jpegls::encode_raw(reference_image().view());
     assert_eq!(
         bytes,
         [
@@ -42,7 +42,7 @@ fn jpegls_bitstream_is_pinned() {
 
 #[test]
 fn calic_bitstream_is_pinned() {
-    let (bytes, _) = cbic::calic::encode_raw(reference_image().view(), &Default::default());
+    let (bytes, _) = cbic::calic::encode_raw(reference_image().view());
     assert_eq!(
         bytes,
         [

@@ -26,7 +26,7 @@ fn every_codec_roundtrips_the_whole_corpus() {
             "calic on {name:?}"
         );
         // JPEG-LS.
-        let bytes = cbic::jpegls::compress(img.view(), &cbic::jpegls::JpeglsConfig::default());
+        let bytes = cbic::jpegls::compress(img.view());
         assert_eq!(
             cbic::jpegls::decompress(&bytes).unwrap(),
             img,
@@ -63,7 +63,7 @@ fn containers_are_mutually_unintelligible() {
     assert!(cbic::jpegls::decompress(&core_bytes).is_err());
     assert!(cbic::calic::decompress(&core_bytes).is_err());
     assert!(cbic::slp::decompress(&core_bytes).is_err());
-    let ls_bytes = cbic::jpegls::compress(img.view(), &cbic::jpegls::JpeglsConfig::default());
+    let ls_bytes = cbic::jpegls::compress(img.view());
     assert!(cbic::core::decompress(&ls_bytes).is_err());
 }
 
@@ -97,7 +97,7 @@ fn extreme_images_roundtrip_everywhere() {
             img,
             "calic on {name}"
         );
-        let b = cbic::jpegls::compress(img.view(), &cbic::jpegls::JpeglsConfig::default());
+        let b = cbic::jpegls::compress(img.view());
         assert_eq!(
             &cbic::jpegls::decompress(&b).unwrap(),
             img,
