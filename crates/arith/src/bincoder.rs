@@ -17,6 +17,19 @@ use std::sync::OnceLock;
 pub(crate) const HALF: u32 = 1 << 31;
 const QUARTER: u32 = 1 << 30;
 
+/// The most zero-padding bits a [`BinaryDecoder`] reads past the end of a
+/// complete payload; every decoder of this coder checks its source's
+/// [`padding_bits`](BitSource::padding_bits) against it, and more means
+/// the payload was cut short.
+///
+/// The decoder preloads 32 code bits, then each coded decision shifts the
+/// same `s` bits into the encoder's interval and the decoder's code value.
+/// The flush ([`BinaryEncoder::finish`]) writes the banked follow bits
+/// plus 3, so a payload holds `Σs + 3` bits and its decoder ends `32 − 3`
+/// bits past them: 22 to 29 padding bits, as the zeros that pad the last
+/// byte are input. A cut of one byte or more leaves at least 30.
+pub const MAX_PADDING_BITS: u64 = 32 - 3;
+
 /// Maximum decision `total` accepted by the coder.
 ///
 /// Keeping totals at or below 2^16 guarantees every non-empty sub-interval
@@ -182,9 +195,9 @@ impl Interval {
         }
     }
 
-    /// Flushes an encoder's interval: `pending + 2` bits that pin the
+    /// Flushes an encoder's interval: `pending + 3` bits that pin the
     /// final code value inside it, after which the decoder's zero-padded
-    /// reads cannot leave it.
+    /// reads cannot leave it (see [`MAX_PADDING_BITS`]).
     fn flush<S: BitSink>(self, pending: u64, sink: &mut S) {
         let bit = self.low >= QUARTER;
         sink.write_bit(bit);
@@ -499,8 +512,9 @@ impl<S: BitSink> BinaryEncoder<S> {
 
     /// Flushes the interval state and returns the underlying sink.
     ///
-    /// Emits `pending + 2` bits that pin the final code value inside the
-    /// interval, after which the decoder's zero-padded reads cannot leave it.
+    /// Emits `pending + 3` bits that pin the final code value inside the
+    /// interval, after which the decoder's zero-padded reads cannot leave
+    /// it: its decoder ends at most [`MAX_PADDING_BITS`] past the payload.
     pub fn finish(mut self) -> S {
         self.interval.flush(self.pending, &mut self.writer);
         self.writer
@@ -881,6 +895,46 @@ mod tests {
         for &(bit, c0, total) in decisions {
             assert_eq!(dec.decode(c0, total), bit);
         }
+    }
+
+    /// The decoder of a complete stream reads 22 to 29 padding bits: the
+    /// `32 − 3` of [`MAX_PADDING_BITS`] less the zeros that pad the last
+    /// byte, whatever the decisions, their number, and the follow bits
+    /// banked at the flush.
+    #[test]
+    fn a_complete_stream_is_decoded_within_the_padding_budget() {
+        let mut seen = [false; 8];
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for len in 0..400usize {
+            let decisions: Vec<(bool, u32, u32)> = (0..len)
+                .map(|i| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let total = [2u32, 256, 4096, 65_536][(state >> 62) as usize];
+                    let c0 = 1 + (state >> 20) as u32 % (total - 1);
+                    // Runs of near-even splits bank follow bits.
+                    let c0 = if i % 50 < 10 { total / 2 } else { c0 };
+                    ((state >> 40) & 1 == 1, c0, total)
+                })
+                .collect();
+            let mut enc = BinaryEncoder::new(BitWriter::new());
+            for &(bit, c0, total) in &decisions {
+                enc.encode(bit, c0, total);
+            }
+            let bytes = enc.finish().into_bytes();
+            let mut dec = BinaryDecoder::new(BitReader::new(&bytes));
+            for &(bit, c0, total) in &decisions {
+                assert_eq!(dec.decode(c0, total), bit, "{len} decisions");
+            }
+            let padding = dec.source().padding_bits();
+            assert!(
+                (MAX_PADDING_BITS - 7..=MAX_PADDING_BITS).contains(&padding),
+                "{len} decisions: {padding} padding bits"
+            );
+            seen[(MAX_PADDING_BITS - padding) as usize] = true;
+        }
+        assert_eq!(seen, [true; 8], "every final-byte padding occurs");
     }
 
     #[test]

@@ -57,6 +57,7 @@ mod tree;
 pub use adaptive::AdaptiveBit;
 pub use bincoder::{
     BinaryDecoder, BinaryEncoder, CountingEncoder, DecisionDecoder, DecisionEncoder,
+    MAX_PADDING_BITS,
 };
 pub use coder::{DecisionsPerSymbol, EstimatorConfig, SymbolCoder};
 pub use stats::CoderStats;

@@ -69,9 +69,10 @@ pub trait BitSource {
 
     /// Number of zero-padding bits served past the end of the real input.
     ///
-    /// A decoder that consumed a well-formed stream reads at most a few
-    /// dozen padding bits (its register preload); a large count is the
-    /// signature of a truncated stream.
+    /// A decoder that consumed a well-formed stream reads a bounded number
+    /// of padding bits (the binary arithmetic decoder of `cbic-arith` at
+    /// most 29 of its register preload, an exact Golomb decoder none); a
+    /// larger count is the signature of a truncated stream.
     fn padding_bits(&self) -> u64;
 
     /// Reads `count` bits MSB-first, zero-padding past the end of input.

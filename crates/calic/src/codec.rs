@@ -1,14 +1,13 @@
 //! The CALIC continuous-tone coding flow, at 8–16-bit sample depths.
 
-use crate::CalicError;
-use cbic_arith::{BinaryDecoder, BinaryEncoder, EstimatorConfig};
+use cbic_arith::{BinaryDecoder, BinaryEncoder, EstimatorConfig, MAX_PADDING_BITS};
 use cbic_bitio::{BitReader, BitSink, BitSource, BitWriter};
 use cbic_core::codec::SampleCoder;
 use cbic_core::context::QE_THRESHOLDS;
 use cbic_core::neighborhood::Neighborhood;
 use cbic_core::predictor::{gap_predict, threshold_shift, Gradients};
 use cbic_core::remap::{fold, half_for_depth, reconstruct, unfold, wrap_error};
-use cbic_image::{Image, ImageView, ImageViewMut};
+use cbic_image::{CbicError, Image, ImageView, ImageViewMut};
 
 /// Number of entropy-coding contexts. Software CALIC is not bound by the
 /// hardware codec's 8-tree SRAM budget; a finer 16-level error-energy
@@ -26,13 +25,6 @@ const COMPOUND_CONTEXTS: usize = TEXTURE_PATTERNS * ENERGY_LEVELS;
 /// Feedback count saturation: CALIC uses full 8-bit counts (the hardware
 /// codec of `cbic-core` can only afford 5 bits).
 const COUNT_CAP: u16 = 255;
-/// Zero-padding bits a decoder may read past the end of a well-formed
-/// payload. The decoder reads 32 code bits ahead of the encoder's
-/// interval, and the encoder's flush (`BinaryEncoder::finish`) writes its
-/// banked follow bits plus 3, so the decoder ends at most `32 − 3` bits
-/// past the payload, fewer when the last byte is padded. More means the
-/// payload was cut short.
-const MAX_PADDING_BITS: u64 = 32 - 3;
 
 /// Statistics accumulated while encoding one image.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -262,9 +254,10 @@ pub fn encode_raw(img: ImageView<'_>) -> (Vec<u8>, EncodeStats) {
 ///
 /// # Errors
 ///
-/// [`CalicError::Truncated`] when a row ends more zero-padding bits past
-/// the payload than the encoder's flush accounts for: the payload was cut
-/// short, or the header promises more pixels than it holds.
+/// [`CbicError::Truncated`] when a row ends more zero-padding bits past
+/// the payload than the coder's flush accounts for
+/// ([`MAX_PADDING_BITS`]): the payload was cut short, or the header
+/// promises more pixels than it holds.
 ///
 /// # Panics
 ///
@@ -274,7 +267,7 @@ pub fn decode_raw(
     width: usize,
     height: usize,
     bit_depth: u8,
-) -> Result<Image, CalicError> {
+) -> Result<Image, CbicError> {
     let mut modeler = Modeler::new(width, bit_depth);
     let half = modeler.half;
     let mut coder = SampleCoder::new(CODING_CONTEXTS, bit_depth, EstimatorConfig::default());
@@ -297,7 +290,7 @@ pub fn decode_raw(
             modeler.absorb(x, m.ctx, wrapped);
         }
         if dec.source().padding_bits() > MAX_PADDING_BITS {
-            return Err(CalicError::Truncated);
+            return Err(CbicError::Truncated);
         }
     }
     Ok(img)
@@ -311,7 +304,7 @@ mod tests {
     fn roundtrip(img: &Image) -> EncodeStats {
         let (bytes, stats) = encode_raw(img.view());
         let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth());
-        assert_eq!(back.as_ref(), Ok(img), "lossless roundtrip failed");
+        assert_eq!(back.ok().as_ref(), Some(img), "lossless roundtrip failed");
         stats
     }
 

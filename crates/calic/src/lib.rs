@@ -31,7 +31,7 @@
 //! let img = CorpusImage::Peppers.generate(48, 48);
 //! let bytes = compress(img.view());
 //! assert_eq!(decompress(&bytes)?, img);
-//! # Ok::<(), cbic_calic::CalicError>(())
+//! # Ok::<(), cbic_image::CbicError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,57 +44,10 @@ mod proptests;
 
 pub use codec::{decode_raw, encode_raw, EncodeStats};
 
-use cbic_image::framing::{self, FramingError};
-use cbic_image::{Image, ImageView};
-use std::fmt;
-
-/// Errors returned by the container API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CalicError {
-    /// Stream does not start with the `CBCA` magic.
-    BadMagic,
-    /// Stream shorter than a header, or a payload that runs out before
-    /// the last sample.
-    Truncated,
-    /// A header field is invalid.
-    InvalidHeader(String),
-}
-
-impl fmt::Display for CalicError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::BadMagic => write!(f, "missing CBCA magic"),
-            Self::Truncated => write!(f, "truncated stream"),
-            Self::InvalidHeader(m) => write!(f, "invalid header: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CalicError {}
-
-impl From<CalicError> for cbic_image::CbicError {
-    fn from(e: CalicError) -> Self {
-        use cbic_image::CbicError;
-        match e {
-            CalicError::BadMagic => CbicError::BadMagic { found: None },
-            CalicError::Truncated => CbicError::Truncated,
-            CalicError::InvalidHeader(msg) => CbicError::InvalidContainer(msg),
-        }
-    }
-}
+use cbic_image::framing;
+use cbic_image::{CbicError, Image, ImageView};
 
 const MAGIC: &[u8; 4] = b"CBCA";
-
-impl From<FramingError> for CalicError {
-    fn from(e: FramingError) -> Self {
-        match e {
-            FramingError::BadMagic => CalicError::BadMagic,
-            FramingError::Truncated => CalicError::Truncated,
-            FramingError::Invalid(msg) => CalicError::InvalidHeader(msg),
-        }
-    }
-}
 
 /// This crate's container framing — the shared dimensioned header of
 /// [`cbic_image::framing`] (legacy 8-bit layout, deep-sentinel extension)
@@ -104,16 +57,20 @@ fn write_container(
     img: ImageView<'_>,
     payload: &[u8],
     out: &mut dyn std::io::Write,
-) -> std::io::Result<()> {
+) -> Result<(), CbicError> {
     framing::write_dims_header(out, MAGIC, img.width(), img.height(), img.bit_depth())?;
-    out.write_all(payload)
+    Ok(out.write_all(payload)?)
 }
 
 /// Parses this crate's container framing, returning
 /// `(width, height, bit_depth, payload)`. Shared by [`decompress`] and
 /// the CLI's `info` reporting.
-pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, &[u8]), CalicError> {
-    Ok(framing::parse_dims_header(bytes, MAGIC)?)
+///
+/// # Errors
+///
+/// The framing's errors ([`framing::parse_dims_header`]).
+pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, &[u8]), CbicError> {
+    framing::parse_dims_header(bytes, MAGIC)
 }
 
 /// Compresses the pixels of a view into a self-describing container.
@@ -128,9 +85,10 @@ pub fn compress(img: ImageView<'_>) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`CalicError`] on malformed headers and payloads that run out
-/// before the last sample.
-pub fn decompress(bytes: &[u8]) -> Result<Image, CalicError> {
+/// Returns a [`CbicError`] on malformed headers, and
+/// [`CbicError::Truncated`] for payloads that run out before the last
+/// sample.
+pub fn decompress(bytes: &[u8]) -> Result<Image, CbicError> {
     let (width, height, bit_depth, payload) = parse_container(bytes)?;
     decode_raw(payload, width, height, bit_depth)
 }
@@ -158,7 +116,7 @@ impl cbic_image::Codec for Calic {
         img: ImageView<'_>,
         _opts: &cbic_image::EncodeOptions,
         sink: &mut dyn std::io::Write,
-    ) -> Result<cbic_image::EncodeStats, cbic_image::CbicError> {
+    ) -> Result<cbic_image::EncodeStats, CbicError> {
         let (payload, stats) = encode_raw(img);
         write_container(img, &payload, sink)?;
         Ok(cbic_image::EncodeStats::new(
@@ -174,12 +132,10 @@ impl cbic_image::Codec for Calic {
         &self,
         source: &mut dyn std::io::Read,
         opts: &cbic_image::DecodeOptions,
-    ) -> Result<Image, cbic_image::CbicError> {
+    ) -> Result<Image, CbicError> {
         let mut bytes = Vec::new();
         source.read_to_end(&mut bytes)?;
-        decompress(&bytes)
-            .map_err(cbic_image::CbicError::from)?
-            .crop_to(opts.roi)
+        decompress(&bytes)?.crop_to(opts.roi)
     }
 }
 
@@ -196,8 +152,11 @@ mod container_tests {
 
     #[test]
     fn rejects_garbage() {
-        assert_eq!(decompress(b"xx"), Err(CalicError::Truncated));
-        assert_eq!(decompress(b"AAAA00000000"), Err(CalicError::BadMagic));
+        assert!(matches!(decompress(b"xx"), Err(CbicError::Truncated)));
+        assert!(matches!(
+            decompress(b"AAAA00000000"),
+            Err(CbicError::BadMagic { found: Some(m) }) if &m == b"AAAA"
+        ));
     }
 
     #[test]
@@ -207,10 +166,10 @@ mod container_tests {
             Image::from_fn(32, 32, |_, _| 9),
         ] {
             let bytes = compress(img.view());
-            assert_eq!(
+            assert!(matches!(
                 decompress(&bytes[..bytes.len() / 2]),
-                Err(CalicError::Truncated)
-            );
+                Err(CbicError::Truncated)
+            ));
         }
     }
 }

@@ -17,7 +17,7 @@ proptest! {
     #[test]
     fn roundtrip_arbitrary_images(img in arb_image()) {
         let (bytes, _) = encode_raw(img.view());
-        prop_assert_eq!(decode_raw(&bytes, img.width(), img.height(), img.bit_depth()), Ok(img));
+        prop_assert_eq!(decode_raw(&bytes, img.width(), img.height(), img.bit_depth()).ok(), Some(img));
     }
 
     /// The sign-flipping trick is an involution: encoder and decoder agree
@@ -26,7 +26,7 @@ proptest! {
     fn encoder_decoder_stats_agree(img in arb_image()) {
         let (bytes, enc_stats) = encode_raw(img.view());
         let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth());
-        prop_assert_eq!(back, Ok(img));
+        prop_assert_eq!(back.ok(), Some(img));
         prop_assert!(enc_stats.payload_bits <= bytes.len() as u64 * 8);
     }
 }

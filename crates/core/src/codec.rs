@@ -9,19 +9,13 @@
 //! per-`QE` trees) and a low byte (the paper's 8-bit estimator), see
 //! [`SampleCoder`].
 
-use crate::container::CodecError;
 use crate::engine::{DecoderState, EncoderState};
 use cbic_arith::{
     BinaryDecoder, BinaryEncoder, CoderStats, CountingEncoder, DecisionDecoder, DecisionEncoder,
-    EstimatorConfig, SymbolCoder,
+    EstimatorConfig, SymbolCoder, MAX_PADDING_BITS,
 };
 use cbic_bitio::{BitReader, BitSink, BitSource, BitWriter};
-use cbic_image::{Image, ImageView, ImageViewMut};
-
-/// Upper bound on the zero-padding bits a decoder may legally read past the
-/// end of a well-formed payload: a 32-bit register preload plus final-byte
-/// padding, with slack. Anything above this means the stream was truncated.
-pub(crate) const MAX_CODE_PADDING_BITS: u64 = 64;
+use cbic_image::{CbicError, Image, ImageView, ImageViewMut};
 
 pub use crate::context::DivisionKind;
 
@@ -361,8 +355,8 @@ pub fn decode_raw(
 /// The row loop of every buffered decoder ([`decode_raw`], the
 /// [`DecoderSession`](crate::DecoderSession) and the grid's tiles): decodes
 /// `out` row by row and stops at the first row after which the source has
-/// served more than [`MAX_CODE_PADDING_BITS`] zero-padding bits, answering
-/// [`CodecError::Truncated`]. Padding only grows, so this rejects exactly
+/// served more than [`MAX_PADDING_BITS`] zero-padding bits, answering
+/// [`CbicError::Truncated`]. Padding only grows, so this rejects exactly
 /// the streams a check after the last row would, but a header that
 /// promises far more pixels than its payload holds fails within a row or
 /// two instead of after the whole image (as
@@ -371,15 +365,15 @@ pub(crate) fn decode_rows_checked<S: BitSource>(
     state: &mut DecoderState,
     dec: &mut BinaryDecoder<S>,
     out: &mut ImageViewMut<'_>,
-) -> Result<(), CodecError> {
-    let within_budget = |d: &BinaryDecoder<S>| d.source().padding_bits() <= MAX_CODE_PADDING_BITS;
+) -> Result<(), CbicError> {
+    let within_budget = |d: &BinaryDecoder<S>| d.source().padding_bits() <= MAX_PADDING_BITS;
     let _rows = state.decode_rows_while(dec, out, within_budget);
     #[cfg(test)]
     tests::ROWS_DECODED.with(|r| r.set(_rows));
     if within_budget(dec) {
         Ok(())
     } else {
-        Err(CodecError::Truncated)
+        Err(CbicError::Truncated)
     }
 }
 
@@ -669,10 +663,10 @@ pub(crate) mod tests {
         // within two rows, not decode all 4096. `decompress` runs the
         // stream decoder's rows, the session and the grid tiles the
         // buffered row loop.
-        use crate::container::{compress, decompress, CodecError};
+        use crate::container::{compress, decompress};
         use crate::grid::{compress_grid, decompress_grid, TileGeometry};
         use crate::session::DecoderSession;
-        use cbic_image::{CbicError, Parallelism};
+        use cbic_image::Parallelism;
         let forge = |bytes: &mut [u8]| {
             bytes[6..10].copy_from_slice(&4096u32.to_le_bytes());
             bytes[10..14].copy_from_slice(&4096u32.to_le_bytes());
@@ -684,7 +678,7 @@ pub(crate) mod tests {
         let mut flat = compress(img.view(), &cfg);
         forge(&mut flat);
         ROWS_DECODED.with(|r| r.set(usize::MAX));
-        assert_eq!(decompress(&flat), Err(CodecError::Truncated));
+        assert!(matches!(decompress(&flat), Err(CbicError::Truncated)));
         assert!(rows() <= 2, "decompress decoded {} rows", rows());
 
         ROWS_DECODED.with(|r| r.set(usize::MAX));
@@ -705,10 +699,10 @@ pub(crate) mod tests {
         grid[25..29].copy_from_slice(&4096u32.to_le_bytes());
         grid[29..33].copy_from_slice(&4096u32.to_le_bytes());
         ROWS_DECODED.with(|r| r.set(usize::MAX));
-        assert_eq!(
+        assert!(matches!(
             decompress_grid(&grid, Parallelism::Sequential),
-            Err(CodecError::Truncated)
-        );
+            Err(CbicError::Truncated)
+        ));
         assert!(rows() <= 2, "a grid tile decoded {} rows", rows());
     }
 

@@ -39,7 +39,7 @@
 //! lanes were not part of the paper's single-coder datapath and measured
 //! no faster than one coder, so they were removed: no writer emits
 //! version 3, and every reader answers it with
-//! [`CodecError::UnsupportedVersion`]. Version 4 keeps its lane byte,
+//! [`CbicError::UnsupportedVersion`]. Version 4 keeps its lane byte,
 //! which must be 1.
 //!
 //! # Version 4: 2D tile grid with a seekable index
@@ -61,7 +61,7 @@
 //! paper's compound feedback context with hashed features of a larger
 //! window. It coded worse than the paper's model on every image it was
 //! measured on, and slower, so it was removed: no writer emits version 5,
-//! and every reader answers it with [`CodecError::UnsupportedVersion`].
+//! and every reader answers it with [`CbicError::UnsupportedVersion`].
 //!
 //! # The retired `CBTI` band container
 //!
@@ -79,7 +79,6 @@ use cbic_image::{
     CbicError, Codec, CountingSink, DecodeOptions, EncodeOptions, Image, ImageView, Parallelism,
     Rect,
 };
-use std::fmt;
 use std::io::{Read, Write};
 
 pub(crate) const MAGIC: &[u8; 4] = b"CBIC";
@@ -88,8 +87,6 @@ const VERSION_V2: u8 = 2;
 /// The retired lane-interleaved version: read as unsupported.
 const RETIRED_V3: u8 = 3;
 pub(crate) const VERSION_V4: u8 = 4;
-/// The retired wide-hash model version: read as unsupported.
-const RETIRED_V5: u8 = 5;
 const CODEC_ID: u8 = 1;
 
 /// Size in bytes of the version-1 container header preceding the coded
@@ -103,74 +100,6 @@ pub const MAX_HEADER_LEN: usize = HEADER_LEN + 2;
 /// Buffer size covering the longest header [`header_bytes`] emits (the
 /// version-2 header with its bit-depth byte).
 pub(crate) const HEADER_BUF_LEN: usize = HEADER_LEN + 1;
-
-/// Errors returned when parsing a container.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CodecError {
-    /// The stream does not start with the `CBIC` magic.
-    BadMagic,
-    /// Unknown container version.
-    UnsupportedVersion(u8),
-    /// Unknown codec identifier.
-    UnsupportedCodec(u8),
-    /// The stream ended before its content did (short header, or an
-    /// arithmetic payload cut off mid-image).
-    Truncated,
-    /// A header field holds an invalid value.
-    InvalidHeader(String),
-    /// An underlying I/O failure on a streaming source or sink. The
-    /// [`io::ErrorKind`](std::io::ErrorKind) is carried alongside the
-    /// message so it survives into [`CbicError::Io`] (the original
-    /// [`std::io::Error`] is not stored, to keep this error `Clone`).
-    Io(std::io::ErrorKind, String),
-}
-
-impl CodecError {
-    /// Captures an [`std::io::Error`], preserving its kind.
-    pub fn io(e: &std::io::Error) -> Self {
-        Self::Io(e.kind(), e.to_string())
-    }
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::BadMagic => write!(f, "missing CBIC magic"),
-            Self::UnsupportedVersion(RETIRED_V3) => write!(
-                f,
-                "unsupported container version 3: the lane-interleaved format is retired"
-            ),
-            Self::UnsupportedVersion(RETIRED_V5) => write!(
-                f,
-                "unsupported container version 5: the wide-hash context model is retired"
-            ),
-            Self::UnsupportedVersion(v) => write!(f, "unsupported container version {v}"),
-            Self::UnsupportedCodec(c) => write!(f, "unsupported codec id {c}"),
-            Self::Truncated => write!(f, "truncated container"),
-            Self::InvalidHeader(msg) => write!(f, "invalid header: {msg}"),
-            Self::Io(_, msg) => write!(f, "i/o error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-impl From<CodecError> for CbicError {
-    /// Structured, lossless mapping into the workspace hierarchy: every
-    /// variant lands on its [`CbicError`] counterpart, and the I/O kind is
-    /// preserved.
-    fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::BadMagic => CbicError::BadMagic { found: None },
-            CodecError::UnsupportedVersion(v) => CbicError::UnsupportedVersion(v),
-            CodecError::UnsupportedCodec(c) => CbicError::UnsupportedCodec(c),
-            CodecError::Truncated => CbicError::Truncated,
-            CodecError::InvalidHeader(msg) => CbicError::InvalidContainer(msg),
-            CodecError::Io(kind, msg) => CbicError::from(std::io::Error::new(kind, msg)),
-        }
-    }
-}
 
 /// Everything a container header declares: the model configuration, the
 /// image geometry, and the sample bit depth.
@@ -207,7 +136,7 @@ pub struct ContainerHeader {
 /// let deep = Image::from_fn16(16, 16, 12, |x, y| (x * 200 + y) as u16);
 /// let bytes = compress(deep.view(), &CodecConfig::default());
 /// assert_eq!(decompress(&bytes)?, deep);
-/// # Ok::<(), cbic_core::CodecError>(())
+/// # Ok::<(), cbic_image::CbicError>(())
 /// ```
 ///
 /// # Panics
@@ -274,12 +203,12 @@ pub(crate) const MAX_PIXELS: usize = 1 << 28;
 /// ([`StreamEncoder::with_depth`](crate::stream::StreamEncoder::with_depth),
 /// the [`EncoderSession`], the grid writers), so an hours-long encode
 /// cannot produce a container the decoder would refuse.
-pub(crate) fn check_container_dimensions(width: usize, height: usize) -> Result<(), CodecError> {
+pub(crate) fn check_container_dimensions(width: usize, height: usize) -> Result<(), CbicError> {
     if width > u32::MAX as usize
         || height > u32::MAX as usize
         || width.saturating_mul(height) > MAX_PIXELS
     {
-        return Err(CodecError::InvalidHeader(format!(
+        return Err(CbicError::InvalidContainer(format!(
             "{width}x{height} exceeds the 2^28-pixel container limit"
         )));
     }
@@ -291,12 +220,12 @@ pub(crate) fn check_container_dimensions(width: usize, height: usize) -> Result<
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] when the header is malformed, or
-/// [`CodecError::Truncated`] when the arithmetic payload ends well before
-/// the header-declared pixel count was decoded (the decoder had to invent
+/// Returns a [`CbicError`] when the header is malformed, or
+/// [`CbicError::Truncated`] when the arithmetic payload ends before the
+/// header-declared pixel count was decoded (the decoder had to invent
 /// more padding bits than any complete payload requires). A grid fails as
 /// [`decompress_grid`](crate::grid::decompress_grid) does.
-pub fn decompress(bytes: &[u8]) -> Result<Image, CodecError> {
+pub fn decompress(bytes: &[u8]) -> Result<Image, CbicError> {
     decode_container(&mut &bytes[..], None, Parallelism::Sequential)
 }
 
@@ -309,7 +238,7 @@ pub(crate) fn decode_container<R: Read + ?Sized>(
     input: &mut R,
     roi: Option<Rect>,
     par: Parallelism,
-) -> Result<Image, CodecError> {
+) -> Result<Image, CbicError> {
     let hdr = read_header(input)?;
     if hdr.tile.is_some() {
         return crate::grid::decode_grid(&hdr, input, roi, par);
@@ -327,8 +256,8 @@ pub(crate) fn decode_container<R: Read + ?Sized>(
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] describing the first malformed field.
-pub fn parse_header(bytes: &[u8]) -> Result<(ContainerHeader, &[u8]), CodecError> {
+/// Returns a [`CbicError`] describing the first malformed field.
+pub fn parse_header(bytes: &[u8]) -> Result<(ContainerHeader, &[u8]), CbicError> {
     let mut source = bytes;
     let hdr = read_header(&mut source)?;
     Ok((hdr, source))
@@ -337,46 +266,43 @@ pub fn parse_header(bytes: &[u8]) -> Result<(ContainerHeader, &[u8]), CodecError
 /// Reads and validates one container header off a stream, leaving the
 /// reader positioned at the first payload byte — shared by the slice path
 /// ([`parse_header`]) and the streaming decoders.
-pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHeader, CodecError> {
+pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHeader, CbicError> {
     // Magic first, before demanding a full header: a short foreign-format
     // input must report BadMagic (so format sniffers can move on), not
-    // pose as a truncated CBIC stream.
+    // pose as a truncated CBIC stream. An end of input inside the header
+    // is `Truncated` (`From<io::Error>`).
     let mut bytes = [0u8; HEADER_LEN];
-    input
-        .read_exact(&mut bytes[..4])
-        .map_err(eof_is_truncated)?;
+    input.read_exact(&mut bytes[..4])?;
     if &bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
+        return Err(CbicError::bad_magic(&bytes));
     }
-    input
-        .read_exact(&mut bytes[4..])
-        .map_err(eof_is_truncated)?;
+    input.read_exact(&mut bytes[4..])?;
     let version = bytes[4];
     if !(VERSION_V1..=VERSION_V4).contains(&version) || version == RETIRED_V3 {
-        return Err(CodecError::UnsupportedVersion(version));
+        return Err(CbicError::UnsupportedVersion(version));
     }
     if bytes[5] != CODEC_ID {
-        return Err(CodecError::UnsupportedCodec(bytes[5]));
+        return Err(CbicError::UnsupportedCodec(bytes[5]));
     }
     let rd32 = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
     let rd16 = |o: usize| u16::from_le_bytes(bytes[o..o + 2].try_into().unwrap());
     let width = rd32(6) as usize;
     let height = rd32(10) as usize;
     if width == 0 || height == 0 {
-        return Err(CodecError::InvalidHeader("zero dimension".into()));
+        return Err(CbicError::InvalidContainer("zero dimension".into()));
     }
     // Defensive cap: a corrupted header must not trigger a huge allocation.
     check_container_dimensions(width, height)?;
     let count_bits = bytes[14];
     if !(10..=16).contains(&count_bits) {
-        return Err(CodecError::InvalidHeader(format!(
+        return Err(CbicError::InvalidContainer(format!(
             "count_bits {count_bits} outside 10..=16"
         )));
     }
     let max_total = (1u32 << count_bits) - 1;
     let increment = rd16(15);
     if increment == 0 || u32::from(increment) > max_total / 2 {
-        return Err(CodecError::InvalidHeader(format!(
+        return Err(CbicError::InvalidContainer(format!(
             "increment {increment} outside 1..={}",
             max_total / 2
         )));
@@ -384,20 +310,20 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
     let esc0 = rd16(17);
     let esc1 = rd16(19);
     if esc0 == 0 || esc1 == 0 || u32::from(esc0) + u32::from(esc1) > max_total {
-        return Err(CodecError::InvalidHeader("invalid escape init".into()));
+        return Err(CbicError::InvalidContainer("invalid escape init".into()));
     }
     let flags = bytes[21];
     let texture_bits = bytes[22];
     if texture_bits > 6 {
-        return Err(CodecError::InvalidHeader(format!(
+        return Err(CbicError::InvalidContainer(format!(
             "texture_bits {texture_bits} outside 0..=6"
         )));
     }
     let bit_depth = if version >= VERSION_V2 {
         let mut depth = [0u8; 1];
-        input.read_exact(&mut depth).map_err(eof_is_truncated)?;
+        input.read_exact(&mut depth)?;
         if !(1..=16).contains(&depth[0]) {
-            return Err(CodecError::InvalidHeader(format!(
+            return Err(CbicError::InvalidContainer(format!(
                 "bit depth {} outside 1..=16",
                 depth[0]
             )));
@@ -410,9 +336,9 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
         // Version 4 keeps the byte of the retired coder lanes; every
         // writer sets it to 1.
         let mut lane_byte = [0u8; 1];
-        input.read_exact(&mut lane_byte).map_err(eof_is_truncated)?;
+        input.read_exact(&mut lane_byte)?;
         if lane_byte[0] != 1 {
-            return Err(CodecError::InvalidHeader(format!(
+            return Err(CbicError::InvalidContainer(format!(
                 "lane count {}: coder lanes are retired, only 1 is valid",
                 lane_byte[0]
             )));
@@ -420,11 +346,11 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
     }
     let tile = if version == VERSION_V4 {
         let mut t = [0u8; 8];
-        input.read_exact(&mut t).map_err(eof_is_truncated)?;
+        input.read_exact(&mut t)?;
         let tile_w = u32::from_le_bytes(t[..4].try_into().expect("sized"));
         let tile_h = u32::from_le_bytes(t[4..].try_into().expect("sized"));
         if tile_w == 0 || tile_h == 0 {
-            return Err(CodecError::InvalidHeader("zero tile dimension".into()));
+            return Err(CbicError::InvalidContainer("zero tile dimension".into()));
         }
         Some((tile_w, tile_h))
     } else {
@@ -452,16 +378,6 @@ pub(crate) fn read_header<R: Read + ?Sized>(input: &mut R) -> Result<ContainerHe
         bit_depth,
         tile,
     })
-}
-
-/// Maps mid-header/table EOF to [`CodecError::Truncated`], any other I/O
-/// failure to [`CodecError::Io`].
-fn eof_is_truncated(e: std::io::Error) -> CodecError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        CodecError::Truncated
-    } else {
-        CodecError::io(&e)
-    }
 }
 
 /// The paper's codec on the unified [`Codec`] surface.
@@ -513,11 +429,11 @@ impl Codec for Proposed {
                     "tile dimensions must be nonzero".into(),
                 ));
             }
-            check_container_dimensions(img.width(), img.height()).map_err(CbicError::from)?;
+            check_container_dimensions(img.width(), img.height())?;
             let geom = crate::grid::TileGeometry::new(tile_w, tile_h);
             let (bytes, payload_bits) =
                 crate::grid::compress_grid_with_bits(img, &self.0, geom, opts.parallelism);
-            sink.write_all(&bytes).map_err(CbicError::from)?;
+            sink.write_all(&bytes)?;
             return Ok(cbic_image::EncodeStats::new(
                 img.pixel_count() as u64,
                 bytes.len() as u64,
@@ -542,7 +458,7 @@ impl Codec for Proposed {
     /// tiles (the source is not seekable, so a grid is read whole; for
     /// seeking past the other tiles see [`decode_roi_from`](crate::decode_roi_from)).
     fn decode(&self, source: &mut dyn Read, opts: &DecodeOptions) -> Result<Image, CbicError> {
-        decode_container(source, opts.roi, opts.parallelism).map_err(CbicError::from)
+        decode_container(source, opts.roi, opts.parallelism)
     }
 }
 
@@ -652,7 +568,10 @@ mod tests {
         let img = CorpusImage::Zelda.generate(16, 16);
         let mut bytes = compress(img.view(), &CodecConfig::default());
         bytes[0] = b'X';
-        assert_eq!(decompress(&bytes), Err(CodecError::BadMagic));
+        assert!(matches!(
+            decompress(&bytes),
+            Err(CbicError::BadMagic { found: Some(m) }) if &m == b"XBIC"
+        ));
     }
 
     #[test]
@@ -660,27 +579,36 @@ mod tests {
         let img = CorpusImage::Zelda.generate(16, 16);
         let mut bytes = compress(img.view(), &CodecConfig::default());
         bytes[4] = 9;
-        assert_eq!(decompress(&bytes), Err(CodecError::UnsupportedVersion(9)));
+        assert!(matches!(
+            decompress(&bytes),
+            Err(CbicError::UnsupportedVersion(9))
+        ));
         bytes[4] = 1;
         bytes[5] = 7;
-        assert_eq!(decompress(&bytes), Err(CodecError::UnsupportedCodec(7)));
+        assert!(matches!(
+            decompress(&bytes),
+            Err(CbicError::UnsupportedCodec(7))
+        ));
     }
 
     #[test]
     fn rejects_truncation() {
-        assert_eq!(decompress(b"CBIC"), Err(CodecError::Truncated));
-        assert_eq!(decompress(b""), Err(CodecError::Truncated));
+        assert!(matches!(decompress(b"CBIC"), Err(CbicError::Truncated)));
+        assert!(matches!(decompress(b""), Err(CbicError::Truncated)));
         // A short *foreign* stream is a magic mismatch, not a truncated
         // CBIC container — format sniffers rely on the distinction.
-        assert_eq!(decompress(b"CBSL\x01\x02\x03"), Err(CodecError::BadMagic));
-        assert_eq!(decompress(b"XYZ"), Err(CodecError::Truncated));
+        assert!(matches!(
+            decompress(b"CBSL\x01\x02\x03"),
+            Err(CbicError::BadMagic { found: Some(m) }) if &m == b"CBSL"
+        ));
+        assert!(matches!(decompress(b"XYZ"), Err(CbicError::Truncated)));
         // A version-2 header cut off before its depth byte.
         let img = Image::from_fn16(8, 8, 10, |x, _| x as u16);
         let bytes = compress(img.view(), &CodecConfig::default());
-        assert_eq!(
-            parse_header(&bytes[..HEADER_LEN]).err(),
-            Some(CodecError::Truncated)
-        );
+        assert!(matches!(
+            parse_header(&bytes[..HEADER_LEN]),
+            Err(CbicError::Truncated)
+        ));
     }
 
     #[test]
@@ -690,7 +618,7 @@ mod tests {
         bytes[14] = 42; // count_bits
         assert!(matches!(
             decompress(&bytes),
-            Err(CodecError::InvalidHeader(_))
+            Err(CbicError::InvalidContainer(_))
         ));
         // A version-2 depth byte outside 1..=16.
         let deep = Image::from_fn16(8, 8, 10, |x, _| x as u16);
@@ -698,14 +626,19 @@ mod tests {
         bytes[23] = 31;
         assert!(matches!(
             decompress(&bytes),
-            Err(CodecError::InvalidHeader(_))
+            Err(CbicError::InvalidContainer(_))
         ));
     }
 
     #[test]
     fn error_messages_are_informative() {
-        assert!(CodecError::BadMagic.to_string().contains("magic"));
-        assert!(CodecError::UnsupportedVersion(9).to_string().contains('9'));
+        let err = decompress(b"XBIC\x01\x01").unwrap_err();
+        assert!(err.to_string().contains("magic"), "{err}");
+        let img = CorpusImage::Zelda.generate(16, 16);
+        let mut bytes = compress(img.view(), &CodecConfig::default());
+        bytes[4] = 9;
+        let err = decompress(&bytes).unwrap_err();
+        assert!(err.to_string().contains('9'), "{err}");
     }
 
     #[test]
@@ -738,13 +671,9 @@ mod tests {
         bytes[4] = RETIRED_V3;
         bytes.insert(24, 4);
         let err = decompress(&bytes).unwrap_err();
-        assert_eq!(err, CodecError::UnsupportedVersion(3));
+        assert!(matches!(err, CbicError::UnsupportedVersion(3)), "{err:?}");
         assert!(err.to_string().contains("version 3"), "{err}");
         assert!(err.to_string().contains("retired"), "{err}");
-        assert_eq!(
-            CbicError::from(err).to_string(),
-            "unsupported container version 3"
-        );
     }
 
     #[test]
@@ -754,22 +683,21 @@ mod tests {
         // naming the retired wide-hash model.
         let img = CorpusImage::Lena.generate(16, 16);
         let mut bytes = compress(img.view(), &CodecConfig::default());
-        bytes[4] = RETIRED_V5;
+        bytes[4] = 5;
         for (at, byte) in [(23, 8u8), (24, 1), (25, 10), (26, 0)] {
             bytes.insert(at, byte);
         }
         let err = decompress(&bytes).unwrap_err();
-        assert_eq!(err, CodecError::UnsupportedVersion(5));
+        assert!(matches!(err, CbicError::UnsupportedVersion(5)), "{err:?}");
         let msg = err.to_string();
         assert!(
             msg.contains("version 5") && msg.contains("wide-hash"),
             "{msg}"
         );
         assert!(msg.contains("retired"), "{msg}");
-        assert_eq!(parse_header(&bytes).err(), Some(err.clone()));
         assert!(matches!(
-            CbicError::from(err),
-            CbicError::UnsupportedVersion(5)
+            parse_header(&bytes),
+            Err(CbicError::UnsupportedVersion(5))
         ));
     }
 
@@ -790,7 +718,7 @@ mod tests {
         for bad in [0u8, 2, 33, 255] {
             bytes[24] = bad;
             assert!(
-                matches!(decompress(&bytes), Err(CodecError::InvalidHeader(_))),
+                matches!(decompress(&bytes), Err(CbicError::InvalidContainer(_))),
                 "lane byte {bad} must be rejected"
             );
         }

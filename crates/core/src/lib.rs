@@ -68,7 +68,7 @@
 //! let bytes = compress(img.view(), &CodecConfig::default());
 //! let restored = decompress(&bytes)?;
 //! assert_eq!(img, restored);
-//! # Ok::<(), cbic_core::CodecError>(())
+//! # Ok::<(), cbic_image::CbicError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -90,7 +90,7 @@ pub use cbic_image::Parallelism;
 pub use codec::{
     decode_raw, encode_model_only, encode_raw, CodecConfig, DivisionKind, EncodeStats,
 };
-pub use container::{compress, decompress, CodecError, Proposed};
+pub use container::{compress, decompress, Proposed};
 pub use engine::{DecoderState, EncoderState, PixelEngine};
 pub use grid::{compress_grid, decode_roi, decode_roi_from, decompress_grid, TileGeometry};
 pub use session::{DecoderSession, EncoderSession};

@@ -219,7 +219,7 @@ proptest! {
 
     /// Every strict prefix of a flat container decodes to an error or to
     /// an image, never a panic; a prefix that ends inside the header is
-    /// always [`CodecError::Truncated`](crate::CodecError::Truncated).
+    /// always [`CbicError::Truncated`](cbic_image::CbicError::Truncated).
     #[test]
     fn truncated_containers_error_cleanly(
         img in arb_image(),
@@ -229,7 +229,7 @@ proptest! {
         let cut = (((bytes.len() - 1) as f64) * cut_frac) as usize;
         let result = decompress(&bytes[..cut]);
         if cut < crate::container::HEADER_LEN {
-            prop_assert_eq!(result, Err(crate::CodecError::Truncated));
+            prop_assert!(matches!(result, Err(cbic_image::CbicError::Truncated)));
         }
     }
 

@@ -106,20 +106,20 @@ impl EncoderSession {
         sink: &mut dyn Write,
     ) -> Result<EncodeStats, CbicError> {
         let (width, height) = img.dimensions();
-        check_container_dimensions(width, height).map_err(CbicError::from)?;
+        check_container_dimensions(width, height)?;
         self.state.reset(width, img.bit_depth());
 
         let (hdr, len) = header_bytes(&self.cfg, width, height, img.bit_depth());
-        sink.write_all(&hdr[..len]).map_err(CbicError::from)?;
+        sink.write_all(&hdr[..len])?;
 
         let mut enc = BinaryEncoder::new(StreamBitWriter::wrap(sink));
         self.state.encode_view(img, &mut enc);
         let decisions = enc.decisions();
         let coded_decisions = enc.coded_decisions();
         let mut writer = enc.finish();
-        writer.take_error().map_err(CbicError::from)?;
+        writer.take_error()?;
         let payload_bits = writer.bits_written();
-        writer.finish().map_err(CbicError::from)?;
+        writer.finish()?;
 
         let coder_stats = self.state.coder_stats();
         Ok(EncodeStats {
@@ -185,7 +185,7 @@ impl DecoderSession {
     /// the payload, [`CbicError::Io`] on transport failures (kind
     /// preserved), and the structured header errors otherwise.
     pub fn decode(&mut self, source: &mut dyn Read) -> Result<Image, CbicError> {
-        let hdr = read_header(source).map_err(CbicError::from)?;
+        let hdr = read_header(source)?;
 
         if hdr.tile.is_some() {
             // A version-4 grid takes the grid leg every whole-container
@@ -197,8 +197,7 @@ impl DecoderSession {
                 source,
                 None,
                 cbic_image::Parallelism::Sequential,
-            )
-            .map_err(CbicError::from);
+            );
         }
 
         let state = match &mut self.state {
@@ -222,11 +221,12 @@ impl DecoderSession {
         // loop stops within a row; the I/O error is the better report.
         let decoded = decode_rows_checked(state, &mut dec, &mut img.view_mut());
         if let Some(e) = dec.source().io_error() {
+            // The reader keeps its error: rebuild it with its kind.
             // From<io::Error> normalizes UnexpectedEof to Truncated, the
             // same as every other decode path.
-            return Err(CbicError::from(io::Error::new(e.kind(), e.to_string())));
+            return Err(io::Error::new(e.kind(), e.to_string()).into());
         }
-        decoded.map_err(CbicError::from)?;
+        decoded?;
         Ok(img)
     }
 }
@@ -330,7 +330,7 @@ mod tests {
         // ...but the shared container gate rejects 2^30 pixels, and the
         // session surfaces it as the structured variant.
         assert!(matches!(
-            check_container_dimensions(1 << 15, 1 << 15).map_err(CbicError::from),
+            check_container_dimensions(1 << 15, 1 << 15),
             Err(CbicError::InvalidContainer(_))
         ));
     }

@@ -68,16 +68,16 @@
 //!     dec.next_row(&mut row).unwrap();
 //!     assert_eq!(&row[..], img.row(y));
 //! }
-//! # Ok::<(), std::io::Error>(())
+//! # Ok::<(), cbic_image::CbicError>(())
 //! ```
 
-use crate::codec::{CodecConfig, MAX_CODE_PADDING_BITS};
+use crate::codec::CodecConfig;
 use crate::coder_thread::{use_coder_thread, CoderThread};
-use crate::container::{header_bytes, read_header, CodecError, ContainerHeader};
+use crate::container::{header_bytes, read_header, ContainerHeader};
 use crate::engine::{DecoderState, EncoderState};
-use cbic_arith::{BinaryDecoder, BinaryEncoder};
+use cbic_arith::{BinaryDecoder, BinaryEncoder, MAX_PADDING_BITS};
 use cbic_bitio::{BitSink, BitSource, StreamBitReader, StreamBitWriter};
-use cbic_image::Image;
+use cbic_image::{max_val_for, CbicError, Image, ImageError};
 use std::io::{self, BufReader, Read, Write};
 
 /// Streaming encoder: consumes pixel rows, emits the standard `CBIC`
@@ -142,8 +142,8 @@ impl<W: Write> StreamEncoder<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from writing the header, and returns
-    /// [`io::ErrorKind::InvalidInput`] for dimensions no decoder would
+    /// [`CbicError::Io`] when writing the header fails, and
+    /// [`CbicError::InvalidContainer`] for dimensions no decoder would
     /// accept — beyond the container's 2^28-pixel ceiling (or a `u32`
     /// header field) — so an hours-long encode cannot end in an
     /// undecodable container.
@@ -158,7 +158,7 @@ impl<W: Write> StreamEncoder<W> {
         height: usize,
         bit_depth: u8,
         cfg: &CodecConfig,
-    ) -> io::Result<Self> {
+    ) -> Result<Self, CbicError> {
         Self::with_coder(out, width, height, bit_depth, cfg, use_coder_thread(1))
     }
 
@@ -171,10 +171,9 @@ impl<W: Write> StreamEncoder<W> {
         bit_depth: u8,
         cfg: &CodecConfig,
         coder_thread: bool,
-    ) -> io::Result<Self> {
+    ) -> Result<Self, CbicError> {
         assert!(width > 0 && height > 0, "image dimensions must be nonzero");
-        crate::container::check_container_dimensions(width, height)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        crate::container::check_container_dimensions(width, height)?;
         let (hdr, len) = header_bytes(cfg, width, height, bit_depth);
         out.write_all(&hdr[..len])?;
         let coder = match coder_thread.then(CoderThread::spawn).flatten() {
@@ -197,7 +196,7 @@ impl<W: Write> StreamEncoder<W> {
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] for any other `lanes`, otherwise as
+    /// [`CbicError::InvalidContainer`] for any other `lanes`, otherwise as
     /// [`Self::with_depth`].
     ///
     /// # Panics
@@ -210,12 +209,11 @@ impl<W: Write> StreamEncoder<W> {
         bit_depth: u8,
         cfg: &CodecConfig,
         lanes: usize,
-    ) -> io::Result<Self> {
+    ) -> Result<Self, CbicError> {
         if lanes != 1 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("lane count {lanes}: coder lanes are retired, only 1 is valid"),
-            ));
+            return Err(CbicError::InvalidContainer(format!(
+                "lane count {lanes}: coder lanes are retired, only 1 is valid"
+            )));
         }
         Self::with_depth(out, width, height, bit_depth, cfg)
     }
@@ -250,34 +248,29 @@ impl<W: Write> StreamEncoder<W> {
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] when a sample exceeds the declared
-    /// bit depth (an oversized sample would silently wrap modulo the
-    /// sample range and break losslessness — rejected before any of the
-    /// row is coded), and any I/O error the underlying writer hit while
-    /// this row's bits were flushed. Once a write has failed, the
-    /// container has a gap: this and every later call fails with that
-    /// error's kind.
+    /// [`ImageError::SampleOutOfRange`] (as [`CbicError::Image`]) when a
+    /// sample exceeds the declared bit depth (an oversized sample would
+    /// silently wrap modulo the sample range and break losslessness —
+    /// rejected before any of the row is coded), and [`CbicError::Io`] for
+    /// any I/O error the underlying writer hit while this row's bits were
+    /// flushed. Once a write has failed, the container has a gap: this and
+    /// every later call fails with that error's kind
+    /// ([`CbicError::io_kind`]).
     ///
     /// # Panics
     ///
     /// Panics if `row.len()` differs from the encoder width or all
     /// `height` rows were already pushed.
-    pub fn push_row(&mut self, row: &[u16]) -> io::Result<()> {
+    pub fn push_row(&mut self, row: &[u16]) -> Result<(), CbicError> {
         assert_eq!(row.len(), self.width(), "row length mismatch");
         assert!(
             self.rows_in < self.height,
             "all {} rows already pushed",
             self.height
         );
-        let max_val = crate::remap::half_for_depth(self.bit_depth()) as u32 * 2 - 1;
-        if let Some(&bad) = row.iter().find(|&&p| u32::from(p) > max_val) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "sample {bad} exceeds the {}-bit maximum {max_val}",
-                    self.bit_depth()
-                ),
-            ));
+        let max_val = max_val_for(self.bit_depth());
+        if let Some(&value) = row.iter().find(|&&p| p > max_val) {
+            return Err(ImageError::SampleOutOfRange { value, max_val }.into());
         }
         let y = self.rows_in;
         let n1 = (y >= 1).then_some(&self.above[0][..]);
@@ -311,7 +304,7 @@ impl<W: Write> StreamEncoder<W> {
     ///
     /// Panics if fewer than `height` rows were pushed — finishing early
     /// would emit a container whose header lies about its pixel count.
-    pub fn finish(self) -> io::Result<W> {
+    pub fn finish(self) -> Result<W, CbicError> {
         Ok(self.finish_with_stats()?.0)
     }
 
@@ -328,7 +321,7 @@ impl<W: Write> StreamEncoder<W> {
     /// # Panics
     ///
     /// As [`finish`](Self::finish).
-    pub fn finish_with_stats(mut self) -> io::Result<(W, StreamEncodeStats)> {
+    pub fn finish_with_stats(mut self) -> Result<(W, StreamEncodeStats), CbicError> {
         assert_eq!(
             self.rows_in, self.height,
             "only {} of {} rows were pushed",
@@ -382,14 +375,15 @@ fn write_back<W: Write>(
 
 /// Passes `result` on and keeps the kind of the first error in `failed`:
 /// from then on every result is an error of that kind.
-fn latch<T>(failed: &mut Option<io::ErrorKind>, result: io::Result<T>) -> io::Result<T> {
+fn latch<T>(failed: &mut Option<io::ErrorKind>, result: io::Result<T>) -> Result<T, CbicError> {
     if let Some(kind) = *failed {
         return Err(io::Error::new(
             kind,
             "an earlier write failed, so the container is incomplete",
-        ));
+        )
+        .into());
     }
-    result.inspect_err(|e| *failed = Some(e.kind()))
+    Ok(result.inspect_err(|e| *failed = Some(e.kind()))?)
 }
 
 /// Streaming decoder: reads the standard `CBIC` container incrementally
@@ -416,11 +410,11 @@ impl<R: Read> StreamDecoder<R> {
     ///
     /// # Errors
     ///
-    /// [`CodecError::Truncated`] when the stream ends inside the header,
-    /// [`CodecError::Io`] on transport errors, and the usual header errors
-    /// ([`CodecError::BadMagic`], the retired version 3, invalid fields,
+    /// [`CbicError::Truncated`] when the stream ends inside the header,
+    /// [`CbicError::Io`] on transport errors, and the usual header errors
+    /// ([`CbicError::BadMagic`], the retired version 3, invalid fields,
     /// …) otherwise.
-    pub fn new(mut input: R) -> Result<Self, CodecError> {
+    pub fn new(mut input: R) -> Result<Self, CbicError> {
         let hdr = read_header(&mut input)?;
         Self::with_header(hdr, input)
     }
@@ -433,11 +427,11 @@ impl<R: Read> StreamDecoder<R> {
     /// # Errors
     ///
     /// As [`StreamDecoder::new`]; a version-4 tiled container is
-    /// [`CodecError::InvalidHeader`] here (its index wants random access,
-    /// not row streaming) — route it to [`crate::grid`] instead.
-    pub(crate) fn with_header(hdr: ContainerHeader, input: R) -> Result<Self, CodecError> {
+    /// [`CbicError::InvalidContainer`] here (its index wants random
+    /// access, not row streaming) — route it to [`crate::grid`] instead.
+    pub(crate) fn with_header(hdr: ContainerHeader, input: R) -> Result<Self, CbicError> {
         if hdr.tile.is_some() {
-            return Err(CodecError::InvalidHeader(
+            return Err(CbicError::InvalidContainer(
                 "version-4 tiled container: use the grid decoder".into(),
             ));
         }
@@ -476,11 +470,11 @@ impl<R: Read> StreamDecoder<R> {
     ///
     /// # Errors
     ///
-    /// [`CodecError::Io`] if the transport failed mid-row, and
-    /// [`CodecError::Truncated`] as soon as the decoder has had to invent
-    /// more padding bits than any complete payload requires (the stream
-    /// ended early, so this row and every later one would be
-    /// fabrication). Padding only grows, so checking every row rejects
+    /// [`CbicError::Io`] if the transport failed mid-row, and
+    /// [`CbicError::Truncated`] as soon as the decoder has had to invent
+    /// more padding bits than any complete payload requires
+    /// ([`MAX_PADDING_BITS`]: the stream ended early, so this row and
+    /// every later one would be fabrication). Padding only grows, so checking every row rejects
     /// exactly the streams a final-row check would, and a container whose
     /// header promises far more pixels than its payload holds fails
     /// within a row or two instead of after the whole image.
@@ -489,7 +483,7 @@ impl<R: Read> StreamDecoder<R> {
     ///
     /// Panics if `buf.len()` differs from the image width or all rows were
     /// already decoded.
-    pub fn next_row(&mut self, buf: &mut [u16]) -> Result<(), CodecError> {
+    pub fn next_row(&mut self, buf: &mut [u16]) -> Result<(), CbicError> {
         assert_eq!(buf.len(), self.above[0].len(), "row buffer length mismatch");
         assert!(
             self.rows_out < self.height,
@@ -508,10 +502,11 @@ impl<R: Read> StreamDecoder<R> {
         self.above[0].copy_from_slice(buf);
         self.rows_out += 1;
         if let Some(e) = self.dec.source().io_error() {
-            return Err(CodecError::io(e));
+            // The reader keeps its error: rebuild it with its kind.
+            return Err(io::Error::new(e.kind(), e.to_string()).into());
         }
-        if self.dec.source().padding_bits() > MAX_CODE_PADDING_BITS {
-            return Err(CodecError::Truncated);
+        if self.dec.source().padding_bits() > MAX_PADDING_BITS {
+            return Err(CbicError::Truncated);
         }
         Ok(())
     }
@@ -523,7 +518,7 @@ impl<R: Read> StreamDecoder<R> {
     /// # Errors
     ///
     /// As [`Self::next_row`].
-    pub fn decode_all(mut self) -> Result<Image, CodecError> {
+    pub fn decode_all(mut self) -> Result<Image, CbicError> {
         let (width, height) = self.dimensions();
         let mut img = Image::with_depth(width, height, self.bit_depth());
         let decoded = (self.rows_out..height).try_for_each(|y| self.next_row(img.row_mut(y)));
@@ -568,7 +563,7 @@ mod tests {
     }
 
     /// The rows of a container pulled out of a [`StreamDecoder`].
-    fn stream_decode<R: Read>(input: R) -> Result<Image, CodecError> {
+    fn stream_decode<R: Read>(input: R) -> Result<Image, CbicError> {
         StreamDecoder::new(input)?.decode_all()
     }
 
@@ -678,7 +673,7 @@ mod tests {
                     kind,
                     flush_fails,
                 };
-                let results: Vec<io::Result<()>> =
+                let results: Vec<Result<(), CbicError>> =
                     match StreamEncoder::with_coder(out, w, h, 8, &cfg, coder_thread) {
                         Err(e) => vec![Err(e)],
                         Ok(mut enc) => {
@@ -693,7 +688,8 @@ mod tests {
                 let first = first.unwrap_or_else(|| panic!("{context}: every call returned Ok"));
                 for result in &results[first..] {
                     let err = result.as_ref().expect_err(&context);
-                    assert_eq!(err.kind(), kind, "{context}: {err}");
+                    assert!(matches!(err, CbicError::Io(_)), "{context}: {err:?}");
+                    assert_eq!(err.io_kind(), Some(kind), "{context}: {err}");
                 }
             }
         }
@@ -789,7 +785,7 @@ mod tests {
             assert!(
                 matches!(
                     StreamDecoder::new(&bytes[..cut]).err(),
-                    Some(CodecError::Truncated)
+                    Some(CbicError::Truncated)
                 ),
                 "cut {cut}"
             );
@@ -802,9 +798,8 @@ mod tests {
         let bytes = compress(img.view(), &CodecConfig::default());
         assert!(bytes.len() > HEADER_LEN + 64, "test needs a real payload");
         let cut = &bytes[..bytes.len() / 2];
-        assert_eq!(
-            stream_decode(cut).err(),
-            Some(CodecError::Truncated),
+        assert!(
+            matches!(stream_decode(cut), Err(CbicError::Truncated)),
             "mid-payload EOF must surface as Truncated"
         );
     }
@@ -814,10 +809,10 @@ mod tests {
         let img = CorpusImage::Boat.generate(16, 16);
         let mut bytes = compress(img.view(), &CodecConfig::default());
         bytes[0] ^= 0xFF;
-        assert_eq!(
+        assert!(matches!(
             StreamDecoder::new(&bytes[..]).err(),
-            Some(CodecError::BadMagic)
-        );
+            Some(CbicError::BadMagic { found: Some(_) })
+        ));
     }
 
     #[test]
@@ -838,7 +833,7 @@ mod tests {
         let bytes = compress(img.view(), &CodecConfig::default());
         let half = bytes.len() / 2;
         let result = stream_decode(FailAfter(bytes[..half].to_vec(), 0));
-        assert!(matches!(result, Err(CodecError::Io(..))), "got {result:?}");
+        assert!(matches!(result, Err(CbicError::Io(..))), "got {result:?}");
     }
 
     #[test]
@@ -846,7 +841,16 @@ mod tests {
         let mut enc =
             StreamEncoder::with_depth(Vec::new(), 4, 2, 10, &CodecConfig::default()).unwrap();
         let err = enc.push_row(&[0, 1023, 1024, 0]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            matches!(
+                err,
+                CbicError::Image(ImageError::SampleOutOfRange {
+                    value: 1024,
+                    max_val: 1023
+                })
+            ),
+            "{err:?}"
+        );
         assert_eq!(enc.rows_pushed(), 0, "nothing of the bad row was coded");
         // A legal row still encodes afterwards.
         enc.push_row(&[0, 1023, 1, 2]).unwrap();
@@ -884,7 +888,10 @@ mod tests {
         let cfg = CodecConfig::default();
         for lanes in [0, 2, 4] {
             let err = StreamEncoder::with_lanes(Vec::new(), 4, 4, 8, &cfg, lanes).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "lanes {lanes}");
+            assert!(
+                matches!(&err, CbicError::InvalidContainer(m) if m.contains("lanes are retired")),
+                "lanes {lanes}: {err:?}"
+            );
         }
         let mut enc = StreamEncoder::with_lanes(Vec::new(), 4, 1, 8, &cfg, 1).unwrap();
         enc.push_row(&[1, 2, 3, 4]).unwrap();

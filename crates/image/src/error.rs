@@ -1,10 +1,10 @@
-//! The workspace-wide error hierarchy.
+//! The workspace-wide error type.
 //!
-//! Every fallible operation on the unified [`Codec`](crate::Codec) surface
-//! returns [`CbicError`], so a service front end can hold one `match` for
-//! every codec in the registry instead of juggling four per-crate enums.
-//! The legacy enums ([`ImageError`], [`RegistryError`], `cbic-core`'s
-//! `CodecError`) all convert into it via `From`.
+//! Every fallible entry point of the codec crates, on the unified
+//! [`Codec`](crate::Codec) surface and off it, returns [`CbicError`], so a
+//! service front end holds one `match` for every codec in the registry.
+//! Two domain errors with fields of their own nest inside it and convert
+//! into it via `From`: [`ImageError`] and [`RegistryError`].
 
 use crate::{ImageError, RegistryError};
 use std::fmt;
@@ -101,6 +101,16 @@ impl fmt::Display for CbicError {
                 )
             }
             Self::BadMagic { found: None } => write!(f, "missing container magic"),
+            // The CBIC container's retired versions, the only ones a
+            // reader refuses by number.
+            Self::UnsupportedVersion(3) => write!(
+                f,
+                "unsupported container version 3: the lane-interleaved format is retired"
+            ),
+            Self::UnsupportedVersion(5) => write!(
+                f,
+                "unsupported container version 5: the wide-hash context model is retired"
+            ),
             Self::UnsupportedVersion(v) => write!(f, "unsupported container version {v}"),
             Self::UnsupportedCodec(c) => write!(f, "unsupported codec id {c}"),
             Self::Truncated => write!(f, "truncated container"),
@@ -140,7 +150,6 @@ impl From<io::Error> for CbicError {
 impl From<ImageError> for CbicError {
     fn from(e: ImageError) -> Self {
         match e {
-            ImageError::Codec(msg) => Self::InvalidContainer(msg),
             ImageError::Io(msg) => Self::Io(io::Error::other(msg)),
             other => Self::Image(other),
         }
@@ -198,8 +207,6 @@ mod tests {
     fn image_error_conversion_is_structured() {
         let e = CbicError::from(ImageError::EmptyImage);
         assert!(matches!(e, CbicError::Image(ImageError::EmptyImage)));
-        let e = CbicError::from(ImageError::Codec("bad field".into()));
-        assert!(matches!(e, CbicError::InvalidContainer(_)));
         let e = CbicError::from(ImageError::Io("disk on fire".into()));
         assert!(matches!(e, CbicError::Io(_)));
     }
@@ -228,6 +235,14 @@ mod tests {
     fn display_messages_are_informative() {
         assert!(CbicError::bad_magic(b"WXYZ").to_string().contains("WXYZ"));
         assert!(CbicError::UnsupportedVersion(9).to_string().contains('9'));
+        for (v, names) in [(3, "lane-interleaved"), (5, "wide-hash")] {
+            let msg = CbicError::UnsupportedVersion(v).to_string();
+            assert!(
+                msg.contains(&format!("version {v}")) && msg.contains(names),
+                "{msg}"
+            );
+            assert!(msg.contains("retired"), "{msg}");
+        }
         assert!(CbicError::UnknownCodec("zstd".into())
             .to_string()
             .contains("zstd"));

@@ -18,6 +18,7 @@
 //! are bounded by the shared 2^28-pixel cap), so old streams keep
 //! decoding unchanged.
 
+use crate::CbicError;
 use std::io::Write;
 
 /// Sentinel "width" introducing the extended (deep-sample) header.
@@ -26,32 +27,20 @@ const DEEP_SENTINEL: u32 = u32::MAX;
 /// The shared pixel ceiling: 2^28, matching the core container's cap.
 const MAX_PIXELS: usize = 1 << 28;
 
-/// Structured outcome of [`parse_dims_header`]; callers map the variants
-/// onto their per-crate error enums.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FramingError {
-    /// The stream does not start with the expected magic.
-    BadMagic,
-    /// The stream ended inside the header.
-    Truncated,
-    /// A header field holds a value no encoder produces.
-    Invalid(String),
-}
-
 /// Writes the magic, the optional deep-sample extension, and the
 /// dimensions. The caller appends any codec-specific fields (JPEG-LS's
 /// reserved byte) and the payload.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from `out`.
+/// [`CbicError::Io`] when `out` fails.
 pub fn write_dims_header(
     out: &mut dyn Write,
     magic: &[u8; 4],
     width: usize,
     height: usize,
     bit_depth: u8,
-) -> std::io::Result<()> {
+) -> Result<(), CbicError> {
     out.write_all(magic)?;
     if bit_depth != 8 {
         out.write_all(&DEEP_SENTINEL.to_le_bytes())?;
@@ -78,28 +67,28 @@ pub fn dims_header_len(bit_depth: u8) -> u64 {
 ///
 /// # Errors
 ///
-/// [`FramingError::BadMagic`] on a foreign magic,
-/// [`FramingError::Truncated`] when the header is cut short, and
-/// [`FramingError::Invalid`] for zero dimensions, images beyond the
+/// [`CbicError::BadMagic`] on a foreign magic,
+/// [`CbicError::Truncated`] when the header is cut short, and
+/// [`CbicError::InvalidContainer`] for zero dimensions, images beyond the
 /// 2^28-pixel cap, or a malformed depth extension.
 pub fn parse_dims_header<'a>(
     bytes: &'a [u8],
     magic: &[u8; 4],
-) -> Result<(usize, usize, u8, &'a [u8]), FramingError> {
+) -> Result<(usize, usize, u8, &'a [u8]), CbicError> {
     if bytes.len() < 12 {
-        return Err(FramingError::Truncated);
+        return Err(CbicError::Truncated);
     }
     if &bytes[..4] != magic {
-        return Err(FramingError::BadMagic);
+        return Err(CbicError::bad_magic(bytes));
     }
     let first = u32::from_le_bytes(bytes[4..8].try_into().expect("sized"));
     let (bit_depth, dims_at) = if first == DEEP_SENTINEL {
         if bytes.len() < 17 {
-            return Err(FramingError::Truncated);
+            return Err(CbicError::Truncated);
         }
         let depth = bytes[8];
         if !(1..=16).contains(&depth) || depth == 8 {
-            return Err(FramingError::Invalid(format!(
+            return Err(CbicError::InvalidContainer(format!(
                 "bit depth {depth} invalid for an extended header"
             )));
         }
@@ -111,10 +100,10 @@ pub fn parse_dims_header<'a>(
     let height =
         u32::from_le_bytes(bytes[dims_at + 4..dims_at + 8].try_into().expect("sized")) as usize;
     if width == 0 || height == 0 {
-        return Err(FramingError::Invalid("zero dimension".into()));
+        return Err(CbicError::InvalidContainer("zero dimension".into()));
     }
     if width.saturating_mul(height) > MAX_PIXELS {
-        return Err(FramingError::Invalid("image too large".into()));
+        return Err(CbicError::InvalidContainer("image too large".into()));
     }
     Ok((width, height, bit_depth, &bytes[dims_at + 8..]))
 }
@@ -152,23 +141,23 @@ mod tests {
 
     #[test]
     fn rejects_malformed_headers() {
-        assert_eq!(
+        assert!(matches!(
             parse_dims_header(b"TE", MAGIC),
-            Err(FramingError::Truncated)
-        );
-        assert_eq!(
+            Err(CbicError::Truncated)
+        ));
+        assert!(matches!(
             parse_dims_header(b"XXXX00000000", MAGIC),
-            Err(FramingError::BadMagic)
-        );
+            Err(CbicError::BadMagic { found: Some(m) }) if &m == b"XXXX"
+        ));
         // Sentinel with a truncated extension.
         let mut short = Vec::new();
         short.extend_from_slice(MAGIC);
         short.extend_from_slice(&u32::MAX.to_le_bytes());
         short.extend_from_slice(&[12, 0, 0]);
-        assert_eq!(
+        assert!(matches!(
             parse_dims_header(&short, MAGIC),
-            Err(FramingError::Truncated)
-        );
+            Err(CbicError::Truncated)
+        ));
         // Sentinel claiming depth 8 (must use the legacy layout) or 0.
         for depth in [0u8, 8, 17] {
             let mut bad = Vec::new();
@@ -177,7 +166,7 @@ mod tests {
             assert!(
                 matches!(
                     parse_dims_header(&bad, MAGIC),
-                    Err(FramingError::Invalid(_))
+                    Err(CbicError::InvalidContainer(_))
                 ),
                 "depth {depth}"
             );
@@ -188,14 +177,14 @@ mod tests {
         zero_w[4..8].fill(0);
         assert!(matches!(
             parse_dims_header(&zero_w, MAGIC),
-            Err(FramingError::Invalid(_))
+            Err(CbicError::InvalidContainer(_))
         ));
         let mut huge = zero;
         huge[4..8].copy_from_slice(&(1u32 << 20).to_le_bytes());
         huge[8..12].copy_from_slice(&(1u32 << 20).to_le_bytes());
         assert!(matches!(
             parse_dims_header(&huge, MAGIC),
-            Err(FramingError::Invalid(_))
+            Err(CbicError::InvalidContainer(_))
         ));
     }
 }

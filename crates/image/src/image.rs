@@ -33,9 +33,6 @@ pub enum ImageError {
     InvalidView(String),
     /// A PGM stream could not be parsed.
     PgmParse(String),
-    /// A compressed container could not be parsed (used by codec
-    /// implementations to surface their codec-specific errors).
-    Codec(String),
     /// Underlying I/O failure (message form, to keep the error `Clone`).
     Io(String),
 }
@@ -56,7 +53,6 @@ impl fmt::Display for ImageError {
             }
             Self::InvalidView(msg) => write!(f, "invalid view geometry: {msg}"),
             Self::PgmParse(msg) => write!(f, "invalid PGM stream: {msg}"),
-            Self::Codec(msg) => write!(f, "invalid compressed container: {msg}"),
             Self::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }

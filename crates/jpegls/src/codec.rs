@@ -6,9 +6,9 @@
 //! in the direction of the Golomb-coded residual. The coding is lossless,
 //! so the encoder's causal rows are the source samples themselves.
 
-use crate::params::{JpeglsError, Params, J, MAX_C, MIN_C, RESET};
+use crate::params::{Params, J, MAX_C, MIN_C, RESET};
 use cbic_bitio::{BitReader, BitSink, BitSource, BitWriter};
-use cbic_image::{Image, ImageView};
+use cbic_image::{CbicError, Image, ImageView};
 use cbic_rice::{decode_limited, encode_limited};
 
 /// Number of regular (gradient) contexts after sign folding.
@@ -369,7 +369,7 @@ pub fn encode_raw(img: ImageView<'_>) -> (Vec<u8>, EncodeStats) {
 ///
 /// # Errors
 ///
-/// [`JpeglsError::Truncated`] when the payload runs out before the last
+/// [`CbicError::Truncated`] when the payload runs out before the last
 /// sample.
 ///
 /// # Panics
@@ -380,7 +380,7 @@ pub fn decode_raw(
     width: usize,
     height: usize,
     bit_depth: u8,
-) -> Result<Image, JpeglsError> {
+) -> Result<Image, CbicError> {
     let mut st = State::new(bit_depth);
     let mut r = BitReader::new(bytes);
     let mut out = Image::with_depth(width, height, bit_depth);
@@ -413,7 +413,7 @@ pub fn decode_raw(
                         eol = true;
                         break;
                     }
-                    if r.try_read_bit().ok_or(JpeglsError::Truncated)? {
+                    if r.try_read_bit().ok_or(CbicError::Truncated)? {
                         let rg = 1usize << J[st.run_index];
                         if rg < remaining {
                             run += rg;
@@ -435,7 +435,7 @@ pub fn decode_raw(
                     } else {
                         run += r
                             .try_read_bits(J[st.run_index])
-                            .ok_or(JpeglsError::Truncated)? as usize;
+                            .ok_or(CbicError::Truncated)? as usize;
                         break;
                     }
                 }
@@ -457,7 +457,7 @@ pub fn decode_raw(
                 let sign = if ritype == 0 && ra > rb { -1 } else { 1 };
                 let k = st.interruption_k(ritype);
                 let emerr = decode_limited(&mut r, k, st.limit - J[st.run_index] - 1, st.qbpp)
-                    .ok_or(JpeglsError::Truncated)?;
+                    .ok_or(CbicError::Truncated)?;
                 // Invert the A.7.2.2 mapping: parity of emerr + RItype
                 // recovers `map`, the predicate recovers the sign.
                 let tmp = emerr as i32 + ritype as i32;
@@ -485,7 +485,7 @@ pub fn decode_raw(
                 let px = (State::med(ra, rb, rc) + sign * st.c[q]).clamp(0, st.maxval);
                 let k = st.golomb_k(q);
                 let merr = decode_limited(&mut r, k, st.limit, st.qbpp)
-                    .ok_or(JpeglsError::Truncated)? as i32;
+                    .ok_or(CbicError::Truncated)? as i32;
                 let errval = if k == 0 && 2 * st.b[q] <= -(st.n[q] as i32) {
                     if merr % 2 == 1 {
                         (merr - 1) / 2
@@ -517,7 +517,7 @@ mod tests {
     fn roundtrip(img: &Image) -> EncodeStats {
         let (bytes, stats) = encode_raw(img.view());
         let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth());
-        assert_eq!(back.as_ref(), Ok(img), "lossless roundtrip failed");
+        assert_eq!(back.ok().as_ref(), Some(img), "lossless roundtrip failed");
         stats
     }
 

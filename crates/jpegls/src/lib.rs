@@ -35,7 +35,7 @@
 //! let img = CorpusImage::Boat.generate(64, 64);
 //! let bytes = compress(img.view());
 //! assert_eq!(decompress(&bytes)?, img);
-//! # Ok::<(), cbic_jpegls::JpeglsError>(())
+//! # Ok::<(), cbic_image::CbicError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,22 +48,11 @@ mod params;
 mod proptests;
 
 pub use codec::{decode_raw, encode_raw, EncodeStats};
-pub use params::JpeglsError;
 
-use cbic_image::framing::{self, FramingError};
-use cbic_image::{Image, ImageView};
+use cbic_image::framing;
+use cbic_image::{CbicError, Image, ImageView};
 
 const MAGIC: &[u8; 4] = b"CBLS";
-
-impl From<FramingError> for JpeglsError {
-    fn from(e: FramingError) -> Self {
-        match e {
-            FramingError::BadMagic => JpeglsError::BadMagic,
-            FramingError::Truncated => JpeglsError::Truncated,
-            FramingError::Invalid(msg) => JpeglsError::InvalidHeader(msg),
-        }
-    }
-}
 
 /// This crate's container framing — the shared dimensioned header of
 /// [`cbic_image::framing`] (legacy 8-bit layout, deep-sentinel extension)
@@ -74,10 +63,10 @@ fn write_container(
     img: ImageView<'_>,
     payload: &[u8],
     out: &mut dyn std::io::Write,
-) -> std::io::Result<()> {
+) -> Result<(), CbicError> {
     framing::write_dims_header(out, MAGIC, img.width(), img.height(), img.bit_depth())?;
     out.write_all(&[0])?;
-    out.write_all(payload)
+    Ok(out.write_all(payload)?)
 }
 
 /// Bytes the container framing adds ahead of the payload.
@@ -91,16 +80,17 @@ fn container_overhead(bit_depth: u8) -> u64 {
 ///
 /// # Errors
 ///
-/// The framing's errors, and [`JpeglsError::InvalidHeader`] for a NEAR
-/// byte other than 0: near-lossless containers are retired.
-pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, &[u8]), JpeglsError> {
+/// The framing's errors ([`framing::parse_dims_header`]), and
+/// [`CbicError::InvalidContainer`] for a NEAR byte other than 0:
+/// near-lossless containers are retired.
+pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, &[u8]), CbicError> {
     let (width, height, bit_depth, rest) = framing::parse_dims_header(bytes, MAGIC)?;
     match rest.split_first() {
         Some((0, payload)) => Ok((width, height, bit_depth, payload)),
-        Some((near, _)) => Err(JpeglsError::InvalidHeader(format!(
+        Some((near, _)) => Err(CbicError::InvalidContainer(format!(
             "NEAR {near}: near-lossless JPEG-LS is retired and no longer decodes"
         ))),
-        None => Err(JpeglsError::Truncated),
+        None => Err(CbicError::Truncated),
     }
 }
 
@@ -118,22 +108,12 @@ pub fn compress(img: ImageView<'_>) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`JpeglsError`] on malformed headers, retired near-lossless
-/// containers and payloads that run out before the last sample.
-pub fn decompress(bytes: &[u8]) -> Result<Image, JpeglsError> {
+/// Returns a [`CbicError`] on malformed headers and retired
+/// near-lossless containers, and [`CbicError::Truncated`] for payloads
+/// that run out before the last sample.
+pub fn decompress(bytes: &[u8]) -> Result<Image, CbicError> {
     let (width, height, bit_depth, payload) = parse_container(bytes)?;
     decode_raw(payload, width, height, bit_depth)
-}
-
-impl From<JpeglsError> for cbic_image::CbicError {
-    fn from(e: JpeglsError) -> Self {
-        use cbic_image::CbicError;
-        match e {
-            JpeglsError::BadMagic => CbicError::BadMagic { found: None },
-            JpeglsError::Truncated => CbicError::Truncated,
-            JpeglsError::InvalidHeader(msg) => CbicError::InvalidContainer(msg),
-        }
-    }
 }
 
 /// JPEG-LS on the unified [`cbic_image::Codec`] surface.
@@ -154,7 +134,7 @@ impl cbic_image::Codec for Jpegls {
         img: ImageView<'_>,
         _opts: &cbic_image::EncodeOptions,
         sink: &mut dyn std::io::Write,
-    ) -> Result<cbic_image::EncodeStats, cbic_image::CbicError> {
+    ) -> Result<cbic_image::EncodeStats, CbicError> {
         let (payload, stats) = encode_raw(img);
         write_container(img, &payload, sink)?;
         Ok(cbic_image::EncodeStats::new(
@@ -170,12 +150,10 @@ impl cbic_image::Codec for Jpegls {
         &self,
         source: &mut dyn std::io::Read,
         opts: &cbic_image::DecodeOptions,
-    ) -> Result<Image, cbic_image::CbicError> {
+    ) -> Result<Image, CbicError> {
         let mut bytes = Vec::new();
         source.read_to_end(&mut bytes)?;
-        decompress(&bytes)
-            .map_err(cbic_image::CbicError::from)?
-            .crop_to(opts.roi)
+        decompress(&bytes)?.crop_to(opts.roi)
     }
 }
 
@@ -193,8 +171,11 @@ mod container_tests {
 
     #[test]
     fn container_rejects_garbage() {
-        assert_eq!(decompress(b"nope"), Err(JpeglsError::Truncated));
-        assert_eq!(decompress(b"XXXX0000000000000"), Err(JpeglsError::BadMagic));
+        assert!(matches!(decompress(b"nope"), Err(CbicError::Truncated)));
+        assert!(matches!(
+            decompress(b"XXXX0000000000000"),
+            Err(CbicError::BadMagic { found: Some(m) }) if &m == b"XXXX"
+        ));
     }
 
     #[test]
@@ -205,7 +186,7 @@ mod container_tests {
         bytes[12] = 3;
         let err = decompress(&bytes).unwrap_err();
         assert!(
-            matches!(&err, JpeglsError::InvalidHeader(m) if m.contains("NEAR 3")
+            matches!(&err, CbicError::InvalidContainer(m) if m.contains("NEAR 3")
                 && m.contains("near-lossless") && m.contains("retired")),
             "{err:?}"
         );
@@ -218,10 +199,10 @@ mod container_tests {
             cbic_image::Image::from_fn(32, 32, |_, _| 9),
         ] {
             let bytes = compress(img.view());
-            assert_eq!(
+            assert!(matches!(
                 decompress(&bytes[..bytes.len() / 2]),
-                Err(JpeglsError::Truncated)
-            );
+                Err(CbicError::Truncated)
+            ));
         }
     }
 }

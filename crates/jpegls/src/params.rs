@@ -1,33 +1,6 @@
 //! JPEG-LS coding parameters of a sample depth (ITU-T T.87 Annex C
 //! defaults, parameterized over the 1–16-bit sample depth).
 
-use std::fmt;
-
-/// Errors returned by the container API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum JpeglsError {
-    /// Stream does not start with the `CBLS` magic.
-    BadMagic,
-    /// Stream shorter than a header, or a payload that runs out before
-    /// the last sample.
-    Truncated,
-    /// A header field is invalid.
-    InvalidHeader(String),
-}
-
-impl fmt::Display for JpeglsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::BadMagic => write!(f, "missing CBLS magic"),
-            Self::Truncated => write!(f, "truncated stream"),
-            Self::InvalidHeader(m) => write!(f, "invalid header: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for JpeglsError {}
-
 /// Context halving interval (`RESET`, T.87 Annex C default).
 pub(crate) const RESET: u32 = 64;
 
@@ -191,10 +164,5 @@ mod tests {
         assert_eq!(J[31], 15);
         // Non-decreasing.
         assert!(J.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn error_display() {
-        assert!(JpeglsError::BadMagic.to_string().contains("magic"));
     }
 }

@@ -94,7 +94,8 @@ pub struct Metrics {
     pub metrics_ok: AtomicU64,
     /// Requests rejected as malformed.
     pub bad_requests: AtomicU64,
-    /// Requests rejected as over the frame/image ceiling.
+    /// Requests rejected as over the frame/image ceiling, or whose reply
+    /// would have been.
     pub too_large: AtomicU64,
     /// Requests the codec layer rejected (bad magic, truncation, …).
     pub codec_errors: AtomicU64,

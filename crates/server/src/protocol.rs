@@ -4,7 +4,9 @@
 //! followed by that many body bytes. Frames never exceed the server's
 //! configured ceiling; a request frame whose declared length is larger is
 //! answered with [`Status::TooLarge`] and the connection is closed without
-//! reading the body.
+//! reading the body. A reply that would be larger (a DECODE of a
+//! container smaller than the ceiling can expand past it) is answered
+//! with [`Status::TooLarge`] instead, and the connection serves on.
 //!
 //! Request bodies start with an [`Op`] byte:
 //!
@@ -89,7 +91,8 @@ pub enum Status {
     Busy = 1,
     /// Malformed frame body (bad op, short fields, invalid samples).
     BadRequest = 2,
-    /// Frame or image larger than the server's configured ceiling.
+    /// Request frame, reply or image larger than the server's configured
+    /// ceiling.
     TooLarge = 3,
     /// The codec rejected the payload (bad magic, truncation, …).
     CodecError = 4,

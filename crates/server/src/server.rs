@@ -57,7 +57,8 @@ pub struct ServerConfig {
     /// one [`Status::Busy`].
     pub queue_capacity: usize,
     /// Largest accepted request frame body, in bytes. Larger frames are
-    /// answered [`Status::TooLarge`] without reading the body.
+    /// answered [`Status::TooLarge`] without reading the body, and a reply
+    /// body that would be larger is answered [`Status::TooLarge`] instead.
     pub max_frame_bytes: usize,
     /// Per-socket read timeout; an idle connection is dropped after it.
     pub read_timeout: Duration,
@@ -508,7 +509,18 @@ fn serve_connection(
         // The set is held only while the request is served: it goes back
         // to the pool at the end of this statement, before the reply is
         // written.
-        let response = handle_request(&body, &mut pool.take(metrics), metrics);
+        let mut response = handle_request(&body, &mut pool.take(metrics), metrics);
+        // No reply is larger than the frames this server accepts, whatever
+        // the op: one that would be is refused, and the connection serves on.
+        if response.len() > config.max_frame_bytes {
+            metrics.too_large.fetch_add(1, Relaxed);
+            let msg = format!(
+                "reply of {} bytes exceeds the {}-byte ceiling",
+                response.len(),
+                config.max_frame_bytes
+            );
+            response = error_body(Status::TooLarge, &msg);
+        }
         if reply(&stream, metrics, &response).is_err() {
             metrics.io_errors.fetch_add(1, Relaxed);
             return;

@@ -118,7 +118,10 @@ fn retired_lanes_get_error_replies_and_the_connection_keeps_serving() {
             panic!("a version-3 container must be refused");
         };
         assert_eq!(status, Status::CodecError);
-        assert!(message.contains("version 3"), "{message}");
+        assert!(
+            message.contains("version 3") && message.contains("retired"),
+            "{message}"
+        );
         for lanes in [0u8, 2, 4] {
             let Reply::Error { status, message } = client
                 .encode(img.view(), *b"CBIC", lanes, 0)
@@ -162,7 +165,7 @@ fn retired_formats_get_error_replies_and_the_connection_keeps_serving() {
     for _ in 0..2 {
         for (container, expect) in [
             (CBTI, "CBTI"),
-            (V5, "version 5"),
+            (V5, "version 5: the wide-hash context model is retired"),
             (CBUN, "CBUN"),
             (&near[..], "near-lossless"),
         ] {
@@ -278,6 +281,35 @@ fn oversized_frames_are_refused_before_the_body_is_read() {
     let reply = client.read_reply().expect("too-large reply");
     assert_eq!(Status::from_byte(reply[0]), Some(Status::TooLarge));
     assert_eq!(handle.metrics().too_large.load(Relaxed), 1);
+    handle.shutdown_and_join().expect("clean drain");
+}
+
+#[test]
+fn replies_over_the_frame_ceiling_are_refused_and_the_connection_keeps_serving() {
+    // The container of a 64x64 lena fits a 4096-byte ceiling, but its
+    // decoded reply (10 header bytes and 4096 samples) does not.
+    let img = CorpusImage::Lena.generate(64, 64);
+    let container = compress(img.view(), &CodecConfig::default());
+    assert!(container.len() < 4000, "{} bytes", container.len());
+    let handle = spawn_server(ServerConfig {
+        max_frame_bytes: 4096,
+        ..test_config()
+    });
+    let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
+    let Reply::Error { status, message } = client.decode(&container).expect("decode rpc") else {
+        panic!("a reply over the ceiling must be refused");
+    };
+    assert_eq!(status, Status::TooLarge);
+    assert!(
+        message.contains("4106 bytes") && message.contains("4096-byte"),
+        "{message}"
+    );
+    assert_eq!(handle.metrics().too_large.load(Relaxed), 1);
+    let Reply::Probed { width, height, .. } = client.probe(&container).expect("probe rpc") else {
+        panic!("the same connection must still answer a probe");
+    };
+    assert_eq!((width, height), (64, 64));
+    drop(client);
     handle.shutdown_and_join().expect("clean drain");
 }
 

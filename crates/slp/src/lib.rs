@@ -35,7 +35,7 @@
 //! let img = CorpusImage::Goldhill.generate(48, 48);
 //! let bytes = compress(img.view());
 //! assert_eq!(decompress(&bytes)?, img);
-//! # Ok::<(), cbic_slp::SlpError>(())
+//! # Ok::<(), cbic_image::CbicError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,46 +45,9 @@
 mod proptests;
 
 use cbic_bitio::{BitReader, BitSink, BitWriter};
-use cbic_image::framing::{self, FramingError};
-use cbic_image::{Image, ImageView, ImageViewMut};
+use cbic_image::framing;
+use cbic_image::{CbicError, Image, ImageView, ImageViewMut};
 use cbic_rice::{decode_limited, encode_limited, unzigzag, zigzag, AdaptiveRice};
-use std::fmt;
-
-/// Errors returned by the container API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum SlpError {
-    /// Stream does not start with the `CBSL` magic.
-    BadMagic,
-    /// Stream shorter than a header, or a payload that runs out before
-    /// the last sample.
-    Truncated,
-    /// A header field is invalid.
-    InvalidHeader(String),
-}
-
-impl fmt::Display for SlpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::BadMagic => write!(f, "missing CBSL magic"),
-            Self::Truncated => write!(f, "truncated stream"),
-            Self::InvalidHeader(m) => write!(f, "invalid header: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for SlpError {}
-
-impl From<SlpError> for cbic_image::CbicError {
-    fn from(e: SlpError) -> Self {
-        use cbic_image::CbicError;
-        match e {
-            SlpError::BadMagic => CbicError::BadMagic { found: None },
-            SlpError::Truncated => CbicError::Truncated,
-            SlpError::InvalidHeader(msg) => CbicError::InvalidContainer(msg),
-        }
-    }
-}
 
 /// Gradient threshold for switching to a directional predictor
 /// (8-bit scale; scaled by `2^(n-8)` for deeper samples).
@@ -274,7 +237,7 @@ pub fn encode_raw(img: ImageView<'_>) -> (Vec<u8>, EncodeStats) {
 ///
 /// # Errors
 ///
-/// [`SlpError::Truncated`] when the payload runs out before the last
+/// [`CbicError::Truncated`] when the payload runs out before the last
 /// sample.
 ///
 /// # Panics
@@ -285,7 +248,7 @@ pub fn decode_raw(
     width: usize,
     height: usize,
     bit_depth: u8,
-) -> Result<Image, SlpError> {
+) -> Result<Image, CbicError> {
     let (half, shift) = (
         half_for_depth(bit_depth),
         u32::from(bit_depth.saturating_sub(8)),
@@ -304,7 +267,7 @@ pub fn decode_raw(
             let bctx = class * 4 + pidx;
             let p = (p + bias[bctx].c).clamp(0, 2 * half - 1);
             let k = contexts[bctx].k();
-            let v = decode_limited(&mut r, k, limit, qbpp).ok_or(SlpError::Truncated)?;
+            let v = decode_limited(&mut r, k, limit, qbpp).ok_or(CbicError::Truncated)?;
             let e = unzigzag(v);
             cur[x] = (p + e).rem_euclid(2 * half) as u16;
             contexts[bctx].update(e.unsigned_abs());
@@ -315,16 +278,6 @@ pub fn decode_raw(
 }
 
 const MAGIC: &[u8; 4] = b"CBSL";
-
-impl From<FramingError> for SlpError {
-    fn from(e: FramingError) -> Self {
-        match e {
-            FramingError::BadMagic => SlpError::BadMagic,
-            FramingError::Truncated => SlpError::Truncated,
-            FramingError::Invalid(msg) => SlpError::InvalidHeader(msg),
-        }
-    }
-}
 
 /// Compresses the pixels of a view into a self-describing container.
 pub fn compress(img: ImageView<'_>) -> Vec<u8> {
@@ -342,25 +295,30 @@ fn write_container(
     img: ImageView<'_>,
     payload: &[u8],
     out: &mut dyn std::io::Write,
-) -> std::io::Result<()> {
+) -> Result<(), CbicError> {
     framing::write_dims_header(out, MAGIC, img.width(), img.height(), img.bit_depth())?;
-    out.write_all(payload)
+    Ok(out.write_all(payload)?)
 }
 
 /// Parses this crate's container framing, returning
 /// `(width, height, bit_depth, payload)`. Shared by [`decompress`] and
 /// the CLI's `info` reporting.
-pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, &[u8]), SlpError> {
-    Ok(framing::parse_dims_header(bytes, MAGIC)?)
+///
+/// # Errors
+///
+/// The framing's errors ([`framing::parse_dims_header`]).
+pub fn parse_container(bytes: &[u8]) -> Result<(usize, usize, u8, &[u8]), CbicError> {
+    framing::parse_dims_header(bytes, MAGIC)
 }
 
 /// Decompresses a container produced by [`compress`].
 ///
 /// # Errors
 ///
-/// Returns [`SlpError`] on malformed headers and payloads that run out
-/// before the last sample.
-pub fn decompress(bytes: &[u8]) -> Result<Image, SlpError> {
+/// Returns a [`CbicError`] on malformed headers, and
+/// [`CbicError::Truncated`] for payloads that run out before the last
+/// sample.
+pub fn decompress(bytes: &[u8]) -> Result<Image, CbicError> {
     let (width, height, bit_depth, payload) = parse_container(bytes)?;
     decode_raw(payload, width, height, bit_depth)
 }
@@ -383,7 +341,7 @@ impl cbic_image::Codec for Slp {
         img: ImageView<'_>,
         _opts: &cbic_image::EncodeOptions,
         sink: &mut dyn std::io::Write,
-    ) -> Result<cbic_image::EncodeStats, cbic_image::CbicError> {
+    ) -> Result<cbic_image::EncodeStats, CbicError> {
         let (payload, stats) = encode_raw(img);
         write_container(img, &payload, sink)?;
         Ok(cbic_image::EncodeStats::new(
@@ -399,12 +357,10 @@ impl cbic_image::Codec for Slp {
         &self,
         source: &mut dyn std::io::Read,
         opts: &cbic_image::DecodeOptions,
-    ) -> Result<Image, cbic_image::CbicError> {
+    ) -> Result<Image, CbicError> {
         let mut bytes = Vec::new();
         source.read_to_end(&mut bytes)?;
-        decompress(&bytes)
-            .map_err(cbic_image::CbicError::from)?
-            .crop_to(opts.roi)
+        decompress(&bytes)?.crop_to(opts.roi)
     }
 }
 
@@ -416,7 +372,7 @@ mod tests {
     fn roundtrip(img: &Image) -> EncodeStats {
         let (bytes, stats) = encode_raw(img.view());
         let back = decode_raw(&bytes, img.width(), img.height(), img.bit_depth());
-        assert_eq!(back.as_ref(), Ok(img), "lossless roundtrip failed");
+        assert_eq!(back.ok().as_ref(), Some(img), "lossless roundtrip failed");
         stats
     }
 
@@ -455,8 +411,11 @@ mod tests {
 
     #[test]
     fn container_rejects_garbage() {
-        assert_eq!(decompress(b"x"), Err(SlpError::Truncated));
-        assert_eq!(decompress(b"YYYY00000000"), Err(SlpError::BadMagic));
+        assert!(matches!(decompress(b"x"), Err(CbicError::Truncated)));
+        assert!(matches!(
+            decompress(b"YYYY00000000"),
+            Err(CbicError::BadMagic { found: Some(m) }) if &m == b"YYYY"
+        ));
     }
 
     #[test]
@@ -466,10 +425,10 @@ mod tests {
             Image::from_fn(32, 32, |_, _| 9),
         ] {
             let bytes = compress(img.view());
-            assert_eq!(
+            assert!(matches!(
                 decompress(&bytes[..bytes.len() / 2]),
-                Err(SlpError::Truncated)
-            );
+                Err(CbicError::Truncated)
+            ));
         }
     }
 

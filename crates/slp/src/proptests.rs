@@ -18,7 +18,7 @@ proptest! {
     fn roundtrip_arbitrary_images(img in arb_image()) {
         let (bytes, stats) = encode_raw(img.view());
         prop_assert_eq!(stats.pixels as usize, img.pixel_count());
-        prop_assert_eq!(decode_raw(&bytes, img.width(), img.height(), img.bit_depth()), Ok(img));
+        prop_assert_eq!(decode_raw(&bytes, img.width(), img.height(), img.bit_depth()).ok(), Some(img));
     }
 
     /// The container API round-trips and validates.

@@ -109,24 +109,29 @@ fn main() -> ExitCode {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// Pulls `--flag value` out of an argument list, returning remaining
-/// positional arguments.
-fn parse_flags(args: &[String], flags: &[&str]) -> (Vec<(String, String)>, Vec<String>) {
+/// The flag/value pairs and positional arguments of a command.
+type ParsedArgs = (Vec<(String, String)>, Vec<String>);
+
+/// Pulls `--flag value` pairs of the command's `flags` out of an argument
+/// list, returning them and the remaining positional arguments. Any other
+/// `--name`, and a flag with no value after it, is an error that names
+/// it; a lone `-` is a positional (stdin or stdout).
+fn parse_flags(cmd: &str, args: &[String], flags: &[&str]) -> Result<ParsedArgs, String> {
     let mut out = Vec::new();
     let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            if flags.contains(&name) && i + 1 < args.len() {
-                out.push((name.to_string(), args[i + 1].clone()));
-                i += 2;
-                continue;
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            positional.push(arg.clone());
+            continue;
+        };
+        if !flags.contains(&name) {
+            return Err(format!("unknown flag {arg} for {cmd}"));
         }
-        positional.push(args[i].clone());
-        i += 1;
+        let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+        out.push((name.to_string(), value.clone()));
     }
-    (out, positional)
+    Ok((out, positional))
 }
 
 fn flag_value<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -293,7 +298,7 @@ fn parse_rect(value: &str) -> Result<cbic::Rect, Box<dyn std::error::Error>> {
 }
 
 fn cmd_compress(args: &[String]) -> CliResult {
-    let (flags, pos) = parse_flags(args, &["codec", "threads", "tile"]);
+    let (flags, pos) = parse_flags("compress", args, &["codec", "threads", "tile"])?;
     let [input, output] = pos.as_slice() else {
         return Err("compress needs IN.pgm and OUT (either may be `-`)".into());
     };
@@ -434,7 +439,7 @@ fn coder_placement(coder_thread: bool) -> &'static str {
 }
 
 fn cmd_decompress(args: &[String]) -> CliResult {
-    let (flags, pos) = parse_flags(args, &["threads"]);
+    let (flags, pos) = parse_flags("decompress", args, &["threads"])?;
     let [input, output] = pos.as_slice() else {
         return Err("decompress needs IN and OUT.pgm (either may be `-`)".into());
     };
@@ -516,7 +521,7 @@ fn cmd_decompress(args: &[String]) -> CliResult {
 /// last and crops. Stdin is read into memory first. Either way the
 /// output PGM is exactly the requested rect.
 fn cmd_crop(args: &[String]) -> CliResult {
-    let (flags, pos) = parse_flags(args, &["rect", "threads"]);
+    let (flags, pos) = parse_flags("crop", args, &["rect", "threads"])?;
     let [input, output] = pos.as_slice() else {
         return Err(
             "crop needs IN and OUT.pgm (IN may be `-`; seekable files skip non-covering tiles)"
@@ -569,7 +574,7 @@ fn cmd_info(args: &[String]) -> CliResult {
             } else {
                 // v4: validate and print the tile index. Length
                 // mismatches and malformed indexes surface as the
-                // library's structured InvalidHeader/Truncated errors.
+                // library's structured InvalidContainer/Truncated errors.
                 // The payload is the tile substreams, index excluded, so
                 // a 1x1 grid reports its flat container's payload.
                 let (_, index, substreams) = cbic::core::grid::parse_grid(&bytes)?;
@@ -661,7 +666,7 @@ fn cmd_codecs() -> CliResult {
 }
 
 fn cmd_corpus(args: &[String]) -> CliResult {
-    let (flags, pos) = parse_flags(args, &["size"]);
+    let (flags, pos) = parse_flags("corpus", args, &["size"])?;
     let [outdir] = pos.as_slice() else {
         return Err("corpus needs OUTDIR".into());
     };

@@ -35,7 +35,7 @@
 //!     img.pixel_count(),
 //!     bytes.len()
 //! );
-//! # Ok::<(), cbic::core::CodecError>(())
+//! # Ok::<(), cbic::CbicError>(())
 //! ```
 //!
 //! See `README.md` for the architecture overview. Its Experiments section

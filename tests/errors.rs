@@ -1,9 +1,9 @@
-//! The error-hierarchy contract: every legacy error converts into
-//! [`CbicError`] structurally, every decoder failure on corrupted or
-//! truncated input is a structured variant (never a panic, never a bare
-//! string), and I/O error kinds survive the conversions.
+//! The error contract: every codec entry point answers [`CbicError`], the
+//! two nested domain errors convert into it structurally, every decoder
+//! failure on corrupted or truncated input is a structured variant (never
+//! a panic, never a bare string), and I/O error kinds survive the
+//! conversions.
 
-use cbic::core::CodecError;
 use cbic::image::corpus::CorpusImage;
 use cbic::image::{ImageError, RegistryError};
 use cbic::{CbicError, Codec, DecodeOptions, EncodeOptions};
@@ -16,40 +16,6 @@ use std::io;
 
 /// `(source error, predicate over the converted CbicError)` pairs.
 type ConversionCases<E> = Vec<(E, fn(&CbicError) -> bool)>;
-
-#[test]
-fn codec_error_conversions_cover_every_variant() {
-    let cases: ConversionCases<CodecError> = vec![
-        (CodecError::BadMagic, |e| {
-            matches!(e, CbicError::BadMagic { found: None })
-        }),
-        (CodecError::UnsupportedVersion(7), |e| {
-            matches!(e, CbicError::UnsupportedVersion(7))
-        }),
-        (CodecError::UnsupportedCodec(3), |e| {
-            matches!(e, CbicError::UnsupportedCodec(3))
-        }),
-        (CodecError::Truncated, |e| matches!(e, CbicError::Truncated)),
-        (
-            CodecError::InvalidHeader("bad field".into()),
-            |e| matches!(e, CbicError::InvalidContainer(m) if m == "bad field"),
-        ),
-        (
-            CodecError::Io(io::ErrorKind::BrokenPipe, "gone".into()),
-            |e| matches!(e, CbicError::Io(inner) if inner.kind() == io::ErrorKind::BrokenPipe),
-        ),
-        // Io(UnexpectedEof) normalizes to the structured Truncated variant.
-        (
-            CodecError::Io(io::ErrorKind::UnexpectedEof, "cut".into()),
-            |e| matches!(e, CbicError::Truncated),
-        ),
-    ];
-    for (src, check) in cases {
-        let msg = format!("{src:?}");
-        let converted = CbicError::from(src);
-        assert!(check(&converted), "{msg} became {converted:?}");
-    }
-}
 
 #[test]
 fn image_error_conversions_cover_every_variant() {
@@ -73,10 +39,6 @@ fn image_error_conversions_cover_every_variant() {
         (ImageError::PgmParse("no magic".into()), |e| {
             matches!(e, CbicError::Image(ImageError::PgmParse(_)))
         }),
-        (
-            ImageError::Codec("mangled".into()),
-            |e| matches!(e, CbicError::InvalidContainer(m) if m == "mangled"),
-        ),
         (ImageError::Io("offline".into()), |e| {
             matches!(e, CbicError::Io(_))
         }),
@@ -251,33 +213,67 @@ fn assert_structured(err: &CbicError, context: &str) {
     }
 }
 
-proptest! {
-    /// Truncation at any byte boundary: every registry codec either
-    /// errors with a structured variant or (for prefix-free cut points)
-    /// returns an image — never panics, never a stringly error.
-    #[test]
-    fn truncated_containers_yield_structured_errors(
-        cut_permille in 0usize..1000,
-        class in 0usize..3,
-    ) {
-        let img = [CorpusImage::Lena, CorpusImage::Barb, CorpusImage::Mandrill][class]
-            .generate(16, 16);
-        let enc = EncodeOptions::default();
-        let dec = DecodeOptions::default();
+/// Truncation at every byte boundary: cut anywhere, the container of
+/// each corpus class under every registry codec decodes to a structured
+/// error or to the source image exactly — never other pixels, never a
+/// panic, never a stringly error. The proposed codec's flat container
+/// carries no payload length, so its decoder's padding budget
+/// (`cbic_arith::MAX_PADDING_BITS`) is what catches a cut a byte or a few
+/// short of the end.
+#[test]
+fn truncated_containers_yield_structured_errors() {
+    let enc = EncodeOptions::default();
+    let dec = DecodeOptions::default();
+    for (class, img) in cbic::image::corpus::generate(16) {
         for codec in cbic::all_codecs() {
             let bytes = codec.encode_vec(img.view(), &enc).unwrap();
-            let cut = cut_permille * bytes.len() / 1000;
-            if let Err(e) = codec.decode_vec(&bytes[..cut], &dec) {
-                assert_structured(&e, codec.name());
+            for cut in 0..bytes.len() {
+                let context = format!("{} {class:?}, {cut} of {} bytes", codec.name(), bytes.len());
+                match codec.decode_vec(&bytes[..cut], &dec) {
+                    Err(e) => assert_structured(&e, &context),
+                    Ok(back) => assert!(back == img, "{context}: decoded to other pixels"),
+                }
             }
         }
     }
+}
 
+/// Each codec's committed 32² lena container with its dimensions forged
+/// to 16384² (the 2^28-pixel ceiling): the payload runs dry within the
+/// first rows, so the registry's stream decode answers `Truncated` instead
+/// of decoding 2^28 pixels of fabrication.
+#[test]
+fn forged_dimensions_are_truncated_for_every_codec() {
+    let registry = cbic::default_registry();
+    for codec in cbic::all_codecs() {
+        let path = format!(
+            "{}/tests/golden/{}_lena_32.bin",
+            env!("CARGO_MANIFEST_DIR"),
+            codec.name()
+        );
+        let mut bytes = std::fs::read(&path).expect("committed fixture");
+        // The flat CBIC header holds the dimensions at 6..14, the 8-bit
+        // baseline framing at 4..12.
+        let at = if codec.name() == "proposed" { 6 } else { 4 };
+        assert_eq!(bytes[at..at + 8], [32, 0, 0, 0, 32, 0, 0, 0], "{path}");
+        bytes[at..at + 4].copy_from_slice(&16384u32.to_le_bytes());
+        bytes[at + 4..at + 8].copy_from_slice(&16384u32.to_le_bytes());
+        let err = registry
+            .decode_stream(&mut &bytes[..], &DecodeOptions::default())
+            .expect_err("a forged container must be refused");
+        assert!(
+            matches!(err, CbicError::Truncated),
+            "{}: {err:?}",
+            codec.name()
+        );
+    }
+}
+
+proptest! {
     /// Flipping any single byte past the framing fields (magic and
-    /// dimension corruption has dedicated deterministic tests — and
-    /// corrupted dimensions legally decode as huge garbage images, which
-    /// is too slow to sweep here): decoders must produce structured
-    /// errors or garbage pixels, never panic.
+    /// dimension corruption have dedicated deterministic tests, such as
+    /// `forged_dimensions_are_truncated_for_every_codec`): decoders must
+    /// produce structured errors or garbage pixels, never panic.
     #[test]
     fn corrupted_containers_yield_structured_errors(
         pos_permille in 0usize..1000,
@@ -331,15 +327,14 @@ fn v5_model_header_corruption_yields_structured_errors() {
     ] {
         let mut c = bytes.clone();
         c[at] = forged;
-        assert_eq!(
-            decompress(&c),
-            Err(CodecError::UnsupportedVersion(5)),
+        assert!(
+            matches!(decompress(&c), Err(CbicError::UnsupportedVersion(5))),
             "byte {at} = {forged}"
         );
     }
     for cut in [4usize, 5, 22, 23, 24, 25, 26, 27] {
         let err = decompress(&bytes[..cut]).expect_err("truncated v5 header must error");
-        assert_structured(&CbicError::from(err), &format!("v5 truncation at {cut}"));
+        assert_structured(&err, &format!("v5 truncation at {cut}"));
     }
 }
 
@@ -409,26 +404,19 @@ fn every_decode_path_error(bytes: &[u8]) -> [(&'static str, CbicError); 6] {
     use cbic::image::Parallelism;
     let roi = cbic::Rect::new(0, 0, 8, 8);
     [
-        ("decompress", decompress(bytes).unwrap_err().into()),
-        (
-            "StreamDecoder::new",
-            StreamDecoder::new(bytes).unwrap_err().into(),
-        ),
+        ("decompress", decompress(bytes).unwrap_err()),
+        ("StreamDecoder::new", StreamDecoder::new(bytes).unwrap_err()),
         (
             "DecoderSession::decode",
             DecoderSession::new().decode(&mut &bytes[..]).unwrap_err(),
         ),
         (
             "decompress_grid",
-            decompress_grid(bytes, Parallelism::Sequential)
-                .unwrap_err()
-                .into(),
+            decompress_grid(bytes, Parallelism::Sequential).unwrap_err(),
         ),
         (
             "decode_roi",
-            decode_roi(bytes, roi, Parallelism::Sequential)
-                .unwrap_err()
-                .into(),
+            decode_roi(bytes, roi, Parallelism::Sequential).unwrap_err(),
         ),
         (
             "decode_stream",
@@ -497,7 +485,7 @@ fn retired_wide_and_band_containers_fail_structurally() {
             cbic::Rect::new(0, 0, 8, 8),
             cbic::Parallelism::Sequential
         ),
-        Err(CodecError::UnsupportedVersion(5))
+        Err(CbicError::UnsupportedVersion(5))
     ));
     // CBTI and CBUN: no registered codec claims the band or the
     // universal container's magic.
@@ -582,20 +570,53 @@ fn cli_tile_names_the_flag_it_cannot_be_combined_with() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let (pgm, refused) = (dir.join("in.pgm"), dir.join("refused.cbic"));
     cbic::image::pgm::write_file(&pgm, &CorpusImage::Lena.generate(32, 32)).expect("write input");
-    let p = std::path::Path::new;
-    for (flags, says) in [
+    let (p, i, o) = (std::path::Path::new, pgm.as_path(), refused.as_path());
+    // A flag the command cannot combine with the codec, a flag the
+    // command does not take, and a flag without its value are each named,
+    // not taken for a missing operand.
+    for (args, says) in [
         (
-            ["--codec", "calic"],
+            vec![
+                p("compress"),
+                p("--codec"),
+                p("calic"),
+                p("--tile"),
+                p("8x8"),
+                i,
+                o,
+            ],
             "--tile applies to the proposed codec, not calic",
         ),
         (
-            ["--codec", "jpegls"],
+            vec![
+                p("compress"),
+                p("--codec"),
+                p("jpegls"),
+                p("--tile"),
+                p("8x8"),
+                i,
+                o,
+            ],
             "--tile applies to the proposed codec, not jpegls",
         ),
+        (
+            vec![
+                p("compress"),
+                p("--codec"),
+                p("jpegls"),
+                p("--near"),
+                p("3"),
+                i,
+                o,
+            ],
+            "unknown flag --near for compress",
+        ),
+        (
+            vec![p("decompress"), p("--tile"), p("8x8"), i, o],
+            "unknown flag --tile for decompress",
+        ),
+        (vec![p("crop"), i, o, p("--rect")], "--rect needs a value"),
     ] {
-        let mut args = vec![p("compress")];
-        args.extend(flags.map(p));
-        args.extend([p("--tile"), p("8x8"), &pgm, &refused]);
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cbic"))
             .args(&args)
             .output()
@@ -929,7 +950,7 @@ fn streamed_decoder_stops_at_the_first_row_past_the_padding_budget() {
         }
         assert!(dec.rows_decoded() < 2, "decoded past row 2 without error");
     };
-    assert_eq!(err, CodecError::Truncated);
+    assert!(matches!(err, CbicError::Truncated), "{err:?}");
     assert!(dec.rows_decoded() <= 2, "{} rows", dec.rows_decoded());
 }
 
@@ -944,16 +965,14 @@ fn buffered_decoders_report_a_forged_container_as_truncated() {
     let bytes = forged_container(4096);
     let roi = cbic::Rect::new(0, 0, 8, 8);
     let errors: [(&str, CbicError); 4] = [
-        ("decompress", decompress(&bytes).unwrap_err().into()),
+        ("decompress", decompress(&bytes).unwrap_err()),
         (
             "DecoderSession::decode",
             DecoderSession::new().decode(&mut &bytes[..]).unwrap_err(),
         ),
         (
             "decode_roi",
-            decode_roi(&bytes, roi, cbic::Parallelism::Sequential)
-                .unwrap_err()
-                .into(),
+            decode_roi(&bytes, roi, cbic::Parallelism::Sequential).unwrap_err(),
         ),
         (
             "decode_stream",

@@ -12,9 +12,7 @@
 
 use cbic::core::grid::{compress_grid, crc32, decompress_grid, TileGeometry};
 use cbic::core::stream::{StreamDecoder, StreamEncoder};
-use cbic::core::{
-    compress, decompress, encode_raw, CodecConfig, CodecError, DecoderSession, EncoderSession,
-};
+use cbic::core::{compress, decompress, encode_raw, CodecConfig, DecoderSession, EncoderSession};
 use cbic::image::corpus::CorpusImage;
 use cbic::image::Image;
 use cbic::{CbicError, Codec, DecodeOptions, EncodeOptions, Parallelism, Rect};
@@ -31,7 +29,7 @@ fn stream(img: &Image, cfg: &CodecConfig) -> Vec<u8> {
 }
 
 /// `bytes` pulled row by row out of a [`StreamDecoder`].
-fn stream_decode(bytes: &[u8]) -> Result<Image, CodecError> {
+fn stream_decode(bytes: &[u8]) -> Result<Image, CbicError> {
     StreamDecoder::new(bytes)?.decode_all()
 }
 
@@ -190,7 +188,7 @@ fn core_decoder_errors_on_mid_stream_eof() {
     for cut in [0, 3, 12, 22, 23, 40, bytes.len() / 2, bytes.len() - 32] {
         let err = decompress(&bytes[..cut]).expect_err("truncated must error");
         assert!(
-            matches!(err, CodecError::Truncated),
+            matches!(err, CbicError::Truncated),
             "cut {cut}: got {err:?}"
         );
         // The buffered session decoder agrees.
@@ -256,7 +254,7 @@ fn tiled_decoder_errors_on_truncated_final_band_payload() {
     bytes[entry + 12..entry + 16].copy_from_slice(&crc.to_le_bytes());
     assert!(matches!(
         decompress_grid(&bytes, Parallelism::Sequential),
-        Err(CodecError::Truncated)
+        Err(CbicError::Truncated)
     ));
 }
 
@@ -267,11 +265,14 @@ fn every_decoder_rejects_flipped_magic() {
 
     let mut core_bytes = compress(img.view(), &cfg);
     core_bytes[0] ^= 0x20;
-    assert_eq!(decompress(&core_bytes), Err(CodecError::BadMagic));
-    assert_eq!(
+    assert!(matches!(
+        decompress(&core_bytes),
+        Err(CbicError::BadMagic { found: Some(m) }) if &m == b"cBIC"
+    ));
+    assert!(matches!(
         StreamDecoder::new(&core_bytes[..]).expect_err("flipped magic"),
-        CodecError::BadMagic
-    );
+        CbicError::BadMagic { found: Some(_) }
+    ));
 
     let mut grid_bytes = compress_grid(
         img.view(),
@@ -281,10 +282,10 @@ fn every_decoder_rejects_flipped_magic() {
         Parallelism::Sequential,
     );
     grid_bytes[1] ^= 0xFF;
-    assert_eq!(
+    assert!(matches!(
         decompress_grid(&grid_bytes, Parallelism::Sequential),
-        Err(CodecError::BadMagic)
-    );
+        Err(CbicError::BadMagic { found: Some(_) })
+    ));
 }
 
 #[test]
@@ -297,11 +298,11 @@ fn forged_headers_cannot_force_huge_allocations() {
     bytes[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         decompress(&bytes),
-        Err(CodecError::InvalidHeader(_))
+        Err(CbicError::InvalidContainer(_))
     ));
     assert!(matches!(
         StreamDecoder::new(&bytes[..]).err(),
-        Some(CodecError::InvalidHeader(_))
+        Some(CbicError::InvalidContainer(_))
     ));
 }
 
